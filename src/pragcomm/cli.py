@@ -7,7 +7,8 @@ outputs, and reruns with the same config and seed produce byte-identical
 files.
 
 Commands: ``gen-world``, ``train``, ``sweep``, ``verify-theory``, ``export``.
-Exit codes: 0 success, 1 check failure, 2 usage or config error.
+Exit codes: 0 success, 1 check failure, 2 usage, config or run error (a
+diverging discriminator, an unwritable output).
 """
 
 from __future__ import annotations
@@ -228,9 +229,11 @@ def cmd_train(cfg: RunConfig, out: Path, config_path: str) -> int:
     from .mi_estimator import save_discriminator
 
     save_discriminator(stack.discriminator, str(out / "discriminator.txt"))
-    (out / "tau_draws.txt").write_text(
-        "\n".join(format(t, ".17g") for t in stack.tau_draws) + "\n"
-    )
+    for name, values in (
+        ("tau_draws.txt", stack.tau_draws),
+        ("disc_losses.txt", stack.disc_losses),
+    ):
+        (out / name).write_text("".join(format(v, ".17g") + "\n" for v in values))
     _write_manifest(out, "train", config_path, cfg.train.train_seed)
     print(f"trained stack written to {out}")
     return 0
@@ -453,6 +456,16 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
     return 0 if all_ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pragcomm",
@@ -464,7 +477,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
     p = sub.add_parser("export")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
@@ -475,7 +488,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "export":
         try:
@@ -506,7 +523,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, out, args.config, jobs=args.jobs)
         if args.command == "verify-theory":
             return cmd_verify_theory(cfg, out, args.config)
-    except (ValueError, ec.CodingError) as exc:
+    except (ValueError, ec.CodingError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -46,31 +46,68 @@ class Discriminator:
 
 @dataclass
 class PairBatch:
-    """Co-located pairs (joint samples) plus recombined pairs (marginals)."""
+    """Co-located pairs (joint samples) plus recombined pairs (marginals).
+
+    Each row carries a weight: the number of samples it stands for (ones by
+    default).  Every average over a side is weighted, so a batch with
+    repeated rows and its distinct rows weighted by their counts give the
+    same loss, gradients and scores.
+    """
 
     joint_pairs: np.ndarray  # (n_j, 2c)
     marginal_pairs: np.ndarray  # (n_m, 2c)
+    joint_weights: np.ndarray | None = None  # (n_j,) positive, default ones
+    marginal_weights: np.ndarray | None = None  # (n_m,) positive, default ones
 
     def __post_init__(self):
         self.joint_pairs = np.asarray(self.joint_pairs, dtype=np.float64)
         self.marginal_pairs = np.asarray(self.marginal_pairs, dtype=np.float64)
         if len(self.joint_pairs) == 0 or len(self.marginal_pairs) == 0:
             raise ValueError("both joint and marginal pairs must be nonempty")
+        self.joint_weights = _check_weights(
+            self.joint_weights, len(self.joint_pairs), "joint"
+        )
+        self.marginal_weights = _check_weights(
+            self.marginal_weights, len(self.marginal_pairs), "marginal"
+        )
+
+
+def _check_weights(weights, n: int, side: str) -> np.ndarray:
+    if weights is None:
+        return np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"{side}_weights must have shape ({n},), got {weights.shape}")
+    # a NaN fails the comparison; an infinite entry or sum fails isfinite
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not (np.all(weights > 0) and np.isfinite(total)):
+        raise ValueError(f"{side}_weights must be finite and positive")
+    return weights
+
+
+def _distinct_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows, counts = np.unique(pairs, axis=0, return_counts=True)
+    return rows, counts.astype(np.float64)
 
 
 def make_batch(
     s: np.ndarray, r: np.ndarray, rng: np.random.Generator
 ) -> PairBatch:
-    """Joint pairs by position, marginal pairs by shuffling r within the batch."""
+    """Joint pairs by position, marginal pairs by shuffling r within the batch.
+
+    Each side is stored as its distinct rows weighted by their counts, which
+    leaves every weighted average unchanged; the only random draw is the one
+    permutation of r.
+    """
     s = np.asarray(s, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if s.shape != r.shape:
         raise ValueError("s and r must align")
     perm = rng.permutation(len(r))
-    return PairBatch(
-        joint_pairs=np.concatenate([s, r], axis=1),
-        marginal_pairs=np.concatenate([s, r[perm]], axis=1),
-    )
+    joint, joint_w = _distinct_rows(np.concatenate([s, r], axis=1))
+    marginal, marginal_w = _distinct_rows(np.concatenate([s, r[perm]], axis=1))
+    return PairBatch(joint, marginal, joint_w, marginal_w)
 
 
 def init_discriminator(
@@ -129,21 +166,31 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loss_terms(d: Discriminator, batch: PairBatch):
+    """Weighted loss, its gradient w.r.t. each score, and the forward cache.
+
+    Joint and marginal rows go through one stacked forward pass.
+    """
+    n_j = len(batch.joint_pairs)
+    t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
+    tj, tm = t[:n_j], t[n_j:]
+    pj = batch.joint_weights / batch.joint_weights.sum()
+    pm = batch.marginal_weights / batch.marginal_weights.sum()
+    loss = float(pj @ _softplus(-tj) + pm @ _softplus(tm))
+    dscore = np.concatenate([-pj * _sigmoid(-tj), pm * _sigmoid(tm)])
+    return loss, dscore, cache
+
+
 def loss_and_grads(d: Discriminator, batch: PairBatch):
     """Binary discrimination loss and its parameter gradients.
 
-    loss = -mean log sigmoid(T) over joint - mean log(1 - sigmoid(T)) over
-    marginal pairs; at T = 0 everywhere this equals 2 ln 2.
+    loss = -sum_j p_j log sigmoid(T_j) - sum_m p_m log(1 - sigmoid(T_m)),
+    where p are each side's weights normalized to sum to one (plain means
+    for unit weights); at T = 0 everywhere this equals 2 ln 2.  One
+    backward pass over the stacked rows gives the gradients.
     """
-    tj, cache_j = _forward(d, batch.joint_pairs)
-    tm, cache_m = _forward(d, batch.marginal_pairs)
-    loss = float(_softplus(-tj).mean() + _softplus(tm).mean())
-    dj = -_sigmoid(-tj) / len(tj)
-    dm = _sigmoid(tm) / len(tm)
-    gj = _backward(d, cache_j, dj)
-    gm = _backward(d, cache_m, dm)
-    grads = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(gj, gm)]
-    return loss, grads
+    loss, dscore, cache = _loss_terms(d, batch)
+    return loss, _backward(d, cache, dscore)
 
 
 def train_step(
@@ -183,19 +230,18 @@ def mi_lower_bound(d: Discriminator, batch: PairBatch) -> float:
     product of marginals at the optimal scorer; a lower-bound-style score,
     not an unbiased mutual-information estimate.
     """
-    tj = score(d, batch.joint_pairs)
-    tm = score(d, batch.marginal_pairs)
-    return float(-_softplus(-tj).mean() - _softplus(tm).mean() + TWO_LN2)
+    return float(TWO_LN2 - _loss_terms(d, batch)[0])
 
 
 def mi_score(d: Discriminator, batch: PairBatch) -> float:
-    """Mean raw score over joint pairs, in nats.
+    """Weighted mean raw score over joint pairs, in nats.
 
     The optimal scorer is the pointwise log-density ratio when joint and
     marginal batches are weighted equally, so this average estimates the
     mutual information directly.
     """
-    return float(score(d, batch.joint_pairs).mean())
+    w = batch.joint_weights
+    return float(w @ score(d, batch.joint_pairs) / w.sum())
 
 
 def redundancy_map(

@@ -62,6 +62,7 @@ class TrainedStack:
     codebook: vq.LayeredCodebook
     discriminator: mie.Discriminator
     tau_draws: list  # confidence thresholds drawn per training scene
+    disc_losses: list  # discriminator loss before each training step
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,14 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
         all_cells, tc.n_base, tc.n_res, iters=tc.kmeans_iters, seed=tc.codebook_seed
     )
 
-    for wi, world in enumerate(worlds):
-        for agent in range(world.cfg.n_agents):
-            f = feats[(wi, agent)]
-            idx, _ = vq.quantize(f, cb)
-            noise = world.cfg.agent_noise(agent)
-            vq.accumulate_conf_freq(cb, idx, sw.confidence(f, world.cfg, noise))
+    # the codebook embeddings are fixed from here on, so each view is
+    # quantized and scored once for both the frequencies and the batch
+    quant, conf = {}, {}
+    for (wi, agent), f in feats.items():
+        cfg = worlds[wi].cfg
+        quant[(wi, agent)], _ = vq.quantize(f, cb)
+        conf[(wi, agent)] = sw.confidence(f, cfg, cfg.agent_noise(agent))
+        vq.accumulate_conf_freq(cb, quant[(wi, agent)], conf[(wi, agent)])
 
     joint_s, joint_r = [], []
     tau_draws = []
@@ -153,9 +156,8 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
                 tau = float(rng.choice(tc.tau_c_choices))
                 tau_draws.append(tau)
                 f_s, f_r = feats[(wi, s)], feats[(wi, r)]
-                idx, _ = vq.quantize(f_s, cb)
-                m_c = sw.confidence(f_s, world.cfg, world.cfg.agent_noise(s)) > tau
-                abstract = vq.reconstruct_base(idx, cb)
+                m_c = conf[(wi, s)] > tau
+                abstract = vq.reconstruct_base(quant[(wi, s)], cb)
                 abstract[~m_c] = 0.0
                 sel = m_c.ravel()
                 c = f_s.shape[-1]
@@ -167,8 +169,10 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
     disc = mie.init_discriminator(
         2 * world_template.feature_channels, hidden=tc.disc_hidden, seed=tc.disc_seed
     )
-    disc, _ = mie.train(disc, batch, steps=tc.disc_steps, lr=tc.disc_lr)
-    return TrainedStack(codebook=cb, discriminator=disc, tau_draws=tau_draws)
+    disc, losses = mie.train(disc, batch, steps=tc.disc_steps, lr=tc.disc_lr)
+    return TrainedStack(
+        codebook=cb, discriminator=disc, tau_draws=tau_draws, disc_losses=losses
+    )
 
 
 def build_codes(

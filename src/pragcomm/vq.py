@@ -124,11 +124,15 @@ def kmeans(
 
     Empty clusters are re-seeded from the point farthest from its assigned
     centroid.  Returns (centroids, assignment, per-iteration SSE history).
+    Nearest-centroid searches run once per distinct point; seeding, means
+    and SSE use every point.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    uniq, inv = np.unique(points, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -141,7 +145,7 @@ def kmeans(
             centroids[i] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
 
-    assign = _nearest(points, centroids)
+    assign = _nearest(uniq, centroids)[inv]
     history = []
     for _ in range(iters):
         for c in range(k):
@@ -151,7 +155,7 @@ def kmeans(
             else:
                 far = ((points - centroids[assign]) ** 2).sum(axis=1).argmax()
                 centroids[c] = points[far]
-        new_assign = _nearest(points, centroids)
+        new_assign = _nearest(uniq, centroids)[inv]
         sse = float(((points - centroids[new_assign]) ** 2).sum())
         history.append(sse)
         if np.array_equal(new_assign, assign) and len(history) > 1:

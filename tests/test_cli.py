@@ -141,6 +141,30 @@ class TestTrainAndSweep:
         assert (out / "codebook.txt").exists()
         assert (out / "discriminator.txt").exists()
         assert (out / "tau_draws.txt").exists()
+        losses = [float(x) for x in (out / "disc_losses.txt").read_text().split()]
+        assert len(losses) == 60  # one per discriminator step
+        assert losses[-1] < losses[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_diverging_discriminator_is_run_error(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(FAST_CFG.replace("lr = 0.3", "lr = 1e300"))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_unwritable_output_is_run_error(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "trained"
+        (out / "codebook.txt").mkdir(parents=True)  # a directory where a file goes
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "codebook.txt" in capsys.readouterr().err
+
+    def test_out_is_a_file(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["gen-world", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_sweep_outputs_and_row_count(self, cfg_file, tmp_path):
         out = tmp_path / "swept"
@@ -206,3 +230,11 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected(self, cfg_file, tmp_path, capsys, jobs):
+        out = tmp_path / "swept"
+        argv = ["sweep", "--config", str(cfg_file), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragcomm.infotheory import mutual_information, plugin_from_samples
 from pragcomm.mi_estimator import (
@@ -94,29 +96,33 @@ class TestLossBasics:
                 train_step(d, batch, lr=0.1)
 
 
+def assert_finite_differences(d, batch):
+    _, grads = loss_and_grads(d, batch)
+    eps = 1e-6
+    for li, (w, b) in enumerate(d.weights):
+        for arr, g in ((w, grads[li][0]), (b, grads[li][1])):
+            num = np.zeros_like(arr)
+            it = np.nditer(arr, flags=["multi_index"])
+            while not it.finished:
+                ix = it.multi_index
+                orig = arr[ix]
+                arr[ix] = orig + eps
+                lp, _ = loss_and_grads(d, batch)
+                arr[ix] = orig - eps
+                lm, _ = loss_and_grads(d, batch)
+                arr[ix] = orig
+                num[ix] = (lp - lm) / (2 * eps)
+                it.iternext()
+            denom = max(np.linalg.norm(g), np.linalg.norm(num), 1e-12)
+            assert np.linalg.norm(g - num) / denom < 1e-5
+
+
 class TestGradients:
     def test_analytic_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         d = init_discriminator(4, hidden=3, n_hidden=1, seed=11)
         batch = PairBatch(rng.normal(size=(12, 4)), rng.normal(size=(10, 4)))
-        _, grads = loss_and_grads(d, batch)
-        eps = 1e-6
-        for li, (w, b) in enumerate(d.weights):
-            for arr, g in ((w, grads[li][0]), (b, grads[li][1])):
-                num = np.zeros_like(arr)
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    ix = it.multi_index
-                    orig = arr[ix]
-                    arr[ix] = orig + eps
-                    lp, _ = loss_and_grads(d, batch)
-                    arr[ix] = orig - eps
-                    lm, _ = loss_and_grads(d, batch)
-                    arr[ix] = orig
-                    num[ix] = (lp - lm) / (2 * eps)
-                    it.iternext()
-                denom = max(np.linalg.norm(g), np.linalg.norm(num), 1e-12)
-                assert np.linalg.norm(g - num) / denom < 1e-5
+        assert_finite_differences(d, batch)
 
 
 class TestMIQuantities:
@@ -248,3 +254,95 @@ class TestCheckpoint:
             np.testing.assert_array_equal(b1, b2)
         x = np.random.default_rng(0).normal(size=(5, 8))
         np.testing.assert_array_equal(score(d, x), score(back, x))
+
+
+# --- count-weighted batches ---------------------------------------------------
+
+
+def expanded_batch(s, r, rng):
+    """make_batch as it was before deduplication: one unit-weight row per sample."""
+    perm = rng.permutation(len(r))
+    return PairBatch(
+        np.concatenate([s, r], axis=1), np.concatenate([s, r[perm]], axis=1)
+    )
+
+
+def repeated_rows(seed, n_rows, n_distinct, c):
+    """s and r drawn from a few distinct rows, so both batch sides repeat."""
+    rng = np.random.default_rng(seed)
+    s_atoms = rng.normal(size=(n_distinct, c))
+    r_atoms = rng.normal(size=(n_distinct, c))
+    s = s_atoms[rng.integers(n_distinct, size=n_rows)]
+    r = r_atoms[rng.integers(n_distinct, size=n_rows)]
+    return s, r
+
+
+def flat(grads):
+    return np.concatenate([g.ravel() for pair in grads for g in pair])
+
+
+class TestWeightedBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 60),
+        n_distinct=st.integers(1, 5),
+        c=st.integers(1, 3),
+        hidden=st.integers(1, 6),
+    )
+    def test_dedup_matches_expanded(self, seed, n_rows, n_distinct, c, hidden):
+        s, r = repeated_rows(seed, n_rows, n_distinct, c)
+        rng_new = np.random.default_rng(seed + 1)
+        rng_old = np.random.default_rng(seed + 1)
+        new = make_batch(s, r, rng_new)
+        old = expanded_batch(s, r, rng_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert len(new.joint_pairs) == len(np.unique(old.joint_pairs, axis=0))
+        assert new.joint_weights.sum() == new.marginal_weights.sum() == n_rows
+
+        d = init_discriminator(2 * c, hidden=hidden, seed=seed % 1000)
+        loss_new, grads_new = loss_and_grads(d, new)
+        loss_old, grads_old = loss_and_grads(d, old)
+        assert loss_new == pytest.approx(loss_old, rel=1e-12)
+        g_new, g_old = flat(grads_new), flat(grads_old)
+        # relative to the gradient norm, floored at 1 for gradients that
+        # cancel to zero in exact arithmetic
+        scale = max(np.linalg.norm(g_old), 1.0)
+        assert np.linalg.norm(g_new - g_old) <= 1e-12 * scale
+        for f in (mi_score, mi_lower_bound):
+            assert f(d, new) == pytest.approx(f(d, old), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_weighted_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        d = init_discriminator(4, hidden=3, n_hidden=1, seed=seed % 1000)
+        batch = PairBatch(
+            rng.normal(size=(7, 4)),
+            rng.normal(size=(5, 4)),
+            rng.uniform(0.1, 5.0, size=7),
+            rng.uniform(0.1, 5.0, size=5),
+        )
+        assert_finite_differences(d, batch)
+
+    def test_default_weights_are_ones(self):
+        batch = PairBatch(np.zeros((3, 2)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(batch.joint_weights, np.ones(3))
+        np.testing.assert_array_equal(batch.marginal_weights, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0, np.nan, 1.0],
+            [1.0, np.inf, 1.0],
+            [1.0, 0.0, 1.0],
+            [1.0, -2.0, 1.0],
+            [1e308, 1e308, 1e308],
+            [1.0, 1.0],
+            [[1.0, 1.0, 1.0]],
+        ],
+    )
+    @pytest.mark.parametrize("side", ["joint_weights", "marginal_weights"])
+    def test_bad_weights_rejected(self, weights, side):
+        with pytest.raises(ValueError, match=side):
+            PairBatch(np.zeros((3, 2)), np.zeros((3, 2)), **{side: weights})

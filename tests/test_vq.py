@@ -67,6 +67,47 @@ def naive_lloyd(points, k, iters, rng):
     return centroids, assign, sse
 
 
+def kmeans_every_point(points, k, iters, rng):
+    """kmeans as it was before the distinct-row search: every point is
+    assigned on its own.  The distinct-row version must match it bit for bit."""
+
+    def nearest(pts, centroids):
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        return d2.argmin(axis=1)
+
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i] = points[rng.integers(n)]
+        else:
+            centroids[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+
+    assign = nearest(points, centroids)
+    history = []
+    for _ in range(iters):
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                far = ((points - centroids[assign]) ** 2).sum(axis=1).argmax()
+                centroids[c] = points[far]
+        new_assign = nearest(points, centroids)
+        sse = float(((points - centroids[new_assign]) ** 2).sum())
+        history.append(sse)
+        if np.array_equal(new_assign, assign) and len(history) > 1:
+            assign = new_assign
+            break
+        assign = new_assign
+    return centroids, assign, history
+
+
 def blobs(seed=0, n=120, d=3, k=4):
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=5.0, size=(k, d))
@@ -99,6 +140,20 @@ class TestKmeans:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 5, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [1, 4, 12, 30])
+    def test_duplicate_rows_match_every_point_search(self, seed, k):
+        rng = np.random.default_rng(seed)
+        atoms = np.vstack(
+            [rng.integers(0, 2, size=(12, 3)).astype(float), rng.normal(size=(20, 3))]
+        )
+        pts = atoms[rng.integers(len(atoms), size=300)]
+        got = kmeans(pts, k, 25, np.random.default_rng(seed))
+        want = kmeans_every_point(pts, k, 25, np.random.default_rng(seed))
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(a, b)
+        assert got[2] == want[2]
 
 
 class TestTrainCodebooks:
