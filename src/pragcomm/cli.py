@@ -27,6 +27,7 @@ from . import __version__
 from . import bayes_risk as br
 from . import entropy_coder as ec
 from . import infotheory as it
+from . import mi_estimator as mie
 from . import pipeline as pl
 from . import rd_oracle as rd
 from . import simworld as sw
@@ -226,9 +227,7 @@ def cmd_gen_world(cfg: RunConfig, out: Path, config_path: str) -> int:
 def cmd_train(cfg: RunConfig, out: Path, config_path: str) -> int:
     stack = pl.train_all(cfg.world, cfg.train)
     vq.save_codebook(stack.codebook, str(out / "codebook.txt"))
-    from .mi_estimator import save_discriminator
-
-    save_discriminator(stack.discriminator, str(out / "discriminator.txt"))
+    mie.save_discriminator(stack.discriminator, str(out / "discriminator.txt"))
     for name, values in (
         ("tau_draws.txt", stack.tau_draws),
         ("disc_losses.txt", stack.disc_losses),
@@ -244,20 +243,14 @@ def cmd_sweep(cfg: RunConfig, out: Path, config_path: str, jobs: int) -> int:
     results = pl.run_sweep(cfg.world, stack, cfg.sweep, jobs=jobs)
     (out / "results.csv").write_text(pl.results_csv(results, cfg.world.n_classes))
     (out / "summary.csv").write_text(pl.summary_csv(pl.summarize(results)))
-    first_world = pl.make_world(replace(cfg.world, seed=int(cfg.sweep.seeds[0])))
-    codes = pl.build_codes(stack.codebook, cfg.sweep.coder)
-    msg, _, _, _ = pl._directed_message(
-        first_world,
-        stack,
-        codes,
-        float(cfg.sweep.tau_c_grid[0]),
-        float(cfg.sweep.tau_mi_grid[0]),
-        cfg.sweep.selector,
-        0,
-        1,
-    )
+    sweep = cfg.sweep
+    first_world = pl.make_world(replace(cfg.world, seed=int(sweep.seeds[0])))
+    scene = pl.Scene(first_world, stack)
+    codes = pl.build_codes(stack.codebook, sweep.coder)
+    tau_c, tau_mi = float(sweep.tau_c_grid[0]), float(sweep.tau_mi_grid[0])
+    msg, _ = pl.directed_message(scene, codes, tau_c, tau_mi, sweep.selector, 0, 1)
     (out / "sample_message.bin").write_bytes(ec.message_to_bytes(msg))
-    _write_manifest(out, "sweep", config_path, list(cfg.sweep.seeds))
+    _write_manifest(out, "sweep", config_path, list(sweep.seeds))
     print(f"{len(results)} sweep points written to {out}")
     return 0
 
@@ -266,36 +259,22 @@ def cmd_export(results_path: str, out: Path) -> int:
     text = Path(results_path).read_text().strip().splitlines()
     header = text[0].split(",")
     idx = {name: i for i, name in enumerate(header)}
-    groups: dict[tuple, list] = {}
+    curves: dict[tuple, dict] = {}
     for line in text[1:]:
         cells = line.split(",")
-        key = (cells[idx["coder"]], cells[idx["selector"]])
-        point = (
-            float(cells[idx["tau_c"]]),
-            float(cells[idx["tau_mi"]]),
-            float(cells[idx["total_bits"]]),
-            float(cells[idx["mean_iou"]]),
+        curve = curves.setdefault((cells[idx["coder"]], cells[idx["selector"]]), {})
+        point = (float(cells[idx["tau_c"]]), float(cells[idx["tau_mi"]]))
+        curve.setdefault(point, []).append(
+            (float(cells[idx["total_bits"]]), float(cells[idx["mean_iou"]]))
         )
-        groups.setdefault(key, []).append(point)
-    for (coder, selector), points in sorted(groups.items()):
-        agg: dict[tuple, list] = {}
-        for tau_c, tau_mi, bits, iou in points:
-            agg.setdefault((tau_c, tau_mi), []).append((bits, iou))
+    for (coder, selector), curve in sorted(curves.items()):
         rows = []
-        for (tau_c, tau_mi), vals in sorted(agg.items()):
+        for (tau_c, tau_mi), vals in sorted(curve.items()):
             bits = float(np.mean([v[0] for v in vals]))
             iou = float(np.mean([v[1] for v in vals]))
             rows.append((bits, iou, tau_c, tau_mi))
         rows.sort()
-        flags = []
-        for i, a in enumerate(rows):
-            flags.append(
-                not any(
-                    (b[0] <= a[0] and b[1] >= a[1]) and (b[0] < a[0] or b[1] > a[1])
-                    for j, b in enumerate(rows)
-                    if j != i
-                )
-            )
+        flags = rd.pareto_flags([(bits, -iou) for bits, iou, _, _ in rows], eps=0.0)
         lines = ["mean_total_bits,mean_iou,tau_c,tau_mi,pareto"]
         for (bits, iou, tau_c, tau_mi), flag in zip(rows, flags):
             lines.append(
@@ -477,7 +456,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=_positive_int, default=1)
+        if name == "sweep":  # seeds swept in parallel
+            p.add_argument("--jobs", type=_positive_int, default=1)
     p = sub.add_parser("export")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)

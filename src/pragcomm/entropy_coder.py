@@ -334,6 +334,17 @@ def _write_mask(writer: BitWriter, mask: np.ndarray) -> None:
 
 
 def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
+    """Serialize a message; a value too wide for its header field raises
+    ``CodingError`` instead of being truncated."""
+    for name, value, bits in (
+        ("h", msg.h, 16),
+        ("w", msg.w, 16),
+        ("table_id", table_id, 8),
+        ("base payload length", msg.base_payload.n_bits, 32),
+        ("full payload length", msg.full_payload.n_bits, 32),
+    ):
+        if not 0 <= value < 1 << bits:
+            raise CodingError(f"{name} {value} does not fit its {bits}-bit field")
     writer = BitWriter()
     for byte in MAGIC:
         writer.write(byte, 8)

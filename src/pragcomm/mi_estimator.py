@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vq
+
 TWO_LN2 = 2.0 * math.log(2.0)
 
 
@@ -87,7 +89,7 @@ def _check_weights(weights, n: int, side: str) -> np.ndarray:
 
 
 def _distinct_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, counts = np.unique(pairs, axis=0, return_counts=True)
+    rows, _, counts = vq.unique_rows(pairs)
     return rows, counts.astype(np.float64)
 
 
@@ -217,9 +219,12 @@ def train(
     d: Discriminator, batch: PairBatch, steps: int, lr: float
 ) -> tuple[Discriminator, list[float]]:
     losses = []
-    for _ in range(steps):
-        d, loss = train_step(d, batch, lr)
-        losses.append(loss)
+    # a diverging run overflows on its way to the non-finite update that
+    # train_step reports as RuntimeError; the warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            d, loss = train_step(d, batch, lr)
+            losses.append(loss)
     return d, losses
 
 

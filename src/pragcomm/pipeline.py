@@ -16,8 +16,10 @@ redundancy filtering; no abstract).
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -209,51 +211,104 @@ def _trust(cfg, s: int, r: int) -> float:
     return min(4.0, max(0.25, llr(cfg.agent_noise(s)) / llr(cfg.agent_noise(r))))
 
 
-def _directed_message(world, stack, codes, tau_c, tau_mi, selector, s, r):
-    """Encode one sender-to-receiver message; returns (message, received grid)."""
-    cfg = world.cfg
-    f_s = sw.extract_features(world.obs[s], cfg)
-    f_r = sw.extract_features(world.obs[r], cfg)
-    idx, _ = vq.quantize(f_s, stack.codebook)
-    # candidate cells: confident AND actually observed by the sender (a cell
-    # with no evidence scores 1 - prior background, which is not a reason to
-    # transmit it)
-    m_c = (sw.confidence(f_s, cfg, cfg.agent_noise(s)) > tau_c) & (
-        world.obs[s] != sw.UNOBSERVED
-    )
+class Scene:
+    """One world prepared for one stack: what no threshold changes, plus the
+    threshold-dependent stages met so far.
 
+    Per agent it holds the features, the quantized grid, the confidence
+    (the receiver's request) and the sender's gate.  The other stages are
+    computed on first use and kept, so rounds sharing a scene score
+    redundancy once per ``tau_c`` and threshold it per ``tau_mi``.
+    """
+
+    def __init__(self, world: World, stack: TrainedStack):
+        cfg = world.cfg
+        self.world, self.stack, self._stages = world, stack, {}
+        self.feats = [sw.extract_features(obs, cfg) for obs in world.obs]
+        self.idx = [vq.quantize(f, stack.codebook)[0] for f in self.feats]
+        self.conf = [
+            sw.confidence(f, cfg, cfg.agent_noise(a)) for a, f in enumerate(self.feats)
+        ]
+        # the gate is the confidence on observed cells only: a cell with no
+        # evidence scores 1 - prior background, which is not a reason to
+        # transmit it; cells with gate > tau_c are a sender's candidates
+        self.gate = [
+            np.where(obs != sw.UNOBSERVED, conf, -np.inf)
+            for obs, conf in zip(world.obs, self.conf)
+        ]
+
+    def redundancy(self, s: int, r: int, tau_c: float) -> np.ndarray:
+        """Discriminator score of sender s's abstract against receiver r's view."""
+        key = ("redundancy", tau_c, s, r)
+        if key not in self._stages:
+            abstract = vq.reconstruct_base(self.idx[s], self.stack.codebook)
+            abstract[~(self.gate[s] > tau_c)] = 0.0
+            disc = self.stack.discriminator
+            self._stages[key] = mie.redundancy_map(disc, abstract, self.feats[r])
+        return self._stages[key]
+
+    def raw_reference(self, r: int, senders: tuple) -> float:
+        """Mean posterior entropy of receiver r fusing the senders' raw
+        features: the zero-distortion reference of a round."""
+        key = ("raw", r, senders)
+        if key not in self._stages:
+            raw = [self.feats[s] * _trust(self.world.cfg, s, r) for s in senders]
+            post = _receive(self.world, r, self.feats[r], raw)[0]
+            self._stages[key] = _mean_entropy_nats(post)
+        return self._stages[key]
+
+
+def directed_message(
+    scene: Scene, codes, tau_c: float, tau_mi: float, selector: str, s: int, r: int
+) -> tuple[ec.EncodedMessage, np.ndarray]:
+    """Encode sender s's message to receiver r at one grid point.
+
+    Returns the message and the grid r reconstructs from it: decoded,
+    smoothed inside the candidate mask and weighted by the sender's trust.
+    """
+    cfg = scene.world.cfg
+    cb = scene.stack.codebook
     if selector == "mi":
-        abstract = vq.reconstruct_base(idx, stack.codebook)
-        abstract[~m_c] = 0.0
-        rmap = mie.redundancy_map(stack.discriminator, abstract, f_r)
-        m_mi = mie.select_mask(rmap, tau_mi)
-        send_abstract = True
+        m_mi = mie.select_mask(scene.redundancy(s, r, tau_c), tau_mi)
     elif selector == "confidence_only":
-        m_mi = sw.confidence(f_r, cfg, cfg.agent_noise(r)) < tau_mi
-        send_abstract = False
+        m_mi = scene.conf[r] < tau_mi
     elif selector == "none":
         m_mi = np.ones((cfg.h, cfg.w), dtype=bool)
-        send_abstract = False
     else:
         raise ValueError(f"unknown selector {selector!r}")
+    send_abstract = selector == "mi"
 
-    msg = ec.encode(idx, (m_c, m_mi), codes, abstract=send_abstract)
+    msg = ec.encode(
+        scene.idx[s], (scene.gate[s] > tau_c, m_mi), codes, abstract=send_abstract
+    )
     decoded = ec.decode(msg, codes)
-    received = vq.reconstruct_full(decoded, stack.codebook)
+    received = vq.reconstruct_full(decoded, cb)
     if send_abstract:
         base_only = (decoded.base_idx >= 0) & (decoded.res_idx < 0)
-        received[base_only] = vq.reconstruct_base(decoded, stack.codebook)[base_only]
+        received[base_only] = vq.reconstruct_base(decoded, cb)[base_only]
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
     sm = sw.smooth(received)
     received[msg.conf_mask] = sm[msg.conf_mask]
     received *= _trust(cfg, s, r)
-    return msg, received, f_r, f_s
+    return msg, received
+
+
+def _receive(world: World, r: int, own: np.ndarray, incoming: list):
+    """Receiver r max-fuses the incoming grids into its own features and
+    decodes; returns (posterior, per-class IoU, mean IoU)."""
+    cfg = world.cfg
+    fused = own
+    for grid in incoming:
+        fused = sw.fuse(fused, grid)
+    post = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r))
+    per_class, mean = sw.score_iou(post.argmax(axis=2), world.gt, cfg.n_classes)
+    return post, per_class, mean
 
 
 def run_round(
-    world: World,
+    world: World | Scene,
     stack: TrainedStack,
     tau_c: float,
     tau_mi: float,
@@ -266,49 +321,38 @@ def run_round(
     Defaults to every ordered agent pair.  Each receiver fuses its incoming
     smoothed messages in sender order (max-fusion makes the order moot) and
     predicts from the fused posterior; bits are summed over messages and the
-    task scores averaged over receivers.
+    task scores averaged over receivers.  ``world`` may be a scene prepared
+    for ``stack``, whose stages are then shared with other rounds.
     """
+    scene = world if isinstance(world, Scene) else Scene(world, stack)
+    if scene.stack is not stack:
+        raise ValueError("the scene was prepared for another stack")
+    world = scene.world
     cfg = world.cfg
     if pairs is None:
-        pairs = [
-            (s, r)
-            for r in range(cfg.n_agents)
-            for s in range(cfg.n_agents)
-            if s != r
-        ]
+        agents = range(cfg.n_agents)
+        pairs = [(s, r) for r in agents for s in agents if s != r]
     codes = build_codes(stack.codebook, coder)
 
     by_receiver: dict[int, list] = {}
-    total = payload = abstract_bits = mask_bits = 0
+    msgs = []
     for s, r in pairs:
-        msg, received, f_r, f_s = _directed_message(
-            world, stack, codes, tau_c, tau_mi, selector, s, r
-        )
-        total += msg.total_bits
-        payload += msg.payload_bits
-        abstract_bits += msg.abstract_bits
-        mask_bits += msg.mask_bits
-        by_receiver.setdefault(r, []).append((s, received, f_r, f_s))
+        msg, received = directed_message(scene, codes, tau_c, tau_mi, selector, s, r)
+        msgs.append(msg)
+        by_receiver.setdefault(r, []).append((s, received))
 
     ious, per_class, distortions = [], [], []
     for r, incoming in sorted(by_receiver.items()):
         incoming.sort(key=lambda item: item[0])
-        f_r = incoming[0][2]
-        fused = f_r
-        fused_raw = f_r
-        for s, received, _, f_s in incoming:
-            fused = sw.fuse(fused, received)
-            fused_raw = sw.fuse(fused_raw, f_s * _trust(cfg, s, r))
-        post = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r))
-        pred = post.argmax(axis=2)
-        pc, mean = sw.score_iou(pred, world.gt, cfg.n_classes)
+        post, pc, mean = _receive(world, r, scene.feats[r], [g for _, g in incoming])
         ious.append(mean)
         per_class.append(pc)
-        post_raw = sw.posterior_from_features(fused_raw, cfg, cfg.agent_noise(r))
-        distortions.append(_mean_entropy_nats(post) - _mean_entropy_nats(post_raw))
+        senders = tuple(s for s, _ in incoming)
+        distortions.append(_mean_entropy_nats(post) - scene.raw_reference(r, senders))
 
     with np.errstate(invalid="ignore"):
         pc_mean = np.nanmean(np.stack(per_class), axis=0)
+    total = sum(m.total_bits for m in msgs)
     return RoundResult(
         seed=cfg.seed,
         tau_c=tau_c,
@@ -316,9 +360,9 @@ def run_round(
         coder=coder,
         selector=selector,
         total_bits=total,
-        payload_bits=payload,
-        abstract_bits=abstract_bits,
-        mask_bits=mask_bits,
+        payload_bits=sum(m.payload_bits for m in msgs),
+        abstract_bits=sum(m.abstract_bits for m in msgs),
+        mask_bits=sum(m.mask_bits for m in msgs),
         bpp=total / (cfg.h * cfg.w),
         mean_iou=float(np.mean(ious)),
         per_class_iou=tuple(float(x) for x in pc_mean),
@@ -329,35 +373,22 @@ def run_round(
 def uncompressed_iou(world: World) -> float:
     """Collaboration ceiling: receivers fuse the senders' raw feature grids."""
     cfg = world.cfg
-    feats = [sw.extract_features(world.obs[a], cfg) for a in range(cfg.n_agents)]
+    feats = [sw.extract_features(obs, cfg) for obs in world.obs]
     ious = []
     for r in range(cfg.n_agents):
-        fused = feats[r]
-        for s in range(cfg.n_agents):
-            if s != r:
-                fused = sw.fuse(fused, feats[s] * _trust(cfg, s, r))
-        pred = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r)).argmax(axis=2)
-        _, mean = sw.score_iou(pred, world.gt, cfg.n_classes)
-        ious.append(mean)
+        raw = [feats[s] * _trust(cfg, s, r) for s in range(cfg.n_agents) if s != r]
+        ious.append(_receive(world, r, feats[r], raw)[2])
     return float(np.mean(ious))
 
 
 def solo_iou(world: World) -> float:
     """No-collaboration floor: each agent predicts from its own view alone."""
     cfg = world.cfg
-    ious = []
-    for a in range(cfg.n_agents):
-        feat = sw.extract_features(world.obs[a], cfg)
-        pred = sw.posterior_from_features(feat, cfg, cfg.agent_noise(a)).argmax(axis=2)
-        _, mean = sw.score_iou(pred, world.gt, cfg.n_classes)
-        ious.append(mean)
+    ious = [
+        _receive(world, a, sw.extract_features(obs, cfg), [])[2]
+        for a, obs in enumerate(world.obs)
+    ]
     return float(np.mean(ious))
-
-
-def _sweep_job(args):
-    world_cfg, stack, tau_c, tau_mi, coder, selector = args
-    world = make_world(world_cfg)
-    return run_round(world, stack, tau_c, tau_mi, coder, selector)
 
 
 def run_sweep(
@@ -366,25 +397,37 @@ def run_sweep(
     cfg: SweepConfig,
     jobs: int = 1,
 ) -> list[RoundResult]:
-    """Grid product of thresholds and seeds, reduced in deterministic order."""
-    tasks = [
-        (
-            replace(world_template, seed=int(seed)),
-            stack,
-            float(tau_c),
-            float(tau_mi),
-            cfg.coder,
-            cfg.selector,
-        )
-        for tau_c in cfg.tau_c_grid
-        for tau_mi in cfg.tau_mi_grid
-        for seed in cfg.seeds
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_job, tasks))
-    else:
-        results = [_sweep_job(t) for t in tasks]
+    """Grid product of thresholds and seeds in (tau_c, tau_mi, seed) order.
+
+    Each seed's world is prepared once as a scene its rounds share.  With
+    ``jobs > 1`` the seeds are swept in parallel worker processes, one
+    single-seed sweep each, so every worker keeps its own scenes.  The
+    workers are spawned, so a script that asks for them needs the
+    ``if __name__ == "__main__":`` guard.
+    """
+    seeds = [int(seed) for seed in cfg.seeds]
+    if jobs > 1 and len(seeds) > 1:
+        ctx = multiprocessing.get_context("spawn")
+        sweep_one = partial(run_sweep, world_template, stack)
+        single = [replace(cfg, seeds=(seed,)) for seed in seeds]
+        with ProcessPoolExecutor(min(jobs, len(seeds)), mp_context=ctx) as pool:
+            per_seed = list(pool.map(sweep_one, single))
+        return [column[i] for i in range(len(per_seed[0])) for column in per_seed]
+
+    scenes: dict[int, Scene] = {}
+    results = []
+    for tau_c in cfg.tau_c_grid:
+        for tau_mi in cfg.tau_mi_grid:
+            for seed in seeds:
+                if seed not in scenes:
+                    world = make_world(replace(world_template, seed=seed))
+                    scenes[seed] = Scene(world, stack)
+                results.append(
+                    run_round(
+                        scenes[seed], stack, float(tau_c), float(tau_mi),
+                        cfg.coder, cfg.selector,
+                    )
+                )
     return results
 
 
@@ -419,8 +462,7 @@ def summarize(results: list[RoundResult]):
                 "mean_abstract_bits": float(abstract.mean()),
             }
         )
-    flags = _pareto_rows(rows)
-    for row, flag in zip(rows, flags):
+    for row, flag in zip(rows, _pareto_rows(rows)):
         row["pareto"] = int(flag)
     return rows
 
@@ -449,7 +491,9 @@ def _pareto_rows(rows) -> list[bool]:
 # --- CSV emission ------------------------------------------------------------
 
 
-def _num(x) -> str:
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -465,47 +509,22 @@ def results_csv(results: list[RoundResult], n_classes: int) -> str:
     lines = [header]
     for r in results:
         cells = [
-            str(r.seed),
-            _num(r.tau_c),
-            _num(r.tau_mi),
-            r.coder,
-            r.selector,
-            str(r.total_bits),
-            str(r.payload_bits),
-            str(r.abstract_bits),
-            str(r.mask_bits),
-            _num(r.bpp),
-            _num(r.mean_iou),
+            r.seed, r.tau_c, r.tau_mi, r.coder, r.selector, r.total_bits,
+            r.payload_bits, r.abstract_bits, r.mask_bits, r.bpp, r.mean_iou,
+            *r.per_class_iou, r.distortion_nats,
         ]
-        cells.extend(_num(v) for v in r.per_class_iou)
-        cells.append(_num(r.distortion_nats))
-        lines.append(",".join(cells))
+        lines.append(",".join(_cell(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
+_SUMMARY_COLUMNS = (
+    "tau_c", "tau_mi", "coder", "selector", "n_seeds", "mean_total_bits",
+    "std_total_bits", "mean_iou", "std_iou", "mean_distortion_nats",
+    "mean_abstract_bits", "pareto",
+)
+
+
 def summary_csv(rows) -> str:
-    header = (
-        "tau_c,tau_mi,coder,selector,n_seeds,mean_total_bits,std_total_bits,"
-        "mean_iou,std_iou,mean_distortion_nats,mean_abstract_bits,pareto"
-    )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _num(row["tau_c"]),
-                    _num(row["tau_mi"]),
-                    row["coder"],
-                    row["selector"],
-                    str(row["n_seeds"]),
-                    _num(row["mean_total_bits"]),
-                    _num(row["std_total_bits"]),
-                    _num(row["mean_iou"]),
-                    _num(row["std_iou"]),
-                    _num(row["mean_distortion_nats"]),
-                    _num(row["mean_abstract_bits"]),
-                    str(row["pareto"]),
-                ]
-            )
-        )
+    lines = [",".join(_SUMMARY_COLUMNS)]
+    lines.extend(",".join(_cell(row[c]) for c in _SUMMARY_COLUMNS) for row in rows)
     return "\n".join(lines) + "\n"

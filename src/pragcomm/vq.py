@@ -111,6 +111,25 @@ class IndexGrid:
     res_idx: np.ndarray  # (h, w) ints
 
 
+def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, the inverse and the counts.
+
+    Equals ``np.unique(x, axis=0, return_inverse=True, return_counts=True)``
+    for a 2-D array, but sorts once with ``np.lexsort`` and compares
+    neighbours instead of sorting the rows as structured records.  Values
+    compare as numbers, so -0.0 and 0.0 are one value.
+    """
+    x = np.asarray(x)
+    order = np.lexsort(x.T[::-1])
+    ordered = x[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return ordered[starts], inverse, np.diff(starts, append=len(x))
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin over squared distance; ties resolve to the lowest index
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -131,8 +150,7 @@ def kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    uniq, inv = np.unique(points, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
+    uniq, inv, _ = unique_rows(points)
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]

@@ -145,13 +145,14 @@ class TestTrainAndSweep:
         assert len(losses) == 60  # one per discriminator step
         assert losses[-1] < losses[0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_diverging_discriminator_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"
         path.write_text(FAST_CFG.replace("lr = 0.3", "lr = 1e300"))
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
         assert code == 2
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "non-finite" in err[0]
 
     def test_unwritable_output_is_run_error(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "trained"
@@ -179,6 +180,13 @@ class TestTrainAndSweep:
         main(["sweep", "--config", str(cfg_file), "--out", str(out1)])
         main(["sweep", "--config", str(cfg_file), "--out", str(out2)])
         assert tree_digest(out1) == tree_digest(out2)
+
+    def test_parallel_sweep_byte_identical(self, cfg_file, tmp_path):
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        main(["sweep", "--config", str(cfg_file), "--out", str(out1), "--jobs", "1"])
+        main(["sweep", "--config", str(cfg_file), "--out", str(out2), "--jobs", "2"])
+        for name in ("results.csv", "summary.csv", "sample_message.bin"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_export_emits_curves(self, cfg_file, tmp_path):
         out = tmp_path / "swept"
@@ -235,6 +243,14 @@ class TestUsage:
     def test_jobs_below_one_rejected(self, cfg_file, tmp_path, capsys, jobs):
         out = tmp_path / "swept"
         argv = ["sweep", "--config", str(cfg_file), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-world", "train", "verify-theory"])
+    def test_jobs_only_on_sweep(self, cfg_file, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg_file), "--out", str(out), "--jobs", "2"]
         assert main(argv) == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()

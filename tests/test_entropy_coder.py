@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -254,6 +255,33 @@ class TestWireFormat:
     def test_bad_magic(self):
         with pytest.raises(CodingError, match="magic"):
             message_from_bytes(b"NOPE" + bytes(20))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("h", 1 << 16), ("w", 1 << 16), ("h", -1), ("table_id", 256),
+         ("table_id", -1), ("base", 1 << 32), ("full", 1 << 32)],
+    )
+    def test_oversize_header_field_rejected(self, field, value):
+        idx, bc, rc = grid_fixture(h=2, w=3, seed=36)
+        ones = np.ones((2, 3), dtype=bool)
+        msg = encode(idx, (ones, ones), (bc, rc))
+        table_id = 0
+        if field in ("h", "w"):
+            msg = dataclasses.replace(msg, **{field: value})
+        elif field == "table_id":
+            table_id = value
+        else:
+            name = f"{field}_payload"
+            payload = Bits(getattr(msg, name).data, value)
+            msg = dataclasses.replace(msg, **{name: payload})
+        with pytest.raises(CodingError, match="does not fit"):
+            message_to_bytes(msg, table_id)
+
+    def test_widest_header_fields_accepted(self):
+        idx, bc, rc = grid_fixture(h=2, w=3, seed=37)
+        ones = np.ones((2, 3), dtype=bool)
+        blob = message_to_bytes(encode(idx, (ones, ones), (bc, rc)), table_id=255)
+        assert message_from_bytes(blob)[1] == 255
 
     def test_deterministic_bytes(self):
         idx, bc, rc = grid_fixture(seed=35)

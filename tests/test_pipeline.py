@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pragcomm import entropy_coder as ec
+from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
 from pragcomm import simworld as sw
 from pragcomm import vq
@@ -185,6 +188,62 @@ class TestSweep:
         serial = pl.run_sweep(TEMPLATE, stack, cfg, jobs=1)
         parallel = pl.run_sweep(TEMPLATE, stack, cfg, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "selector, coder",
+        [("mi", "task_entropy"), ("confidence_only", "task_entropy"),
+         ("none", "fixed"), ("mi", "fixed")],
+    )
+    def test_matches_rounds_on_fresh_worlds(self, stack, selector, coder):
+        cfg = self.sweep_cfg(
+            tau_mi_grid=(-1.0, 0.0, 0.6, float("inf")),
+            seeds=(42, 43),
+            coder=coder,
+            selector=selector,
+        )
+        swept = pl.run_sweep(TEMPLATE, stack, cfg)
+        fresh = [
+            pl.run_round(
+                pl.make_world(pl.replace(TEMPLATE, seed=seed)),
+                stack, tau_c, tau_mi, coder, selector,
+            )
+            for tau_c in cfg.tau_c_grid
+            for tau_mi in cfg.tau_mi_grid
+            for seed in cfg.seeds
+        ]
+        np.testing.assert_equal(
+            [dataclasses.astuple(r) for r in swept],
+            [dataclasses.astuple(r) for r in fresh],
+        )
+
+    def test_each_stage_runs_once_per_input(self, stack, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((sw, "generate"), (sw, "extract_features"),
+                             (vq, "quantize"), (mie, "redundancy_map")):
+            count(module, name)
+        cfg = self.sweep_cfg(tau_mi_grid=(0.0, 0.5, float("inf")), seeds=(42, 43))
+        assert len(pl.run_sweep(TEMPLATE, stack, cfg)) == 2 * 3 * 2
+        # per seed: one world, features and quantization per agent; one
+        # redundancy map per tau_c and directed pair
+        assert calls == {
+            "generate": 2, "extract_features": 4, "quantize": 4, "redundancy_map": 8,
+        }
+
+    def test_scene_belongs_to_its_stack(self, stack, world):
+        other = pl.TrainedStack(stack.codebook, stack.discriminator, [], [])
+        scene = pl.Scene(world, stack)
+        with pytest.raises(ValueError, match="another stack"):
+            pl.run_round(scene, other, 0.5, 1.0)
 
     def test_summary_grouping_and_pareto(self, stack):
         results = pl.run_sweep(TEMPLATE, stack, self.sweep_cfg())

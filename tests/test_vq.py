@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragcomm.vq import (
     AffineMap,
@@ -15,6 +17,7 @@ from pragcomm.vq import (
     reconstruct_full,
     save_codebook,
     train_codebooks,
+    unique_rows,
 )
 
 
@@ -154,6 +157,42 @@ class TestKmeans:
         for a, b in zip(got[:2], want[:2]):
             np.testing.assert_array_equal(a, b)
         assert got[2] == want[2]
+
+
+class TestUniqueRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 40).flatmap(
+            lambda c: st.lists(
+                st.lists(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 1e300, -1e-300]),
+                    min_size=c,
+                    max_size=c,
+                ),
+                min_size=1,
+                max_size=60,
+            )
+        )
+    )
+    def test_matches_numpy_unique(self, rows):
+        x = np.array(rows)
+        got = unique_rows(x)
+        want = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)  # -0.0 equals 0.0 here
+
+    def test_signed_zeros_are_one_row(self):
+        rows, inverse, counts = unique_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        assert rows.shape == (1, 2)
+        np.testing.assert_array_equal(inverse, [0, 0])
+        np.testing.assert_array_equal(counts, [2])
+
+    def test_single_row(self):
+        rows, inverse, counts = unique_rows(np.array([[3.0, -2.0, 0.5]]))
+        np.testing.assert_array_equal(rows, [[3.0, -2.0, 0.5]])
+        np.testing.assert_array_equal(inverse, [0])
+        np.testing.assert_array_equal(counts, [1])
 
 
 class TestTrainCodebooks:
