@@ -246,7 +246,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, config_path: str, jobs: int) -> int:
     sweep = cfg.sweep
     first_world = pl.make_world(replace(cfg.world, seed=int(sweep.seeds[0])))
     scene = pl.Scene(first_world, stack)
-    codes = pl.build_codes(stack.codebook, sweep.coder)
+    codes = scene.codes(sweep.coder)
     tau_c, tau_mi = float(sweep.tau_c_grid[0]), float(sweep.tau_mi_grid[0])
     msg, _ = pl.directed_message(scene, codes, tau_c, tau_mi, sweep.selector, 0, 1)
     (out / "sample_message.bin").write_bytes(ec.message_to_bytes(msg))

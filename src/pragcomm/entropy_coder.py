@@ -6,12 +6,22 @@ at all (fixed-length codes).  Codes are canonical, so identical weights give
 bit-identical codewords on every platform, and zero-weight symbols stay
 encodable at the longest lengths instead of breaking the decoder.
 
-Wire format (bit level, MSB first):
+Encoding, decoding and the wire format work on numpy bit arrays.  Each
+code caches a table of its codewords' bits and the canonical tables of
+Moffat & Turpin 1997 ("On the implementation of minimum redundancy prefix
+codes"): the codewords of one length are consecutive integers, so a
+decoder needs only the count per length and the symbols in canonical
+order.  It decodes the codeword at every bit of a payload at once, one
+length at a time, then walks the codeword starts.  No codeword is held in
+a machine integer, so codes past 64 bits stay exact.
+
+Wire format, version 1 (bit level, MSB first):
     magic "RDCM" | version u8 | h u16 | w u16 | code-table id u8 |
     confidence mask (h*w bits, row major) | redundancy mask (h*w bits) |
     base length u32 | base payload | full length u32 | full payload |
     zero padding to a byte boundary.
-All multi-byte integers are big-endian.
+All multi-byte integers are big-endian.  The parser checks every declared
+length against the blob and rejects trailing bytes and nonzero padding.
 """
 
 from __future__ import annotations
@@ -19,11 +29,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 MAGIC = b"RDCM"
 VERSION = 1
+HEADER_BYTES = 10  # magic, version, h, w, code-table id
+
+_PAD = 2  # fills bit-table cells past a codeword's length; no bit equals it
 
 
 class CodingError(ValueError):
@@ -47,6 +61,28 @@ class PrefixCode:
     def codeword_str(self, symbol: int) -> str:
         value, length = self.codewords[symbol]
         return format(value, f"0{length}b")
+
+    @cached_property
+    def bit_table(self) -> np.ndarray:
+        """(n_symbols, max_len) uint8: row s holds symbol s's codeword bits,
+        MSB first, then ``_PAD`` up to the longest length."""
+        width = max(self.lengths)
+        words = (self.codeword_str(s) for s in range(self.n_symbols))
+        text = "".join(word.ljust(width, str(_PAD)) for word in words)
+        return (np.frombuffer(text.encode(), np.uint8) - ord("0")).reshape(-1, width)
+
+    @cached_property
+    def canonical_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical decoding tables: per length L = 0..max_len the number of
+        codewords and the rank of the first one, plus the symbols in rank
+        order, i.e. sorted by (length, symbol) as ``_canonicalize`` assigns.
+
+        The first code of each length stays implicit: the decoder tracks how
+        far its bits lie past it, a number below ``n_symbols``.
+        """
+        lengths = np.asarray(self.lengths)
+        count = np.bincount(lengths)
+        return count, np.cumsum(count) - count, np.argsort(lengths, kind="stable")
 
 
 def _canonicalize(lengths: list[int]) -> PrefixCode:
@@ -131,55 +167,6 @@ def expected_length(code: PrefixCode, weights: np.ndarray) -> float:
     return float((weights / total * np.asarray(code.lengths)).sum())
 
 
-class BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, length: int) -> None:
-        for i in range(length - 1, -1, -1):
-            self.acc = (self.acc << 1) | ((value >> i) & 1)
-            self.nbits += 1
-            if self.nbits == 8:
-                self.buf.append(self.acc)
-                self.acc = 0
-                self.nbits = 0
-
-    def write_bits(self, bits: "Bits") -> None:
-        reader = BitReader(bits.data, bits.n_bits)
-        for _ in range(bits.n_bits):
-            self.write(reader.read_bit(), 1)
-
-    def finish(self) -> bytes:
-        if self.nbits:
-            self.buf.append(self.acc << (8 - self.nbits))
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.buf)
-
-
-class BitReader:
-    def __init__(self, data: bytes, n_bits: int | None = None):
-        self.data = data
-        self.n_bits = len(data) * 8 if n_bits is None else n_bits
-        self.pos = 0
-
-    def read_bit(self) -> int:
-        if self.pos >= self.n_bits:
-            raise CodingError("truncated bitstream")
-        byte = self.data[self.pos >> 3]
-        bit = (byte >> (7 - (self.pos & 7))) & 1
-        self.pos += 1
-        return bit
-
-    def read_uint(self, length: int) -> int:
-        v = 0
-        for _ in range(length):
-            v = (v << 1) | self.read_bit()
-        return v
-
-
 @dataclass(frozen=True)
 class Bits:
     """An immutable bit string padded to bytes, with its exact bit length."""
@@ -218,16 +205,28 @@ class EncodedMessage:
         return self.payload_bits + self.abstract_bits
 
 
-def _encode_symbols(symbols, code: PrefixCode) -> Bits:
-    writer = BitWriter()
-    count = 0
-    for sym in symbols:
-        if not 0 <= sym < code.n_symbols:
-            raise CodingError(f"symbol {sym} outside code range {code.n_symbols}")
-        value, length = code.codewords[sym]
-        writer.write(value, length)
-        count += code.lengths[sym]
-    return Bits(writer.finish(), count)
+def _bits_of(payload: Bits) -> np.ndarray:
+    """A payload's bits, one uint8 each."""
+    n_bits, held = payload.n_bits, 8 * len(payload.data)
+    if not 0 <= n_bits <= held:
+        raise CodingError(f"payload declares {n_bits} bits but holds {held}")
+    return np.unpackbits(np.frombuffer(payload.data, np.uint8), count=n_bits)
+
+
+def _pack(bits: np.ndarray) -> Bits:
+    return Bits(np.packbits(bits).tobytes(), int(bits.size))
+
+
+def _codewords(tables: tuple, syms: np.ndarray) -> Bits:
+    """Code each row of ``syms`` with ``tables[j]`` for column j, rows in
+    order; the first symbol outside its code raises before any lookup."""
+    limits = [table.shape[0] for table in tables]
+    bad = np.flatnonzero((syms < 0) | (syms >= np.array(limits)))
+    if bad.size:
+        sym, limit = syms.flat[bad[0]], limits[bad[0] % len(limits)]
+        raise CodingError(f"symbol {sym} outside code range {limit}")
+    bits = np.hstack([table[syms[:, j]] for j, table in enumerate(tables)]).ravel()
+    return _pack(bits[bits != _PAD])
 
 
 def encode(
@@ -249,50 +248,67 @@ def encode(
     h, w = idx.base_idx.shape
     if conf_mask.shape != (h, w) or redund_mask.shape != (h, w):
         raise CodingError(f"mask shapes must be {(h, w)}")
-    base_code, res_code = codes
-    sel = conf_mask.ravel()
-    both = (conf_mask & redund_mask).ravel()
-    base_syms = idx.base_idx.ravel()
-    res_syms = idx.res_idx.ravel()
-
-    base_payload = (
-        _encode_symbols(base_syms[sel], base_code) if abstract else Bits(b"", 0)
-    )
-    writer = BitWriter()
-    full_bits = 0
-    for b, r in zip(base_syms[both], res_syms[both]):
-        for sym, code in ((b, base_code), (r, res_code)):
-            if not 0 <= sym < code.n_symbols:
-                raise CodingError(f"symbol {sym} outside code range {code.n_symbols}")
-            value, length = code.codewords[sym]
-            writer.write(value, length)
-            full_bits += length
-    full_payload = Bits(writer.finish(), full_bits)
-    total = base_payload.n_bits + full_payload.n_bits + 2 * h * w
-    return EncodedMessage(
-        h=h,
-        w=w,
-        conf_mask=conf_mask,
-        redund_mask=redund_mask,
-        base_payload=base_payload,
-        full_payload=full_payload,
-        total_bits=total,
-    )
+    tables = tuple(code.bit_table for code in codes)
+    base_syms = idx.base_idx[conf_mask][:, None]
+    base = _codewords(tables[:1], base_syms) if abstract else Bits(b"", 0)
+    both = conf_mask & redund_mask
+    full = _codewords(tables, np.stack([idx.base_idx[both], idx.res_idx[both]], 1))
+    total = base.n_bits + full.n_bits + 2 * h * w
+    return EncodedMessage(h, w, conf_mask, redund_mask, base, full, total)
 
 
-def _decode_symbol(reader: BitReader, table: dict, max_len: int) -> int:
-    value = 0
-    for length in range(1, max_len + 1):
-        value = (value << 1) | reader.read_bit()
-        sym = table.get((length, value))
-        if sym is not None:
-            return sym
-    raise CodingError("invalid codeword walk")
+def _jumps(bits: np.ndarray, code: PrefixCode) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the codeword starting at every bit, one length at a time.
+
+    Returns per start bit the symbol and, in ``jump`` (n + 3 entries), the
+    bit after its codeword.  Failures jump to sinks that map to themselves:
+    ``n + 1`` when the codeword, or the read up to the longest length, runs
+    past the end (also the jump from ``n``), ``n + 2`` when the bits match
+    no codeword.
+    """
+    count, first_rank, order = code.canonical_tables
+    count = count.tolist()
+    max_len, n = len(count) - 1, bits.size
+    padded = np.concatenate([bits, np.zeros(max_len, np.uint8)])
+    # how far the bits read so far lie past the first code of the current
+    # length: a prefix of a longer codeword keeps it in [count, n_symbols),
+    # a prefix of no codeword never falls below that again, and a matched
+    # codeword drives it negative.  It at most doubles per length, so an
+    # occasional clip keeps it in int64 and leaves all three cases intact.
+    offset, length, matched = (np.zeros(n, np.int64) for _ in range(3))
+    for L in range(1, max_len + 1):
+        offset -= count[L - 1]
+        offset *= 2
+        offset += padded[L - 1 : L - 1 + n]
+        if L % 32 == 0:
+            np.clip(offset, -1, code.n_symbols, out=offset)
+        hit = offset.view(np.uint64) < count[L]  # negatives wrap to huge
+        np.putmask(length, hit, L)
+        np.putmask(matched, hit, offset)
+    jump = np.arange(n) + length
+    jump[length == 0] = n + 2
+    tail = jump[max(0, n - max_len + 1) :]  # the starts whose reads may overrun
+    tail[tail > n] = n + 1
+    jump = np.concatenate([jump, [n + 1, n + 1, n + 2]])
+    return jump, order[first_rank[length] + matched]
 
 
-def _decode_table(code: PrefixCode) -> tuple[dict, int]:
-    table = {(l, v): s for s, (v, l) in enumerate(code.codewords)}
-    return table, max(code.lengths)
+def _walk(jump: np.ndarray, k: int, what: str) -> np.ndarray:
+    """The first k bits the walk from bit 0 along ``jump`` visits, found by
+    pointer doubling; the k-th jump must end the n-bit payload exactly."""
+    starts, stride = np.zeros(min(k, 1), np.int64), jump
+    while starts.size < k:
+        starts = np.concatenate([starts, stride[starts]])
+        stride = stride[stride]
+    starts, n = starts[:k], jump.size - 3
+    end = jump[starts[-1]] if k else 0
+    if end == n + 1:
+        raise CodingError("truncated bitstream")
+    if end == n + 2:
+        raise CodingError("invalid codeword walk")
+    if end != n:
+        raise CodingError(f"{what} payload has trailing bits")
+    return starts
 
 
 def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
@@ -303,100 +319,82 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     """
     from .vq import IndexGrid  # deferred to avoid an import cycle
 
-    base_code, res_code = codes
-    base_tab, base_max = _decode_table(base_code)
-    res_tab, res_max = _decode_table(res_code)
     h, w = msg.h, msg.w
+    if msg.conf_mask.shape != (h, w) or msg.redund_mask.shape != (h, w):
+        raise CodingError(f"mask shapes must be {(h, w)}")
     base_idx = np.full((h, w), -1, dtype=np.int64)
     res_idx = np.full((h, w), -1, dtype=np.int64)
-
     if msg.base_payload.n_bits:
-        reader = BitReader(msg.base_payload.data, msg.base_payload.n_bits)
-        for (r, c) in np.argwhere(msg.conf_mask):
-            base_idx[r, c] = _decode_symbol(reader, base_tab, base_max)
-        if reader.pos != msg.base_payload.n_bits:
-            raise CodingError("base payload has trailing bits")
+        jump, syms = _jumps(_bits_of(msg.base_payload), codes[0])
+        base_idx[msg.conf_mask] = syms[_walk(jump, int(msg.conf_mask.sum()), "base")]
 
     both = msg.conf_mask & msg.redund_mask
     if msg.full_payload.n_bits or np.any(both):
-        reader = BitReader(msg.full_payload.data, msg.full_payload.n_bits)
-        for (r, c) in np.argwhere(both):
-            base_idx[r, c] = _decode_symbol(reader, base_tab, base_max)
-            res_idx[r, c] = _decode_symbol(reader, res_tab, res_max)
-        if reader.pos != msg.full_payload.n_bits:
-            raise CodingError("full payload has trailing bits")
+        bits = _bits_of(msg.full_payload)
+        (b_jump, b_syms), (r_jump, r_syms) = (_jumps(bits, code) for code in codes)
+        # one step reads a base codeword and its residual; sinks stay put
+        starts = _walk(r_jump[b_jump], int(both.sum()), "full")
+        base_idx[both] = b_syms[starts]
+        res_idx[both] = r_syms[b_jump[starts]]
     return IndexGrid(base_idx, res_idx)
-
-
-def _write_mask(writer: BitWriter, mask: np.ndarray) -> None:
-    for bit in mask.ravel():
-        writer.write(int(bit), 1)
 
 
 def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
     """Serialize a message; a value too wide for its header field raises
     ``CodingError`` instead of being truncated."""
-    for name, value, bits in (
+    fields = (
         ("h", msg.h, 16),
         ("w", msg.w, 16),
         ("table_id", table_id, 8),
         ("base payload length", msg.base_payload.n_bits, 32),
         ("full payload length", msg.full_payload.n_bits, 32),
-    ):
+    )
+    for name, value, bits in fields:
         if not 0 <= value < 1 << bits:
             raise CodingError(f"{name} {value} does not fit its {bits}-bit field")
-    writer = BitWriter()
-    for byte in MAGIC:
-        writer.write(byte, 8)
-    writer.write(VERSION, 8)
-    writer.write(msg.h, 16)
-    writer.write(msg.w, 16)
-    writer.write(table_id, 8)
-    _write_mask(writer, msg.conf_mask)
-    _write_mask(writer, msg.redund_mask)
-    writer.write(msg.base_payload.n_bits, 32)
-    writer.write_bits(msg.base_payload)
-    writer.write(msg.full_payload.n_bits, 32)
-    writer.write_bits(msg.full_payload)
-    return writer.finish()
+    masks = (msg.conf_mask, msg.redund_mask)
+    if any(m.shape != (msg.h, msg.w) for m in masks):
+        raise CodingError(f"mask shapes must be {(msg.h, msg.w)}")
+    header = MAGIC + bytes([VERSION]) + b"".join(
+        int(value).to_bytes(bits // 8, "big") for _, value, bits in fields[:3]
+    )
+    body = [np.asarray(m, dtype=bool).ravel() for m in masks]
+    for payload in (msg.base_payload, msg.full_payload):
+        length = int(payload.n_bits).to_bytes(4, "big")
+        body += [np.unpackbits(np.frombuffer(length, np.uint8)), _bits_of(payload)]
+    return header + np.packbits(np.concatenate(body)).tobytes()
 
 
 def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
-    """Parse the wire format back into a message; returns (message, table id)."""
-    reader = BitReader(blob)
-    magic = bytes(reader.read_uint(8) for _ in range(4))
-    if magic != MAGIC:
-        raise CodingError(f"bad magic {magic!r}")
-    version = reader.read_uint(8)
-    if version != VERSION:
-        raise CodingError(f"unsupported version {version}")
-    h = reader.read_uint(16)
-    w = reader.read_uint(16)
-    table_id = reader.read_uint(8)
+    """Parse the wire format back into a message; returns (message, table id).
 
-    def read_mask() -> np.ndarray:
-        bits = [reader.read_bit() for _ in range(h * w)]
-        return np.array(bits, dtype=bool).reshape(h, w)
+    A blob shorter than its declared lengths, longer than them rounded up
+    to whole bytes, or with a nonzero padding bit raises ``CodingError``.
+    """
+    if len(blob) < HEADER_BYTES:
+        raise CodingError("truncated bitstream")
+    if blob[:4] != MAGIC:
+        raise CodingError(f"bad magic {bytes(blob[:4])!r}")
+    if blob[4] != VERSION:
+        raise CodingError(f"unsupported version {blob[4]}")
+    h, w = int.from_bytes(blob[5:7], "big"), int.from_bytes(blob[7:9], "big")
+    bits = np.unpackbits(np.frombuffer(blob, np.uint8, offset=HEADER_BYTES))
+    pos = 0
 
-    conf_mask = read_mask()
-    redund_mask = read_mask()
+    def take(n_bits: int) -> np.ndarray:
+        nonlocal pos
+        if pos + n_bits > bits.size:
+            raise CodingError("truncated bitstream")
+        pos += n_bits
+        return bits[pos - n_bits : pos]
 
-    def read_payload() -> Bits:
-        n_bits = reader.read_uint(32)
-        writer = BitWriter()
-        for _ in range(n_bits):
-            writer.write(reader.read_bit(), 1)
-        return Bits(writer.finish(), n_bits)
-
-    base_payload = read_payload()
-    full_payload = read_payload()
-    msg = EncodedMessage(
-        h=h,
-        w=w,
-        conf_mask=conf_mask,
-        redund_mask=redund_mask,
-        base_payload=base_payload,
-        full_payload=full_payload,
-        total_bits=base_payload.n_bits + full_payload.n_bits + 2 * h * w,
+    conf_mask, redund_mask = (take(h * w).astype(bool).reshape(h, w) for _ in range(2))
+    base, full = (
+        _pack(take(int.from_bytes(np.packbits(take(32)), "big"))) for _ in range(2)
     )
-    return msg, table_id
+    if bits.size - pos >= 8:
+        raise CodingError("trailing bytes after the message")
+    if bits[pos:].any():
+        raise CodingError("nonzero padding bits")
+    total = base.n_bits + full.n_bits + 2 * h * w
+    return EncodedMessage(h, w, conf_mask, redund_mask, base, full, total), blob[9]

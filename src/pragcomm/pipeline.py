@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -217,8 +219,9 @@ class Scene:
 
     Per agent it holds the features, the quantized grid, the confidence
     (the receiver's request) and the sender's gate.  The other stages are
-    computed on first use and kept, so rounds sharing a scene score
-    redundancy once per ``tau_c`` and threshold it per ``tau_mi``.
+    computed on first use and kept, so rounds sharing a scene build the code
+    tables once per coder, score redundancy once per ``tau_c`` and threshold
+    it per ``tau_mi``.
     """
 
     def __init__(self, world: World, stack: TrainedStack):
@@ -236,6 +239,13 @@ class Scene:
             np.where(obs != sw.UNOBSERVED, conf, -np.inf)
             for obs, conf in zip(world.obs, self.conf)
         ]
+
+    def codes(self, coder: str) -> tuple[ec.PrefixCode, ec.PrefixCode]:
+        """The stack's code tables under ``coder``, with their cached lookups."""
+        key = ("codes", coder)
+        if key not in self._stages:
+            self._stages[key] = build_codes(self.stack.codebook, coder)
+        return self._stages[key]
 
     def redundancy(self, s: int, r: int, tau_c: float) -> np.ndarray:
         """Discriminator score of sender s's abstract against receiver r's view."""
@@ -332,7 +342,7 @@ def run_round(
     if pairs is None:
         agents = range(cfg.n_agents)
         pairs = [(s, r) for r in agents for s in agents if s != r]
-    codes = build_codes(stack.codebook, coder)
+    codes = scene.codes(coder)
 
     by_receiver: dict[int, list] = {}
     msgs = []
@@ -402,15 +412,17 @@ def run_sweep(
     Each seed's world is prepared once as a scene its rounds share.  With
     ``jobs > 1`` the seeds are swept in parallel worker processes, one
     single-seed sweep each, so every worker keeps its own scenes.  The
-    workers are spawned, so a script that asks for them needs the
-    ``if __name__ == "__main__":`` guard.
+    workers are spawned, each with one BLAS thread, so a script that asks
+    for them needs the ``if __name__ == "__main__":`` guard.
     """
     seeds = [int(seed) for seed in cfg.seeds]
     if jobs > 1 and len(seeds) > 1:
         ctx = multiprocessing.get_context("spawn")
         sweep_one = partial(run_sweep, world_template, stack)
         single = [replace(cfg, seeds=(seed,)) for seed in seeds]
-        with ProcessPoolExecutor(min(jobs, len(seeds)), mp_context=ctx) as pool:
+        with _single_blas_thread(), ProcessPoolExecutor(
+            min(jobs, len(seeds)), mp_context=ctx
+        ) as pool:
             per_seed = list(pool.map(sweep_one, single))
         return [column[i] for i in range(len(per_seed[0])) for column in per_seed]
 
@@ -429,6 +441,24 @@ def run_sweep(
                     )
                 )
     return results
+
+
+@contextmanager
+def _single_blas_thread():
+    """Processes started inside run BLAS on one thread: workers that each
+    start one thread per core would oversubscribe the cores between them.
+    The parent's environment is restored on exit."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def summarize(results: list[RoundResult]):

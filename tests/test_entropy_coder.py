@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pragcomm.entropy_coder import (
     Bits,
@@ -21,6 +24,8 @@ from pragcomm.entropy_coder import (
 )
 from pragcomm.infotheory import JointTable, entropy
 from pragcomm.vq import IndexGrid
+
+import bitwise_coder as bitwise
 
 
 def weight_entropy_bits(weights) -> float:
@@ -323,3 +328,186 @@ class TestCodingAblationDirection:
         assert e_task < e_occ < e_fix
         h = weight_entropy_bits(conf)
         assert h <= e_task < h + 1.0
+
+
+@st.composite
+def prefix_codes(draw):
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(("weights", "fixed", "geometric")))
+    if kind == "fixed":
+        return fixed_code(n)
+    if kind == "geometric":  # lengths 1..n-1, past 64 bits once n > 65
+        return build_code(2.0 ** -np.arange(n))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] = 1.0
+    return build_code(np.array(weights))
+
+
+@st.composite
+def messages(draw):
+    """(grid, masks, codes, abstract) for ``encode``."""
+    codes = (draw(prefix_codes()), draw(prefix_codes()))
+    shape = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    grid = IndexGrid(*(
+        draw(hnp.arrays(np.int64, shape, elements=st.integers(0, c.n_symbols - 1)))
+        for c in codes
+    ))
+    masks = (draw(hnp.arrays(bool, shape)), draw(hnp.arrays(bool, shape)))
+    return grid, masks, codes, draw(st.booleans())
+
+
+def assert_same_message(got, want):
+    assert (got.h, got.w, got.total_bits) == (want.h, want.w, want.total_bits)
+    assert got.base_payload == want.base_payload
+    assert got.full_payload == want.full_payload
+    for name in ("conf_mask", "redund_mask"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+class TestAgainstBitwiseOracle:
+    """The vectorized coder against the bit-at-a-time one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=messages(), table_id=st.integers(0, 255))
+    def test_same_payloads_grids_and_blobs(self, case, table_id):
+        grid, masks, codes, abstract = case
+        got = encode(grid, masks, codes, abstract=abstract)
+        want = bitwise.encode(grid, masks, codes, abstract=abstract)
+        assert_same_message(got, want)
+        got_grid, want_grid = decode(got, codes), bitwise.decode(want, codes)
+        np.testing.assert_array_equal(got_grid.base_idx, want_grid.base_idx)
+        np.testing.assert_array_equal(got_grid.res_idx, want_grid.res_idx)
+        blob = message_to_bytes(got, table_id)
+        assert blob == bitwise.message_to_bytes(want, table_id)
+        parsed, oracle = message_from_bytes(blob), bitwise.message_from_bytes(blob)
+        assert parsed[1] == oracle[1] == table_id
+        assert_same_message(parsed[0], oracle[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=messages())
+    def test_truncated_or_extended_blobs_raise(self, case):
+        grid, masks, codes, abstract = case
+        blob = message_to_bytes(encode(grid, masks, codes, abstract=abstract))
+        for cut in range(len(blob)):
+            with pytest.raises(CodingError):
+                message_from_bytes(blob[:cut])
+        for extra in (b"\x00", b"\x80", bytes(3)):
+            with pytest.raises(CodingError, match="trailing bytes"):
+                message_from_bytes(blob + extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=messages())
+    def test_shortened_payloads_raise(self, case):
+        grid, masks, codes, abstract = case
+        msg = encode(grid, masks, codes, abstract=abstract)
+        # an empty base payload is a message without an abstract
+        for name, shortest in (("base_payload", 1), ("full_payload", 0)):
+            payload = getattr(msg, name)
+            for n_bits in range(shortest, payload.n_bits):
+                cut = dataclasses.replace(msg, **{name: Bits(payload.data, n_bits)})
+                with pytest.raises(CodingError):
+                    decode(cut, codes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=messages(), data=st.data())
+    def test_flipped_bits_parse_only_to_their_own_blob(self, case, data):
+        grid, masks, codes, abstract = case
+        blob = bytearray(message_to_bytes(encode(grid, masks, codes, abstract)))
+        positions = st.integers(0, 8 * len(blob) - 1)
+        for bit in data.draw(st.lists(positions, max_size=6)):
+            blob[bit // 8] ^= 0x80 >> bit % 8
+        try:
+            msg, table_id = message_from_bytes(bytes(blob))
+        except CodingError:
+            return
+        assert message_to_bytes(msg, table_id) == blob
+        try:
+            decode(msg, codes)
+        except CodingError:
+            pass
+
+
+class TestVectorizedCoder:
+    def test_codeword_longer_than_64_bits(self):
+        code = build_code(2.0 ** -np.arange(80))
+        assert max(code.lengths) == 79
+        assert code.codeword_str(79) == "1" * 79
+        grid = IndexGrid(np.array([[79, 0, 78, 64]]), np.array([[78, 79, 1, 65]]))
+        ones = np.ones((1, 4), dtype=bool)
+        msg = encode(grid, (ones, ones), (code, code))
+        want = bitwise.encode(grid, (ones, ones), (code, code))
+        assert msg.full_payload == want.full_payload
+        back = decode(msg, (code, code))
+        np.testing.assert_array_equal(back.base_idx, grid.base_idx)
+        np.testing.assert_array_equal(back.res_idx, grid.res_idx)
+
+    @pytest.mark.parametrize("layer", ["base", "res"])
+    def test_negative_symbol_rejected(self, layer):
+        base, res = np.array([[1, 2]]), np.array([[3, 0]])
+        (base if layer == "base" else res)[0, 1] = -1
+        ones = np.ones((1, 2), dtype=bool)
+        with pytest.raises(CodingError, match="symbol -1 outside code range"):
+            encode(IndexGrid(base, res), (ones, ones), (fixed_code(4), fixed_code(8)))
+
+    def test_tables_cached_per_code(self):
+        code = build_code(np.array([5.0, 1.0, 1.0]))
+        assert code.bit_table is code.bit_table
+        assert code.canonical_tables is code.canonical_tables
+        assert code == build_code(np.array([5.0, 1.0, 1.0]))
+        np.testing.assert_array_equal(code.bit_table, [[0, 2], [1, 0], [1, 1]])
+
+    def test_payload_longer_than_its_data_rejected(self):
+        idx, bc, rc = grid_fixture(seed=51)
+        ones = np.ones((4, 5), dtype=bool)
+        msg = encode(idx, (ones, ones), (bc, rc))
+        data = msg.full_payload.data
+        bad = dataclasses.replace(msg, full_payload=Bits(data, 8 * len(data) + 1))
+        with pytest.raises(CodingError, match="holds"):
+            decode(bad, (bc, rc))
+        with pytest.raises(CodingError, match="holds"):
+            message_to_bytes(bad)
+
+
+class TestStrictParser:
+    def blob_with_padding(self):
+        idx, bc, rc = grid_fixture(h=3, w=3, seed=52)
+        ones = np.ones((3, 3), dtype=bool)
+        msg = encode(idx, (ones, ones), (bc, rc))
+        body_bits = 2 * 9 + 64 + msg.abstract_bits + msg.payload_bits
+        assert body_bits % 8, "the fixture must end inside a byte"
+        return msg, message_to_bytes(msg)
+
+    def test_valid_blob_reserializes(self):
+        _, blob = self.blob_with_padding()
+        assert message_to_bytes(*message_from_bytes(blob)) == blob
+
+    def test_trailing_bytes_rejected(self):
+        _, blob = self.blob_with_padding()
+        with pytest.raises(CodingError, match="trailing bytes"):
+            message_from_bytes(blob + bytes(3))
+
+    def test_nonzero_padding_rejected(self):
+        _, blob = self.blob_with_padding()
+        flipped = bytearray(blob)
+        flipped[-1] |= 1  # the last bit of the last byte is padding
+        with pytest.raises(CodingError, match="padding"):
+            message_from_bytes(bytes(flipped))
+
+    @pytest.mark.parametrize("field", ["h", "base length", "full length"])
+    def test_declared_length_past_the_blob_rejected(self, field):
+        msg, blob = self.blob_with_padding()
+        bits = np.unpackbits(np.frombuffer(blob, np.uint8))
+        # h follows magic and version; the base length follows the ten
+        # header bytes and the two 9-bit masks, the full length the base
+        # payload
+        full_at = 98 + 32 + msg.abstract_bits
+        start = {"h": 40, "base length": 98, "full length": full_at}[field]
+        bits[start : start + 16] = 1
+        with pytest.raises(CodingError, match="truncated"):
+            message_from_bytes(np.packbits(bits).tobytes())
+
+    def test_short_header_rejected(self):
+        with pytest.raises(CodingError, match="truncated"):
+            message_from_bytes(b"RDCM\x01")

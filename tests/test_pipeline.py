@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -229,15 +230,30 @@ class TestSweep:
             monkeypatch.setattr(module, name, counted)
 
         for module, name in ((sw, "generate"), (sw, "extract_features"),
-                             (vq, "quantize"), (mie, "redundancy_map")):
+                             (vq, "quantize"), (mie, "redundancy_map"),
+                             (ec, "build_code")):
             count(module, name)
         cfg = self.sweep_cfg(tau_mi_grid=(0.0, 0.5, float("inf")), seeds=(42, 43))
         assert len(pl.run_sweep(TEMPLATE, stack, cfg)) == 2 * 3 * 2
-        # per seed: one world, features and quantization per agent; one
-        # redundancy map per tau_c and directed pair
+        # per seed: one world, features and quantization per agent, the two
+        # code tables; one redundancy map per tau_c and directed pair
         assert calls == {
             "generate": 2, "extract_features": 4, "quantize": 4, "redundancy_map": 8,
+            "build_code": 4,
         }
+
+    @pytest.mark.parametrize("before", [None, "4"])
+    def test_workers_get_one_blas_thread(self, monkeypatch, before):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if before is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, before)
+        with pl._single_blas_thread():
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+            assert os.environ["OMP_NUM_THREADS"] == "1"
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+        assert os.environ.get("OMP_NUM_THREADS") == before
 
     def test_scene_belongs_to_its_stack(self, stack, world):
         other = pl.TrainedStack(stack.codebook, stack.discriminator, [], [])
