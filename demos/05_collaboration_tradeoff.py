@@ -37,23 +37,17 @@ variants = {
     "task_entropy+mi": pl.SweepConfig(
         tau_c_grid=(0.3, 0.9),
         tau_mi_grid=(-1.0, 0.0, 0.6, inf),
-        n_base=6,
-        n_res=64,
         seeds=seeds,
     ),
     "task_entropy+confidence_only": pl.SweepConfig(
         tau_c_grid=(0.3, 0.9),
         tau_mi_grid=(0.3, 0.7, 0.9, inf),
-        n_base=6,
-        n_res=64,
         seeds=seeds,
         selector="confidence_only",
     ),
     "fixed+none": pl.SweepConfig(
         tau_c_grid=(0.3, 0.9),
         tau_mi_grid=(inf,),
-        n_base=6,
-        n_res=64,
         seeds=seeds,
         coder="fixed",
         selector="none",

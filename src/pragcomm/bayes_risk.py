@@ -159,15 +159,6 @@ def pragmatic_distortion(
     return float(d)
 
 
-def reconstruction_distortion(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain mean squared error between two equally shaped feature grids."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
 # --- Monte-Carlo oracles ---------------------------------------------------
 
 

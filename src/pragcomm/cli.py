@@ -31,7 +31,7 @@ from . import mi_estimator as mie
 from . import pipeline as pl
 from . import rd_oracle as rd
 from . import simworld as sw
-from . import vq
+from . import textio, vq
 
 
 class ConfigError(ValueError):
@@ -175,8 +175,6 @@ def parse_config(path: str) -> RunConfig:
         sweep = pl.SweepConfig(
             tau_c_grid=_floats(sweep_sec.get("tau_c", "0.3,0.9")),
             tau_mi_grid=_floats(sweep_sec.get("tau_mi", "0.0,1.0,inf")),
-            n_base=int(cb.get("n_base", 4)),
-            n_res=int(cb.get("n_res", 64)),
             seeds=_ints(sweep_sec.get("seeds", "1,2,3")),
             coder=sweep_sec.get("coder", "task_entropy"),
             selector=sweep_sec.get("selector", "mi"),
@@ -228,11 +226,8 @@ def cmd_train(cfg: RunConfig, out: Path, config_path: str) -> int:
     stack = pl.train_all(cfg.world, cfg.train)
     vq.save_codebook(stack.codebook, str(out / "codebook.txt"))
     mie.save_discriminator(stack.discriminator, str(out / "discriminator.txt"))
-    for name, values in (
-        ("tau_draws.txt", stack.tau_draws),
-        ("disc_losses.txt", stack.disc_losses),
-    ):
-        (out / name).write_text("".join(format(v, ".17g") + "\n" for v in values))
+    for name in ("tau_draws", "disc_losses"):
+        textio.save_arrays(str(out / f"{name}.txt"), {name: getattr(stack, name)})
     _write_manifest(out, "train", config_path, cfg.train.train_seed)
     print(f"trained stack written to {out}")
     return 0
@@ -256,31 +251,14 @@ def cmd_sweep(cfg: RunConfig, out: Path, config_path: str, jobs: int) -> int:
 
 
 def cmd_export(results_path: str, out: Path) -> int:
-    text = Path(results_path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    idx = {name: i for i, name in enumerate(header)}
-    curves: dict[tuple, dict] = {}
-    for line in text[1:]:
-        cells = line.split(",")
-        curve = curves.setdefault((cells[idx["coder"]], cells[idx["selector"]]), {})
-        point = (float(cells[idx["tau_c"]]), float(cells[idx["tau_mi"]]))
-        curve.setdefault(point, []).append(
-            (float(cells[idx["total_bits"]]), float(cells[idx["mean_iou"]]))
-        )
+    results = pl.parse_results_csv(Path(results_path).read_text())
+    curves: dict[tuple, list] = {}
+    for r in results:
+        curves.setdefault((r.coder, r.selector), []).append(r)
+    columns = ("mean_total_bits", "mean_iou", "tau_c", "tau_mi", "pareto")
     for (coder, selector), curve in sorted(curves.items()):
-        rows = []
-        for (tau_c, tau_mi), vals in sorted(curve.items()):
-            bits = float(np.mean([v[0] for v in vals]))
-            iou = float(np.mean([v[1] for v in vals]))
-            rows.append((bits, iou, tau_c, tau_mi))
-        rows.sort()
-        flags = rd.pareto_flags([(bits, -iou) for bits, iou, _, _ in rows], eps=0.0)
-        lines = ["mean_total_bits,mean_iou,tau_c,tau_mi,pareto"]
-        for (bits, iou, tau_c, tau_mi), flag in zip(rows, flags):
-            lines.append(
-                f"{bits:.17g},{iou:.17g},{tau_c:.17g},{tau_mi:.17g},{int(flag)}"
-            )
-        (out / f"curve_{coder}_{selector}.csv").write_text("\n".join(lines) + "\n")
+        rows = sorted([row[c] for c in columns] for row in pl.summarize(curve))
+        (out / f"curve_{coder}_{selector}.csv").write_text(textio.csv_text(columns, rows))
     print(f"curves written to {out}")
     return 0
 
@@ -414,7 +392,7 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
     (out / "report.txt").write_text("\n".join(lines) + "\n")
 
     rng = np.random.default_rng(cfg.verify_seed)
-    rows = ["source,encoder_id,rate_bits,distortion_nats,h_z_given_y,mi_z_xr,bound_bits,pareto_flag"]
+    rows = []
     for src_id in range(min(cfg.verify_sources, 10)):
         sizes = rng.integers(2, 5, size=3)
         t = it.random_joint(
@@ -424,12 +402,12 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
         z = int(min(sizes[1], cfg.verify_z_max))
         for p in rd.enumerate_frontier(t, z):
             bound = rd.theoretical_bound(t, max(p.distortion_nats, 0.0))
-            rows.append(
-                f"src{src_id},{p.encoder_id},{p.rate_bits:.17g},"
-                f"{p.distortion_nats:.17g},{p.cond_h_z_given_y:.17g},"
-                f"{p.mi_z_xr:.17g},{bound:.17g},{int(p.pareto)}"
-            )
-    (out / "frontier.csv").write_text("\n".join(rows) + "\n")
+            rows.append((
+                f"src{src_id}", p.encoder_id, p.rate_bits, p.distortion_nats,
+                p.cond_h_z_given_y, p.mi_z_xr, bound, p.pareto,
+            ))
+    header = "source,encoder_id,rate_bits,distortion_nats,h_z_given_y,mi_z_xr,bound_bits,pareto_flag"
+    (out / "frontier.csv").write_text(textio.csv_text(header.split(","), rows))
     _write_manifest(out, "verify-theory", config_path, cfg.verify_seed)
     print("\n".join(lines))
     return 0 if all_ok else 1
@@ -470,18 +448,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "export":
-        try:
+        if args.command == "export":
             return cmd_export(args.results, out)
-        except (OSError, KeyError, ValueError, IndexError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(
@@ -490,11 +458,6 @@ def main(argv=None) -> int:
                 train=replace(cfg.train, train_seed=args.seed + 9000),
                 sweep=replace(cfg.sweep, seeds=(args.seed,)),
             )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "gen-world":
             return cmd_gen_world(cfg, out, args.config)
         if args.command == "train":
@@ -503,7 +466,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, out, args.config, jobs=args.jobs)
         if args.command == "verify-theory":
             return cmd_verify_theory(cfg, out, args.config)
-    except (ValueError, ec.CodingError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # CodingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -232,44 +232,3 @@ def random_joint(
     sizes = tuple(s for _, s in axes)
     flat = rng.dirichlet(np.ones(int(np.prod(sizes))))
     return JointTable(axes, flat.reshape(sizes))
-
-
-# --- text fixture format -------------------------------------------------
-#
-# Header line: axis names and sizes, e.g. "Y 2 X_s 2 X_r 2"; then one line
-# per nonzero atom with the symbol indices followed by the probability.
-
-
-def save_table(t: JointTable, path: str) -> None:
-    lines = [" ".join(f"{n} {s}" for n, s in t.axes)]
-    for idx in np.ndindex(*t.pmf.shape):
-        p = t.pmf[idx]
-        if p > 0:
-            lines.append(" ".join(str(i) for i in idx) + f" {p:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_table(path: str) -> JointTable:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise ValueError(f"{path}: empty table file")
-    header = raw[0].split()
-    if len(header) % 2 != 0:
-        raise ValueError(f"{path}: malformed header {raw[0]!r}")
-    axes = tuple(
-        (header[i], int(header[i + 1])) for i in range(0, len(header), 2)
-    )
-    sizes = tuple(s for _, s in axes)
-    pmf = np.zeros(sizes, dtype=np.float64)
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != len(axes) + 1:
-            raise ValueError(f"{path}: malformed atom line {ln!r}")
-        idx = tuple(int(x) for x in parts[:-1])
-        for (name, size), i in zip(axes, idx):
-            if not 0 <= i < size:
-                raise ValueError(f"{path}: symbol {i} out of range on axis {name!r}")
-        pmf[idx] = float(parts[-1])
-    return JointTable(axes, pmf)

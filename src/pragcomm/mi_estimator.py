@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vq
+from . import textio, vq
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -37,13 +37,6 @@ class Discriminator:
     """Fully connected scorer: input 2c -> hidden layers (ReLU) -> scalar."""
 
     weights: list  # list of (W, b) pairs, W as (out, in)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0][0].shape[1]
-
-    def copy(self) -> "Discriminator":
-        return Discriminator([(w.copy(), b.copy()) for w, b in self.weights])
 
 
 @dataclass
@@ -273,30 +266,21 @@ def select_mask(rmap: np.ndarray, tau_mi: float) -> np.ndarray:
 
 
 def save_discriminator(d: Discriminator, path: str) -> None:
-    lines = [" ".join(str(w.shape[0]) for w, _ in d.weights)]
-    lines.append(str(d.in_dim))
-    for w, b in d.weights:
-        for row in w:
-            lines.append(" ".join(format(v, ".17g") for v in row))
-        lines.append(" ".join(format(v, ".17g") for v in b))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the layers as arrays ``w0 b0 w1 b1 ...`` (W as (out, in))."""
+    arrays = {}
+    for i, (w, b) in enumerate(d.weights):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    textio.save_arrays(path, arrays)
 
 
 def load_discriminator(path: str) -> Discriminator:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    outs = [int(x) for x in lines[0].split()]
-    in_dim = int(lines[1])
-    dims = [in_dim] + outs
-    pos = 2
-    weights = []
-    for din, dout in zip(dims, dims[1:]):
-        w = np.array([[float(v) for v in lines[pos + r].split()] for r in range(dout)])
-        pos += dout
-        b = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
+    arrays = textio.load_arrays(path)
+    n_layers = len(arrays) // 2
+    if not n_layers or list(arrays) != [f"{p}{i}" for i in range(n_layers) for p in "wb"]:
+        raise ValueError(f"{path}: expected arrays w0 b0 w1 b1 ..., found {list(arrays)}")
+    weights = [(arrays[f"w{i}"], arrays[f"b{i}"]) for i in range(n_layers)]
+    dims = [w.shape[-1] for w, _ in weights] + [1]  # each layer's input, then the score
+    for (w, b), din, dout in zip(weights, dims, dims[1:]):
         if w.shape != (dout, din) or b.shape != (dout,):
-            raise ValueError(f"{path}: layer shape mismatch")
-        weights.append((w, b))
+            raise ValueError(f"{path}: layer shapes do not chain into one output")
     return Discriminator(weights)

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import entropy_coder as ec
 from . import mi_estimator as mie
+from . import rd_oracle as rd
 from . import simworld as sw
-from . import vq
+from . import textio, vq
 
 CODERS = ("task_entropy", "occurrence", "fixed")
 SELECTORS = ("mi", "confidence_only", "none")
@@ -73,8 +74,6 @@ class TrainedStack:
 class SweepConfig:
     tau_c_grid: tuple
     tau_mi_grid: tuple
-    n_base: int
-    n_res: int
     seeds: tuple
     coder: str = "task_entropy"
     selector: str = "mi"
@@ -492,59 +491,52 @@ def summarize(results: list[RoundResult]):
                 "mean_abstract_bits": float(abstract.mean()),
             }
         )
-    for row, flag in zip(rows, _pareto_rows(rows)):
+    points = [(row["mean_total_bits"], -row["mean_iou"]) for row in rows]
+    for row, flag in zip(rows, rd.pareto_flags(points, eps=0.0)):
         row["pareto"] = int(flag)
     return rows
-
-
-def _pareto_rows(rows) -> list[bool]:
-    flags = []
-    for i, a in enumerate(rows):
-        dominated = False
-        for j, b in enumerate(rows):
-            if i == j:
-                continue
-            if (
-                b["mean_total_bits"] <= a["mean_total_bits"] + 1e-9
-                and b["mean_iou"] >= a["mean_iou"] - 1e-12
-                and (
-                    b["mean_total_bits"] < a["mean_total_bits"] - 1e-9
-                    or b["mean_iou"] > a["mean_iou"] + 1e-12
-                )
-            ):
-                dominated = True
-                break
-        flags.append(not dominated)
-    return flags
 
 
 # --- CSV emission ------------------------------------------------------------
 
 
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def _results_header(n_classes: int) -> list[str]:
+    return [
+        "seed", "tau_c", "tau_mi", "coder", "selector", "total_bits",
+        "payload_bits", "abstract_bits", "mask_bits", "bpp", "mean_iou",
+        *(f"iou_class_{k}" for k in range(n_classes)), "distortion_nats",
+    ]
 
 
 def results_csv(results: list[RoundResult], n_classes: int) -> str:
-    header = (
-        "seed,tau_c,tau_mi,coder,selector,total_bits,payload_bits,abstract_bits,"
-        "mask_bits,bpp,mean_iou,"
-        + ",".join(f"iou_class_{k}" for k in range(n_classes))
-        + ",distortion_nats"
-    )
-    lines = [header]
-    for r in results:
-        cells = [
+    rows = (
+        [
             r.seed, r.tau_c, r.tau_mi, r.coder, r.selector, r.total_bits,
             r.payload_bits, r.abstract_bits, r.mask_bits, r.bpp, r.mean_iou,
             *r.per_class_iou, r.distortion_nats,
         ]
-        lines.append(",".join(_cell(v) for v in cells))
-    return "\n".join(lines) + "\n"
+        for r in results
+    )
+    return textio.csv_text(_results_header(n_classes), rows)
+
+
+def parse_results_csv(text: str) -> list[RoundResult]:
+    """The rounds of a ``results_csv`` text."""
+    header, *lines = text.splitlines() or [""]
+    n_classes = header.count(",iou_class_")
+    if header.split(",") != _results_header(n_classes):
+        raise ValueError(f"not a results.csv header: {header!r}")
+    results = []
+    for line in lines:
+        c = line.split(",")
+        if len(c) != 12 + n_classes:
+            raise ValueError(f"results row has {len(c)} cells, want {12 + n_classes}")
+        counts, reals = [int(x) for x in c[5:9]], [float(x) for x in c[9:]]
+        results.append(RoundResult(
+            int(c[0]), float(c[1]), float(c[2]), c[3], c[4], *counts, *reals[:2],
+            tuple(reals[2:-1]), reals[-1],
+        ))
+    return results
 
 
 _SUMMARY_COLUMNS = (
@@ -555,6 +547,5 @@ _SUMMARY_COLUMNS = (
 
 
 def summary_csv(rows) -> str:
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    lines.extend(",".join(_cell(row[c]) for c in _SUMMARY_COLUMNS) for row in rows)
-    return "\n".join(lines) + "\n"
+    cells = ([row[c] for c in _SUMMARY_COLUMNS] for row in rows)
+    return textio.csv_text(_SUMMARY_COLUMNS, cells)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
+
 UNOBSERVED = -1
 
 
@@ -333,22 +335,16 @@ def score_iou(pred: np.ndarray, gt: np.ndarray, n_classes: int):
     return per_class, mean
 
 
-# --- grid snapshot format --------------------------------------------------
+# --- grid snapshot file ----------------------------------------------------
 
 
 def save_labels(grid: np.ndarray, path: str) -> None:
-    grid = np.asarray(grid, dtype=np.int64)
-    lines = [f"{grid.shape[0]} {grid.shape[1]}"]
-    lines.extend(" ".join(str(v) for v in row) for row in grid)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write an (h, w) integer grid as the array ``labels``."""
+    textio.save_arrays(path, {"labels": grid})
 
 
 def load_labels(path: str) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    h, w = (int(x) for x in lines[0].split())
-    grid = np.array([[int(v) for v in ln.split()] for ln in lines[1 : 1 + h]])
-    if grid.shape != (h, w):
-        raise ValueError(f"{path}: grid shape mismatch")
-    return grid
+    grid = textio.load_arrays(path, ["labels"])["labels"]
+    if grid.ndim != 2 or not np.all(grid == np.round(grid)):
+        raise ValueError(f"{path}: labels must be an (h, w) grid of integers")
+    return grid.astype(np.int64)

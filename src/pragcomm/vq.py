@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
+
 
 @dataclass
 class Codebook:
@@ -52,55 +54,15 @@ def _empty_codebook(embeddings: np.ndarray) -> Codebook:
 
 
 @dataclass
-class AffineMap:
-    """x -> W @ x + b applied row-wise to (N, in_dim) arrays."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.weight.T + self.bias
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-
-def identity_map(dim: int) -> AffineMap:
-    return AffineMap(np.eye(dim), np.zeros(dim))
-
-
-def random_orthogonal_maps(dim: int, seed: int) -> tuple[AffineMap, AffineMap]:
-    """A random orthogonal projector pair (proj_in, proj_out = its inverse)."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    return AffineMap(q, np.zeros(dim)), AffineMap(q.T, np.zeros(dim))
-
-
-@dataclass
 class LayeredCodebook:
     base: Codebook
     res: Codebook
-    proj_in: AffineMap = None
-    proj_out: AffineMap = None
 
     def __post_init__(self):
         if self.base.dim != self.res.dim:
             raise ValueError("base and residual codebooks must share a dimension")
         if self.res.n < self.base.n:
             raise ValueError("residual codebook must be at least as large as base")
-        if self.proj_in is None:
-            self.proj_in = identity_map(self.base.dim)
-        if self.proj_out is None:
-            self.proj_out = identity_map(self.base.dim)
-        if self.proj_in.out_dim != self.base.dim or self.proj_out.in_dim != self.base.dim:
-            raise ValueError("projection shapes do not bracket the codebook dimension")
-        if self.proj_in.in_dim != self.proj_out.out_dim:
-            raise ValueError("proj_in and proj_out must be inverses in shape")
 
 
 @dataclass
@@ -189,12 +151,11 @@ def train_codebooks(
     n_res: int,
     iters: int = 25,
     seed: int = 0,
-    proj: tuple[AffineMap, AffineMap] | None = None,
 ) -> LayeredCodebook:
     """Fit base and residual codebooks to a sample of feature vectors.
 
-    The base layer is k-means over the projected features; the residual
-    layer is k-means over what the base layer leaves behind.
+    The base layer is k-means over the features; the residual layer is
+    k-means over what the base layer leaves behind.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -203,37 +164,30 @@ def train_codebooks(
         raise ValueError(
             f"need n_base <= n_res <= #features, got {n_base}, {n_res}, {features.shape[0]}"
         )
-    proj_in, proj_out = proj if proj is not None else (None, None)
     rng = np.random.default_rng(seed)
-    x = proj_in(features) if proj_in is not None else features
-    base_emb, assign, _ = kmeans(x, n_base, iters, rng)
-    residuals = x - base_emb[assign]
+    base_emb, assign, _ = kmeans(features, n_base, iters, rng)
+    residuals = features - base_emb[assign]
     res_emb, _, _ = kmeans(residuals, n_res, iters, rng)
-    return LayeredCodebook(
-        base=_empty_codebook(base_emb),
-        res=_empty_codebook(res_emb),
-        proj_in=proj_in,
-        proj_out=proj_out,
-    )
+    return LayeredCodebook(_empty_codebook(base_emb), _empty_codebook(res_emb))
 
 
 def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:
     """Two-layer nearest-neighbour quantization of an (h, w, c) grid.
 
     Per cell: nearest base row, then nearest residual row to what remains,
-    reconstruction = proj_out(base + residual).  Ties go to the lowest index.
+    reconstruction = base + residual.  Ties go to the lowest index.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 3:
         raise ValueError("grid must be (h, w, c)")
     h, w, c = grid.shape
-    if c != cb.proj_in.in_dim:
-        raise ValueError(f"grid channels {c} != projector input {cb.proj_in.in_dim}")
-    flat = cb.proj_in(grid.reshape(h * w, c))
+    if c != cb.base.dim:
+        raise ValueError(f"grid channels {c} != codebook dimension {cb.base.dim}")
+    flat = grid.reshape(h * w, c)
     base_idx = _nearest(flat, cb.base.embeddings)
     residual = flat - cb.base.embeddings[base_idx]
     res_idx = _nearest(residual, cb.res.embeddings)
-    recon = cb.proj_out(cb.base.embeddings[base_idx] + cb.res.embeddings[res_idx])
+    recon = cb.base.embeddings[base_idx] + cb.res.embeddings[res_idx]
     return (
         IndexGrid(base_idx.reshape(h, w), res_idx.reshape(h, w)),
         recon.reshape(h, w, c),
@@ -243,23 +197,21 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarr
 def reconstruct_base(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
     """Base-layer-only reconstruction (the coarse abstract)."""
     h, w = idx.base_idx.shape
-    out = np.zeros((h, w, cb.proj_out.out_dim))
+    out = np.zeros((h, w, cb.base.dim))
     present = idx.base_idx >= 0
-    emb = cb.proj_out(cb.base.embeddings[idx.base_idx[present]])
-    out[present] = emb
+    out[present] = cb.base.embeddings[idx.base_idx[present]]
     return out
 
 
 def reconstruct_full(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
     """Two-layer reconstruction on the cells present in the index grid."""
     h, w = idx.base_idx.shape
-    out = np.zeros((h, w, cb.proj_out.out_dim))
+    out = np.zeros((h, w, cb.base.dim))
     present = (idx.base_idx >= 0) & (idx.res_idx >= 0)
-    emb = cb.proj_out(
+    out[present] = (
         cb.base.embeddings[idx.base_idx[present]]
         + cb.res.embeddings[idx.res_idx[present]]
     )
-    out[present] = emb
     return out
 
 
@@ -281,74 +233,25 @@ def accumulate_conf_freq(
     return cb
 
 
-# --- codebook file format --------------------------------------------------
-#
-# Header: "n d n_base n_res", then one row per embedding (base rows first,
-# then residual rows), then four frequency lines (base conf, base occ,
-# res conf, res occ), then the projector matrices when not identity.
-# Decimal serialization uses 17 significant digits so float64 round-trips
-# bit-exactly.
+# --- codebook file ---------------------------------------------------------
 
-
-def _fmt(values) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.asarray(values).ravel())
+_CODEBOOK_ARRAYS = tuple(
+    f"{layer}_{part}"
+    for layer in ("base", "res")
+    for part in ("embeddings", "conf_freq", "occ_freq")
+)
 
 
 def save_codebook(cb: LayeredCodebook, path: str) -> None:
-    n = cb.base.n + cb.res.n
-    lines = [f"{n} {cb.base.dim} {cb.base.n} {cb.res.n}"]
-    for book in (cb.base, cb.res):
-        lines.extend(_fmt(row) for row in book.embeddings)
-    for book in (cb.base, cb.res):
-        lines.append(_fmt(book.conf_freq))
-        lines.append(_fmt(book.occ_freq))
-    ident = np.array_equal(cb.proj_in.weight, np.eye(cb.base.dim)) and not np.any(
-        cb.proj_in.bias
-    )
-    lines.append("identity" if ident else "affine")
-    if not ident:
-        for m in (cb.proj_in, cb.proj_out):
-            lines.append(f"{m.out_dim} {m.in_dim}")
-            lines.extend(_fmt(row) for row in m.weight)
-            lines.append(_fmt(m.bias))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write both layers' embeddings and frequency tallies as an array file."""
+    books = (cb.base, cb.res)
+    values = [a for b in books for a in (b.embeddings, b.conf_freq, b.occ_freq)]
+    textio.save_arrays(path, dict(zip(_CODEBOOK_ARRAYS, values)))
 
 
 def load_codebook(path: str) -> LayeredCodebook:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    n, d, n_base, n_res = (int(x) for x in lines[0].split())
-    if n != n_base + n_res:
-        raise ValueError(f"{path}: inconsistent header")
-    pos = 1
-
-    def take_matrix(rows: int) -> np.ndarray:
-        nonlocal pos
-        m = np.array([[float(x) for x in lines[pos + r].split()] for r in range(rows)])
-        pos += rows
-        return m
-
-    def take_vector() -> np.ndarray:
-        nonlocal pos
-        v = np.array([float(x) for x in lines[pos].split()])
-        pos += 1
-        return v
-
-    base_emb = take_matrix(n_base)
-    res_emb = take_matrix(n_res)
-    base = Codebook(base_emb, take_vector(), take_vector())
-    res = Codebook(res_emb, take_vector(), take_vector())
-    mode = lines[pos]
-    pos += 1
-    proj_in = proj_out = None
-    if mode == "affine":
-        maps = []
-        for _ in range(2):
-            out_dim, in_dim = (int(x) for x in lines[pos].split())
-            pos += 1
-            w = take_matrix(out_dim)
-            b = take_vector()
-            maps.append(AffineMap(w, b))
-        proj_in, proj_out = maps
-    return LayeredCodebook(base=base, res=res, proj_in=proj_in, proj_out=proj_out)
+    a = list(textio.load_arrays(path, _CODEBOOK_ARRAYS).values())
+    try:
+        return LayeredCodebook(Codebook(*a[:3]), Codebook(*a[3:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

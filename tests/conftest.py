@@ -52,7 +52,7 @@ def tradeoff_stack():
 def tradeoff_sweeps(tradeoff_stack):
     """The three sweeps the trade-off criteria compare."""
     inf = float("inf")
-    common = dict(tau_c_grid=(0.3, 0.9), n_base=6, n_res=64, seeds=ACCEPT_SEEDS)
+    common = dict(tau_c_grid=(0.3, 0.9), seeds=ACCEPT_SEEDS)
     mi = pl.run_sweep(
         TRADEOFF_WORLD,
         tradeoff_stack,

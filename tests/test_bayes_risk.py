@@ -16,7 +16,6 @@ from pragcomm.bayes_risk import (
     mc_l1_gaussian,
     mc_l1_laplace,
     pragmatic_distortion,
-    reconstruction_distortion,
 )
 from pragcomm.infotheory import (
     JointTable,
@@ -246,29 +245,3 @@ class TestFirstOrderBound:
         lhs = np.exp(h1 - 1) - np.exp(h2 - 1)
         rhs = (h1 - h2) / math.e
         assert np.all(lhs >= rhs - 1e-12)
-
-
-class TestReconstructionDistortion:
-    def test_identical(self):
-        a = np.random.default_rng(1).normal(size=(4, 4, 3))
-        assert reconstruction_distortion(a, a) == 0.0
-
-    def test_offset_by_one(self):
-        a = np.random.default_rng(2).normal(size=(5, 5, 2))
-        assert reconstruction_distortion(a, a + 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_two_loop_reference(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(6, 5, 2))
-        b = rng.normal(size=(6, 5, 2))
-        acc = 0.0
-        for i in range(6):
-            for j in range(5):
-                for k in range(2):
-                    acc += (a[i, j, k] - b[i, j, k]) ** 2
-        acc /= 6 * 5 * 2
-        assert reconstruction_distortion(a, b) == pytest.approx(acc, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            reconstruction_distortion(np.zeros((2, 2)), np.zeros((3, 2)))

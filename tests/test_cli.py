@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pragcomm.cli import ConfigError, main, parse_config
+from pragcomm.textio import load_arrays
 
 
 FAST_CFG = """
@@ -102,6 +103,21 @@ class TestConfigParsing:
         assert code == 2
         assert "whatever" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["noise = abc", "fov_0 = rect 0 x 16 13", "density = high"]
+    )
+    def test_unparsable_world_value_is_usage_error(self, line, tmp_path, capsys):
+        key = line.split()[0]
+        text = "\n".join(
+            line if row.startswith(key + " ") else row for row in FAST_CFG.splitlines()
+        )
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = main(["gen-world", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_missing_config_file(self, tmp_path):
         code = main(
             ["gen-world", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]
@@ -141,7 +157,7 @@ class TestTrainAndSweep:
         assert (out / "codebook.txt").exists()
         assert (out / "discriminator.txt").exists()
         assert (out / "tau_draws.txt").exists()
-        losses = [float(x) for x in (out / "disc_losses.txt").read_text().split()]
+        losses = load_arrays(str(out / "disc_losses.txt"), ["disc_losses"])["disc_losses"]
         assert len(losses) == 60  # one per discriminator step
         assert losses[-1] < losses[0]
 
@@ -198,6 +214,15 @@ class TestTrainAndSweep:
         curve = (exp / "curve_task_entropy_mi.csv").read_text().strip().splitlines()
         assert curve[0] == "mean_total_bits,mean_iou,tau_c,tau_mi,pareto"
         assert len(curve) - 1 == 4  # one row per threshold pair
+
+    @pytest.mark.parametrize(
+        "text", ["", "seed,tau_c\n1,0.5\n", "seed,tau_c,tau_mi\n", "header only,\n"]
+    )
+    def test_export_malformed_results_rejected(self, text, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        assert main(["export", "--results", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_export_missing_file(self, tmp_path):
         assert main(

@@ -13,12 +13,10 @@ from pragcomm.infotheory import (
     extend_with_channel,
     interaction_information,
     joint_entropy,
-    load_table,
     marginal,
     mutual_information,
     plugin_from_samples,
     random_joint,
-    save_table,
 )
 
 
@@ -268,29 +266,6 @@ class TestExtendWithChannel:
 
 
 class TestTextFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(23)
-        t = random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], rng)
-        path = tmp_path / "table.txt"
-        save_table(t, str(path))
-        back = load_table(str(path))
-        assert back.axes == t.axes
-        np.testing.assert_allclose(back.pmf, t.pmf, atol=1e-15)
-
-    def test_sparse_atoms_only(self, tmp_path):
-        t = JointTable((("Y", 2), ("X", 2)), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        path = tmp_path / "sparse.txt"
-        save_table(t, str(path))
-        content = path.read_text().strip().splitlines()
-        assert content[0] == "Y 2 X 2"
-        assert len(content) == 3  # header + two nonzero atoms
-
-    def test_rejects_bad_symbol(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("Y 2 X 2\n0 5 0.5\n0 0 0.5\n")
-        with pytest.raises(ValueError, match="out of range"):
-            load_table(str(path))
-
     def test_marginal_unknown_axis(self):
         t = JointTable((("A", 2),), np.array([0.5, 0.5]))
         with pytest.raises(AxisError):

@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from array_files import (
+    assert_corruptions_rejected,
+    assert_same_bits,
+    float_arrays,
+    extra_lines,
+)
+from pragcomm import textio
 from pragcomm.infotheory import mutual_information, plugin_from_samples
 from pragcomm.mi_estimator import (
     Discriminator,
@@ -241,6 +248,17 @@ class TestSelectMask:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+@st.composite
+def discriminators(draw, max_width=4):
+    dims = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=3)) + [1]
+    return Discriminator(
+        [
+            (draw(float_arrays((dout, din))), draw(float_arrays(dout)))
+            for din, dout in zip(dims, dims[1:])
+        ]
+    )
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         d = init_discriminator(8, hidden=16, seed=37)
@@ -254,6 +272,40 @@ class TestCheckpoint:
             np.testing.assert_array_equal(b1, b2)
         x = np.random.default_rng(0).normal(size=(5, 8))
         np.testing.assert_array_equal(score(d, x), score(back, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=discriminators())
+    def test_round_trip_bit_for_bit(self, d, tmp_path_factory):
+        path = tmp_path_factory.mktemp("disc") / "discriminator.txt"
+        save_discriminator(d, str(path))
+        back = load_discriminator(str(path))
+        assert len(back.weights) == len(d.weights)
+        for (w1, b1), (w2, b2) in zip(d.weights, back.weights):
+            assert_same_bits(w2, w1)
+            assert_same_bits(b2, b1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=discriminators(max_width=2), extra=extra_lines)
+    def test_corrupted_files_rejected(self, d, extra, tmp_path_factory):
+        path = tmp_path_factory.mktemp("disc") / "discriminator.txt"
+        save_discriminator(d, str(path))
+        assert_corruptions_rejected(path, load_discriminator, extra)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            {},
+            {"w0": np.ones((1, 2))},
+            {"w0": np.ones((3, 2)), "b0": np.ones(3)},  # three outputs
+            {"w0": np.ones((2, 2)), "b0": np.ones(2), "w1": np.ones((1, 3)), "b1": [1]},
+            {"b0": np.ones(1), "w0": np.ones((1, 2))},
+        ],
+    )
+    def test_malformed_layers_rejected(self, arrays, tmp_path):
+        path = tmp_path / "discriminator.txt"
+        textio.save_arrays(str(path), arrays)
+        with pytest.raises(ValueError, match="discriminator.txt"):
+            load_discriminator(str(path))
 
 
 # --- count-weighted batches ---------------------------------------------------

@@ -166,8 +166,6 @@ class TestSweep:
         defaults = dict(
             tau_c_grid=(0.3, 0.9),
             tau_mi_grid=(0.0, float("inf")),
-            n_base=4,
-            n_res=64,
             seeds=(42, 43, 44),
             coder="task_entropy",
             selector="mi",
@@ -303,6 +301,14 @@ class TestCSV:
         assert header[-1] == "distortion_nats"
         assert len(lines[1].split(",")) == len(header)
 
+    def test_results_csv_parses_back(self, stack, world):
+        results = [pl.run_round(world, stack, tau_c, 1.0) for tau_c in (0.5, 0.9)]
+        text = pl.results_csv(results, TEMPLATE.n_classes)
+        assert pl.parse_results_csv(text) == results
+        rows = text.splitlines()
+        with pytest.raises(ValueError, match="cells"):
+            pl.parse_results_csv("\n".join([rows[0], rows[1] + ",1"]))
+
     def test_summary_csv_round_trip_values(self, stack):
         results = pl.run_sweep(
             TEMPLATE,
@@ -310,8 +316,6 @@ class TestCSV:
             pl.SweepConfig(
                 tau_c_grid=(0.5,),
                 tau_mi_grid=(1.0,),
-                n_base=4,
-                n_res=64,
                 seeds=(42, 43),
             ),
         )

@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from array_files import assert_corruptions_rejected, assert_same_bits, extra_lines
 
 from pragcomm.bayes_risk import bayes_risk_ce
 from pragcomm.infotheory import JointTable
@@ -313,9 +318,37 @@ class TestStatisticalConsistency:
         assert np.all(pred[:, 3:] == class_prior(cfg).argmax())
 
 
+def label_grids(max_side=6):
+    shape = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    return hnp.arrays(np.int64, shape, elements=st.integers(UNOBSERVED, 9))
+
+
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path):
         gt, _ = generate(cfg_full(density=0.5, seed=9))
         path = tmp_path / "labels.txt"
         save_labels(gt, str(path))
         np.testing.assert_array_equal(load_labels(str(path)), gt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=label_grids())
+    def test_round_trip_bit_for_bit(self, grid, tmp_path_factory):
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        save_labels(grid, str(path))
+        assert_same_bits(load_labels(str(path)), grid)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=label_grids(max_side=3), extra=extra_lines)
+    def test_corrupted_files_rejected(self, grid, extra, tmp_path_factory):
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        save_labels(grid, str(path))
+        assert_corruptions_rejected(path, load_labels, extra)
+
+    @pytest.mark.parametrize(
+        "text", ["", "arrays 1\nlabels 2\n0 1\n", "arrays 1\nlabels 1 2\n0 1.5\n"]
+    )
+    def test_malformed_files_rejected(self, text, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="labels.txt"):
+            load_labels(str(path))
