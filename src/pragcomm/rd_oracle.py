@@ -13,22 +13,25 @@ I(Z; X_r) = 0 (the message repeats nothing the receiver already has).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .infotheory import (
+    _ZERO_ATOM,
     LN2,
     JointTable,
     conditional_entropy,
     conditional_mi,
+    entropy,
     extend_with_channel,
+    marginal,
     mutual_information,
 )
 from .bayes_risk import pragmatic_distortion
 
 MAX_SOURCE_ALPHABET = 6
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,27 +103,29 @@ def attach_encoder(
 
 def theoretical_bound(
     source: JointTable,
-    delta_nats: float,
+    delta_nats: float | np.ndarray,
     y: str = "Y",
     xs: str = "X_s",
     xr: str = "X_r",
-) -> float:
-    """Lower bound on the rate in bits: max(0, I(Y; X_s | X_r) - delta)."""
-    if delta_nats < 0:
+) -> float | np.ndarray:
+    """Lower bound on the rate in bits: max(0, I(Y; X_s | X_r) - delta).
+
+    ``delta_nats`` may be an array; the result is then the array of bounds,
+    with I(Y; X_s | X_r) computed once.
+    """
+    delta = np.asarray(delta_nats, dtype=np.float64)
+    if np.any(delta < 0):
         raise ValueError("delta must be >= 0")
     i_bits = conditional_mi(source, y, xs, [xr], "bits").value
-    return max(0.0, i_bits - delta_nats / LN2)
+    bound = np.maximum(0.0, i_bits - delta / LN2)
+    return float(bound) if bound.ndim == 0 else bound
 
 
-def _point_for_kernel(
-    source: JointTable, kernel: np.ndarray, encoder_id: int
-) -> RDPoint:
-    ext = extend_with_channel(source, "X_s", "Z", kernel)
-    rate = mutual_information(ext, "X_s", "Z", "bits").value
-    dist = pragmatic_distortion(ext, "segmentation")
-    h_zy = conditional_entropy(ext, "Z", ["Y"], "bits").value
-    i_zxr = mutual_information(ext, "Z", "X_r", "bits").value
-    return RDPoint(encoder_id, rate, dist, h_zy, i_zxr)
+def _entropies_nats(p: np.ndarray) -> np.ndarray:
+    """H(p[e]) in nats for each leading index e, with infotheory's zero-atom cut."""
+    log_p = np.zeros_like(p)
+    np.log(p, out=log_p, where=p > _ZERO_ATOM)
+    return 0.0 - (p * log_p).reshape(len(p), -1).sum(axis=1)  # never -0.0
 
 
 def enumerate_frontier(
@@ -128,8 +133,10 @@ def enumerate_frontier(
 ) -> list[RDPoint]:
     """One RDPoint per deterministic encoder X_s -> Z, Pareto subset flagged.
 
-    Guarded to stay within z_alphabet_size ** |X_s| <= 46656 enumerations
-    (|X_s| <= 6 and z alphabet no larger than |X_s|).
+    Encoder ``e`` is the ``e``-th mapping of ``itertools.product(range(|Z|),
+    repeat=|X_s|)``.  All encoders are evaluated at once through the joint
+    p(e, y, z, x_r).  Guarded to stay within z_alphabet_size ** |X_s| <= 46656
+    enumerations (|X_s| <= 6 and z alphabet no larger than |X_s|).
     """
     if task != "segmentation":
         raise ValueError("the frontier is enumerated for the segmentation distortion")
@@ -142,38 +149,59 @@ def enumerate_frontier(
         raise ValueError(
             f"alphabet too large: need 1 <= |Z|={z_alphabet_size} <= |X_s|={n_source}"
         )
-    points = []
-    h_xs = conditional_entropy(source, "X_s", [], "bits").value
-    for encoder_id, mapping in enumerate(
-        itertools.product(range(z_alphabet_size), repeat=n_source)
-    ):
-        kernel = np.zeros((n_source, z_alphabet_size))
-        kernel[np.arange(n_source), mapping] = 1.0
-        pt = _point_for_kernel(source, kernel, encoder_id)
-        assert pt.rate_bits <= h_xs + 1e-9
-        points.append(pt)
-    flags = pareto_flags(
-        [(p.rate_bits, p.distortion_nats) for p in points]
-    )
-    return [
-        RDPoint(p.encoder_id, p.rate_bits, p.distortion_nats, p.cond_h_z_given_y,
-                p.mi_z_xr, pareto=f)
-        for p, f in zip(points, flags)
-    ]
+    names = ("Y", "X_s", "X_r")
+    m = marginal(source, names)
+    p = m.pmf.transpose([m.index(n) for n in names])
+    # row e of ``mappings`` is the e-th tuple of itertools.product, in its order
+    mappings = np.indices((z_alphabet_size,) * n_source).reshape(n_source, -1).T
+    # blocks of encoders bound the joint p(e, y, z, x_r) to _BLOCK_CELLS floats
+    cells = len(mappings) * z_alphabet_size * (p.size // n_source)
+    parts = []
+    for block in np.array_split(mappings, -(-cells // _BLOCK_CELLS)):
+        kernels = (block[:, :, None] == np.arange(z_alphabet_size)).astype(np.float64)
+        joint = np.einsum("yxr,exz->eyzr", p, kernels, optimize=True)
+        p_zr = joint.sum(axis=1)
+        parts.append([
+            _entropies_nats(q) for q in (p_zr.sum(axis=2), p_zr, joint, joint.sum(axis=3))
+        ])
+    h_z, h_zr, h_yzr, h_yz = (np.concatenate(h) for h in zip(*parts))
+    rate = h_z / LN2  # I(X_s; Z) = H(Z) for a deterministic encoder
+    h_xs = entropy(source, "X_s", "bits").value
+    if np.any(rate > h_xs + 1e-9):
+        raise RuntimeError(f"encoder rate {rate.max()!r} exceeds H(X_s)={h_xs!r}")
+    dist = h_yzr - h_zr - conditional_entropy(source, "Y", ["X_s", "X_r"], "nats").value
+    h_zy = (h_yz - entropy(source, "Y", "nats").value) / LN2
+    i_zxr = (h_z + entropy(source, "X_r", "nats").value - h_zr) / LN2
+    flags = pareto_flags(np.column_stack([rate, dist]))
+    columns = zip(rate.tolist(), dist.tolist(), h_zy.tolist(), i_zxr.tolist(), flags)
+    return [RDPoint(e, *fields) for e, fields in enumerate(columns)]
 
 
-def pareto_flags(points: list[tuple[float, float]], eps: float = 1e-12) -> list[bool]:
-    """Flag the points minimal in both coordinates (smaller is better)."""
-    flags = []
-    for i, (a1, a2) in enumerate(points):
-        dominated = any(
-            (b1 <= a1 + eps and b2 <= a2 + eps)
-            and (b1 < a1 - eps or b2 < a2 - eps)
-            for j, (b1, b2) in enumerate(points)
-            if j != i
-        )
-        flags.append(not dominated)
-    return flags
+def pareto_flags(
+    points: list[tuple[float, float]] | np.ndarray, eps: float = 1e-12
+) -> list[bool]:
+    """Flag the points minimal in both coordinates (smaller is better).
+
+    A point is dominated when another is within ``eps`` of it or better in
+    both coordinates and better by more than ``eps`` in one.  One sort by the
+    first coordinate and prefix minima of the second decide that for every
+    point in O(n log n) (Kung, Luccio & Preparata 1975).  Raises ValueError on
+    a non-finite coordinate or a negative ``eps``.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
+    if eps < 0 or not np.isfinite(pts).all():
+        raise ValueError("pareto points must be finite and eps >= 0")
+    a1, a2 = pts[:, 0], pts[:, 1]
+    order = np.argsort(a1)
+    b1 = a1[order]
+    # prefix_min[k]: least second coordinate among the k least first ones
+    prefix_min = np.concatenate([[np.inf], np.minimum.accumulate(a2[order])])
+    # dominated: some point is better by more than eps in the first coordinate
+    # and within eps in the second, or within eps in the first and better by
+    # more than eps in the second
+    by_first = prefix_min[np.searchsorted(b1, a1 - eps, side="left")] <= a2 + eps
+    by_second = prefix_min[np.searchsorted(b1, a1 + eps, side="right")] < a2 - eps
+    return (~(by_first | by_second)).tolist()
 
 
 def check_conditions(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pragcomm.cli import ConfigError, main, parse_config
+from pragcomm.pipeline import RoundResult, results_csv
 from pragcomm.textio import load_arrays
 
 
@@ -224,6 +225,18 @@ class TestTrainAndSweep:
         assert main(["export", "--results", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_export_non_finite_iou_rejected(self, tmp_path, capsys):
+        rounds = [
+            RoundResult(1, 0.3, 0.0, "task_entropy", "mi", 100, 80, 10, 10, 0.1,
+                        iou, (iou,), 0.0)
+            for iou in (0.5, float("nan"))
+        ]
+        path = tmp_path / "results.csv"
+        path.write_text(results_csv(rounds, 1))
+        assert main(["export", "--results", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+
     def test_export_missing_file(self, tmp_path):
         assert main(
             ["export", "--results", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]
@@ -248,6 +261,27 @@ class TestVerifyTheory:
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out1)])
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out2)])
         assert tree_digest(out1) == tree_digest(out2)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["sources = 0", "sources = -2", "tables = 0", "mc_draws = 0", "z_max = 0"],
+    )
+    def test_verify_count_below_one_is_usage_error(self, line, tmp_path, capsys):
+        key = line.split()[0]
+        text = "\n".join(
+            line if row.startswith(key + " ") else row for row in FAST_CFG.splitlines()
+        )
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "verify"
+        code = main(["verify-theory", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "[verify]" in err[0] and key in err[0]
+        assert "PASS" not in captured.out
+        assert not (out / "report.txt").exists()
 
     def test_shipped_config_passes(self, tmp_path):
         shipped = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragcomm.infotheory import (
     JointTable,
@@ -7,6 +11,7 @@ from pragcomm.infotheory import (
     entropy,
     random_joint,
 )
+from pragcomm import rd_oracle
 from pragcomm.rd_oracle import (
     EncoderSpec,
     attach_encoder,
@@ -16,6 +21,8 @@ from pragcomm.rd_oracle import (
     pareto_flags,
     theoretical_bound,
 )
+
+import frontier_oracle as oracle
 
 
 def xor_triple() -> JointTable:
@@ -126,6 +133,17 @@ class TestTheoreticalBound:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             theoretical_bound(xor_triple(), -0.1)
+        with pytest.raises(ValueError):
+            theoretical_bound(xor_triple(), np.array([0.0, -0.1]))
+
+    def test_array_of_deltas_matches_scalar_calls(self):
+        rng = np.random.default_rng(32)
+        t = random_joint([("Y", 3), ("X_s", 4), ("X_r", 2)], rng)
+        deltas = np.linspace(0.0, 2.0, 33)
+        bounds = theoretical_bound(t, deltas)
+        assert bounds.shape == deltas.shape
+        assert bounds.tolist() == [theoretical_bound(t, float(d)) for d in deltas]
+        assert type(theoretical_bound(t, 0.5)) is float
 
 
 class TestCheckConditions:
@@ -174,6 +192,20 @@ class TestSoundness:
                 assert p.rate_bits >= bound - 1e-9
 
 
+class TestFullAlphabetSoundness:
+    def test_every_encoder_of_the_largest_guarded_alphabet(self):
+        rng = np.random.default_rng(52)
+        for _ in range(3):
+            ny, nr = (int(s) for s in rng.integers(2, 5, size=2))
+            t = random_joint([("Y", ny), ("X_s", 6), ("X_r", nr)], rng)
+            points = enumerate_frontier(t, 6)
+            assert len(points) == 6**6
+            rates = np.array([p.rate_bits for p in points])
+            dists = np.array([p.distortion_nats for p in points])
+            bounds = theoretical_bound(t, np.maximum(dists, 0.0))
+            assert (rates - bounds).min() >= -1e-9
+
+
 class TestTightness:
     def test_constructed_source_attains_bound(self):
         source, enc = make_separable_source(
@@ -219,3 +251,109 @@ class TestParetoFlags:
         pts = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (3.0, 0.5)]
         flags = pareto_flags(pts)
         assert flags == [True, False, True, True]
+
+    def test_empty(self):
+        assert pareto_flags([]) == []
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_exact_ties_all_kept(self, eps):
+        assert pareto_flags([(1.0, 2.0)] * 3, eps) == [True, True, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.sampled_from([0.0, 1e-12]),
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5]),
+                st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 1.0, 2.5]),
+                st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_matches_quadratic_loop_on_near_ties(self, eps, cells):
+        # coordinates on a coarse grid, each moved by a multiple of about eps
+        step = eps if eps else 1e-12
+        pts = [(a + da * step, b + db * step) for a, da, b, db in cells]
+        assert pareto_flags(pts, eps) == oracle.pareto_flags(pts, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.sampled_from([0.0, 1e-12]),
+        pts=st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_matches_quadratic_loop_on_arbitrary_points(self, eps, pts):
+        assert pareto_flags(pts, eps) == oracle.pareto_flags(pts, eps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_non_finite_point_rejected(self, bad, coord):
+        pts = [[1.0, 1.0], [2.0, 0.5]]
+        pts[1][coord] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pareto_flags(pts)
+
+
+@st.composite
+def sources(draw):
+    """A (Y, X_s, X_r) source with axes of size 1-5 in a random order, often
+    with exact-zero atoms."""
+    sizes = [draw(st.integers(1, 5)) for _ in range(3)]
+    weights = draw(
+        st.lists(
+            st.sampled_from([0.0]) | st.floats(1e-3, 1.0),
+            min_size=int(np.prod(sizes)),
+            max_size=int(np.prod(sizes)),
+        ).filter(lambda w: sum(w) > 0)
+    )
+    axes = draw(st.permutations(list(zip(("Y", "X_s", "X_r"), sizes))))
+    pmf = np.array(weights).reshape([s for _, s in axes])
+    return JointTable(tuple(axes), pmf / pmf.sum())
+
+
+def assert_same_points(got, want):
+    assert [p.encoder_id for p in got] == [p.encoder_id for p in want]
+    assert [p.pareto for p in got] == [p.pareto for p in want]
+    for field in ("rate_bits", "distortion_nats", "cond_h_z_given_y", "mi_z_xr"):
+        a = np.array([getattr(p, field) for p in got])
+        b = np.array([getattr(p, field) for p in want])
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=field)
+
+
+class TestBatchedFrontierMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(source=sources(), data=st.data())
+    def test_random_sources(self, source, data):
+        z = data.draw(st.integers(1, source.size("X_s")))
+        assert_same_points(
+            enumerate_frontier(source, z), oracle.enumerate_frontier(source, z)
+        )
+
+    @pytest.mark.parametrize(
+        "n_source,z", [(n, z) for n in range(1, 6) for z in range(1, n + 1)]
+    )
+    def test_every_z_alphabet(self, n_source, z):
+        rng = np.random.default_rng(100 + 10 * n_source + z)
+        pmf = rng.dirichlet(np.ones(3 * n_source * 2)).reshape(3, n_source, 2)
+        pmf[:, 0, 0] = 0.0  # exact-zero atoms
+        t = JointTable((("Y", 3), ("X_s", n_source), ("X_r", 2)), pmf / pmf.sum())
+        assert_same_points(enumerate_frontier(t, z), oracle.enumerate_frontier(t, z))
+
+    def test_encoders_in_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(rd_oracle, "_BLOCK_CELLS", 100)
+        rng = np.random.default_rng(105)
+        t = random_joint([("Y", 3), ("X_s", 4), ("X_r", 2)], rng)
+        assert_same_points(enumerate_frontier(t, 3), oracle.enumerate_frontier(t, 3))
+
+    def test_source_symbol_with_no_mass(self):
+        pmf = np.zeros((2, 3, 2))
+        pmf[:, 1:, :] = 1.0 / 8
+        t = JointTable((("Y", 2), ("X_s", 3), ("X_r", 2)), pmf)
+        assert_same_points(enumerate_frontier(t, 3), oracle.enumerate_frontier(t, 3))
