@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import JointTable, conditional_entropy
+from .infotheory import JointTable, _entropies_nats, conditional_entropy, marginal
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -37,7 +37,6 @@ class RiskParams:
     loss_family: str = "cross_entropy"
     lambdas: tuple[float, float, float] = (1.0, 1.0, 1.0)  # loc, size, ori weights
     n_obj_mean: float = 0.0
-    regression_keys: tuple[str, ...] = REGRESSION_KEYS
 
     def __post_init__(self):
         if self.loss_family not in LOSS_FAMILIES:
@@ -48,9 +47,6 @@ class RiskParams:
             raise ValueError("lambdas must be three finite nonnegative weights")
         if not math.isfinite(self.n_obj_mean) or self.n_obj_mean < 0:
             raise ValueError("n_obj_mean must be finite and >= 0")
-        bad = [k for k in self.regression_keys if k not in REGRESSION_KEYS]
-        if bad:
-            raise ValueError(f"unknown regression keys {bad}; allowed {REGRESSION_KEYS}")
 
     def lam(self, key: str) -> float:
         return self.lambdas[REGRESSION_KEYS.index(key)]
@@ -67,7 +63,7 @@ class CellPosterior:
 
     def __post_init__(self):
         pmf = np.asarray(self.class_pmf, dtype=np.float64)
-        if np.any(pmf < 0) or abs(float(pmf.sum()) - 1.0) > 1e-9:
+        if not (np.all(pmf >= 0) and abs(float(pmf.sum()) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("class_pmf must be a pmf (nonnegative, sum 1 within 1e-9)")
         if any(v < 0 for v in self.reg_sigma.values()):
             raise ValueError("reg_sigma entries must be nonnegative")
@@ -76,8 +72,7 @@ class CellPosterior:
         object.__setattr__(self, "class_pmf", pmf)
 
     def class_entropy_nats(self) -> float:
-        p = self.class_pmf[self.class_pmf > 1e-15]
-        return float(-(p * np.log(p)).sum())
+        return float(_entropies_nats(self.class_pmf[None])[0])
 
 
 def bayes_risk_ce(posterior_table: JointTable, target: str, given: list[str]) -> float:
@@ -119,7 +114,7 @@ def bayes_risk_centerpoint(cells: list[CellPosterior], params: RiskParams) -> fl
     total = sum(c.class_entropy_nats() for c in cells)
     if params.n_obj_mean > 0 and cells:
         reg = 0.0
-        for key in params.regression_keys:
+        for key in REGRESSION_KEYS:
             missing = [i for i, c in enumerate(cells) if key not in c.reg_sigma]
             if missing:
                 raise KeyError(
@@ -143,8 +138,6 @@ def pragmatic_distortion(
     """
     if task not in ("segmentation", "detection"):
         raise ValueError(f"unknown task {task!r}")
-    for name in ("Y", "X_s", "X_r", "Z"):
-        table_with_z.index(name)  # raises AxisError when missing
     d = (
         conditional_entropy(table_with_z, "Y", ["Z", "X_r"], "nats").value
         - conditional_entropy(table_with_z, "Y", ["X_s", "X_r"], "nats").value
@@ -152,7 +145,7 @@ def pragmatic_distortion(
     if task == "detection":
         if params is None:
             params = RiskParams(loss_family="centerpoint")
-        for key in params.regression_keys:
+        for key in REGRESSION_KEYS:
             h_z = conditional_entropy(table_with_z, key, ["Z", "X_r"], "nats").value
             h_x = conditional_entropy(table_with_z, key, ["X_s", "X_r"], "nats").value
             d += 0.5 * params.lam(key) * (math.exp(h_z - 1.0) - math.exp(h_x - 1.0))
@@ -180,14 +173,10 @@ def mc_ce(
     Draws (target, given) jointly, then scores -log p(target | given); the
     average converges to the conditional entropy.
     """
-    m_axes = [target] + list(given)
-    from .infotheory import marginal  # local import keeps module load cheap
-
-    m = marginal(t, m_axes)
+    m = marginal(t, [target] + list(given))
     flat = m.pmf.ravel()
     draws = rng.choice(flat.size, size=n, p=flat)
     idx = np.unravel_index(draws, m.pmf.shape)
     tgt_dim = m.index(target)
-    given_dims = tuple(i for i in range(m.pmf.ndim) if i != tgt_dim)
     cond = m.pmf / np.maximum(m.pmf.sum(axis=tgt_dim, keepdims=True), 1e-300)
     return float(-np.log(cond[idx]).mean())

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Configs are line-oriented ``[section] key = value`` files; unknown sections
-or keys are rejected so a typo cannot silently change an experiment.  Every
+or keys and repeated keys are rejected so a typo cannot silently change an
+experiment.  Every
 command writes a manifest (config hash, seed, package version) next to its
 outputs, and reruns with the same config and seed produce byte-identical
 files.
@@ -72,6 +73,8 @@ def _parse_lines(text: str) -> dict:
                 raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
         elif key not in _KNOWN_KEYS[current]:
             raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
+        if key in sections[current]:
+            raise ConfigError(f"repeated key '{key}' in section '{current}' (line {lineno})")
         sections[current][key] = value
     return sections
 
@@ -115,11 +118,12 @@ class RunConfig:
     verify_z_max: int = 4
     verify_seed: int = 7
 
-    def __post_init__(self):
-        for key in ("sources", "tables", "mc_draws", "z_max"):
-            value = getattr(self, f"verify_{key}")
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+
+def _count(section: dict, name: str, key: str, default: int) -> int:
+    value = int(section.get(key, default))
+    if value < 1:
+        raise ValueError(f"[{name}] {key} must be at least 1, got {value}")
+    return value
 
 
 def parse_config(path: str) -> RunConfig:
@@ -161,20 +165,26 @@ def parse_config(path: str) -> RunConfig:
     tr = sections.get("train", {})
     try:
         train = pl.TrainConfig(
-            n_base=int(cb.get("n_base", 4)),
-            n_res=int(cb.get("n_res", 64)),
-            kmeans_iters=int(cb.get("iters", 25)),
+            n_base=_count(cb, "codebook", "n_base", 4),
+            n_res=_count(cb, "codebook", "n_res", 64),
+            kmeans_iters=_count(cb, "codebook", "iters", 25),
             codebook_seed=int(cb.get("seed", 101)),
-            disc_steps=int(disc.get("steps", 600)),
+            disc_steps=_count(disc, "discriminator", "steps", 600),
             disc_lr=float(disc.get("lr", 0.3)),
-            disc_hidden=int(disc.get("hidden", 64)),
+            disc_hidden=_count(disc, "discriminator", "hidden", 64),
             disc_seed=int(disc.get("seed", 202)),
-            n_train_worlds=int(tr.get("worlds", 4)),
+            n_train_worlds=_count(tr, "train", "worlds", 4),
             train_seed=int(tr.get("seed", 9000)),
             tau_c_choices=_floats(tr.get("tau_c_choices", "0.2,0.5,0.8")),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid training config: {exc}")
+    if not (math.isfinite(train.disc_lr) and train.disc_lr > 0):
+        raise ConfigError(f"[discriminator] lr must be finite and > 0, got {train.disc_lr}")
+    if not train.tau_c_choices or not all(map(math.isfinite, train.tau_c_choices)):
+        raise ConfigError(
+            f"[train] tau_c_choices must be nonempty and finite, got {train.tau_c_choices}"
+        )
 
     sweep_sec = sections.get("sweep", {})
     try:
@@ -194,14 +204,14 @@ def parse_config(path: str) -> RunConfig:
             world=world,
             train=train,
             sweep=sweep,
-            verify_sources=int(v.get("sources", 50)),
-            verify_tables=int(v.get("tables", 200)),
-            verify_mc_draws=int(v.get("mc_draws", 1_000_000)),
-            verify_z_max=int(v.get("z_max", 4)),
+            verify_sources=_count(v, "verify", "sources", 50),
+            verify_tables=_count(v, "verify", "tables", 200),
+            verify_mc_draws=_count(v, "verify", "mc_draws", 1_000_000),
+            verify_z_max=_count(v, "verify", "z_max", 4),
             verify_seed=int(v.get("seed", 7)),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid [verify] config: {exc}")
+        raise ConfigError(f"invalid verify config: {exc}")
 
 
 def _write_manifest(out: Path, command: str, config_path: str, seed) -> None:
@@ -272,8 +282,14 @@ def cmd_export(results_path: str, out: Path) -> int:
 # --- theory verification -------------------------------------------------
 
 
-def _clipped_distortions(points) -> np.ndarray:
-    return np.maximum([p.distortion_nats for p in points], 0.0)
+def _random_frontiers(cfg: RunConfig, rng: np.random.Generator, n: int):
+    """Yields (frontier points, their bounds) for n random sources drawn from rng."""
+    for _ in range(n):
+        sizes = [int(s) for s in rng.integers(2, 5, size=3)]
+        t = it.random_joint(list(zip(("Y", "X_s", "X_r"), sizes)), rng)
+        points = rd.enumerate_frontier(t, min(sizes[1], cfg.verify_z_max))
+        distortions = np.maximum([p.distortion_nats for p in points], 0.0)
+        yield points, rd.theoretical_bound(t, distortions)
 
 
 def _verify_checks(cfg: RunConfig):
@@ -320,16 +336,8 @@ def _verify_checks(cfg: RunConfig):
     yield "data_processing_inequality", worst, 1e-10, worst <= 1e-10
 
     min_margin = np.inf
-    for _ in range(cfg.verify_sources):
-        sizes = rng.integers(2, 5, size=3)
-        t = it.random_joint(
-            [("Y", int(sizes[0])), ("X_s", int(sizes[1])), ("X_r", int(sizes[2]))],
-            rng,
-        )
-        z = int(min(sizes[1], cfg.verify_z_max))
-        points = rd.enumerate_frontier(t, z)
+    for points, bounds in _random_frontiers(cfg, rng, cfg.verify_sources):
         rates = np.array([p.rate_bits for p in points])
-        bounds = rd.theoretical_bound(t, _clipped_distortions(points))
         min_margin = min(min_margin, float((rates - bounds).min()))
     yield "bound_soundness", min_margin, -1e-9, min_margin >= -1e-9
 
@@ -404,15 +412,8 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
 
     rng = np.random.default_rng(cfg.verify_seed)
     rows = []
-    for src_id in range(min(cfg.verify_sources, 10)):
-        sizes = rng.integers(2, 5, size=3)
-        t = it.random_joint(
-            [("Y", int(sizes[0])), ("X_s", int(sizes[1])), ("X_r", int(sizes[2]))],
-            rng,
-        )
-        z = int(min(sizes[1], cfg.verify_z_max))
-        points = rd.enumerate_frontier(t, z)
-        bounds = rd.theoretical_bound(t, _clipped_distortions(points))
+    frontiers = _random_frontiers(cfg, rng, min(cfg.verify_sources, 10))
+    for src_id, (points, bounds) in enumerate(frontiers):
         for p, bound in zip(points, bounds.tolist()):
             rows.append((
                 f"src{src_id}", p.encoder_id, p.rate_bits, p.distortion_nats,

@@ -66,10 +66,10 @@ class JointTable:
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != tuple(s for _, s in axes):
             raise ValueError(f"pmf shape {pmf.shape} does not match axes {axes}")
-        if np.any(pmf < 0):
+        if not np.all(pmf >= 0):  # NaN fails too
             raise ValueError("pmf entries must be nonnegative")
         total = float(pmf.sum())
-        if abs(total - 1.0) > _PMF_TOL:
+        if not abs(total - 1.0) <= _PMF_TOL:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within {_PMF_TOL}")
         pmf = pmf.copy()
         pmf.setflags(write=False)
@@ -90,81 +90,82 @@ class JointTable:
         raise AxisError(f"unknown axis {name!r}; table has {list(self.names)}")
 
 
-def marginal(t: JointTable, names: list[str] | tuple[str, ...]) -> JointTable:
-    """Marginalize onto ``names`` (kept in the table's own axis order)."""
-    keep = set(names)
+def _marginal_pmf(t: JointTable, names: list[str] | tuple[str, ...]) -> np.ndarray:
+    """The pmf of the ``names`` marginal, axes in the table's own order."""
     for n in names:
         t.index(n)  # raises AxisError on unknown names
-    drop = tuple(i for i, (n, _) in enumerate(t.axes) if n not in keep)
-    pmf = t.pmf.sum(axis=drop) if drop else t.pmf
-    axes = tuple(a for a in t.axes if a[0] in keep)
-    return JointTable(axes, pmf)
+    drop = tuple(i for i, (n, _) in enumerate(t.axes) if n not in names)
+    return t.pmf.sum(axis=drop) if drop else t.pmf
 
 
-def _plain_entropy(pmf: np.ndarray, base: str) -> float:
-    p = np.asarray(pmf, dtype=np.float64).ravel()
-    p = p[p > _ZERO_ATOM]
-    h = float(-(p * np.log(p)).sum()) if p.size else 0.0
-    return h / LN2 if base == "bits" else h
+def marginal(t: JointTable, names: list[str] | tuple[str, ...]) -> JointTable:
+    """Marginalize onto ``names`` (kept in the table's own axis order)."""
+    return JointTable(tuple(a for a in t.axes if a[0] in names), _marginal_pmf(t, names))
 
 
-def _check_base(base: str) -> None:
+def _entropies_nats(p: np.ndarray) -> np.ndarray:
+    """H(p[e]) in nats for each leading index e; atoms <= 1e-15 count as zero.
+
+    The package's one entropy kernel: every entropy is computed here.  The
+    result is never -0.0.
+    """
+    log_p = np.zeros_like(p)
+    np.log(p, out=log_p, where=p > _ZERO_ATOM)
+    return 0.0 - (p * log_p).reshape(len(p), -1).sum(axis=1)
+
+
+def _entropy_in(t: JointTable, base: str):
+    """h(*names): entropy of the names' joint marginal in ``base``, 0.0 for no names.
+
+    The scalar quantities below are plain-float compositions of h.
+    """
     if base not in ("bits", "nats"):
         raise ValueError(f"base must be 'bits' or 'nats', got {base!r}")
+    unit = LN2 if base == "bits" else 1.0
+
+    def h(*names: str) -> float:
+        if not names:
+            return 0.0
+        return float(_entropies_nats(_marginal_pmf(t, names)[None])[0]) / unit
+
+    return h
 
 
 def entropy(t: JointTable, axis: str, base: str = "bits") -> InfoQuantity:
     """Shannon entropy H(axis) of one marginal."""
-    _check_base(base)
-    m = marginal(t, [axis])
-    return InfoQuantity(_plain_entropy(m.pmf, base), base)
+    return InfoQuantity(_entropy_in(t, base)(axis), base)
 
 
 def joint_entropy(t: JointTable, names: list[str], base: str = "bits") -> InfoQuantity:
-    _check_base(base)
-    m = marginal(t, names)
-    return InfoQuantity(_plain_entropy(m.pmf, base), base)
+    return InfoQuantity(_entropy_in(t, base)(*names), base)
 
 
 def conditional_entropy(
     t: JointTable, target: str, given: list[str], base: str = "bits"
 ) -> InfoQuantity:
     """H(target | given) = H(target, given) - H(given)."""
-    _check_base(base)
-    given = list(given)
+    h = _entropy_in(t, base)
     if target in given:
         raise AxisError(f"target {target!r} also appears in given {given}")
-    if not given:
-        return entropy(t, target, base)
-    h_tg = joint_entropy(t, [target] + given, base).value
-    h_g = joint_entropy(t, given, base).value
-    return InfoQuantity(h_tg - h_g, base)
+    return InfoQuantity(h(target, *given) - h(*given), base)
 
 
 def mutual_information(t: JointTable, a: str, b: str, base: str = "bits") -> InfoQuantity:
     """I(a; b) = H(a) + H(b) - H(a, b)."""
-    _check_base(base)
+    h = _entropy_in(t, base)
     if a == b:
         raise AxisError(f"mutual information needs two distinct axes, got {a!r} twice")
-    v = (
-        entropy(t, a, base).value
-        + entropy(t, b, base).value
-        - joint_entropy(t, [a, b], base).value
-    )
-    return InfoQuantity(v, base)
+    return InfoQuantity(h(a) + h(b) - h(a, b), base)
 
 
 def conditional_mi(
     t: JointTable, a: str, b: str, given: list[str], base: str = "bits"
 ) -> InfoQuantity:
     """I(a; b | given) = H(a | given) - H(a | b, given)."""
-    _check_base(base)
-    given = list(given)
+    h = _entropy_in(t, base)
     if a == b or a in given or b in given:
         raise AxisError(f"axes must be distinct: a={a!r} b={b!r} given={given}")
-    h1 = conditional_entropy(t, a, given, base).value
-    h2 = conditional_entropy(t, a, [b] + given, base).value
-    return InfoQuantity(h1 - h2, base)
+    return InfoQuantity((h(a, *given) - h(*given)) - (h(a, b, *given) - h(b, *given)), base)
 
 
 def interaction_information(
@@ -175,9 +176,11 @@ def interaction_information(
     Positive values mean redundancy, negative values synergy (an XOR triple
     gives -1 bit).
     """
-    _check_base(base)
-    v = mutual_information(t, a, b, base).value - conditional_mi(t, a, b, [c], base).value
-    return InfoQuantity(v, base)
+    h = _entropy_in(t, base)
+    if len({a, b, c}) < 3:
+        raise AxisError(f"axes must be distinct: a={a!r} b={b!r} c={c!r}")
+    i_ab = h(a) + h(b) - h(a, b)
+    return InfoQuantity(i_ab - ((h(a, c) - h(c)) - (h(a, b, c) - h(b, c))), base)
 
 
 def plugin_from_samples(
@@ -216,7 +219,7 @@ def extend_with_channel(
     s_size = t.axes[idx][1]
     if kernel.ndim != 2 or kernel.shape[0] != s_size:
         raise ValueError(f"kernel must be ({s_size}, z) shaped, got {kernel.shape}")
-    if np.any(kernel < 0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > _PMF_TOL):
+    if not (np.all(kernel >= 0) and np.all(np.abs(kernel.sum(axis=1) - 1.0) <= _PMF_TOL)):
         raise ValueError("kernel rows must be pmfs summing to 1")
     shape = [1] * t.pmf.ndim + [kernel.shape[1]]
     shape[idx] = s_size

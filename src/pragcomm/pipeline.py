@@ -30,6 +30,7 @@ from . import mi_estimator as mie
 from . import rd_oracle as rd
 from . import simworld as sw
 from . import textio, vq
+from .infotheory import _entropies_nats
 
 CODERS = ("task_entropy", "occurrence", "fixed")
 SELECTORS = ("mi", "confidence_only", "none")
@@ -192,8 +193,8 @@ def build_codes(
 
 
 def _mean_entropy_nats(post: np.ndarray) -> float:
-    safe = np.clip(post, 1e-15, 1.0)
-    return float(-(post * np.log(safe)).sum(axis=2).mean())
+    """Mean per-cell entropy of an (h, w, classes) posterior."""
+    return float(_entropies_nats(post.reshape(-1, post.shape[-1])).mean())
 
 
 def _trust(cfg, s: int, r: int) -> float:

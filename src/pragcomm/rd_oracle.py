@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infotheory import (
-    _ZERO_ATOM,
     LN2,
     JointTable,
+    _entropies_nats,
     conditional_entropy,
     conditional_mi,
     entropy,
@@ -53,9 +53,9 @@ class EncoderSpec:
                 raise ValueError("deterministic map must be a 1-D symbol table")
         elif self.kind == "stochastic":
             tbl = tbl.astype(np.float64)
-            if tbl.ndim != 2 or np.any(tbl < 0):
+            if tbl.ndim != 2 or not np.all(tbl >= 0):  # NaN fails too
                 raise ValueError("stochastic encoder must be a 2-D matrix")
-            if np.any(np.abs(tbl.sum(axis=1) - 1.0) > 1e-12):
+            if not np.all(np.abs(tbl.sum(axis=1) - 1.0) <= 1e-12):
                 raise ValueError("stochastic encoder rows must sum to 1 within 1e-12")
         else:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
@@ -89,25 +89,16 @@ class RDPoint:
     pareto: bool = False
 
 
-def attach_encoder(
-    source: JointTable, enc: EncoderSpec, z_name: str = "Z", xs: str = "X_s"
-) -> JointTable:
+def attach_encoder(source: JointTable, enc: EncoderSpec) -> JointTable:
     """Composite table p(..., Z) with Z generated from X_s by the encoder."""
-    n_source = source.size(xs)
     if enc.kind == "stochastic":
         n_z = enc.table.shape[1]
     else:
         n_z = int(enc.table.max()) + 1
-    return extend_with_channel(source, xs, z_name, enc.kernel(n_source, n_z))
+    return extend_with_channel(source, "X_s", "Z", enc.kernel(source.size("X_s"), n_z))
 
 
-def theoretical_bound(
-    source: JointTable,
-    delta_nats: float | np.ndarray,
-    y: str = "Y",
-    xs: str = "X_s",
-    xr: str = "X_r",
-) -> float | np.ndarray:
+def theoretical_bound(source: JointTable, delta_nats: float | np.ndarray) -> float | np.ndarray:
     """Lower bound on the rate in bits: max(0, I(Y; X_s | X_r) - delta).
 
     ``delta_nats`` may be an array; the result is then the array of bounds,
@@ -116,21 +107,12 @@ def theoretical_bound(
     delta = np.asarray(delta_nats, dtype=np.float64)
     if np.any(delta < 0):
         raise ValueError("delta must be >= 0")
-    i_bits = conditional_mi(source, y, xs, [xr], "bits").value
+    i_bits = conditional_mi(source, "Y", "X_s", ["X_r"], "bits").value
     bound = np.maximum(0.0, i_bits - delta / LN2)
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _entropies_nats(p: np.ndarray) -> np.ndarray:
-    """H(p[e]) in nats for each leading index e, with infotheory's zero-atom cut."""
-    log_p = np.zeros_like(p)
-    np.log(p, out=log_p, where=p > _ZERO_ATOM)
-    return 0.0 - (p * log_p).reshape(len(p), -1).sum(axis=1)  # never -0.0
-
-
-def enumerate_frontier(
-    source: JointTable, z_alphabet_size: int, task: str = "segmentation"
-) -> list[RDPoint]:
+def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint]:
     """One RDPoint per deterministic encoder X_s -> Z, Pareto subset flagged.
 
     Encoder ``e`` is the ``e``-th mapping of ``itertools.product(range(|Z|),
@@ -138,8 +120,6 @@ def enumerate_frontier(
     p(e, y, z, x_r).  Guarded to stay within z_alphabet_size ** |X_s| <= 46656
     enumerations (|X_s| <= 6 and z alphabet no larger than |X_s|).
     """
-    if task != "segmentation":
-        raise ValueError("the frontier is enumerated for the segmentation distortion")
     n_source = source.size("X_s")
     if n_source > MAX_SOURCE_ALPHABET:
         raise ValueError(

@@ -167,6 +167,10 @@ class TestCenterpointRisk:
             expected += 2.5 * SQRT_2_OVER_PI * lam * sig
         assert bayes_risk_centerpoint(cells, params) == pytest.approx(expected, abs=1e-12)
 
+    def test_nan_class_pmf_rejected(self):
+        with pytest.raises(ValueError, match="pmf"):
+            CellPosterior(np.array([np.nan, 1.0]))
+
     def test_missing_regression_key(self):
         cells = [CellPosterior(class_pmf=np.array([1.0, 0.0]), reg_sigma={"loc": 1.0})]
         with pytest.raises(KeyError, match="size"):

@@ -119,11 +119,58 @@ class TestConfigParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[sweep]\nseeds = 1,2\nseeds = 3\n", 3),
+            ("[sweep]\nseeds = 1,2\n[world]\nh = 8\n[sweep]\nseeds = 3\n", 6),
+        ],
+    )
+    def test_repeated_key_rejected(self, text, line, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(
+            ConfigError, match=rf"repeated key 'seeds' in section 'sweep' \(line {line}\)"
+        ):
+            parse_config(str(path))
+
     def test_missing_config_file(self, tmp_path):
         code = main(
             ["gen-world", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("hidden = 0", "[discriminator] hidden"),
+            ("steps = -3", "[discriminator] steps"),
+            ("lr = 0", "[discriminator] lr"),
+            ("lr = nan", "[discriminator] lr"),
+            ("lr = inf", "[discriminator] lr"),
+            ("iters = -2", "[codebook] iters"),
+            ("n_base = 0", "[codebook] n_base"),
+            ("n_res = 0", "[codebook] n_res"),
+            ("worlds = 0", "[train] worlds"),
+            ("tau_c_choices =", "[train] tau_c_choices"),
+            ("tau_c_choices = 0.3,nan", "[train] tau_c_choices"),
+        ],
+    )
+    def test_bad_training_value_is_usage_error(self, line, key, tmp_path, capsys):
+        name = line.split()[0]
+        text = "\n".join(
+            line if row.startswith(name + " ") else row for row in FAST_CFG.splitlines()
+        )
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "train"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (out / "codebook.txt").exists()
 
 
 class TestGenWorld:

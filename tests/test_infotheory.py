@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragcomm.infotheory import (
     LN2,
     AxisError,
     JointTable,
+    _entropies_nats,
     conditional_entropy,
     conditional_mi,
     entropy,
@@ -55,6 +58,10 @@ class TestJointTable:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             JointTable((("A", 3),), np.array([0.5, 0.5]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointTable((("A", 2),), np.array([np.nan, 1.0]))
 
     def test_pmf_is_immutable(self):
         t = JointTable((("A", 2),), np.array([0.5, 0.5]))
@@ -259,6 +266,11 @@ class TestExtendWithChannel:
         with pytest.raises(ValueError, match="pmfs"):
             extend_with_channel(t, "X_s", "Z", np.array([[0.5, 0.4], [1.0, 0.0]]))
 
+    def test_rejects_nan_kernel_row(self):
+        t = JointTable((("X", 2),), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="pmfs"):
+            extend_with_channel(t, "X", "Z", np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     def test_rejects_existing_name(self):
         t = xor_triple()
         with pytest.raises(AxisError):
@@ -270,3 +282,71 @@ class TestTextFormat:
         t = JointTable((("A", 2),), np.array([0.5, 0.5]))
         with pytest.raises(AxisError):
             marginal(t, ["Q"])
+
+
+# atoms on both sides of the 1e-15 zero-atom cut, exact zeros included
+_atoms = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-15),
+    st.floats(min_value=2e-15, max_value=1.0),
+)
+
+
+class TestEntropyKernel:
+    @given(st.lists(_atoms, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_with_tiny_atoms_as_zero(self, atoms):
+        p = np.array(atoms)
+        h = _entropies_nats(p[None])[0]
+        assert h == _entropies_nats(np.where(p > 1e-15, p, 0.0)[None])[0]
+        closed = -math.fsum(a * math.log(a) for a in atoms if a > 1e-15)
+        assert h == pytest.approx(closed, rel=1e-12, abs=1e-15)
+
+    def test_rows_are_independent_entropies(self):
+        rows = np.random.default_rng(4).dirichlet(np.ones(6), size=5)
+        batched = _entropies_nats(rows)
+        assert batched.tolist() == [_entropies_nats(r[None])[0] for r in rows]
+
+    def test_point_mass_gives_positive_zero(self):
+        t = JointTable((("A", 3), ("B", 2)), np.array([[0, 0], [1.0, 0], [0, 0]]))
+        for value in (
+            entropy(t, "A").value,
+            joint_entropy(t, ["A", "B"], "nats").value,
+            _entropies_nats(np.array([[1.0]]))[0],
+        ):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_conditioning_on_nothing_is_plain_entropy(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            t = random_joint([("A", 4), ("B", 3)], rng)
+            for base in ("bits", "nats"):
+                assert conditional_entropy(t, "A", [], base) == entropy(t, "A", base)
+
+    def test_scalar_quantities_build_no_tables(self, monkeypatch):
+        t = random_joint([("A", 3), ("B", 2), ("C", 2)], np.random.default_rng(2))
+        built = []
+        validate = JointTable.__post_init__
+
+        def counting(self):
+            built.append(self.axes)
+            validate(self)
+
+        monkeypatch.setattr(JointTable, "__post_init__", counting)
+        entropy(t, "A")
+        joint_entropy(t, ["A", "C"])
+        conditional_entropy(t, "A", ["B", "C"])
+        mutual_information(t, "A", "B")
+        conditional_mi(t, "A", "B", ["C"])
+        interaction_information(t, "A", "B", "C")
+        assert built == []
+        marginal(t, ["A"])  # the public marginal still returns a validated table
+        assert built == [(("A", 3),)]
+
+    def test_interaction_information_rejects_repeated_axis(self):
+        with pytest.raises(AxisError):
+            interaction_information(xor_triple(), "Y", "X_s", "Y")
+
+    def test_unknown_base_rejected(self):
+        with pytest.raises(ValueError, match="base"):
+            conditional_mi(xor_triple(), "Y", "X_s", ["X_r"], "trits")

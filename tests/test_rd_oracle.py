@@ -47,6 +47,10 @@ class TestEncoderSpec:
         with pytest.raises(ValueError, match="sum to 1"):
             EncoderSpec("stochastic", np.array([[0.5, 0.4], [1.0, 0.0]]))
 
+    def test_rejects_nan_stochastic_entry(self):
+        with pytest.raises(ValueError):
+            EncoderSpec("stochastic", np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             EncoderSpec("magic", np.array([0, 1]))
