@@ -69,7 +69,7 @@ def _parse_lines(text: str) -> dict:
             raise ConfigError(f"malformed line {lineno}: {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("fov_"):
-            if current != "world" or not key[4:].isdigit():
+            if current != "world" or not key[4:].isdecimal():
                 raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
         elif key not in _KNOWN_KEYS[current]:
             raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
@@ -79,15 +79,26 @@ def _parse_lines(text: str) -> dict:
     return sections
 
 
-def _floats(value: str) -> tuple:
-    return tuple(float(x) for x in value.split(",") if x.strip())
+def _number(text, kind, name: str, key: str):
+    """``kind(text)`` for ``kind`` int or float; a ConfigError naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{name}] {key}: expected {expected}, got {text.strip()!r}") from None
 
 
-def _ints(value: str) -> tuple:
-    return tuple(int(x) for x in value.split(",") if x.strip())
+def _value(section: dict, name: str, key: str, default, kind=int):
+    return _number(section[key], kind, name, key) if key in section else default
 
 
-def _parse_fov(value: str) -> tuple:
+def _numbers(section: dict, name: str, key: str, default: str, kind=float) -> tuple:
+    """The comma-separated list ``section[key]`` (``default`` if absent)."""
+    value = section.get(key, default)
+    return tuple(_number(x, kind, name, key) for x in value.split(",") if x.strip())
+
+
+def _parse_fov(value: str, key: str) -> tuple:
     shapes = []
     for part in value.split(";"):
         toks = part.split()
@@ -97,9 +108,9 @@ def _parse_fov(value: str) -> tuple:
         if kind == "full":
             shapes.append("full")
         elif kind == "rect":
-            shapes.append(("rect", *(int(t) for t in toks[1:5])))
+            shapes.append(("rect", *(_number(t, int, "world", key) for t in toks[1:5])))
         elif kind == "sector":
-            shapes.append(("sector", *(float(t) for t in toks[1:6])))
+            shapes.append(("sector", *(_number(t, float, "world", key) for t in toks[1:6])))
         else:
             raise ConfigError(f"unknown fov shape '{kind}'")
     if not shapes:
@@ -120,7 +131,7 @@ class RunConfig:
 
 
 def _count(section: dict, name: str, key: str, default: int) -> int:
-    value = int(section.get(key, default))
+    value = _value(section, name, key, default)
     if value < 1:
         raise ValueError(f"[{name}] {key} must be at least 1, got {value}")
     return value
@@ -134,28 +145,28 @@ def parse_config(path: str) -> RunConfig:
     sections = _parse_lines(text)
 
     w = sections.get("world", {})
-    n_agents = int(w.get("agents", 2))
+    n_agents = _value(w, "world", "agents", 2)
     fovs = []
     for a in range(n_agents):
         key = f"fov_{a}"
-        fovs.append(_parse_fov(w[key]) if key in w else ("full",))
+        fovs.append(_parse_fov(w[key], key) if key in w else ("full",))
     extra_fovs = [k for k in w if k.startswith("fov_") and int(k[4:]) >= n_agents]
     if extra_fovs:
         raise ConfigError(f"unknown key '{extra_fovs[0]}' in section 'world'")
-    noise_vals = _floats(w.get("noise", "0.05"))
+    noise_vals = _numbers(w, "world", "noise", "0.05")
     noise = noise_vals[0] if len(noise_vals) == 1 else tuple(noise_vals)
     try:
         world = sw.WorldConfig(
-            h=int(w.get("h", 32)),
-            w=int(w.get("w", 32)),
-            n_classes=int(w.get("classes", 4)),
+            h=_value(w, "world", "h", 32),
+            w=_value(w, "world", "w", 32),
+            n_classes=_value(w, "world", "classes", 4),
             n_agents=n_agents,
             fovs=tuple(fovs),
             noise=noise,
-            density=float(w.get("density", 0.5)),
-            rect_min=int(w.get("rect_min", 3)),
-            rect_max=int(w.get("rect_max", 7)),
-            seed=int(w.get("seed", 0)),
+            density=_value(w, "world", "density", 0.5, float),
+            rect_min=_value(w, "world", "rect_min", 3),
+            rect_max=_value(w, "world", "rect_max", 7),
+            seed=_value(w, "world", "seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [world] config: {exc}")
@@ -168,14 +179,14 @@ def parse_config(path: str) -> RunConfig:
             n_base=_count(cb, "codebook", "n_base", 4),
             n_res=_count(cb, "codebook", "n_res", 64),
             kmeans_iters=_count(cb, "codebook", "iters", 25),
-            codebook_seed=int(cb.get("seed", 101)),
+            codebook_seed=_value(cb, "codebook", "seed", 101),
             disc_steps=_count(disc, "discriminator", "steps", 600),
-            disc_lr=float(disc.get("lr", 0.3)),
+            disc_lr=_value(disc, "discriminator", "lr", 0.3, float),
             disc_hidden=_count(disc, "discriminator", "hidden", 64),
-            disc_seed=int(disc.get("seed", 202)),
+            disc_seed=_value(disc, "discriminator", "seed", 202),
             n_train_worlds=_count(tr, "train", "worlds", 4),
-            train_seed=int(tr.get("seed", 9000)),
-            tau_c_choices=_floats(tr.get("tau_c_choices", "0.2,0.5,0.8")),
+            train_seed=_value(tr, "train", "seed", 9000),
+            tau_c_choices=_numbers(tr, "train", "tau_c_choices", "0.2,0.5,0.8"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid training config: {exc}")
@@ -189,9 +200,9 @@ def parse_config(path: str) -> RunConfig:
     sweep_sec = sections.get("sweep", {})
     try:
         sweep = pl.SweepConfig(
-            tau_c_grid=_floats(sweep_sec.get("tau_c", "0.3,0.9")),
-            tau_mi_grid=_floats(sweep_sec.get("tau_mi", "0.0,1.0,inf")),
-            seeds=_ints(sweep_sec.get("seeds", "1,2,3")),
+            tau_c_grid=_numbers(sweep_sec, "sweep", "tau_c", "0.3,0.9"),
+            tau_mi_grid=_numbers(sweep_sec, "sweep", "tau_mi", "0.0,1.0,inf"),
+            seeds=_numbers(sweep_sec, "sweep", "seeds", "1,2,3", int),
             coder=sweep_sec.get("coder", "task_entropy"),
             selector=sweep_sec.get("selector", "mi"),
         )
@@ -208,7 +219,7 @@ def parse_config(path: str) -> RunConfig:
             verify_tables=_count(v, "verify", "tables", 200),
             verify_mc_draws=_count(v, "verify", "mc_draws", 1_000_000),
             verify_z_max=_count(v, "verify", "z_max", 4),
-            verify_seed=int(v.get("seed", 7)),
+            verify_seed=_value(v, "verify", "seed", 7),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid verify config: {exc}")

@@ -118,17 +118,22 @@ def init_discriminator(
     return Discriminator(weights)
 
 
-def _forward(d: Discriminator, x: np.ndarray):
-    """Returns (scores, activation stack for backprop)."""
-    acts = [np.asarray(x, dtype=np.float64)]
-    pre = []
-    a = acts[0]
-    for i, (w, b) in enumerate(d.weights):
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < len(d.weights) - 1 else z
-        acts.append(a)
-    return acts[-1][:, 0], (acts, pre)
+def _forward(d: Discriminator, x: np.ndarray, out=None):
+    """Returns (scores, each layer's input for backprop).
+
+    Layer i writes its output into ``out[i]`` (fresh arrays when ``out`` is
+    None); hidden layers apply the ReLU in place.
+    """
+    a = x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = [np.empty((len(x), w.shape[0])) for w, _ in d.weights]
+    for i, ((w, b), z) in enumerate(zip(d.weights, out)):
+        np.matmul(a, w.T, out=z)
+        np.add(z, b, out=z)
+        if i < len(d.weights) - 1:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    return a[:, 0], [x] + out[:-1]
 
 
 def score(d: Discriminator, x: np.ndarray) -> np.ndarray:
@@ -136,15 +141,23 @@ def score(d: Discriminator, x: np.ndarray) -> np.ndarray:
     return _forward(d, x)[0]
 
 
-def _backward(d: Discriminator, cache, dscore: np.ndarray):
-    acts, pre = cache
+def _backward(d: Discriminator, acts, dscore: np.ndarray, masks):
+    """Parameter gradients; overwrites each hidden activation with its delta.
+
+    The ReLU mask ``act > 0`` equals ``pre > 0``; it is written into the
+    bool buffer ``masks[i]`` of hidden layer i.
+    """
     grads = [None] * len(d.weights)
     delta = dscore[:, None]
     for i in range(len(d.weights) - 1, -1, -1):
         w, _ = d.weights[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        a = acts[i]
+        grads[i] = (delta.T @ a, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ w) * (pre[i - 1] > 0)
+            np.greater(a, 0.0, out=masks[i - 1])
+            np.matmul(delta, w, out=a)
+            np.multiply(a, masks[i - 1], out=a)
+            delta = a
     return grads
 
 
@@ -161,40 +174,50 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss_terms(d: Discriminator, batch: PairBatch):
-    """Weighted loss, its gradient w.r.t. each score, and the forward cache.
-
-    Joint and marginal rows go through one stacked forward pass.
+def _workspace(d: Discriminator, batch: PairBatch):
+    """What every step on ``batch`` reuses: the joint and marginal rows
+    stacked for one forward pass, each side's weights normalized to sum to
+    one, an output buffer per layer and a ReLU mask buffer per hidden layer.
     """
-    n_j = len(batch.joint_pairs)
-    t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
-    tj, tm = t[:n_j], t[n_j:]
+    rows = np.concatenate([batch.joint_pairs, batch.marginal_pairs])
     pj = batch.joint_weights / batch.joint_weights.sum()
     pm = batch.marginal_weights / batch.marginal_weights.sum()
+    out = [np.empty((len(rows), w.shape[0])) for w, _ in d.weights]
+    masks = [np.empty(z.shape, dtype=bool) for z in out[:-1]]
+    return rows, pj, pm, out, masks
+
+
+def _loss_terms(d: Discriminator, work):
+    """Weighted loss, its gradient w.r.t. each score, and the layer inputs."""
+    rows, pj, pm, out, _ = work
+    t, acts = _forward(d, rows, out)
+    tj, tm = t[: len(pj)], t[len(pj) :]
     loss = float(pj @ _softplus(-tj) + pm @ _softplus(tm))
     dscore = np.concatenate([-pj * _sigmoid(-tj), pm * _sigmoid(tm)])
-    return loss, dscore, cache
+    return loss, dscore, acts
 
 
-def loss_and_grads(d: Discriminator, batch: PairBatch):
+def loss_and_grads(d: Discriminator, batch: PairBatch, _work=None):
     """Binary discrimination loss and its parameter gradients.
 
     loss = -sum_j p_j log sigmoid(T_j) - sum_m p_m log(1 - sigmoid(T_m)),
     where p are each side's weights normalized to sum to one (plain means
     for unit weights); at T = 0 everywhere this equals 2 ln 2.  One
-    backward pass over the stacked rows gives the gradients.
+    backward pass over the stacked rows gives the gradients, which are
+    fresh arrays even when ``_work`` (``train``'s workspace) is reused.
     """
-    loss, dscore, cache = _loss_terms(d, batch)
-    return loss, _backward(d, cache, dscore)
+    work = _workspace(d, batch) if _work is None else _work
+    loss, dscore, acts = _loss_terms(d, work)
+    return loss, _backward(d, acts, dscore, work[-1])
 
 
 def train_step(
-    d: Discriminator, batch: PairBatch, lr: float
+    d: Discriminator, batch: PairBatch, lr: float, _work=None
 ) -> tuple[Discriminator, float]:
     """One full-batch gradient step; returns the loss before the step."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    loss, grads = loss_and_grads(d, batch)
+    loss, grads = loss_and_grads(d, batch, _work)
     new_weights = []
     for (w, b), (gw, gb) in zip(d.weights, grads):
         nw = w - lr * gw
@@ -212,11 +235,12 @@ def train(
     d: Discriminator, batch: PairBatch, steps: int, lr: float
 ) -> tuple[Discriminator, list[float]]:
     losses = []
+    work = _workspace(d, batch)  # allocated once, overwritten by every step
     # a diverging run overflows on its way to the non-finite update that
     # train_step reports as RuntimeError; the warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            d, loss = train_step(d, batch, lr)
+            d, loss = train_step(d, batch, lr, _work=work)
             losses.append(loss)
     return d, losses
 
@@ -228,7 +252,7 @@ def mi_lower_bound(d: Discriminator, batch: PairBatch) -> float:
     product of marginals at the optimal scorer; a lower-bound-style score,
     not an unbiased mutual-information estimate.
     """
-    return float(TWO_LN2 - _loss_terms(d, batch)[0])
+    return float(TWO_LN2 - _loss_terms(d, _workspace(d, batch))[0])
 
 
 def mi_score(d: Discriminator, batch: PairBatch) -> float:

@@ -48,6 +48,11 @@ class EncoderSpec:
     def __post_init__(self):
         tbl = np.asarray(self.table)
         if self.kind == "deterministic":
+            if tbl.dtype.kind not in "biu":
+                tbl = tbl.astype(np.float64)
+                # NaN and infinities fail the range test, fractions the rounding
+                if not np.all((np.abs(tbl) < 2.0**63) & (tbl == np.round(tbl))):
+                    raise ValueError("deterministic map entries must be finite whole numbers")
             tbl = tbl.astype(np.int64)
             if tbl.ndim != 1 or np.any(tbl < 0):
                 raise ValueError("deterministic map must be a 1-D symbol table")

@@ -1,0 +1,75 @@
+"""The allocating discriminator step as it was before the in-place rewrite.
+
+Kept as a test oracle: ``pragcomm.mi_estimator.train`` must give the same
+losses and weights, compared with ``==``, as ``train`` below.  Every layer
+allocates fresh pre-activation, activation and delta arrays, and the joint
+and marginal rows are stacked and their weights normalized on every step.
+It shares the ``Discriminator`` and ``PairBatch`` types and the softplus and
+sigmoid helpers with the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pragcomm.mi_estimator import Discriminator, PairBatch, _sigmoid, _softplus
+
+
+def _forward(d: Discriminator, x: np.ndarray):
+    acts = [np.asarray(x, dtype=np.float64)]
+    pre = []
+    a = acts[0]
+    for i, (w, b) in enumerate(d.weights):
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < len(d.weights) - 1 else z
+        acts.append(a)
+    return acts[-1][:, 0], (acts, pre)
+
+
+def _backward(d: Discriminator, cache, dscore: np.ndarray):
+    acts, pre = cache
+    grads = [None] * len(d.weights)
+    delta = dscore[:, None]
+    for i in range(len(d.weights) - 1, -1, -1):
+        w, _ = d.weights[i]
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ w) * (pre[i - 1] > 0)
+    return grads
+
+
+def loss_and_grads(d: Discriminator, batch: PairBatch):
+    n_j = len(batch.joint_pairs)
+    t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
+    tj, tm = t[:n_j], t[n_j:]
+    pj = batch.joint_weights / batch.joint_weights.sum()
+    pm = batch.marginal_weights / batch.marginal_weights.sum()
+    loss = float(pj @ _softplus(-tj) + pm @ _softplus(tm))
+    dscore = np.concatenate([-pj * _sigmoid(-tj), pm * _sigmoid(tm)])
+    return loss, _backward(d, cache, dscore)
+
+
+def train_step(
+    d: Discriminator, batch: PairBatch, lr: float
+) -> tuple[Discriminator, float]:
+    loss, grads = loss_and_grads(d, batch)
+    new_weights = []
+    for (w, b), (gw, gb) in zip(d.weights, grads):
+        nw = w - lr * gw
+        nb = b - lr * gb
+        if not (np.all(np.isfinite(nw)) and np.all(np.isfinite(nb))):
+            raise RuntimeError("non-finite parameters after update")
+        new_weights.append((nw, nb))
+    return Discriminator(new_weights), loss
+
+
+def train(
+    d: Discriminator, batch: PairBatch, steps: int, lr: float
+) -> tuple[Discriminator, list[float]]:
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            d, loss = train_step(d, batch, lr)
+            losses.append(loss)
+    return d, losses

@@ -134,6 +134,45 @@ class TestConfigParsing:
         ):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("world", "h = abc", "[world] h: expected an integer, got 'abc'"),
+            ("world", "agents = two", "[world] agents: expected an integer, got 'two'"),
+            ("world", "density = high", "[world] density: expected a number, got 'high'"),
+            ("world", "noise = 0.05,abc", "[world] noise: expected a number, got 'abc'"),
+            ("world", "fov_0 = rect 0 x 16 13", "[world] fov_0: expected an integer, got 'x'"),
+            ("world", "fov_1 = sector 8 8 a 0 90",
+             "[world] fov_1: expected a number, got 'a'"),
+            ("codebook", "n_base = 2.5", "[codebook] n_base: expected an integer, got '2.5'"),
+            ("codebook", "seed = x", "[codebook] seed: expected an integer, got 'x'"),
+            ("discriminator", "steps = abc",
+             "[discriminator] steps: expected an integer, got 'abc'"),
+            ("discriminator", "lr = fast", "[discriminator] lr: expected a number, got 'fast'"),
+            ("train", "seed = 9e3", "[train] seed: expected an integer, got '9e3'"),
+            ("train", "tau_c_choices = 0.2,x",
+             "[train] tau_c_choices: expected a number, got 'x'"),
+            ("sweep", "seeds = 1,two", "[sweep] seeds: expected an integer, got 'two'"),
+            ("sweep", "tau_mi = 0.0,big", "[sweep] tau_mi: expected a number, got 'big'"),
+            ("verify", "mc_draws = 1e6", "[verify] mc_draws: expected an integer, got '1e6'"),
+            ("verify", "seed = seven", "[verify] seed: expected an integer, got 'seven'"),
+        ],
+    )
+    def test_unparsable_number_names_key(self, section, line, message, tmp_path, capsys):
+        key = line.split()[0]
+        rows, current = [], None
+        for row in FAST_CFG.splitlines():
+            if row.startswith("["):
+                current = row.strip("[]")
+            rows.append(line if current == section and row.startswith(key + " ") else row)
+        assert line in rows
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(rows))
+        code = main(["gen-world", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
     def test_missing_config_file(self, tmp_path):
         code = main(
             ["gen-world", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]

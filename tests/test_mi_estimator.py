@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disc_oracle as oracle
 from array_files import (
     assert_corruptions_rejected,
     assert_same_bits,
@@ -18,6 +19,7 @@ from pragcomm.mi_estimator import (
     Discriminator,
     PairBatch,
     TWO_LN2,
+    _workspace,
     init_discriminator,
     load_discriminator,
     loss_and_grads,
@@ -130,6 +132,81 @@ class TestGradients:
         d = init_discriminator(4, hidden=3, n_hidden=1, seed=11)
         batch = PairBatch(rng.normal(size=(12, 4)), rng.normal(size=(10, 4)))
         assert_finite_differences(d, batch)
+
+
+def same_weights(d1, d2) -> bool:
+    return len(d1.weights) == len(d2.weights) and all(
+        np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        for (w1, b1), (w2, b2) in zip(d1.weights, d2.weights)
+    )
+
+
+class TestInPlaceStep:
+    """The in-place step against the allocating one it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_j=st.integers(1, 40),
+        n_m=st.integers(1, 40),
+        c=st.integers(1, 4),
+        n_hidden=st.integers(1, 3),
+        hidden=st.integers(1, 12),
+        lr=st.floats(0.01, 2.0),
+        weighted=st.booleans(),
+        steps=st.integers(1, 6),
+    )
+    def test_train_equals_allocating_oracle(
+        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps
+    ):
+        rng = np.random.default_rng(seed)
+        weights = (
+            (rng.uniform(0.1, 5.0, size=n_j), rng.uniform(0.1, 5.0, size=n_m))
+            if weighted
+            else (None, None)
+        )
+        batch = PairBatch(rng.normal(size=(n_j, 2 * c)), rng.normal(size=(n_m, 2 * c)), *weights)
+        d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
+        got_d, got_losses = train(d, batch, steps, lr)
+        want_d, want_losses = oracle.train(d, batch, steps, lr)
+        assert got_losses == want_losses
+        assert same_weights(got_d, want_d)
+
+    def test_gradients_survive_a_later_call(self):
+        batch = independent_batch(n=256, seed=13)
+        d1 = init_discriminator(8, hidden=16, seed=13)
+        d2 = init_discriminator(8, hidden=16, seed=14)
+        for work in (None, _workspace(d1, batch)):
+            _, first = loss_and_grads(d1, batch, work)
+            kept = [(gw.copy(), gb.copy()) for gw, gb in first]
+            loss_and_grads(d2, batch, work)
+            for (gw, gb), (kw, kb) in zip(first, kept):
+                assert gw.tobytes() == kw.tobytes() and gb.tobytes() == kb.tobytes()
+
+    def test_train_leaves_inputs_unchanged(self):
+        rng = np.random.default_rng(15)
+        batch = PairBatch(
+            rng.normal(size=(30, 6)),
+            rng.normal(size=(20, 6)),
+            rng.uniform(0.5, 3.0, size=30),
+            rng.uniform(0.5, 3.0, size=20),
+        )
+        d = init_discriminator(6, hidden=10, seed=15)
+
+        def snapshot():
+            arrays = [a for pair in d.weights for a in pair]
+            arrays += [batch.joint_pairs, batch.marginal_pairs]
+            arrays += [batch.joint_weights, batch.marginal_weights]
+            return [a.tobytes() for a in arrays]
+
+        before = snapshot()
+        trained, _ = train(d, batch, steps=5, lr=0.3)
+        assert snapshot() == before
+        assert not same_weights(trained, d)
+        # a diverging run raises and also leaves the caller's arrays alone
+        with pytest.raises(RuntimeError, match="non-finite"):
+            train(d, batch, steps=5, lr=1e300)
+        assert snapshot() == before
 
 
 class TestMIQuantities:

@@ -55,6 +55,16 @@ class TestEncoderSpec:
         with pytest.raises(ValueError, match="kind"):
             EncoderSpec("magic", np.array([0, 1]))
 
+    @pytest.mark.parametrize("table", [[0.7, 1.9], [0.0, np.nan], [1.0, np.inf], [0.0, 1e300]])
+    def test_rejects_non_integral_deterministic_entry(self, table):
+        with pytest.raises(ValueError, match="whole numbers"):
+            EncoderSpec("deterministic", np.array(table))
+
+    def test_accepts_integral_float_deterministic_map(self):
+        enc = EncoderSpec("deterministic", np.array([0.0, 2.0]))
+        assert enc.table.dtype == np.int64
+        np.testing.assert_array_equal(enc.table, [0, 2])
+
     def test_deterministic_kernel_is_one_hot(self):
         enc = EncoderSpec("deterministic", np.array([1, 0, 1]))
         k = enc.kernel(3, 2)
