@@ -33,6 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .vq import IndexGrid
+
 MAGIC = b"RDCM"
 VERSION = 1
 HEADER_BYTES = 10  # magic, version, h, w, code-table id
@@ -257,6 +259,15 @@ def encode(
     return EncodedMessage(h, w, conf_mask, redund_mask, base, full, total)
 
 
+def transmitted_grid(idx, masks: tuple[np.ndarray, np.ndarray], abstract: bool = True):
+    """The grid ``decode`` returns for the message ``encode`` makes from the
+    same arguments: ``idx`` on the cells the message carries, -1 elsewhere."""
+    conf_mask, redund_mask = (np.asarray(m, dtype=bool) for m in masks)
+    both = conf_mask & redund_mask
+    base_idx = np.where(conf_mask if abstract else both, idx.base_idx, -1)
+    return IndexGrid(base_idx, np.where(both, idx.res_idx, -1))
+
+
 def _jumps(bits: np.ndarray, code: PrefixCode) -> tuple[np.ndarray, np.ndarray]:
     """Decode the codeword starting at every bit, one length at a time.
 
@@ -317,8 +328,6 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     Cells passing both masks get base and residual indices; cells only in the
     confidence mask get the abstract base index (when an abstract was sent).
     """
-    from .vq import IndexGrid  # deferred to avoid an import cycle
-
     h, w = msg.h, msg.w
     if msg.conf_mask.shape != (h, w) or msg.redund_mask.shape != (h, w):
         raise CodingError(f"mask shapes must be {(h, w)}")

@@ -3,7 +3,8 @@
 One directed message follows the stack: extract features, quantize them,
 gate cells on sender confidence, pre-hand the coarse abstract, score
 redundancy against the receiver's own view, entropy-code what survives,
-then smooth, fuse and decode on the receiver side.  A sweep runs rounds
+then smooth, fuse and decode on the receiver side; its grid is the
+transmitted cells, which a lossless decode reproduces.  A sweep runs rounds
 over threshold grids and seeds and reports rate-accuracy points.
 
 Coders: ``task_entropy`` (confidence-frequency Huffman), ``occurrence``
@@ -273,7 +274,8 @@ def directed_message(
 ) -> tuple[ec.EncodedMessage, np.ndarray]:
     """Encode sender s's message to receiver r at one grid point.
 
-    Returns the message and the grid r reconstructs from it: decoded,
+    Returns the message and the grid r reconstructs from it: the transmitted
+    cells, which a lossless decode of the message reproduces (so none runs),
     smoothed inside the candidate mask and weighted by the sender's trust.
     """
     cfg = scene.world.cfg
@@ -288,14 +290,12 @@ def directed_message(
         raise ValueError(f"unknown selector {selector!r}")
     send_abstract = selector == "mi"
 
-    msg = ec.encode(
-        scene.idx[s], (scene.gate[s] > tau_c, m_mi), codes, abstract=send_abstract
-    )
-    decoded = ec.decode(msg, codes)
-    received = vq.reconstruct_full(decoded, cb)
-    if send_abstract:
-        base_only = (decoded.base_idx >= 0) & (decoded.res_idx < 0)
-        received[base_only] = vq.reconstruct_base(decoded, cb)[base_only]
+    masks = (scene.gate[s] > tau_c, m_mi)
+    msg = ec.encode(scene.idx[s], masks, codes, abstract=send_abstract)
+    sent = ec.transmitted_grid(scene.idx[s], masks, abstract=send_abstract)
+    received = vq.reconstruct_full(sent, cb)
+    base_only = (sent.base_idx >= 0) & (sent.res_idx < 0)  # the abstract's cells
+    received[base_only] = vq.reconstruct_base(sent, cb)[base_only]
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
@@ -360,8 +360,10 @@ def run_round(
         senders = tuple(s for s, _ in incoming)
         distortions.append(_mean_entropy_nats(post) - scene.raw_reference(r, senders))
 
+    # np.nanmean without its warning: a class no receiver scored stays NaN
+    per_class = np.stack(per_class)
     with np.errstate(invalid="ignore"):
-        pc_mean = np.nanmean(np.stack(per_class), axis=0)
+        pc_mean = np.nansum(per_class, axis=0) / (~np.isnan(per_class)).sum(axis=0)
     total = sum(m.total_bits for m in msgs)
     return RoundResult(
         seed=cfg.seed,

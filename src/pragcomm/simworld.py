@@ -179,32 +179,16 @@ def extract_features(obs: np.ndarray, cfg: WorldConfig) -> np.ndarray:
     next K.  Cells outside the field of view are all-zero.
     """
     k = cfg.n_classes
-    h, w = obs.shape
-    feat = np.zeros((h, w, 2 * k))
+    feat = np.zeros((*obs.shape, 2 * k))
     observed = obs != UNOBSERVED
     rr, cc = np.nonzero(observed)
     feat[rr, cc, obs[rr, cc]] = 1.0
 
     # neighbour histograms over the 8-connected observed cells
-    counts = np.zeros((h, w, k))
-    totals = np.zeros((h, w))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            src_r = slice(max(0, -dr), h - max(0, dr))
-            src_c = slice(max(0, -dc), w - max(0, dc))
-            dst_r = slice(max(0, dr), h - max(0, -dr))
-            dst_c = slice(max(0, dc), w - max(0, -dc))
-            nb_obs = obs[src_r, src_c]
-            nb_seen = nb_obs != UNOBSERVED
-            sub = counts[dst_r, dst_c]
-            rr2, cc2 = np.nonzero(nb_seen)
-            sub[rr2, cc2, nb_obs[rr2, cc2]] += 1.0
-            totals[dst_r, dst_c] += nb_seen
+    counts = _neighbour_sum(feat[..., :k])
+    totals = _neighbour_sum(observed)[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        hist = np.where(totals[..., None] > 0, counts / totals[..., None], 0.0)
-    feat[..., k:] = hist
+        feat[..., k:] = np.where(totals > 0, counts / totals, 0.0)
     feat[~observed] = 0.0
     return feat
 
@@ -284,6 +268,21 @@ def fuse(local: np.ndarray, received: np.ndarray) -> np.ndarray:
     return np.maximum(local, received)
 
 
+def _neighbour_sum(x: np.ndarray) -> np.ndarray:
+    """Per cell of an (h, w, ...) array, the float sum of its 8 neighbours,
+    cells off the grid counting as zero.  The shifts of one zero-padded copy
+    are added onto +0.0 in a fixed (dr, dc) order."""
+    h, w = x.shape[:2]
+    padded = np.zeros((h + 2, w + 2, *x.shape[2:]))
+    padded[1 : h + 1, 1 : w + 1] = x
+    out = np.zeros(x.shape)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                out += padded[1 - dr : 1 - dr + h, 1 - dc : 1 - dc + w]
+    return out
+
+
 def smooth(sparse: np.ndarray) -> np.ndarray:
     """Propagate sparse cells into empty neighbours.
 
@@ -292,21 +291,13 @@ def smooth(sparse: np.ndarray) -> np.ndarray:
     Applied once, not iterated.
     """
     sparse = np.asarray(sparse, dtype=np.float64)
-    h, w, c = sparse.shape
+    if sparse.ndim != 3:
+        raise ValueError("sparse grid must be (h, w, c)")
     nonzero = np.any(sparse != 0, axis=2)
-    sums = np.zeros_like(sparse)
-    counts = np.zeros((h, w))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            src_r = slice(max(0, -dr), h - max(0, dr))
-            src_c = slice(max(0, -dc), w - max(0, dc))
-            dst_r = slice(max(0, dr), h - max(0, -dr))
-            dst_c = slice(max(0, dc), w - max(0, -dc))
-            nz = nonzero[src_r, src_c]
-            sums[dst_r, dst_c] += np.where(nz[..., None], sparse[src_r, src_c], 0.0)
-            counts[dst_r, dst_c] += nz
+    # an all-zero cell adds +-0.0 to sums that start at +0.0 and so are never
+    # -0.0: summing every neighbour equals summing the nonzero ones, bit for bit
+    sums = _neighbour_sum(sparse)
+    counts = _neighbour_sum(nonzero)
     out = sparse.copy()
     fill = (~nonzero) & (counts > 0)
     out[fill] = 0.5 * sums[fill] / counts[fill][:, None]

@@ -175,7 +175,8 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarr
     """Two-layer nearest-neighbour quantization of an (h, w, c) grid.
 
     Per cell: nearest base row, then nearest residual row to what remains,
-    reconstruction = base + residual.  Ties go to the lowest index.
+    reconstruction = base + residual.  Ties go to the lowest index.  Both
+    searches run once per distinct feature row, as in ``kmeans``.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 3:
@@ -183,10 +184,10 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarr
     h, w, c = grid.shape
     if c != cb.base.dim:
         raise ValueError(f"grid channels {c} != codebook dimension {cb.base.dim}")
-    flat = grid.reshape(h * w, c)
-    base_idx = _nearest(flat, cb.base.embeddings)
-    residual = flat - cb.base.embeddings[base_idx]
-    res_idx = _nearest(residual, cb.res.embeddings)
+    uniq, inv, _ = unique_rows(grid.reshape(h * w, c))
+    base_uniq = _nearest(uniq, cb.base.embeddings)
+    res_uniq = _nearest(uniq - cb.base.embeddings[base_uniq], cb.res.embeddings)
+    base_idx, res_idx = base_uniq[inv], res_uniq[inv]
     recon = cb.base.embeddings[base_idx] + cb.res.embeddings[res_idx]
     return (
         IndexGrid(base_idx.reshape(h, w), res_idx.reshape(h, w)),

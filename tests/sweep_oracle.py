@@ -1,0 +1,111 @@
+"""Quantization, feature extraction and smoothing as they were before the
+sweep round stopped repeating work.
+
+Kept as test oracles: ``pragcomm.vq.quantize`` must give the same index
+grids and reconstruction, and ``pragcomm.simworld.extract_features`` and
+``smooth`` the same arrays, compared byte for byte, as the functions below.
+``quantize`` here searches every cell, duplicates included; the neighbour
+loops build their source and destination slices per shift, and ``smooth``
+masks every shifted copy with ``np.where``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pragcomm.simworld import UNOBSERVED, WorldConfig
+from pragcomm.vq import IndexGrid, LayeredCodebook
+
+
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # argmin over squared distance; ties resolve to the lowest index
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
+
+
+def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:
+    """Two-layer nearest-neighbour quantization of an (h, w, c) grid.
+
+    Per cell: nearest base row, then nearest residual row to what remains,
+    reconstruction = base + residual.  Ties go to the lowest index.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 3:
+        raise ValueError("grid must be (h, w, c)")
+    h, w, c = grid.shape
+    if c != cb.base.dim:
+        raise ValueError(f"grid channels {c} != codebook dimension {cb.base.dim}")
+    flat = grid.reshape(h * w, c)
+    base_idx = _nearest(flat, cb.base.embeddings)
+    residual = flat - cb.base.embeddings[base_idx]
+    res_idx = _nearest(residual, cb.res.embeddings)
+    recon = cb.base.embeddings[base_idx] + cb.res.embeddings[res_idx]
+    return (
+        IndexGrid(base_idx.reshape(h, w), res_idx.reshape(h, w)),
+        recon.reshape(h, w, c),
+    )
+
+
+def extract_features(obs: np.ndarray, cfg: WorldConfig) -> np.ndarray:
+    """Per-cell features: one-hot of the observed class in the first K
+    channels, normalized class histogram of the 8 observed neighbours in the
+    next K.  Cells outside the field of view are all-zero.
+    """
+    k = cfg.n_classes
+    h, w = obs.shape
+    feat = np.zeros((h, w, 2 * k))
+    observed = obs != UNOBSERVED
+    rr, cc = np.nonzero(observed)
+    feat[rr, cc, obs[rr, cc]] = 1.0
+
+    # neighbour histograms over the 8-connected observed cells
+    counts = np.zeros((h, w, k))
+    totals = np.zeros((h, w))
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            src_r = slice(max(0, -dr), h - max(0, dr))
+            src_c = slice(max(0, -dc), w - max(0, dc))
+            dst_r = slice(max(0, dr), h - max(0, -dr))
+            dst_c = slice(max(0, dc), w - max(0, -dc))
+            nb_obs = obs[src_r, src_c]
+            nb_seen = nb_obs != UNOBSERVED
+            sub = counts[dst_r, dst_c]
+            rr2, cc2 = np.nonzero(nb_seen)
+            sub[rr2, cc2, nb_obs[rr2, cc2]] += 1.0
+            totals[dst_r, dst_c] += nb_seen
+    with np.errstate(invalid="ignore", divide="ignore"):
+        hist = np.where(totals[..., None] > 0, counts / totals[..., None], 0.0)
+    feat[..., k:] = hist
+    feat[~observed] = 0.0
+    return feat
+
+
+def smooth(sparse: np.ndarray) -> np.ndarray:
+    """Propagate sparse cells into empty neighbours.
+
+    Every all-zero cell adjacent (8-connectivity) to nonzero cells receives
+    half the mean of those neighbours; nonzero cells pass through unchanged.
+    Applied once, not iterated.
+    """
+    sparse = np.asarray(sparse, dtype=np.float64)
+    h, w, c = sparse.shape
+    nonzero = np.any(sparse != 0, axis=2)
+    sums = np.zeros_like(sparse)
+    counts = np.zeros((h, w))
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            src_r = slice(max(0, -dr), h - max(0, dr))
+            src_c = slice(max(0, -dc), w - max(0, dc))
+            dst_r = slice(max(0, dr), h - max(0, -dr))
+            dst_c = slice(max(0, dc), w - max(0, -dc))
+            nz = nonzero[src_r, src_c]
+            sums[dst_r, dst_c] += np.where(nz[..., None], sparse[src_r, src_c], 0.0)
+            counts[dst_r, dst_c] += nz
+    out = sparse.copy()
+    fill = (~nonzero) & (counts > 0)
+    out[fill] = 0.5 * sums[fill] / counts[fill][:, None]
+    return out

@@ -21,6 +21,7 @@ from pragcomm.entropy_coder import (
     fixed_length_bits,
     message_from_bytes,
     message_to_bytes,
+    transmitted_grid,
 )
 from pragcomm.infotheory import JointTable, entropy
 from pragcomm.vq import IndexGrid
@@ -427,6 +428,18 @@ class TestAgainstBitwiseOracle:
             decode(msg, codes)
         except CodingError:
             pass
+
+
+class TestTransmittedGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(case=messages())
+    def test_equals_the_decode_of_the_encoded_message(self, case):
+        grid, masks, codes, abstract = case
+        got = transmitted_grid(grid, masks, abstract=abstract)
+        want = decode(encode(grid, masks, codes, abstract=abstract), codes)
+        for name in ("base_idx", "res_idx"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestVectorizedCoder:

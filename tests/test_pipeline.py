@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +162,53 @@ class TestRunRound:
         assert res.total_bits == res.payload_bits + res.abstract_bits + res.mask_bits
         assert res.mean_iou > pl.solo_iou(world3)
 
+    def test_class_absent_everywhere_stays_nan_without_a_warning(self, stack):
+        # no objects: classes 1..3 are in no receiver's prediction or ground truth
+        empty = pl.make_world(pl.replace(
+            TEMPLATE, h=12, w=12, density=0.0, seed=5,
+            fovs=((("rect", 0, 0, 12, 9),), (("rect", 0, 3, 12, 12),)),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pl.run_round(empty, stack, 0.5, 1.0)
+        assert res.per_class_iou[0] == 1.0
+        assert np.isnan(res.per_class_iou[1:]).all()
+
+
+class TestSkippedDecode:
+    """``directed_message`` builds the receiver's grid without decoding the
+    message; that grid must be the one a decode of the message gives."""
+
+    def test_received_grid_is_the_decoded_grid(self, stack, monkeypatch):
+        built = []
+        original = ec.transmitted_grid
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ec, "transmitted_grid", recording)
+        inf = float("inf")
+        worlds = [pl.make_world(pl.replace(TEMPLATE, seed=seed)) for seed in (42, 43)]
+        worlds.append(pl.make_world(pl.replace(TEMPLATE, seed=44, fovs=(("full",),) * 2)))
+        mask_kinds = set()
+        grid = itertools.product(
+            [pl.Scene(world, stack) for world in worlds], pl.CODERS, pl.SELECTORS,
+            (-inf, 0.5, inf), (-inf, 0.0, 0.5, inf), ((0, 1), (1, 0)),
+        )
+        for scene, coder, selector, tau_c, tau_mi, (s, r) in grid:
+            codes = scene.codes(coder)
+            built.clear()
+            msg, _ = pl.directed_message(scene, codes, tau_c, tau_mi, selector, s, r)
+            (got,) = built
+            want = ec.decode(msg, codes)
+            for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx)):
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+            for m in (msg.conf_mask, msg.redund_mask):
+                mask_kinds.add((bool(m.any()), bool(m.all())))
+        # empty, partial and full masks all met
+        assert mask_kinds == {(False, False), (True, False), (True, True)}
+
 
 class TestSweep:
     def sweep_cfg(self, **kw):
@@ -239,6 +288,22 @@ class TestSweep:
             "generate": 2, "extract_features": 4, "quantize": 4, "redundancy_map": 8,
             "build_code": 4,
         }
+
+    @pytest.mark.parametrize("selector", pl.SELECTORS)
+    def test_sweep_never_decodes(self, stack, monkeypatch, selector):
+        calls = {"decode": 0, "quantize": 0}
+        for module, name in ((ec, "decode"), (vq, "quantize")):
+
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = self.sweep_cfg(seeds=(42, 43), selector=selector)
+        assert len(pl.run_sweep(TEMPLATE, stack, cfg)) == 2 * 2 * 2
+        # the receiver's grid comes from the sender's indices; quantization
+        # still runs once per seed and agent
+        assert calls == {"decode": 0, "quantize": 4}
 
     @pytest.mark.parametrize("before", [None, "4"])
     def test_workers_get_one_blas_thread(self, monkeypatch, before):

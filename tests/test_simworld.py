@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sweep_oracle as oracle
 from array_files import assert_corruptions_rejected, assert_same_bits, extra_lines
 
 from pragcomm.bayes_risk import bayes_risk_ce
@@ -245,6 +246,48 @@ class TestFuseAndSmooth:
         a[0, 2, 0] = 3.0
         out = smooth(a)
         assert out[0, 1, 0] == pytest.approx(0.5 * 2.0, abs=1e-12)
+
+
+GRID_SHAPES = st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(
+    st.integers(1, 9), st.integers(1, 9)
+)
+
+
+def assert_same_bytes(got, want):
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestNeighbourSumOracle:
+    """The padded neighbour sums against the per-shift slice loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=GRID_SHAPES, c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           p_zero=st.floats(0.0, 1.0))
+    def test_smooth_matches_oracle(self, shape, c, seed, p_zero):
+        # sparse cells hold +-0.0 in every channel; nonzero cells may hold
+        # -0.0, +-inf and NaN in some channels
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(size=(*shape, c))
+        odd = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=grid.shape)
+        grid = np.where(rng.uniform(size=grid.shape) < 0.2, odd, grid)
+        sparse = rng.uniform(size=shape) < p_zero
+        grid[sparse] = rng.choice([-0.0, 0.0], size=(int(sparse.sum()), c))
+        with np.errstate(invalid="ignore"):
+            assert_same_bytes(smooth(grid), oracle.smooth(grid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=GRID_SHAPES, k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           p_seen=st.floats(0.0, 1.0))
+    def test_extract_features_matches_oracle(self, shape, k, seed, p_seen):
+        rng = np.random.default_rng(seed)
+        cfg = WorldConfig(h=shape[0], w=shape[1], n_classes=k, rect_min=1, rect_max=1)
+        obs = rng.integers(0, k, shape)
+        obs[rng.uniform(size=shape) >= p_seen] = UNOBSERVED
+        assert_same_bytes(extract_features(obs, cfg), oracle.extract_features(obs, cfg))
+
+    def test_smooth_rejects_a_grid_without_channels(self):
+        with pytest.raises(ValueError, match="h, w, c"):
+            smooth(np.zeros((3, 3)))
 
 
 class TestScoreIoU:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle as oracle
 from array_files import (
     assert_corruptions_rejected,
     assert_same_bits,
@@ -293,6 +294,54 @@ class TestQuantize:
         _, recon = quantize(fresh.reshape(10, 12, 4), cb)
         errs = np.linalg.norm(recon.reshape(-1, 4) - fresh, axis=1)
         assert errs.max() <= radius + 1e-9
+
+
+@st.composite
+def quantize_cases(draw):
+    """(grid, codebook) drawn to hit duplicate rows, all-distinct rows and
+    exact ties between equidistant embeddings, on 1x1, 1xw and hx1 grids too."""
+    shape = draw(st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(
+        st.integers(1, 9), st.integers(1, 9)
+    ))
+    c = draw(st.integers(1, 4))
+    n_base = draw(st.integers(1, 5))
+    n_res = draw(st.integers(n_base, 12))
+    kind = draw(st.sampled_from(("duplicates", "distinct", "ties")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = shape[0] * shape[1]
+    if kind == "ties":  # integer embeddings, half-integer cells: many equal distances
+        base = rng.integers(-1, 2, (n_base, c)).astype(float)
+        res = rng.integers(-1, 2, (n_res, c)) * 0.5
+        grid = rng.integers(-2, 3, (cells, c)) * 0.5
+    else:
+        base, res = rng.normal(size=(n_base, c)), rng.normal(size=(n_res, c))
+        grid = rng.normal(size=(cells, c))
+        if kind == "duplicates":  # every cell copies one of the first three rows
+            grid = grid[rng.integers(0, min(3, cells), cells)]
+    grid = np.where(rng.uniform(size=grid.shape) < 0.2, -0.0, grid)
+    cb = LayeredCodebook(*(Codebook(e, np.zeros(len(e)), np.zeros(len(e))) for e in (base, res)))
+    return grid.reshape(*shape, c), cb
+
+
+class TestQuantizeOracle:
+    """Quantization per distinct row against the per-cell search it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=quantize_cases())
+    def test_same_indices_and_reconstruction(self, case):
+        grid, cb = case
+        (got, got_recon), (want, want_recon) = quantize(grid, cb), oracle.quantize(grid, cb)
+        for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx),
+                     (got_recon, want_recon)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_equidistant_embeddings_tie_to_the_lowest_index(self):
+        cb = LayeredCodebook(
+            base=Codebook(np.array([[2.0, 0.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2)),
+            res=Codebook(np.array([[0.0, 0.5], [0.0, -0.5]]), np.zeros(2), np.zeros(2)),
+        )
+        idx, _ = quantize(np.tile([1.0, 0.0], (3, 2, 1)), cb)
+        assert np.all(idx.base_idx == 0) and np.all(idx.res_idx == 0)
 
 
 class TestAccumulateConfFreq:
