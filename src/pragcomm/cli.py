@@ -2,10 +2,10 @@
 
 Configs are line-oriented ``[section] key = value`` files; unknown sections
 or keys and repeated keys are rejected so a typo cannot silently change an
-experiment.  Every
-command writes a manifest (config hash, seed, package version) next to its
-outputs, and reruns with the same config and seed produce byte-identical
-files.
+experiment.  A key the file leaves out keeps the default of the config
+dataclass field it fills.  Every command writes a manifest (config hash,
+seed, package version) next to its outputs, and reruns with the same config
+and seed produce byte-identical files.
 
 Commands: ``gen-world``, ``train``, ``sweep``, ``verify-theory``, ``export``.
 Exit codes: 0 success, 1 check failure, 2 usage, config or run error (a
@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,85 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-_KNOWN_KEYS = {
-    "world": {
-        "h", "w", "classes", "agents", "noise", "density",
-        "rect_min", "rect_max", "seed",
-    },
-    "codebook": {"n_base", "n_res", "iters", "seed"},
-    "discriminator": {"steps", "lr", "hidden", "seed"},
-    "train": {"worlds", "seed", "tau_c_choices"},
-    "sweep": {"tau_c", "tau_mi", "seeds", "coder", "selector"},
-    "verify": {"sources", "tables", "mc_draws", "z_max", "seed"},
-}
-
-
-def _parse_lines(text: str) -> dict:
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown section '{current}' (line {lineno})")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line or current is None:
-            raise ConfigError(f"malformed line {lineno}: {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("fov_"):
-            if current != "world" or not key[4:].isdecimal():
-                raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
-        elif key not in _KNOWN_KEYS[current]:
-            raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
-        if key in sections[current]:
-            raise ConfigError(f"repeated key '{key}' in section '{current}' (line {lineno})")
-        sections[current][key] = value
-    return sections
-
-
-def _number(text, kind, name: str, key: str):
-    """``kind(text)`` for ``kind`` int or float; a ConfigError naming the key."""
-    try:
-        return kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{name}] {key}: expected {expected}, got {text.strip()!r}") from None
-
-
-def _value(section: dict, name: str, key: str, default, kind=int):
-    return _number(section[key], kind, name, key) if key in section else default
-
-
-def _numbers(section: dict, name: str, key: str, default: str, kind=float) -> tuple:
-    """The comma-separated list ``section[key]`` (``default`` if absent)."""
-    value = section.get(key, default)
-    return tuple(_number(x, kind, name, key) for x in value.split(",") if x.strip())
-
-
-def _parse_fov(value: str, key: str) -> tuple:
-    shapes = []
-    for part in value.split(";"):
-        toks = part.split()
-        if not toks:
-            continue
-        kind = toks[0]
-        if kind == "full":
-            shapes.append("full")
-        elif kind == "rect":
-            shapes.append(("rect", *(_number(t, int, "world", key) for t in toks[1:5])))
-        elif kind == "sector":
-            shapes.append(("sector", *(_number(t, float, "world", key) for t in toks[1:6])))
-        else:
-            raise ConfigError(f"unknown fov shape '{kind}'")
-    if not shapes:
-        raise ConfigError("empty fov spec")
-    return tuple(shapes)
-
-
 @dataclass
 class RunConfig:
     world: sw.WorldConfig
@@ -130,11 +52,131 @@ class RunConfig:
     verify_seed: int = 7
 
 
-def _count(section: dict, name: str, key: str, default: int) -> int:
-    value = _value(section, name, key, default)
-    if value < 1:
-        raise ValueError(f"[{name}] {key} must be at least 1, got {value}")
-    return value
+# --- value parsers: text -> value, or a ValueError giving the reason -------
+
+
+def _number(kind, expected: str):
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {text.strip()!r}") from None
+
+    return parse
+
+
+def _list(parse):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda text: tuple(parse(x) for x in text.split(",") if x.strip())
+
+
+def _checked(parse, ok, reason: str):
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {reason}, got {value}")
+        return value
+
+    return check
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+_ints, _floats = _list(_int), _list(_float)
+_count = _checked(_int, lambda n: n >= 1, "at least 1")
+_finite_positive = _checked(_float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+_finite_floats = _checked(
+    _floats, lambda xs: xs and all(map(math.isfinite, xs)), "nonempty and finite"
+)
+
+
+def _noise(text: str) -> float | tuple:
+    """One flip probability for every agent, or a list of one per agent."""
+    values = _floats(text)
+    return values[0] if len(values) == 1 else values
+
+
+# shape -> (number of values, their parser)
+_FOV_SHAPES = {"full": (0, None), "rect": (4, _int), "sector": (5, _float)}
+
+
+def _fov(text: str) -> tuple:
+    """A ``;``-separated union of shapes: ``full``, ``rect r0 c0 r1 c1`` or
+    ``sector cy cx radius a0 a1``."""
+    shapes = []
+    for kind, *args in filter(None, (part.split() for part in text.split(";"))):
+        if kind not in _FOV_SHAPES:
+            raise ValueError(f"unknown fov shape {kind!r}")
+        n, parse = _FOV_SHAPES[kind]
+        if len(args) != n:
+            raise ValueError(f"{kind} takes {n} values, got {len(args)}")
+        shapes.append((kind, *map(parse, args)) if n else kind)
+    if not shapes:
+        raise ValueError("empty fov spec")
+    return tuple(shapes)
+
+
+# (section, key) -> (RunConfig attribute it fills, field, value parser); a key
+# the file leaves out keeps the field's dataclass default, and "run" names
+# RunConfig's own fields.  [world] also takes fov_0 .. fov_{agents-1}, parsed
+# by _fov; an agent without one sees the whole grid.
+_TABLE = {
+    ("world", "h"): ("world", "h", _int),
+    ("world", "w"): ("world", "w", _int),
+    ("world", "classes"): ("world", "n_classes", _int),
+    ("world", "agents"): ("world", "n_agents", _int),
+    ("world", "noise"): ("world", "noise", _noise),
+    ("world", "density"): ("world", "density", _float),
+    ("world", "rect_min"): ("world", "rect_min", _int),
+    ("world", "rect_max"): ("world", "rect_max", _int),
+    ("world", "seed"): ("world", "seed", _int),
+    ("codebook", "n_base"): ("train", "n_base", _count),
+    ("codebook", "n_res"): ("train", "n_res", _count),
+    ("codebook", "iters"): ("train", "kmeans_iters", _count),
+    ("codebook", "seed"): ("train", "codebook_seed", _int),
+    ("discriminator", "steps"): ("train", "disc_steps", _count),
+    ("discriminator", "lr"): ("train", "disc_lr", _finite_positive),
+    ("discriminator", "hidden"): ("train", "disc_hidden", _count),
+    ("discriminator", "seed"): ("train", "disc_seed", _int),
+    ("train", "worlds"): ("train", "n_train_worlds", _count),
+    ("train", "seed"): ("train", "train_seed", _int),
+    ("train", "tau_c_choices"): ("train", "tau_c_choices", _finite_floats),
+    ("sweep", "tau_c"): ("sweep", "tau_c_grid", _floats),
+    ("sweep", "tau_mi"): ("sweep", "tau_mi_grid", _floats),
+    ("sweep", "seeds"): ("sweep", "seeds", _ints),
+    ("sweep", "coder"): ("sweep", "coder", str),
+    ("sweep", "selector"): ("sweep", "selector", str),
+    ("verify", "sources"): ("run", "verify_sources", _count),
+    ("verify", "tables"): ("run", "verify_tables", _count),
+    ("verify", "mc_draws"): ("run", "verify_mc_draws", _count),
+    ("verify", "z_max"): ("run", "verify_z_max", _count),
+    ("verify", "seed"): ("run", "verify_seed", _int),
+}
+_SECTIONS = {section for section, _ in _TABLE}
+_FOV_KEY = re.compile(r"fov_(0|[1-9][0-9]*)")  # no leading zeros: one name per agent
+
+
+def _parse_lines(text: str) -> dict:
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _SECTIONS:
+                raise ConfigError(f"unknown section '{current}' (line {lineno})")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line or current is None:
+            raise ConfigError(f"malformed line {lineno}: {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (current, key) not in _TABLE and not (current == "world" and _FOV_KEY.fullmatch(key)):
+            raise ConfigError(f"unknown key '{key}' in section '{current}' (line {lineno})")
+        if key in sections[current]:
+            raise ConfigError(f"repeated key '{key}' in section '{current}' (line {lineno})")
+        sections[current][key] = value
+    return sections
 
 
 def parse_config(path: str) -> RunConfig:
@@ -142,87 +184,35 @@ def parse_config(path: str) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    sections = _parse_lines(text)
+    fields = {"world": {}, "train": {}, "sweep": {}, "run": {}}
+    fovs = {}
+    for section, entries in _parse_lines(text).items():
+        for key, value in entries.items():
+            try:
+                if (section, key) in _TABLE:
+                    target, field, parse = _TABLE[section, key]
+                    fields[target][field] = parse(value)
+                else:
+                    fovs[int(key[4:])] = _fov(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-    w = sections.get("world", {})
-    n_agents = _value(w, "world", "agents", 2)
-    fovs = []
-    for a in range(n_agents):
-        key = f"fov_{a}"
-        fovs.append(_parse_fov(w[key], key) if key in w else ("full",))
-    extra_fovs = [k for k in w if k.startswith("fov_") and int(k[4:]) >= n_agents]
-    if extra_fovs:
-        raise ConfigError(f"unknown key '{extra_fovs[0]}' in section 'world'")
-    noise_vals = _numbers(w, "world", "noise", "0.05")
-    noise = noise_vals[0] if len(noise_vals) == 1 else tuple(noise_vals)
-    try:
-        world = sw.WorldConfig(
-            h=_value(w, "world", "h", 32),
-            w=_value(w, "world", "w", 32),
-            n_classes=_value(w, "world", "classes", 4),
-            n_agents=n_agents,
-            fovs=tuple(fovs),
-            noise=noise,
-            density=_value(w, "world", "density", 0.5, float),
-            rect_min=_value(w, "world", "rect_min", 3),
-            rect_max=_value(w, "world", "rect_max", 7),
-            seed=_value(w, "world", "seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [world] config: {exc}")
-
-    cb = sections.get("codebook", {})
-    disc = sections.get("discriminator", {})
-    tr = sections.get("train", {})
-    try:
-        train = pl.TrainConfig(
-            n_base=_count(cb, "codebook", "n_base", 4),
-            n_res=_count(cb, "codebook", "n_res", 64),
-            kmeans_iters=_count(cb, "codebook", "iters", 25),
-            codebook_seed=_value(cb, "codebook", "seed", 101),
-            disc_steps=_count(disc, "discriminator", "steps", 600),
-            disc_lr=_value(disc, "discriminator", "lr", 0.3, float),
-            disc_hidden=_count(disc, "discriminator", "hidden", 64),
-            disc_seed=_value(disc, "discriminator", "seed", 202),
-            n_train_worlds=_count(tr, "train", "worlds", 4),
-            train_seed=_value(tr, "train", "seed", 9000),
-            tau_c_choices=_numbers(tr, "train", "tau_c_choices", "0.2,0.5,0.8"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid training config: {exc}")
-    if not (math.isfinite(train.disc_lr) and train.disc_lr > 0):
-        raise ConfigError(f"[discriminator] lr must be finite and > 0, got {train.disc_lr}")
-    if not train.tau_c_choices or not all(map(math.isfinite, train.tau_c_choices)):
-        raise ConfigError(
-            f"[train] tau_c_choices must be nonempty and finite, got {train.tau_c_choices}"
-        )
-
-    sweep_sec = sections.get("sweep", {})
-    try:
-        sweep = pl.SweepConfig(
-            tau_c_grid=_numbers(sweep_sec, "sweep", "tau_c", "0.3,0.9"),
-            tau_mi_grid=_numbers(sweep_sec, "sweep", "tau_mi", "0.0,1.0,inf"),
-            seeds=_numbers(sweep_sec, "sweep", "seeds", "1,2,3", int),
-            coder=sweep_sec.get("coder", "task_entropy"),
-            selector=sweep_sec.get("selector", "mi"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [sweep] config: {exc}")
-
-    v = sections.get("verify", {})
-    try:
-        return RunConfig(
-            world=world,
-            train=train,
-            sweep=sweep,
-            verify_sources=_count(v, "verify", "sources", 50),
-            verify_tables=_count(v, "verify", "tables", 200),
-            verify_mc_draws=_count(v, "verify", "mc_draws", 1_000_000),
-            verify_z_max=_count(v, "verify", "z_max", 4),
-            verify_seed=_value(v, "verify", "seed", 7),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid verify config: {exc}")
+    world = fields["world"]
+    n_agents = world.get("n_agents", sw.WorldConfig.n_agents)
+    extra = [a for a in fovs if a >= n_agents]
+    if extra:
+        raise ConfigError(f"unknown key 'fov_{extra[0]}' in section 'world'")
+    # WorldConfig rejects more than MAX_AGENTS agents; the cap keeps a huge
+    # count from building one spec per agent first
+    n_specs = min(n_agents, sw.MAX_AGENTS)
+    world["fovs"] = tuple(fovs.get(a, ("full",)) for a in range(n_specs))
+    built = {}
+    for name, cls in (("world", sw.WorldConfig), ("sweep", pl.SweepConfig)):
+        try:
+            built[name] = cls(**fields[name])
+        except ValueError as exc:
+            raise ConfigError(f"invalid [{name}] config: {exc}") from None
+    return RunConfig(train=pl.TrainConfig(**fields["train"]), **built, **fields["run"])
 
 
 def _write_manifest(out: Path, command: str, config_path: str, seed) -> None:

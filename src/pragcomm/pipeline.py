@@ -74,9 +74,9 @@ class TrainedStack:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    tau_c_grid: tuple
-    tau_mi_grid: tuple
-    seeds: tuple
+    tau_c_grid: tuple = (0.3, 0.9)
+    tau_mi_grid: tuple = (0.0, 1.0, math.inf)
+    seeds: tuple = (1, 2, 3)
     coder: str = "task_entropy"
     selector: str = "mi"
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import textio
 
 UNOBSERVED = -1
+MAX_AGENTS = 5
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class WorldConfig:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError("need at least background plus one object class")
-        if not 2 <= self.n_agents <= 5:
-            raise ValueError("n_agents must be between 2 and 5")
+        if not 2 <= self.n_agents <= MAX_AGENTS:
+            raise ValueError(f"n_agents must be between 2 and {MAX_AGENTS}")
         eps = self.noise if isinstance(self.noise, tuple) else (self.noise,)
         if isinstance(self.noise, tuple) and len(self.noise) != self.n_agents:
             raise ValueError("per-agent noise needs one value per agent")
@@ -205,21 +206,13 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
         obs_list = [obs_list]
     if agents is None:
         agents = range(len(obs_list))
-    prior = class_prior(cfg)
+    log_prior, log_chans = _log_model(cfg, [cfg.agent_noise(a) for a in agents])
     h, w = obs_list[0].shape
-    with np.errstate(divide="ignore"):
-        log_post = np.tile(np.log(prior), (h, w, 1))
-    for obs, agent in zip(obs_list, agents):
-        with np.errstate(divide="ignore"):
-            # finite floor keeps zero-probability evidence well-defined at noise 0
-            log_chan = np.maximum(np.log(channel_matrix(cfg, agent)), -1e9)
-        seen = obs != UNOBSERVED
-        rr, cc = np.nonzero(seen)
+    log_post = np.tile(log_prior, (h, w, 1))
+    for obs, log_chan in zip(obs_list, log_chans):
+        rr, cc = np.nonzero(obs != UNOBSERVED)
         log_post[rr, cc, :] += log_chan[obs[rr, cc], :]
-    log_post -= log_post.max(axis=2, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=2, keepdims=True)
-    return post
+    return _normalize(log_post)
 
 
 def posterior_from_features(
@@ -237,15 +230,26 @@ def posterior_from_features(
     decoding agent's own flip probability by default).
     """
     k = cfg.n_classes
-    prior = class_prior(cfg)
-    chan = _channel(k, cfg.agent_noise(0) if noise is None else noise)
+    log_prior, (log_chan,) = _log_model(
+        cfg, [cfg.agent_noise(0) if noise is None else noise]
+    )
     v = np.clip(feat[..., :k], 0.0, 8.0)
     v = np.where(v > 1e-6, v, 0.0)
+    log_post = log_prior[None, None, :] + np.einsum("hwk,ky->hwy", v, log_chan)
+    return _normalize(log_post)
+
+
+def _log_model(cfg: WorldConfig, noises) -> tuple[np.ndarray, list]:
+    """The log class prior and, per flip probability in ``noises``, the log
+    channel matrix floored at -1e9: a finite floor keeps zero-probability
+    evidence well-defined at noise 0.  Both posteriors decode with these."""
     with np.errstate(divide="ignore"):
-        log_chan = np.maximum(np.log(chan), -1e9)
-        log_post = np.log(prior)[None, None, :] + np.einsum(
-            "hwk,ky->hwy", v, log_chan
-        )
+        log_chans = [np.maximum(np.log(_channel(cfg.n_classes, e)), -1e9) for e in noises]
+        return np.log(class_prior(cfg)), log_chans
+
+
+def _normalize(log_post: np.ndarray) -> np.ndarray:
+    """Per-cell probabilities from unnormalized log posteriors (h, w, K)."""
     log_post -= log_post.max(axis=2, keepdims=True)
     post = np.exp(log_post)
     post /= post.sum(axis=2, keepdims=True)

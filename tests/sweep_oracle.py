@@ -1,19 +1,21 @@
-"""Quantization, feature extraction and smoothing as they were before the
-sweep round stopped repeating work.
+"""Quantization, feature extraction, smoothing and the two posteriors as
+they were before the sweep round stopped repeating work.
 
 Kept as test oracles: ``pragcomm.vq.quantize`` must give the same index
-grids and reconstruction, and ``pragcomm.simworld.extract_features`` and
-``smooth`` the same arrays, compared byte for byte, as the functions below.
-``quantize`` here searches every cell, duplicates included; the neighbour
-loops build their source and destination slices per shift, and ``smooth``
-masks every shifted copy with ``np.where``.
+grids and reconstruction, and ``pragcomm.simworld.extract_features``,
+``smooth``, ``posterior_from_obs`` and ``posterior_from_features`` the same
+arrays, compared byte for byte, as the functions below.  ``quantize`` here
+searches every cell, duplicates included; the neighbour loops build their
+source and destination slices per shift, and ``smooth`` masks every shifted
+copy with ``np.where``.  Each posterior here builds its own log prior and
+log channel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pragcomm.simworld import UNOBSERVED, WorldConfig
+from pragcomm.simworld import UNOBSERVED, WorldConfig, _channel, channel_matrix, class_prior
 from pragcomm.vq import IndexGrid, LayeredCodebook
 
 
@@ -109,3 +111,62 @@ def smooth(sparse: np.ndarray) -> np.ndarray:
     fill = (~nonzero) & (counts > 0)
     out[fill] = 0.5 * sums[fill] / counts[fill][:, None]
     return out
+
+
+def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
+    """Exact fused posterior given one or more observation grids.
+
+    Per cell the agents' likelihoods multiply (observations are independent
+    given the label); unobserved cells contribute nothing, so a cell nobody
+    sees carries the prior.  ``agents`` names the observing agent per grid
+    (defaults to 0, 1, ...) so each grid is inverted through its own channel.
+    """
+    if isinstance(obs_list, np.ndarray) and obs_list.ndim == 2:
+        obs_list = [obs_list]
+    if agents is None:
+        agents = range(len(obs_list))
+    prior = class_prior(cfg)
+    h, w = obs_list[0].shape
+    with np.errstate(divide="ignore"):
+        log_post = np.tile(np.log(prior), (h, w, 1))
+    for obs, agent in zip(obs_list, agents):
+        with np.errstate(divide="ignore"):
+            # finite floor keeps zero-probability evidence well-defined at noise 0
+            log_chan = np.maximum(np.log(channel_matrix(cfg, agent)), -1e9)
+        seen = obs != UNOBSERVED
+        rr, cc = np.nonzero(seen)
+        log_post[rr, cc, :] += log_chan[obs[rr, cc], :]
+    log_post -= log_post.max(axis=2, keepdims=True)
+    post = np.exp(log_post)
+    post /= post.sum(axis=2, keepdims=True)
+    return post
+
+
+def posterior_from_features(
+    feat: np.ndarray, cfg: WorldConfig, noise: float | None = None
+) -> np.ndarray:
+    """Posterior decoded from (possibly fused or reconstructed) features.
+
+    The first K channels act as soft evidence: a value v on channel k
+    contributes the likelihood p(obs=k | y) raised to the power v.  Crisp
+    one-hot features reproduce the exact single-observation posterior, and a
+    max-fused pair of disagreeing one-hots reproduces the two-observation
+    product rule.  Values above 1 (trust-weighted evidence from a more
+    reliable source) strengthen the vote; a cap keeps reconstruction noise
+    from exploding the exponent.  ``noise`` selects the channel model (the
+    decoding agent's own flip probability by default).
+    """
+    k = cfg.n_classes
+    prior = class_prior(cfg)
+    chan = _channel(k, cfg.agent_noise(0) if noise is None else noise)
+    v = np.clip(feat[..., :k], 0.0, 8.0)
+    v = np.where(v > 1e-6, v, 0.0)
+    with np.errstate(divide="ignore"):
+        log_chan = np.maximum(np.log(chan), -1e9)
+        log_post = np.log(prior)[None, None, :] + np.einsum(
+            "hwk,ky->hwy", v, log_chan
+        )
+    log_post -= log_post.max(axis=2, keepdims=True)
+    post = np.exp(log_post)
+    post /= post.sum(axis=2, keepdims=True)
+    return post

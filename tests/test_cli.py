@@ -1,11 +1,19 @@
 import hashlib
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pragcomm.cli import ConfigError, main, parse_config
-from pragcomm.pipeline import RoundResult, results_csv
+from pragcomm import cli
+from pragcomm.cli import ConfigError, RunConfig, main, parse_config
+from pragcomm.pipeline import (
+    CODERS, SELECTORS, RoundResult, SweepConfig, TrainConfig, results_csv,
+)
+from pragcomm.simworld import MAX_AGENTS, WorldConfig
 from pragcomm.textio import load_arrays
 
 
@@ -210,6 +218,138 @@ class TestTrainConfigValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not (out / "codebook.txt").exists()
+
+
+def run_gen_world(text: str, tmp_path, capsys) -> tuple[int, list[str]]:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code = main(["gen-world", "--config", str(path), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+DEFAULTS = RunConfig(WorldConfig(), TrainConfig(), SweepConfig())
+SEEDS = st.integers(-(10**12), 10**12)
+COUNTS = st.integers(1, 10**9)
+FLIP = st.floats(0.0, 0.5, exclude_max=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_lists(elements):
+    return st.lists(elements, min_size=1, max_size=5).map(tuple)
+
+
+# (section, key) -> (RunConfig attribute, field, valid values); "run" names
+# RunConfig's own fields.  Valid values keep the other defaults valid too.
+VALID = {
+    ("world", "h"): ("world", "h", st.integers(7, 64)),
+    ("world", "w"): ("world", "w", st.integers(7, 64)),
+    ("world", "classes"): ("world", "n_classes", st.integers(2, 50)),
+    ("world", "agents"): ("world", "n_agents", st.integers(2, MAX_AGENTS)),
+    ("world", "noise"): ("world", "noise", FLIP | st.tuples(FLIP, FLIP)),
+    ("world", "density"): ("world", "density", st.floats(0.0, 1.0, exclude_max=True)),
+    ("world", "rect_min"): ("world", "rect_min", st.integers(1, 7)),
+    ("world", "rect_max"): ("world", "rect_max", st.integers(3, 32)),
+    ("world", "seed"): ("world", "seed", SEEDS),
+    ("codebook", "n_base"): ("train", "n_base", COUNTS),
+    ("codebook", "n_res"): ("train", "n_res", COUNTS),
+    ("codebook", "iters"): ("train", "kmeans_iters", COUNTS),
+    ("codebook", "seed"): ("train", "codebook_seed", SEEDS),
+    ("discriminator", "steps"): ("train", "disc_steps", COUNTS),
+    ("discriminator", "lr"): ("train", "disc_lr", st.floats(0.0, exclude_min=True,
+                                                            allow_infinity=False)),
+    ("discriminator", "hidden"): ("train", "disc_hidden", COUNTS),
+    ("discriminator", "seed"): ("train", "disc_seed", SEEDS),
+    ("train", "worlds"): ("train", "n_train_worlds", COUNTS),
+    ("train", "seed"): ("train", "train_seed", SEEDS),
+    ("train", "tau_c_choices"): ("train", "tau_c_choices", float_lists(FINITE)),
+    ("sweep", "tau_c"): ("sweep", "tau_c_grid", float_lists(st.floats(allow_nan=False))),
+    ("sweep", "tau_mi"): ("sweep", "tau_mi_grid", float_lists(st.floats(allow_nan=False))),
+    ("sweep", "seeds"): ("sweep", "seeds", st.lists(SEEDS, min_size=1, max_size=5).map(tuple)),
+    ("sweep", "coder"): ("sweep", "coder", st.sampled_from(CODERS)),
+    ("sweep", "selector"): ("sweep", "selector", st.sampled_from(SELECTORS)),
+    ("verify", "sources"): ("run", "verify_sources", COUNTS),
+    ("verify", "tables"): ("run", "verify_tables", COUNTS),
+    ("verify", "mc_draws"): ("run", "verify_mc_draws", COUNTS),
+    ("verify", "z_max"): ("run", "verify_z_max", COUNTS),
+    ("verify", "seed"): ("run", "verify_seed", SEEDS),
+}
+
+
+def config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+class TestConfigTable:
+    def test_empty_config_is_all_defaults(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        assert parse_config(str(path)) == DEFAULTS
+
+    def test_property_covers_every_table_key(self):
+        assert set(VALID) == set(cli._TABLE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entry=st.sampled_from(sorted(VALID)), data=st.data())
+    def test_one_key_replaces_only_its_field(self, entry, data):
+        section, key = entry
+        target, field, values = VALID[entry]
+        value = data.draw(values)
+        if target == "run":
+            want = replace(DEFAULTS, **{field: value})
+        else:
+            changes = {field: value}
+            if key == "agents":  # each agent without a fov_N line sees the whole grid
+                changes["fovs"] = (("full",),) * value
+            want = replace(DEFAULTS, **{target: replace(getattr(DEFAULTS, target), **changes)})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "one.cfg"
+            path.write_text(f"[{section}]\n{key} = {config_text(value)}\n")
+            assert parse_config(str(path)) == want
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("h = abc", "error: [world] h: expected an integer, got 'abc'"),
+            ("hidden = 0", "error: [discriminator] hidden: must be at least 1, got 0"),
+            ("noise = 0.7", "error: invalid [world] config: noise must be in [0, 0.5)"),
+        ],
+    )
+    def test_error_carries_one_prefix(self, line, message, tmp_path, capsys):
+        key = line.split()[0]
+        text = "\n".join(
+            line if row.startswith(key + " ") else row for row in FAST_CFG.splitlines()
+        )
+        assert run_gen_world(text, tmp_path, capsys) == (2, [message])
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("rect 0 0 32 28 99", "rect takes 4 values, got 5"),
+            ("rect 0 0", "rect takes 4 values, got 2"),
+            ("sector 8 8 3 0 90 7 7", "sector takes 5 values, got 7"),
+            ("sector 8 8 3", "sector takes 5 values, got 3"),
+            ("full extra", "full takes 0 values, got 1"),
+            ("full; rect 0 0 4", "rect takes 4 values, got 3"),
+            ("circle 1 2 3", "unknown fov shape 'circle'"),
+            ("", "empty fov spec"),
+            (" ; ", "empty fov spec"),
+        ],
+    )
+    def test_bad_fov_spec_names_its_key(self, spec, reason, tmp_path, capsys):
+        text = f"[world]\nfov_0 = full\nfov_1 = {spec}\n"
+        assert run_gen_world(text, tmp_path, capsys) == (2, [f"error: [world] fov_1: {reason}"])
+
+    @pytest.mark.parametrize("key", ["fov_00", "fov_01", "fov_", "fov_-1", "fov_2"])
+    def test_fov_key_must_name_an_agent_once(self, key, tmp_path, capsys):
+        code, err = run_gen_world(f"[world]\nfov_1 = full\n{key} = full\n", tmp_path, capsys)
+        assert code == 2 and len(err) == 1 and f"unknown key '{key}'" in err[0]
+
+    def test_huge_agent_count_rejected_without_a_spec_per_agent(self, tmp_path, capsys):
+        code, err = run_gen_world(f"[world]\nagents = {10**12}\n", tmp_path, capsys)
+        want = "error: invalid [world] config: n_agents must be between 2 and 5"
+        assert (code, err) == (2, [want])
 
 
 class TestGenWorld:

@@ -290,6 +290,60 @@ class TestNeighbourSumOracle:
             smooth(np.zeros((3, 3)))
 
 
+FLIPS = st.sampled_from([0.0, 0.05, 0.25]) | st.floats(0.0, 0.5, exclude_max=True)
+
+
+@st.composite
+def posterior_worlds(draw):
+    """Worlds whose prior and channels vary: zero noise, per-agent noise and
+    zero density (a prior with zero entries) included."""
+    k, n = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    side = draw(st.integers(2, 16))
+    rect_max = draw(st.integers(1, side - 1))
+    return WorldConfig(
+        h=side, w=side, n_classes=k, n_agents=n, fovs=(("full",),) * n,
+        noise=draw(FLIPS | st.tuples(*[FLIPS] * n)),
+        density=draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+        rect_min=draw(st.integers(1, rect_max)), rect_max=rect_max,
+    )
+
+
+class TestPosteriorOracle:
+    """Both posteriors, built from one shared log prior and log channel,
+    against the versions that built their own on every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=posterior_worlds(), shape=GRID_SHAPES, n_grids=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), p_seen=st.floats(0.0, 1.0),
+           name_agents=st.booleans())
+    def test_posterior_from_obs_matches_oracle(
+        self, cfg, shape, n_grids, seed, p_seen, name_agents
+    ):
+        rng = np.random.default_rng(seed)
+        n_grids = min(n_grids, cfg.n_agents)  # grid i comes from agent i by default
+        grids = rng.integers(0, cfg.n_classes, (n_grids, *shape))
+        grids[rng.uniform(size=grids.shape) >= p_seen] = UNOBSERVED
+        obs = grids[0] if n_grids == 1 else list(grids)  # one grid may come bare
+        agents = rng.integers(0, cfg.n_agents, n_grids).tolist() if name_agents else None
+        assert_same_bytes(
+            posterior_from_obs(obs, cfg, agents), oracle.posterior_from_obs(obs, cfg, agents)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=posterior_worlds(), shape=GRID_SHAPES, seed=st.integers(0, 2**32 - 1),
+           noise=st.none() | FLIPS)
+    def test_posterior_from_features_matches_oracle(self, cfg, shape, seed, noise):
+        # soft evidence below the 1e-6 cut, above the cap of 8, +-0.0, +-inf, NaN
+        rng = np.random.default_rng(seed)
+        feat = rng.uniform(-1.0, 10.0, size=(*shape, 2 * cfg.n_classes))
+        odd = rng.choice([0.0, -0.0, 1e-7, 1.0, 8.0, np.inf, -np.inf, np.nan], size=feat.shape)
+        feat = np.where(rng.uniform(size=feat.shape) < 0.3, odd, feat)
+        assert_same_bytes(
+            posterior_from_features(feat, cfg, noise),
+            oracle.posterior_from_features(feat, cfg, noise),
+        )
+
+
 class TestScoreIoU:
     def test_perfect_prediction(self):
         gt = np.array([[0, 1], [2, 3]])
