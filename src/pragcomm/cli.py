@@ -342,16 +342,15 @@ def _verify_checks(cfg: RunConfig):
         min_margin = min(min_margin, float((rates - bounds).min()))
     yield "bound_soundness", min_margin, -1e-9, min_margin >= -1e-9
 
-    source, enc = rd.make_separable_source(
+    source, kernel = rd.make_separable_source(
         np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.4, 0.6])
     )
-    h_zy, i_zxr, gap = rd.check_conditions(source, enc)
+    h_zy, i_zxr, gap = rd.check_conditions(source, kernel)
     worst = max(h_zy, i_zxr, gap)
     yield "bound_tightness_conditions", worst, 1e-9, worst <= 1e-9
 
     t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 3)], rng)
-    enc2 = rd.EncoderSpec("deterministic", np.array([0, 1, 0]))
-    ext = rd.attach_encoder(t, enc2)
+    ext = it.extend_with_channel(t, "X_s", "Z", rd.deterministic_kernel([0, 1, 0]))
     worst = max(
         it.conditional_mi(ext, "Z", "X_r", ["X_s"]).value,
         it.conditional_mi(ext, "Z", "Y", ["X_s"]).value,

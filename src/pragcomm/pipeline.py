@@ -161,6 +161,7 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
                 tau = float(rng.choice(tc.tau_c_choices))
                 tau_draws.append(tau)
                 f_s, f_r = feats[(wi, s)], feats[(wi, r)]
+                # conf, not the deployment gate: the gate drops criterion 7 to 13/20 seeds
                 m_c = conf[(wi, s)] > tau
                 abstract = vq.reconstruct_base(quant[(wi, s)], cb)
                 abstract[~m_c] = 0.0

@@ -34,52 +34,24 @@ MAX_SOURCE_ALPHABET = 6
 _BLOCK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class EncoderSpec:
-    """A message encoder reading only the sender's symbol.
+def deterministic_kernel(mapping, n_z: int | None = None) -> np.ndarray:
+    """One-hot channel p(Z | X_s) of the encoder sending X_s symbol ``s`` to
+    Z symbol ``mapping[..., s]``; leading axes of ``mapping`` stack encoders.
 
-    ``kind="deterministic"``: ``table`` maps each X_s symbol to a Z symbol.
-    ``kind="stochastic"``: ``table`` is a row-stochastic matrix p(Z | X_s).
+    ``n_z`` defaults to the largest symbol plus one.  Raises ValueError unless
+    every entry is a finite, nonnegative whole number below ``n_z``.
     """
-
-    kind: str
-    table: np.ndarray
-
-    def __post_init__(self):
-        tbl = np.asarray(self.table)
-        if self.kind == "deterministic":
-            if tbl.dtype.kind not in "biu":
-                tbl = tbl.astype(np.float64)
-                # NaN and infinities fail the range test, fractions the rounding
-                if not np.all((np.abs(tbl) < 2.0**63) & (tbl == np.round(tbl))):
-                    raise ValueError("deterministic map entries must be finite whole numbers")
-            tbl = tbl.astype(np.int64)
-            if tbl.ndim != 1 or np.any(tbl < 0):
-                raise ValueError("deterministic map must be a 1-D symbol table")
-        elif self.kind == "stochastic":
-            tbl = tbl.astype(np.float64)
-            if tbl.ndim != 2 or not np.all(tbl >= 0):  # NaN fails too
-                raise ValueError("stochastic encoder must be a 2-D matrix")
-            if not np.all(np.abs(tbl.sum(axis=1) - 1.0) <= 1e-12):
-                raise ValueError("stochastic encoder rows must sum to 1 within 1e-12")
-        else:
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
-        tbl.setflags(write=False)
-        object.__setattr__(self, "table", tbl)
-
-    def kernel(self, n_source: int, n_z: int) -> np.ndarray:
-        """Row-stochastic p(Z | X_s) regardless of kind."""
-        if self.kind == "stochastic":
-            if self.table.shape != (n_source, n_z):
-                raise ValueError(
-                    f"encoder shape {self.table.shape} != ({n_source}, {n_z})"
-                )
-            return np.asarray(self.table)
-        if len(self.table) != n_source or np.any(self.table >= n_z):
-            raise ValueError("deterministic map does not fit the alphabets")
-        k = np.zeros((n_source, n_z))
-        k[np.arange(n_source), self.table] = 1.0
-        return k
+    m = np.asarray(mapping)
+    if m.dtype.kind not in "biu":
+        m = m.astype(np.float64)
+        # NaN and infinities fail the range test, fractions the rounding
+        if not np.all((np.abs(m) < 2.0**63) & (m == np.round(m))):
+            raise ValueError("deterministic map entries must be finite whole numbers")
+    m = m.astype(np.int64, copy=False)
+    n_z = int(m.max(initial=-1)) + 1 if n_z is None else n_z
+    if m.ndim < 1 or np.any(m < 0) or np.any(m >= n_z):
+        raise ValueError(f"deterministic map entries must be symbols in [0, {n_z})")
+    return (m[..., None] == np.arange(n_z)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -92,15 +64,6 @@ class RDPoint:
     cond_h_z_given_y: float  # H(Z | Y), bits
     mi_z_xr: float  # I(Z; X_r), bits
     pareto: bool = False
-
-
-def attach_encoder(source: JointTable, enc: EncoderSpec) -> JointTable:
-    """Composite table p(..., Z) with Z generated from X_s by the encoder."""
-    if enc.kind == "stochastic":
-        n_z = enc.table.shape[1]
-    else:
-        n_z = int(enc.table.max()) + 1
-    return extend_with_channel(source, "X_s", "Z", enc.kernel(source.size("X_s"), n_z))
 
 
 def theoretical_bound(source: JointTable, delta_nats: float | np.ndarray) -> float | np.ndarray:
@@ -143,7 +106,7 @@ def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint
     cells = len(mappings) * z_alphabet_size * (p.size // n_source)
     parts = []
     for block in np.array_split(mappings, -(-cells // _BLOCK_CELLS)):
-        kernels = (block[:, :, None] == np.arange(z_alphabet_size)).astype(np.float64)
+        kernels = deterministic_kernel(block, z_alphabet_size)
         joint = np.einsum("yxr,exz->eyzr", p, kernels, optimize=True)
         p_zr = joint.sum(axis=1)
         parts.append([
@@ -190,10 +153,11 @@ def pareto_flags(
 
 
 def check_conditions(
-    source: JointTable, enc: EncoderSpec
+    source: JointTable, kernel: np.ndarray
 ) -> tuple[float, float, float]:
-    """(H(Z|Y), I(Z;X_r), rate - bound at the achieved distortion), all bits."""
-    ext = attach_encoder(source, enc)
+    """(H(Z|Y), I(Z;X_r), rate - bound at the achieved distortion), all bits,
+    of the encoder with channel ``kernel[s, z]`` = p(Z = z | X_s = s)."""
+    ext = extend_with_channel(source, "X_s", "Z", kernel)
     rate = mutual_information(ext, "X_s", "Z", "bits").value
     dist = pragmatic_distortion(ext, "segmentation")
     h_zy = conditional_entropy(ext, "Z", ["Y"], "bits").value
@@ -204,12 +168,12 @@ def check_conditions(
 
 def make_separable_source(
     p_y: np.ndarray, p_n: np.ndarray, p_xr: np.ndarray
-) -> tuple[JointTable, EncoderSpec]:
+) -> tuple[JointTable, np.ndarray]:
     """Construct the bound-touching source X_s = (Y, N) with X_r independent.
 
     X_s enumerates (y, n) pairs as y * |N| + n.  Returns the source table and
-    the encoder that extracts the Y component, which attains the bound at
-    zero distortion with H(Z|Y) = 0 and I(Z;X_r) = 0.
+    the kernel of the encoder that extracts the Y component, which attains
+    the bound at zero distortion with H(Z|Y) = 0 and I(Z;X_r) = 0.
     """
     p_y = np.asarray(p_y, dtype=np.float64)
     p_n = np.asarray(p_n, dtype=np.float64)
@@ -221,5 +185,4 @@ def make_separable_source(
             for r in range(nr):
                 pmf[y, y * nn + n, r] = p_y[y] * p_n[n] * p_xr[r]
     source = JointTable((("Y", ny), ("X_s", ny * nn), ("X_r", nr)), pmf)
-    mapping = np.repeat(np.arange(ny), nn)
-    return source, EncoderSpec("deterministic", mapping)
+    return source, deterministic_kernel(np.repeat(np.arange(ny), nn))

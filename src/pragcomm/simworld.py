@@ -54,9 +54,17 @@ class WorldConfig:
             raise ValueError("one field-of-view spec per agent required")
         if not 1 <= self.rect_min <= self.rect_max <= min(self.h, self.w):
             raise ValueError("rectangle size range does not fit the grid")
-        for spec in self.fovs:
+        if self.density > 0 and self.rect_min == self.h == self.w == self.rect_max:
+            # every rectangle would cover the grid, leaving no background
+            raise ValueError(
+                f"rect_min = rect_max = {self.h} fills the {self.h}x{self.w} grid"
+            )
+        for agent, spec in enumerate(self.fovs):
             for shape in spec:
-                _validate_shape(shape, self.h, self.w)
+                try:
+                    _validate_shape(shape, self.h, self.w)
+                except ValueError as exc:
+                    raise ValueError(f"fov_{agent}: {exc}") from None
 
     @property
     def feature_channels(self) -> int:
@@ -215,9 +223,7 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
     return _normalize(log_post)
 
 
-def posterior_from_features(
-    feat: np.ndarray, cfg: WorldConfig, noise: float | None = None
-) -> np.ndarray:
+def posterior_from_features(feat: np.ndarray, cfg: WorldConfig, noise: float) -> np.ndarray:
     """Posterior decoded from (possibly fused or reconstructed) features.
 
     The first K channels act as soft evidence: a value v on channel k
@@ -226,13 +232,11 @@ def posterior_from_features(
     max-fused pair of disagreeing one-hots reproduces the two-observation
     product rule.  Values above 1 (trust-weighted evidence from a more
     reliable source) strengthen the vote; a cap keeps reconstruction noise
-    from exploding the exponent.  ``noise`` selects the channel model (the
-    decoding agent's own flip probability by default).
+    from exploding the exponent.  ``noise`` is the decoding agent's own flip
+    probability, which selects the channel model.
     """
     k = cfg.n_classes
-    log_prior, (log_chan,) = _log_model(
-        cfg, [cfg.agent_noise(0) if noise is None else noise]
-    )
+    log_prior, (log_chan,) = _log_model(cfg, [noise])
     v = np.clip(feat[..., :k], 0.0, 8.0)
     v = np.where(v > 1e-6, v, 0.0)
     log_post = log_prior[None, None, :] + np.einsum("hwk,ky->hwy", v, log_chan)
@@ -256,9 +260,7 @@ def _normalize(log_post: np.ndarray) -> np.ndarray:
     return post
 
 
-def confidence(
-    feat: np.ndarray, cfg: WorldConfig, noise: float | None = None
-) -> np.ndarray:
+def confidence(feat: np.ndarray, cfg: WorldConfig, noise: float) -> np.ndarray:
     """Per-cell task confidence: one minus the posterior background mass."""
     return 1.0 - posterior_from_features(feat, cfg, noise)[..., 0]
 

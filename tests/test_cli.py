@@ -351,6 +351,25 @@ class TestConfigTable:
         want = "error: invalid [world] config: n_agents must be between 2 and 5"
         assert (code, err) == (2, [want])
 
+    def test_rectangle_filling_the_grid_rejected(self, tmp_path, capsys):
+        text = "[world]\nh = 3\nw = 3\nrect_min = 3\nrect_max = 3\n"
+        want = "error: invalid [world] config: rect_min = rect_max = 3 fills the 3x3 grid"
+        assert run_gen_world(text, tmp_path, capsys) == (2, [want])
+
+    def test_rectangles_up_to_the_grid_side_accepted(self, tmp_path, capsys):
+        text = "[world]\nh = 4\nw = 4\nrect_min = 3\nrect_max = 4\n"
+        assert run_gen_world(text, tmp_path, capsys) == (0, [])
+        assert (tmp_path / "o" / "world_0.txt").exists()
+
+    @pytest.mark.parametrize("agent", [0, 1])
+    def test_fov_outside_the_grid_names_its_key(self, agent, tmp_path, capsys):
+        text = f"[world]\nfov_{agent} = rect 0 0 99 99\n"
+        want = (
+            f"error: invalid [world] config: fov_{agent}: "
+            "rect ('rect', 0, 0, 99, 99) outside the 32x32 grid"
+        )
+        assert run_gen_world(text, tmp_path, capsys) == (2, [want])
+
 
 class TestGenWorld:
     def test_writes_snapshots_and_manifest(self, cfg_file, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,13 +10,13 @@ from pragcomm.infotheory import (
     JointTable,
     conditional_mi,
     entropy,
+    extend_with_channel,
     random_joint,
 )
 from pragcomm import rd_oracle
 from pragcomm.rd_oracle import (
-    EncoderSpec,
-    attach_encoder,
     check_conditions,
+    deterministic_kernel,
     enumerate_frontier,
     make_separable_source,
     pareto_flags,
@@ -42,33 +43,33 @@ def xs_equals_y_source() -> JointTable:
     return JointTable((("Y", 2), ("X_s", 2), ("X_r", 2)), pmf)
 
 
-class TestEncoderSpec:
-    def test_rejects_bad_stochastic_rows(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            EncoderSpec("stochastic", np.array([[0.5, 0.4], [1.0, 0.0]]))
-
-    def test_rejects_nan_stochastic_entry(self):
-        with pytest.raises(ValueError):
-            EncoderSpec("stochastic", np.array([[np.nan, 1.0], [0.5, 0.5]]))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            EncoderSpec("magic", np.array([0, 1]))
-
+class TestDeterministicKernel:
     @pytest.mark.parametrize("table", [[0.7, 1.9], [0.0, np.nan], [1.0, np.inf], [0.0, 1e300]])
     def test_rejects_non_integral_deterministic_entry(self, table):
         with pytest.raises(ValueError, match="whole numbers"):
-            EncoderSpec("deterministic", np.array(table))
+            deterministic_kernel(np.array(table))
+
+    @pytest.mark.parametrize(
+        "table, n_z", [([0, -1], None), ([0, 2], 2), ([[0, 1], [3, 0]], 3)]
+    )
+    def test_rejects_symbol_outside_the_z_alphabet(self, table, n_z):
+        with pytest.raises(ValueError, match="symbols in"):
+            deterministic_kernel(np.array(table), n_z)
 
     def test_accepts_integral_float_deterministic_map(self):
-        enc = EncoderSpec("deterministic", np.array([0.0, 2.0]))
-        assert enc.table.dtype == np.int64
-        np.testing.assert_array_equal(enc.table, [0, 2])
+        k = deterministic_kernel(np.array([0.0, 2.0]))
+        np.testing.assert_array_equal(k, [[1, 0, 0], [0, 0, 1]])
 
     def test_deterministic_kernel_is_one_hot(self):
-        enc = EncoderSpec("deterministic", np.array([1, 0, 1]))
-        k = enc.kernel(3, 2)
+        k = deterministic_kernel(np.array([1, 0, 1]), 2)
         np.testing.assert_array_equal(k, [[0, 1], [1, 0], [0, 1]])
+
+    def test_leading_axes_stack_encoders(self):
+        maps = np.array([[[1, 0, 1], [0, 0, 2]]])
+        k = deterministic_kernel(maps, 4)
+        assert k.shape == (1, 2, 3, 4)
+        for e in range(2):
+            np.testing.assert_array_equal(k[0, e], deterministic_kernel(maps[0, e], 4))
 
 
 class TestEnumerateFrontier:
@@ -162,31 +163,31 @@ class TestTheoreticalBound:
 
 class TestCheckConditions:
     def test_z_function_of_y_gives_zero_conditional_entropy(self):
-        source, enc = make_separable_source(
+        source, kernel = make_separable_source(
             np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.3, 0.7])
         )
-        h_zy, _, _ = check_conditions(source, enc)
+        h_zy, _, _ = check_conditions(source, kernel)
         assert h_zy == pytest.approx(0.0, abs=1e-12)
 
     def test_z_independent_of_xr(self):
-        source, enc = make_separable_source(
+        source, kernel = make_separable_source(
             np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.array([0.6, 0.4])
         )
-        _, i_zxr, _ = check_conditions(source, enc)
+        _, i_zxr, _ = check_conditions(source, kernel)
         assert i_zxr == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_achieving_encoder_gap(self):
-        source, enc = make_separable_source(
+        source, kernel = make_separable_source(
             np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.5, 0.5])
         )
-        _, _, gap = check_conditions(source, enc)
+        _, _, gap = check_conditions(source, kernel)
         assert abs(gap) <= 1e-9
 
     def test_stochastic_encoder_accepted(self):
         rng = np.random.default_rng(41)
         t = random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], rng)
-        enc = EncoderSpec("stochastic", rng.dirichlet(np.ones(2), size=3))
-        h_zy, i_zxr, gap = check_conditions(t, enc)
+        kernel = rng.dirichlet(np.ones(2), size=3)
+        h_zy, i_zxr, gap = check_conditions(t, kernel)
         assert h_zy >= -1e-9 and i_zxr >= -1e-9
         assert gap >= -1e-9  # stochastic encoders also respect the bound
 
@@ -222,10 +223,10 @@ class TestFullAlphabetSoundness:
 
 class TestTightness:
     def test_constructed_source_attains_bound(self):
-        source, enc = make_separable_source(
+        source, kernel = make_separable_source(
             np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.5])
         )
-        h_zy, i_zxr, gap = check_conditions(source, enc)
+        h_zy, i_zxr, gap = check_conditions(source, kernel)
         assert h_zy <= 1e-9
         assert i_zxr <= 1e-9
         assert gap <= 1e-9
@@ -250,8 +251,7 @@ class TestMarkovPremise:
         rng = np.random.default_rng(61)
         t = random_joint([("Y", 3), ("X_s", 3), ("X_r", 3)], rng)
         for mapping in ([0, 1, 0], [2, 2, 1]):
-            enc = EncoderSpec("deterministic", np.array(mapping))
-            ext = attach_encoder(t, enc)
+            ext = extend_with_channel(t, "X_s", "Z", deterministic_kernel(mapping))
             assert conditional_mi(ext, "Z", "X_r", ["X_s"]).value == pytest.approx(
                 0.0, abs=1e-10
             )
@@ -316,10 +316,10 @@ class TestParetoFlags:
 
 
 @st.composite
-def sources(draw):
-    """A (Y, X_s, X_r) source with axes of size 1-5 in a random order, often
-    with exact-zero atoms."""
-    sizes = [draw(st.integers(1, 5)) for _ in range(3)]
+def sources(draw, smallest=1, largest=5):
+    """A (Y, X_s, X_r) source with axes of size ``smallest``-``largest`` in a
+    random order, often with exact-zero atoms."""
+    sizes = [draw(st.integers(smallest, largest)) for _ in range(3)]
     weights = draw(
         st.lists(
             st.sampled_from([0.0]) | st.floats(1e-3, 1.0),
@@ -371,3 +371,20 @@ class TestBatchedFrontierMatchesOracle:
         pmf[:, 1:, :] = 1.0 / 8
         t = JointTable((("Y", 2), ("X_s", 3), ("X_r", 2)), pmf)
         assert_same_points(enumerate_frontier(t, 3), oracle.enumerate_frontier(t, 3))
+
+
+class TestCheckConditionsMatchesFrontier:
+    @settings(max_examples=100, deadline=None)
+    @given(source=sources(2, 4), data=st.data())
+    def test_single_encoder_matches_its_frontier_point(self, source, data):
+        n_source = source.size("X_s")
+        z = data.draw(st.integers(1, n_source))
+        symbols = st.lists(st.integers(0, z - 1), min_size=n_source, max_size=n_source)
+        mapping = tuple(data.draw(symbols))
+        e = list(itertools.product(range(z), repeat=n_source)).index(mapping)
+        point = enumerate_frontier(source, z)[e]
+        h_zy, i_zxr, gap = check_conditions(source, deterministic_kernel(mapping, z))
+        bound = theoretical_bound(source, max(point.distortion_nats, 0.0))
+        assert h_zy == pytest.approx(point.cond_h_z_given_y, abs=1e-12)
+        assert i_zxr == pytest.approx(point.mi_z_xr, abs=1e-12)
+        assert gap == pytest.approx(point.rate_bits - bound, abs=1e-12)

@@ -47,8 +47,14 @@ class TestConfig:
             WorldConfig(h=8, w=8, fovs=((("rect", 0, 0, 9, 8),), ("full",)))
 
     def test_rejects_unknown_shape(self):
-        with pytest.raises(ValueError, match="unknown"):
-            WorldConfig(h=8, w=8, fovs=((("blob", 1),), ("full",)))
+        with pytest.raises(ValueError, match="^fov_1: unknown field-of-view shape"):
+            WorldConfig(h=8, w=8, fovs=(("full",), (("blob", 1),)))
+
+    def test_rectangle_filling_the_grid_needs_zero_density(self):
+        with pytest.raises(ValueError, match="rect_min = rect_max = 3 fills"):
+            WorldConfig(h=3, w=3, density=0.5, rect_min=3, rect_max=3)
+        cfg = WorldConfig(h=3, w=3, density=0.0, rect_min=3, rect_max=3)
+        assert class_prior(cfg)[0] == 1.0
 
     def test_agent_count_bounds(self):
         with pytest.raises(ValueError):
@@ -173,7 +179,7 @@ class TestPosterior:
         _, obs = generate(cfg)
         feat = extract_features(obs[0], cfg)
         p_obs = posterior_from_obs(obs[0], cfg)
-        p_feat = posterior_from_features(feat, cfg)
+        p_feat = posterior_from_features(feat, cfg, cfg.agent_noise(0))
         np.testing.assert_allclose(p_feat, p_obs, atol=1e-9)
 
     def test_fused_one_hots_product_rule(self):
@@ -181,7 +187,7 @@ class TestPosterior:
         a = np.full((1, 1), 1)
         b = np.full((1, 1), 2)
         feat = fuse(extract_features(a, cfg), extract_features(b, cfg))
-        got = posterior_from_features(feat, cfg)[0, 0]
+        got = posterior_from_features(feat, cfg, cfg.agent_noise(0))[0, 0]
         want = posterior_from_obs([a, b], cfg)[0, 0]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -191,13 +197,13 @@ class TestConfidence:
         cfg = cfg_full(noise=0.0)
         obs = np.zeros((1, 1), dtype=int)
         feat = extract_features(obs, cfg)
-        assert confidence(feat, cfg)[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert confidence(feat, cfg, cfg.noise)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_object_certain_cell_one(self):
         cfg = cfg_full(noise=0.0)
         obs = np.full((1, 1), 3)
         feat = extract_features(obs, cfg)
-        assert confidence(feat, cfg)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert confidence(feat, cfg, cfg.noise)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_object_observation_closed_form(self):
         cfg = cfg_full(noise=0.1)
@@ -207,7 +213,7 @@ class TestConfidence:
         chan = channel_matrix(cfg)
         post = prior * chan[1, :]
         post /= post.sum()
-        assert confidence(feat, cfg)[0, 0] == pytest.approx(1 - post[0], abs=1e-9)
+        assert confidence(feat, cfg, cfg.noise)[0, 0] == pytest.approx(1 - post[0], abs=1e-9)
 
 
 class TestFuseAndSmooth:
@@ -280,7 +286,10 @@ class TestNeighbourSumOracle:
            p_seen=st.floats(0.0, 1.0))
     def test_extract_features_matches_oracle(self, shape, k, seed, p_seen):
         rng = np.random.default_rng(seed)
-        cfg = WorldConfig(h=shape[0], w=shape[1], n_classes=k, rect_min=1, rect_max=1)
+        # no rectangles: a 1x1 one would fill a 1x1 grid
+        cfg = WorldConfig(
+            h=shape[0], w=shape[1], n_classes=k, density=0.0, rect_min=1, rect_max=1
+        )
         obs = rng.integers(0, k, shape)
         obs[rng.uniform(size=shape) >= p_seen] = UNOBSERVED
         assert_same_bytes(extract_features(obs, cfg), oracle.extract_features(obs, cfg))
@@ -331,7 +340,7 @@ class TestPosteriorOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=posterior_worlds(), shape=GRID_SHAPES, seed=st.integers(0, 2**32 - 1),
-           noise=st.none() | FLIPS)
+           noise=FLIPS)
     def test_posterior_from_features_matches_oracle(self, cfg, shape, seed, noise):
         # soft evidence below the 1e-6 cut, above the cap of 8, +-0.0, +-inf, NaN
         rng = np.random.default_rng(seed)
