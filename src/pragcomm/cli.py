@@ -482,6 +482,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:  # CodingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a backstop: a bare MemoryError has no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
     return 2
 
 

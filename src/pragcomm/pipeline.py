@@ -138,16 +138,21 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
     all_cells = np.concatenate(
         [f.reshape(-1, f.shape[-1]) for f in feats.values()], axis=0
     )
-    cb = vq.train_codebooks(
+    cb, base_idx, res_idx = vq.train_codebooks(
         all_cells, tc.n_base, tc.n_res, iters=tc.kmeans_iters, seed=tc.codebook_seed
     )
 
-    # the codebook embeddings are fixed from here on, so each view is
-    # quantized and scored once for both the frequencies and the batch
+    # k-means has already quantized every training cell with the final
+    # embeddings; each view takes its slice for the frequencies and the batch
     quant, conf = {}, {}
+    stop = 0
     for (wi, agent), f in feats.items():
         cfg = worlds[wi].cfg
-        quant[(wi, agent)], _ = vq.quantize(f, cb)
+        start, stop = stop, stop + f.shape[0] * f.shape[1]
+        quant[(wi, agent)] = vq.IndexGrid(
+            base_idx[start:stop].reshape(f.shape[:2]),
+            res_idx[start:stop].reshape(f.shape[:2]),
+        )
         conf[(wi, agent)] = sw.confidence(f, cfg, cfg.agent_noise(agent))
         vq.accumulate_conf_freq(cb, quant[(wi, agent)], conf[(wi, agent)])
 

@@ -92,10 +92,15 @@ def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[starts], inverse, np.diff(starts, append=len(x))
 
 
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # (n, k) squared distances; each entry sums one contiguous row of d terms,
+    # so its bits do not depend on which other rows or centroids are present
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin over squared distance; ties resolve to the lowest index
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _sq_dists(points, centroids).argmin(axis=1)
 
 
 def kmeans(
@@ -103,10 +108,18 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd k-means with k-means++ seeding.
 
-    Empty clusters are re-seeded from the point farthest from its assigned
-    centroid.  Returns (centroids, assignment, per-iteration SSE history).
-    Nearest-centroid searches run once per distinct point; seeding, means
-    and SSE use every point.
+    Empty clusters are re-seeded, in ascending cluster order, from the point
+    farthest from its assigned centroid.  Returns (centroids, assignment,
+    per-iteration SSE history); the assignment is to the returned centroids.
+
+    Each step does only the work whose result can change.  Distances are
+    kept per distinct point, one column per centroid, and a step recomputes
+    only the columns of the centroids that moved.  The means come from one
+    stable sort of the assignment: each cluster's points are a contiguous
+    slice in index order, the rows a mask would select.  Seeding draws from
+    every point, and means and SSE sum over every point, so all three
+    results equal those of the every-point, every-centroid search bit for
+    bit.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -116,26 +129,35 @@ def kmeans(
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = ((uniq - centroids[0]) ** 2).sum(axis=1)  # per distinct point
     for i in range(1, k):
-        total = d2.sum()
+        d2_points = d2[inv]
+        total = d2_points.sum()
         if total <= 0:
             centroids[i] = points[rng.integers(n)]
         else:
-            centroids[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+            centroids[i] = points[rng.choice(n, p=d2_points / total)]
+        d2 = np.minimum(d2, ((uniq - centroids[i]) ** 2).sum(axis=1))
 
-    assign = _nearest(uniq, centroids)[inv]
+    dist = _sq_dists(uniq, centroids)
+    assign = dist.argmin(axis=1)[inv]
     history = []
     for _ in range(iters):
+        old = centroids.copy()
+        # a stable sort is unique, and on small integers numpy radix-sorts
+        order = np.argsort(assign.astype(np.min_scalar_type(k)), kind="stable")
+        ordered = points[order]
+        bounds = np.searchsorted(assign[order], np.arange(k + 1))
         for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                centroids[c] = ordered[lo:hi].mean(axis=0)
             else:
                 far = ((points - centroids[assign]) ** 2).sum(axis=1).argmax()
                 centroids[c] = points[far]
-        new_assign = _nearest(uniq, centroids)[inv]
+        moved = (centroids != old).any(axis=1)
+        dist[:, moved] = _sq_dists(uniq, centroids[moved])
+        new_assign = dist.argmin(axis=1)[inv]
         sse = float(((points - centroids[new_assign]) ** 2).sum())
         history.append(sse)
         if np.array_equal(new_assign, assign) and len(history) > 1:
@@ -151,11 +173,14 @@ def train_codebooks(
     n_res: int,
     iters: int = 25,
     seed: int = 0,
-) -> LayeredCodebook:
+) -> tuple[LayeredCodebook, np.ndarray, np.ndarray]:
     """Fit base and residual codebooks to a sample of feature vectors.
 
     The base layer is k-means over the features; the residual layer is
-    k-means over what the base layer leaves behind.
+    k-means over what the base layer leaves behind.  Also returns each
+    feature row's base and residual index, which are the indices
+    ``quantize`` gives that row: both search the final embeddings with the
+    same per-row distances.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -165,10 +190,11 @@ def train_codebooks(
             f"need n_base <= n_res <= #features, got {n_base}, {n_res}, {features.shape[0]}"
         )
     rng = np.random.default_rng(seed)
-    base_emb, assign, _ = kmeans(features, n_base, iters, rng)
-    residuals = features - base_emb[assign]
-    res_emb, _, _ = kmeans(residuals, n_res, iters, rng)
-    return LayeredCodebook(_empty_codebook(base_emb), _empty_codebook(res_emb))
+    base_emb, base_idx, _ = kmeans(features, n_base, iters, rng)
+    residuals = features - base_emb[base_idx]
+    res_emb, res_idx, _ = kmeans(residuals, n_res, iters, rng)
+    cb = LayeredCodebook(_empty_codebook(base_emb), _empty_codebook(res_emb))
+    return cb, base_idx, res_idx
 
 
 def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:

@@ -416,6 +416,23 @@ class TestTrainAndSweep:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "non-finite" in err[0]
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (MemoryError("Unable to allocate 8.00 EiB"),
+             "error: out of memory: Unable to allocate 8.00 EiB"),
+        ],
+    )
+    def test_out_of_memory_is_run_error(self, exc, line, cfg_file, tmp_path, capsys,
+                                        monkeypatch):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.pl, "train_all", exhausted)
+        assert main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_unwritable_output_is_run_error(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "trained"
         (out / "codebook.txt").mkdir(parents=True)  # a directory where a file goes

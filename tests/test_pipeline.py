@@ -64,16 +64,64 @@ class TestTrainAll:
             np.testing.assert_array_equal(w1, w2)
 
 
+class TestTrainingAssignments:
+    """train_all takes each training view's indices from k-means itself."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            TEMPLATE,
+            sw.WorldConfig(h=12, w=12, n_classes=3, seed=5),
+            sw.WorldConfig(
+                h=10, w=14, n_classes=5, n_agents=3,
+                fovs=((("rect", 0, 0, 10, 9),), ("full",), (("rect", 2, 4, 10, 14),)),
+                noise=(0.05, 0.2, 0.1), density=0.4, rect_min=2, rect_max=4,
+            ),
+        ],
+    )
+    def test_view_indices_equal_quantize(self, template, monkeypatch):
+        tc = dataclasses.replace(TRAIN, n_base=3, n_res=24, disc_steps=2)
+        calls, quantized = [], 0
+
+        def record(cb, idx, conf):
+            calls.append((cb, idx, conf))
+            return accumulate(cb, idx, conf)
+
+        def count(*args):
+            nonlocal quantized
+            quantized += 1
+            return quantize(*args)
+
+        accumulate, quantize = vq.accumulate_conf_freq, vq.quantize
+        monkeypatch.setattr(vq, "accumulate_conf_freq", record)
+        monkeypatch.setattr(vq, "quantize", count)
+        pl.train_all(template, tc)
+        assert quantized == 0
+        worlds = [
+            pl.make_world(dataclasses.replace(template, seed=tc.train_seed + 1 + i))
+            for i in range(tc.n_train_worlds)
+        ]
+        views = [(w.cfg, a, sw.extract_features(obs, w.cfg)) for w in worlds
+                 for a, obs in enumerate(w.obs)]
+        assert len(calls) == len(views)
+        # each call pairs one view's confidence with that view's indices
+        for (cb, got, conf), (cfg, agent, feats) in zip(calls, views):
+            np.testing.assert_array_equal(conf, sw.confidence(feats, cfg, cfg.agent_noise(agent)))
+            want, _ = quantize(feats, cb)
+            for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 class TestBuildCodes:
     def test_requires_accumulated_frequencies(self):
         rng = np.random.default_rng(0)
-        cb = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
+        cb, _, _ = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
         with pytest.raises(ec.CodingError, match="accumulate"):
             pl.build_codes(cb, "task_entropy")
 
     def test_fixed_codes_need_no_frequencies(self):
         rng = np.random.default_rng(0)
-        cb = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
+        cb, _, _ = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
         base, res = pl.build_codes(cb, "fixed")
         assert set(base.lengths) == {2}
         assert set(res.lengths) == {4}

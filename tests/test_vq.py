@@ -165,6 +165,61 @@ class TestKmeans:
         assert got[2] == want[2]
 
 
+@st.composite
+def kmeans_cases(draw):
+    """(points, k, iters, seed) with heavy duplicates: every row is one of a
+    few atoms, so k up to n leaves clusters empty and forces reseeding."""
+    # at d = 1 a mean sums one contiguous column, pairwise; half the cases
+    d = draw(st.just(1) | st.integers(2, 9))
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5.4, 0.1]) | st.floats(
+        -10, 10, allow_nan=False, allow_subnormal=False
+    )
+    atoms = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=8))
+    rows = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=60))
+    points = np.array(atoms)[rows]
+    # small k gives clusters of many rows, where a mean's summation order shows
+    k = draw(st.integers(1, min(3, len(points))) | st.integers(1, len(points)))
+    return points, k, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestKmeansOracle:
+    """kmeans against the every-point, every-centroid Lloyd it replaced."""
+
+    @staticmethod
+    def assert_same_bits(points, k, iters, seed):
+        got = kmeans(points, k, iters, np.random.default_rng(seed))
+        want = kmeans_every_point(points, k, iters, np.random.default_rng(seed))
+        for a, b in zip(got[:2], want[:2]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kmeans_cases())
+    def test_same_centroids_assignment_and_history(self, case):
+        self.assert_same_bits(*case)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_dimensional_means(self, seed):
+        # a (m, 1) mean sums its column pairwise, not in row order
+        pts = np.random.default_rng(seed).normal(size=(200, 1))
+        self.assert_same_bits(pts, 3, 25, seed)
+
+    def test_two_empty_clusters_reseed_in_ascending_order(self):
+        # Two atoms, k = 4.  The mean of three copies of 5.4 is not 5.4, so a
+        # centroid reseeded onto a 5.4 point takes those points over.  In the
+        # second step clusters 1 and 3 are empty and cluster 2, between them,
+        # holds the 5.4s.  Cluster 1 reseeds while centroid 2 is still exactly
+        # 5.4: every distance is 0 and point 0 wins.  Cluster 3 reseeds after
+        # centroid 2 has moved off 5.4, and point 1 wins.
+        pts = np.array([[0.0], [5.4], [0.0], [0.0], [5.4], [0.0], [5.4]])
+        centroids, assign, _ = self.assert_same_bits(pts, 4, 2, 0)
+        drift = np.full((3, 1), 5.4).mean(axis=0)[0]
+        assert drift != 5.4
+        np.testing.assert_array_equal(centroids[:, 0], [0.0, 0.0, drift, 5.4])
+        np.testing.assert_array_equal(assign, [0, 3, 0, 0, 3, 0, 3])
+
+
 class TestUniqueRows:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -205,7 +260,7 @@ class TestTrainCodebooks:
     def test_exact_points_perfectly_coded(self):
         base = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
         feats = np.repeat(base, 8, axis=0)
-        cb = train_codebooks(feats, n_base=4, n_res=4, iters=10, seed=5)
+        cb, _, _ = train_codebooks(feats, n_base=4, n_res=4, iters=10, seed=5)
         got = sorted(map(tuple, cb.base.embeddings))
         np.testing.assert_allclose(got, sorted(map(tuple, base)), atol=1e-12)
         # residual layer sees only zeros
@@ -213,7 +268,7 @@ class TestTrainCodebooks:
 
     def test_forced_one_dimensional_fixed_point(self):
         feats = np.array([[0.0], [1.0]] * 16)
-        cb = train_codebooks(feats, n_base=1, n_res=2, iters=10, seed=2)
+        cb, _, _ = train_codebooks(feats, n_base=1, n_res=2, iters=10, seed=2)
         assert cb.base.embeddings[0, 0] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(
             sorted(cb.res.embeddings[:, 0]), [-0.5, 0.5], atol=1e-12
@@ -221,6 +276,17 @@ class TestTrainCodebooks:
         grid = feats.reshape(8, 4, 1)
         _, recon = quantize(grid, cb)
         np.testing.assert_allclose(recon, grid, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_returned_indices_are_the_quantize_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        atoms = np.vstack([rng.integers(0, 2, (6, 3)).astype(float), rng.normal(size=(10, 3))])
+        feats = atoms[rng.integers(len(atoms), size=120)]
+        cb, base_idx, res_idx = train_codebooks(feats, n_base=3, n_res=9, iters=15, seed=seed)
+        idx, _ = quantize(feats.reshape(10, 12, 3), cb)
+        for got, want in ((base_idx, idx.base_idx), (res_idx, idx.res_idx)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want.ravel())
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -233,7 +299,8 @@ class TestQuantize:
     def trained(self, seed=11):
         rng = np.random.default_rng(seed)
         feats = blobs(seed=seed, n=300, d=4, k=6)
-        return feats, train_codebooks(feats, n_base=4, n_res=16, iters=20, seed=seed)
+        cb, _, _ = train_codebooks(feats, n_base=4, n_res=16, iters=20, seed=seed)
+        return feats, cb
 
     def test_exact_pair_reconstructs(self):
         _, cb = self.trained()
@@ -445,7 +512,7 @@ class TestCodebookIO:
 
     def test_round_trip_identity_proj(self, tmp_path):
         feats = blobs(seed=41, n=100, d=3, k=4)
-        cb = train_codebooks(feats, n_base=3, n_res=8, iters=15, seed=41)
+        cb, _, _ = train_codebooks(feats, n_base=3, n_res=8, iters=15, seed=41)
         idx, _ = quantize(feats[:20].reshape(4, 5, 3), cb)
         accumulate_conf_freq(cb, idx, np.random.default_rng(0).uniform(size=(4, 5)))
         path = tmp_path / "cb.txt"
