@@ -250,9 +250,9 @@ def cmd_train(cfg: RunConfig, out: Path, config_path: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, config_path: str, jobs: int) -> int:
+def cmd_sweep(cfg: RunConfig, out: Path, config_path: str) -> int:
     stack = pl.train_all(cfg.world, cfg.train)
-    results = pl.run_sweep(cfg.world, stack, cfg.sweep, jobs=jobs)
+    results = pl.run_sweep(cfg.world, stack, cfg.sweep)
     (out / "results.csv").write_text(pl.results_csv(results, cfg.world.n_classes))
     (out / "summary.csv").write_text(pl.summary_csv(pl.summarize(results)))
     sweep = cfg.sweep
@@ -426,16 +426,6 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
     return 0 if all_ok else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pragcomm",
@@ -447,8 +437,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        if name == "sweep":  # seeds swept in parallel
-            p.add_argument("--jobs", type=_positive_int, default=1)
     p = sub.add_parser("export")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
@@ -476,7 +464,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, out, args.config)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.config, jobs=args.jobs)
+            return cmd_sweep(cfg, out, args.config)
         if args.command == "verify-theory":
             return cmd_verify_theory(cfg, out, args.config)
     except (ValueError, RuntimeError, OSError) as exc:  # CodingError is a ValueError

@@ -201,11 +201,6 @@ class EncodedMessage:
     def mask_bits(self) -> int:
         return 2 * self.h * self.w
 
-    @property
-    def volume_bits(self) -> int:
-        """Coded volume without the mask bitmaps (the without-mask accounting)."""
-        return self.payload_bits + self.abstract_bits
-
 
 def _bits_of(payload: Bits) -> np.ndarray:
     """A payload's bits, one uint8 each."""

@@ -17,12 +17,7 @@ redundancy filtering; no abstract).
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -176,6 +171,11 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
                 joint_r.append(f_r.reshape(-1, c)[sel])
     s_arr = np.concatenate(joint_s, axis=0)
     r_arr = np.concatenate(joint_r, axis=0)
+    if len(s_arr) == 0:
+        raise ValueError(
+            "no training cell's confidence exceeds its [train] tau_c_choices "
+            "draw; lower those thresholds or raise [world] density"
+        )
     batch = mie.make_batch(s_arr, r_arr, rng)
     disc = mie.init_discriminator(
         2 * world_template.feature_channels, hidden=tc.disc_hidden, seed=tc.disc_seed
@@ -417,23 +417,13 @@ def run_sweep(
 ) -> list[RoundResult]:
     """Grid product of thresholds and seeds in (tau_c, tau_mi, seed) order.
 
-    Each seed's world is prepared once as a scene its rounds share.  With
-    ``jobs > 1`` the seeds are swept in parallel worker processes, one
-    single-seed sweep each, so every worker keeps its own scenes.  The
-    workers are spawned, each with one BLAS thread, so a script that asks
-    for them needs the ``if __name__ == "__main__":`` guard.
+    Each seed's world is prepared once as a scene its rounds share.  The
+    ``jobs`` keyword exists only for the benchmark's ``sweep_pass``, which
+    passes ``jobs=1``; any other value is rejected.
     """
+    if jobs != 1:
+        raise ValueError(f"run_sweep runs serially; jobs must be 1, got {jobs!r}")
     seeds = [int(seed) for seed in cfg.seeds]
-    if jobs > 1 and len(seeds) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        sweep_one = partial(run_sweep, world_template, stack)
-        single = [replace(cfg, seeds=(seed,)) for seed in seeds]
-        with _single_blas_thread(), ProcessPoolExecutor(
-            min(jobs, len(seeds)), mp_context=ctx
-        ) as pool:
-            per_seed = list(pool.map(sweep_one, single))
-        return [column[i] for i in range(len(per_seed[0])) for column in per_seed]
-
     scenes: dict[int, Scene] = {}
     results = []
     for tau_c in cfg.tau_c_grid:
@@ -451,24 +441,6 @@ def run_sweep(
     return results
 
 
-@contextmanager
-def _single_blas_thread():
-    """Processes started inside run BLAS on one thread: workers that each
-    start one thread per core would oversubscribe the cores between them.
-    The parent's environment is restored on exit."""
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    saved = {name: os.environ.get(name) for name in names}
-    os.environ.update(dict.fromkeys(names, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def summarize(results: list[RoundResult]):
     """Per threshold point: mean and stddev across seeds, plus Pareto flags.
 
@@ -479,7 +451,7 @@ def summarize(results: list[RoundResult]):
     for r in results:
         groups.setdefault((r.tau_c, r.tau_mi, r.coder, r.selector), []).append(r)
     rows = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(groups):
         rs = groups[key]
         bits = np.array([r.total_bits for r in rs], dtype=float)
         iou = np.array([r.mean_iou for r in rs])
