@@ -138,9 +138,8 @@ def build_code(weights: np.ndarray) -> PrefixCode:
         raise CodingError("weights must be a nonempty vector")
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise CodingError("weights must be finite and nonnegative")
-    positive = weights[weights > 0]
-    if positive.size == 0:
-        raise CodingError("all-zero weights: accumulate frequencies before coding")
+    if not weights.any():
+        raise CodingError("all-zero weights")
     scaled = weights / weights.sum()
     floor = float(scaled[scaled > 0].min()) * 1e-9 / len(weights)
     floored = np.maximum(scaled, floor)
@@ -179,15 +178,26 @@ class Bits:
 
 @dataclass(frozen=True)
 class EncodedMessage:
-    """One sender-to-receiver message: masks, abstract payload, full payload."""
+    """One sender-to-receiver message; its size and bit counts derive from its parts."""
 
-    h: int
-    w: int
     conf_mask: np.ndarray  # (h, w) bool
     redund_mask: np.ndarray  # (h, w) bool
     base_payload: Bits  # base codes for every confidence-selected cell
     full_payload: Bits  # base+res codes for cells passing both masks
-    total_bits: int  # payloads plus the two raw mask bitmaps
+
+    def __post_init__(self):
+        # an integer 0/1 mask would index cells by number, not select them
+        kinds = {(m.shape, m.dtype) for m in (self.conf_mask, self.redund_mask)}
+        if len(kinds) != 1 or self.conf_mask.ndim != 2 or self.conf_mask.dtype != bool:
+            raise CodingError(f"masks must be boolean and share one (h, w) shape, got {kinds}")
+
+    @property
+    def h(self) -> int:
+        return self.conf_mask.shape[0]
+
+    @property
+    def w(self) -> int:
+        return self.conf_mask.shape[1]
 
     @property
     def payload_bits(self) -> int:
@@ -200,6 +210,11 @@ class EncodedMessage:
     @property
     def mask_bits(self) -> int:
         return 2 * self.h * self.w
+
+    @property
+    def total_bits(self) -> int:
+        """Payloads plus the two raw mask bitmaps."""
+        return self.payload_bits + self.abstract_bits + self.mask_bits
 
 
 def _bits_of(payload: Bits) -> np.ndarray:
@@ -250,8 +265,7 @@ def encode(
     base = _codewords(tables[:1], base_syms) if abstract else Bits(b"", 0)
     both = conf_mask & redund_mask
     full = _codewords(tables, np.stack([idx.base_idx[both], idx.res_idx[both]], 1))
-    total = base.n_bits + full.n_bits + 2 * h * w
-    return EncodedMessage(h, w, conf_mask, redund_mask, base, full, total)
+    return EncodedMessage(conf_mask, redund_mask, base, full)
 
 
 def transmitted_grid(idx, masks: tuple[np.ndarray, np.ndarray], abstract: bool = True):
@@ -323,11 +337,7 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     Cells passing both masks get base and residual indices; cells only in the
     confidence mask get the abstract base index (when an abstract was sent).
     """
-    h, w = msg.h, msg.w
-    if msg.conf_mask.shape != (h, w) or msg.redund_mask.shape != (h, w):
-        raise CodingError(f"mask shapes must be {(h, w)}")
-    base_idx = np.full((h, w), -1, dtype=np.int64)
-    res_idx = np.full((h, w), -1, dtype=np.int64)
+    base_idx, res_idx = (np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2))
     if msg.base_payload.n_bits:
         jump, syms = _jumps(_bits_of(msg.base_payload), codes[0])
         base_idx[msg.conf_mask] = syms[_walk(jump, int(msg.conf_mask.sum()), "base")]
@@ -356,13 +366,10 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
     for name, value, bits in fields:
         if not 0 <= value < 1 << bits:
             raise CodingError(f"{name} {value} does not fit its {bits}-bit field")
-    masks = (msg.conf_mask, msg.redund_mask)
-    if any(m.shape != (msg.h, msg.w) for m in masks):
-        raise CodingError(f"mask shapes must be {(msg.h, msg.w)}")
     header = MAGIC + bytes([VERSION]) + b"".join(
         int(value).to_bytes(bits // 8, "big") for _, value, bits in fields[:3]
     )
-    body = [np.asarray(m, dtype=bool).ravel() for m in masks]
+    body = [np.asarray(m, dtype=bool).ravel() for m in (msg.conf_mask, msg.redund_mask)]
     for payload in (msg.base_payload, msg.full_payload):
         length = int(payload.n_bits).to_bytes(4, "big")
         body += [np.unpackbits(np.frombuffer(length, np.uint8)), _bits_of(payload)]
@@ -400,5 +407,4 @@ def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
         raise CodingError("trailing bytes after the message")
     if bits[pos:].any():
         raise CodingError("nonzero padding bits")
-    total = base.n_bits + full.n_bits + 2 * h * w
-    return EncodedMessage(h, w, conf_mask, redund_mask, base, full, total), blob[9]
+    return EncodedMessage(conf_mask, redund_mask, base, full), blob[9]

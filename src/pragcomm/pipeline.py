@@ -16,6 +16,7 @@ redundancy filtering; no abstract).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,63 +113,39 @@ class RoundResult:
 
 
 def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
-    """Prepare the stack in order: codebooks, then confidence frequencies,
+    """Prepare the stack in order: codebooks with their confidence tallies,
     then the redundancy discriminator.
 
     Stage one is free here: the task decoder is the closed-form posterior.
-    Confidence thresholds are drawn uniformly from ``tau_c_choices`` per
-    training scene so the discriminator sees the abstracts it will meet at
-    deployment; the draws are recorded on the returned stack.
+    The training views share the template's grid, so their features form
+    one (worlds, agents, h, w, channels) array.  Confidence thresholds are
+    drawn uniformly from ``tau_c_choices`` per training scene so the
+    discriminator sees the abstracts it will meet at deployment; the draws
+    are recorded on the returned stack.
     """
     rng = np.random.default_rng(tc.train_seed)
+    cfg = world_template  # the training worlds differ from it only in seed
     worlds = [
-        make_world(replace(world_template, seed=tc.train_seed + 1 + i))
-        for i in range(tc.n_train_worlds)
+        make_world(replace(cfg, seed=tc.train_seed + 1 + i)) for i in range(tc.n_train_worlds)
     ]
-    feats = {}
-    for wi, world in enumerate(worlds):
-        for agent in range(world.cfg.n_agents):
-            feats[(wi, agent)] = sw.extract_features(world.obs[agent], world.cfg)
-
-    all_cells = np.concatenate(
-        [f.reshape(-1, f.shape[-1]) for f in feats.values()], axis=0
+    feats = np.array([[sw.extract_features(obs, cfg) for obs in w.obs] for w in worlds])
+    conf = np.array(
+        [[sw.confidence(f, cfg, cfg.agent_noise(a)) for a, f in enumerate(fs)] for fs in feats]
     )
-    cb, base_idx, res_idx = vq.train_codebooks(
-        all_cells, tc.n_base, tc.n_res, iters=tc.kmeans_iters, seed=tc.codebook_seed
+    cb, base_idx, _ = vq.train_codebooks(
+        feats.reshape(-1, feats.shape[-1]), conf.ravel(), tc.n_base, tc.n_res,
+        iters=tc.kmeans_iters, seed=tc.codebook_seed,
     )
+    base_idx = base_idx.reshape(conf.shape)
 
-    # k-means has already quantized every training cell with the final
-    # embeddings; each view takes its slice for the frequencies and the batch
-    quant, conf = {}, {}
-    stop = 0
-    for (wi, agent), f in feats.items():
-        cfg = worlds[wi].cfg
-        start, stop = stop, stop + f.shape[0] * f.shape[1]
-        quant[(wi, agent)] = vq.IndexGrid(
-            base_idx[start:stop].reshape(f.shape[:2]),
-            res_idx[start:stop].reshape(f.shape[:2]),
-        )
-        conf[(wi, agent)] = sw.confidence(f, cfg, cfg.agent_noise(agent))
-        vq.accumulate_conf_freq(cb, quant[(wi, agent)], conf[(wi, agent)])
-
-    joint_s, joint_r = [], []
-    tau_draws = []
-    for wi, world in enumerate(worlds):
-        for s in range(world.cfg.n_agents):
-            for r in range(world.cfg.n_agents):
-                if s == r:
-                    continue
-                tau = float(rng.choice(tc.tau_c_choices))
-                tau_draws.append(tau)
-                f_s, f_r = feats[(wi, s)], feats[(wi, r)]
-                # conf, not the deployment gate: the gate drops criterion 7 to 13/20 seeds
-                m_c = conf[(wi, s)] > tau
-                abstract = vq.reconstruct_base(quant[(wi, s)], cb)
-                abstract[~m_c] = 0.0
-                sel = m_c.ravel()
-                c = f_s.shape[-1]
-                joint_s.append(abstract.reshape(-1, c)[sel])
-                joint_r.append(f_r.reshape(-1, c)[sel])
+    joint_s, joint_r, tau_draws = [], [], []
+    for wi in range(len(worlds)):
+        for s, r in itertools.permutations(range(cfg.n_agents), 2):
+            tau_draws.append(float(rng.choice(tc.tau_c_choices)))
+            # conf, not the deployment gate: the gate drops criterion 7 to 13/20 seeds
+            sel = conf[wi, s] > tau_draws[-1]
+            joint_s.append(cb.base.embeddings[base_idx[wi, s][sel]])
+            joint_r.append(feats[wi, r][sel])
     s_arr = np.concatenate(joint_s, axis=0)
     r_arr = np.concatenate(joint_r, axis=0)
     if len(s_arr) == 0:
@@ -177,9 +154,7 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
             "draw; lower those thresholds or raise [world] density"
         )
     batch = mie.make_batch(s_arr, r_arr, rng)
-    disc = mie.init_discriminator(
-        2 * world_template.feature_channels, hidden=tc.disc_hidden, seed=tc.disc_seed
-    )
+    disc = mie.init_discriminator(2 * feats.shape[-1], hidden=tc.disc_hidden, seed=tc.disc_seed)
     disc, losses = mie.train(disc, batch, steps=tc.disc_steps, lr=tc.disc_lr)
     return TrainedStack(
         codebook=cb, discriminator=disc, tau_draws=tau_draws, disc_losses=losses
@@ -191,6 +166,11 @@ def build_codes(
 ) -> tuple[ec.PrefixCode, ec.PrefixCode]:
     """Code tables for both layers under the chosen weighting."""
     if coder == "task_entropy":
+        if not (cb.base.conf_freq.any() and cb.res.conf_freq.any()):
+            raise ValueError(
+                "the task_entropy coder weights codewords by training confidence, which is "
+                "0 on every cell; raise [world] density or choose another [sweep] coder"
+            )
         return ec.build_code(cb.base.conf_freq), ec.build_code(cb.res.conf_freq)
     if coder == "occurrence":
         return ec.build_code(cb.base.occ_freq), ec.build_code(cb.res.occ_freq)

@@ -3,7 +3,8 @@
 A small base codebook captures coarse content per cell; a larger residual
 codebook encodes what the base layer missed.  Training is plain Lloyd
 k-means with k-means++ seeding so every run is reproducible and can be
-checked against a naive reference implementation.
+checked against a naive reference implementation.  Training also tallies,
+per embedding, the task confidence and the count of the rows it quantizes.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
-
-
-def _empty_codebook(embeddings: np.ndarray) -> Codebook:
-    n = embeddings.shape[0]
-    return Codebook(embeddings, np.zeros(n), np.zeros(n))
 
 
 @dataclass
@@ -169,6 +165,7 @@ def kmeans(
 
 def train_codebooks(
     features: np.ndarray,
+    conf: np.ndarray,
     n_base: int,
     n_res: int,
     iters: int = 25,
@@ -177,14 +174,18 @@ def train_codebooks(
     """Fit base and residual codebooks to a sample of feature vectors.
 
     The base layer is k-means over the features; the residual layer is
-    k-means over what the base layer leaves behind.  Also returns each
-    feature row's base and residual index, which are the indices
-    ``quantize`` gives that row: both search the final embeddings with the
-    same per-row distances.
+    k-means over what the base layer leaves behind.  Each layer's
+    ``conf_freq`` sums ``conf``, one task confidence per feature row, over
+    the rows each embedding quantizes, in row order; ``occ_freq`` counts
+    those rows.  Also returns each feature row's base and residual index,
+    which are the indices ``quantize`` gives that row: both search the
+    final embeddings with the same per-row distances.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("features must be a nonempty (N, c) matrix")
+    if np.shape(conf) != features.shape[:1]:
+        raise ValueError(f"need one confidence per feature row, got shape {np.shape(conf)}")
     if not n_base <= n_res <= features.shape[0]:
         raise ValueError(
             f"need n_base <= n_res <= #features, got {n_base}, {n_res}, {features.shape[0]}"
@@ -193,8 +194,11 @@ def train_codebooks(
     base_emb, base_idx, _ = kmeans(features, n_base, iters, rng)
     residuals = features - base_emb[base_idx]
     res_emb, res_idx, _ = kmeans(residuals, n_res, iters, rng)
-    cb = LayeredCodebook(_empty_codebook(base_emb), _empty_codebook(res_emb))
-    return cb, base_idx, res_idx
+    books = (
+        Codebook(e, np.bincount(i, conf, len(e)), np.bincount(i, minlength=len(e)))
+        for e, i in ((base_emb, base_idx), (res_emb, res_idx))
+    )
+    return LayeredCodebook(*books), base_idx, res_idx
 
 
 def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:
@@ -240,24 +244,6 @@ def reconstruct_full(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
         + cb.res.embeddings[idx.res_idx[present]]
     )
     return out
-
-
-def accumulate_conf_freq(
-    cb: LayeredCodebook, idx: IndexGrid, conf: np.ndarray
-) -> LayeredCodebook:
-    """Add per-cell confidence mass onto the embeddings the cells map to.
-
-    Mutates and returns ``cb``; callers must serialize concurrent updates
-    (single-writer contract).
-    """
-    conf = np.asarray(conf, dtype=np.float64)
-    if conf.shape != idx.base_idx.shape:
-        raise ValueError(f"confidence shape {conf.shape} != grid {idx.base_idx.shape}")
-    for book, indices in ((cb.base, idx.base_idx), (cb.res, idx.res_idx)):
-        flat_idx = indices.ravel()
-        np.add.at(book.conf_freq, flat_idx, conf.ravel())
-        np.add.at(book.occ_freq, flat_idx, 1.0)
-    return cb
 
 
 # --- codebook file ---------------------------------------------------------

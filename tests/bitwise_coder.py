@@ -118,15 +118,11 @@ def encode(
             writer.write(value, length)
             full_bits += length
     full_payload = Bits(writer.finish(), full_bits)
-    total = base_payload.n_bits + full_payload.n_bits + 2 * h * w
     return EncodedMessage(
-        h=h,
-        w=w,
         conf_mask=conf_mask,
         redund_mask=redund_mask,
         base_payload=base_payload,
         full_payload=full_payload,
-        total_bits=total,
     )
 
 
@@ -239,12 +235,9 @@ def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
     base_payload = read_payload()
     full_payload = read_payload()
     msg = EncodedMessage(
-        h=h,
-        w=w,
         conf_mask=conf_mask,
         redund_mask=redund_mask,
         base_payload=base_payload,
         full_payload=full_payload,
-        total_bits=base_payload.n_bits + full_payload.n_bits + 2 * h * w,
     )
     return msg, table_id

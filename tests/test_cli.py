@@ -430,6 +430,21 @@ class TestTrainAndSweep:
             "draw; lower those thresholds or raise [world] density"
         ]
 
+    def test_task_entropy_without_confidence_names_density(self, tmp_path, capsys):
+        # every cell passes a negative threshold, and every confidence is 0
+        path = tmp_path / "flat.cfg"
+        path.write_text(
+            "[world]\nh = 8\nw = 8\ndensity = 0\n"
+            "[codebook]\nn_base = 2\nn_res = 4\n[discriminator]\nsteps = 3\n"
+            "[train]\ntau_c_choices = -0.5\n[sweep]\nseeds = 1\n"
+        )
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the task_entropy coder weights codewords by training confidence, "
+            "which is 0 on every cell; raise [world] density or choose another [sweep] coder"
+        ]
+
     @pytest.mark.parametrize(
         "exc, line",
         [

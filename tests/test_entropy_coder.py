@@ -194,6 +194,16 @@ class TestEncode:
             both = conf & red
             np.testing.assert_array_equal(back.res_idx[both], idx.res_idx[both])
 
+    def test_masks_must_be_boolean_and_share_one_grid_shape(self):
+        idx, bc, rc = grid_fixture()
+        ones = np.ones((4, 5), dtype=bool)
+        msg = encode(idx, (ones, ones), (bc, rc))
+        cases = [(ones, ones[:3]), (ones.ravel(), ones.ravel()), (ones, ones.astype(int)),
+                 (ones.astype(int), ones.astype(int))]
+        for conf, redund in cases:
+            with pytest.raises(CodingError, match="boolean and share one"):
+                dataclasses.replace(msg, conf_mask=conf, redund_mask=redund)
+
 
 class TestDecodeErrors:
     def test_truncated_stream(self):
@@ -201,13 +211,10 @@ class TestDecodeErrors:
         ones = np.ones((4, 5), dtype=bool)
         msg = encode(idx, (ones, ones), (bc, rc))
         broken = EncodedMessage(
-            h=msg.h,
-            w=msg.w,
             conf_mask=msg.conf_mask,
             redund_mask=msg.redund_mask,
             base_payload=Bits(msg.base_payload.data, msg.base_payload.n_bits - 3),
             full_payload=msg.full_payload,
-            total_bits=msg.total_bits - 3,
         )
         with pytest.raises(CodingError):
             decode(broken, (bc, rc))
@@ -219,13 +226,10 @@ class TestDecodeErrors:
         ones = np.ones((1, 1), dtype=bool)
         msg = encode(idx, (ones, ones), (code, code))
         poisoned = EncodedMessage(
-            h=1,
-            w=1,
             conf_mask=msg.conf_mask,
             redund_mask=msg.redund_mask,
             base_payload=Bits(b"\xff", 1),
             full_payload=msg.full_payload,
-            total_bits=msg.total_bits,
         )
         with pytest.raises(CodingError, match="invalid codeword"):
             decode(poisoned, (code, code))
@@ -264,7 +268,7 @@ class TestWireFormat:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("h", 1 << 16), ("w", 1 << 16), ("h", -1), ("table_id", 256),
+        [("h", 1 << 16), ("w", 1 << 16), ("table_id", 256),
          ("table_id", -1), ("base", 1 << 32), ("full", 1 << 32)],
     )
     def test_oversize_header_field_rejected(self, field, value):
@@ -273,7 +277,8 @@ class TestWireFormat:
         msg = encode(idx, (ones, ones), (bc, rc))
         table_id = 0
         if field in ("h", "w"):
-            msg = dataclasses.replace(msg, **{field: value})
+            mask = np.ones((value, 3) if field == "h" else (2, value), dtype=bool)
+            msg = dataclasses.replace(msg, conf_mask=mask, redund_mask=mask)
         elif field == "table_id":
             table_id = value
         else:

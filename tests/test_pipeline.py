@@ -64,7 +64,8 @@ class TestTrainAll:
 
 
 class TestTrainingAssignments:
-    """train_all takes each training view's indices from k-means itself."""
+    """train_all takes each training view's indices from k-means itself: its
+    tallies are those of the views' quantize indices, summed view by view."""
 
     @pytest.mark.parametrize(
         "template",
@@ -80,47 +81,42 @@ class TestTrainingAssignments:
     )
     def test_view_indices_equal_quantize(self, template, monkeypatch):
         tc = dataclasses.replace(TRAIN, n_base=3, n_res=24, disc_steps=2)
-        calls, quantized = [], 0
-
-        def record(cb, idx, conf):
-            calls.append((cb, idx, conf))
-            return accumulate(cb, idx, conf)
+        quantized = 0
 
         def count(*args):
             nonlocal quantized
             quantized += 1
             return quantize(*args)
 
-        accumulate, quantize = vq.accumulate_conf_freq, vq.quantize
-        monkeypatch.setattr(vq, "accumulate_conf_freq", record)
+        quantize = vq.quantize
         monkeypatch.setattr(vq, "quantize", count)
-        pl.train_all(template, tc)
+        cb = pl.train_all(template, tc).codebook
         assert quantized == 0
-        worlds = [
-            pl.make_world(dataclasses.replace(template, seed=tc.train_seed + 1 + i))
-            for i in range(tc.n_train_worlds)
-        ]
-        views = [(w.cfg, a, sw.extract_features(obs, w.cfg)) for w in worlds
-                 for a, obs in enumerate(w.obs)]
-        assert len(calls) == len(views)
-        # each call pairs one view's confidence with that view's indices
-        for (cb, got, conf), (cfg, agent, feats) in zip(calls, views):
-            np.testing.assert_array_equal(conf, sw.confidence(feats, cfg, cfg.agent_noise(agent)))
-            want, _ = quantize(feats, cb)
-            for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx)):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # oracle: one np.add.at per view, in view order, over its quantize indices
+        want = {
+            book: (np.zeros(layer.n), np.zeros(layer.n))
+            for book, layer in (("base", cb.base), ("res", cb.res))
+        }
+        for i in range(tc.n_train_worlds):
+            world = pl.make_world(dataclasses.replace(template, seed=tc.train_seed + 1 + i))
+            for agent, obs in enumerate(world.obs):
+                feats = sw.extract_features(obs, world.cfg)
+                conf = sw.confidence(feats, world.cfg, world.cfg.agent_noise(agent))
+                idx, _ = quantize(feats, cb)
+                for book, indices in (("base", idx.base_idx), ("res", idx.res_idx)):
+                    np.add.at(want[book][0], indices.ravel(), conf.ravel())
+                    np.add.at(want[book][1], indices.ravel(), 1.0)
+        for book, layer in (("base", cb.base), ("res", cb.res)):
+            for got, expected in zip((layer.conf_freq, layer.occ_freq), want[book]):
+                assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 class TestBuildCodes:
-    def test_requires_accumulated_frequencies(self):
-        rng = np.random.default_rng(0)
-        cb, _, _ = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
-        with pytest.raises(ec.CodingError, match="accumulate"):
-            pl.build_codes(cb, "task_entropy")
-
     def test_fixed_codes_need_no_frequencies(self):
         rng = np.random.default_rng(0)
-        cb, _, _ = vq.train_codebooks(rng.normal(size=(64, 8)), 4, 16, iters=5, seed=1)
+        cb, _, _ = vq.train_codebooks(
+            rng.normal(size=(64, 8)), np.zeros(64), 4, 16, iters=5, seed=1
+        )
         base, res = pl.build_codes(cb, "fixed")
         assert set(base.lengths) == {2}
         assert set(res.lengths) == {4}

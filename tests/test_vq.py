@@ -15,7 +15,6 @@ from pragcomm.vq import (
     Codebook,
     IndexGrid,
     LayeredCodebook,
-    accumulate_conf_freq,
     kmeans,
     load_codebook,
     quantize,
@@ -260,7 +259,7 @@ class TestTrainCodebooks:
     def test_exact_points_perfectly_coded(self):
         base = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
         feats = np.repeat(base, 8, axis=0)
-        cb, _, _ = train_codebooks(feats, n_base=4, n_res=4, iters=10, seed=5)
+        cb, _, _ = train_codebooks(feats, np.ones(32), n_base=4, n_res=4, iters=10, seed=5)
         got = sorted(map(tuple, cb.base.embeddings))
         np.testing.assert_allclose(got, sorted(map(tuple, base)), atol=1e-12)
         # residual layer sees only zeros
@@ -268,7 +267,7 @@ class TestTrainCodebooks:
 
     def test_forced_one_dimensional_fixed_point(self):
         feats = np.array([[0.0], [1.0]] * 16)
-        cb, _, _ = train_codebooks(feats, n_base=1, n_res=2, iters=10, seed=2)
+        cb, _, _ = train_codebooks(feats, np.ones(32), n_base=1, n_res=2, iters=10, seed=2)
         assert cb.base.embeddings[0, 0] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(
             sorted(cb.res.embeddings[:, 0]), [-0.5, 0.5], atol=1e-12
@@ -282,7 +281,9 @@ class TestTrainCodebooks:
         rng = np.random.default_rng(seed)
         atoms = np.vstack([rng.integers(0, 2, (6, 3)).astype(float), rng.normal(size=(10, 3))])
         feats = atoms[rng.integers(len(atoms), size=120)]
-        cb, base_idx, res_idx = train_codebooks(feats, n_base=3, n_res=9, iters=15, seed=seed)
+        cb, base_idx, res_idx = train_codebooks(
+            feats, np.ones(len(feats)), n_base=3, n_res=9, iters=15, seed=seed
+        )
         idx, _ = quantize(feats.reshape(10, 12, 3), cb)
         for got, want in ((base_idx, idx.base_idx), (res_idx, idx.res_idx)):
             assert got.dtype == want.dtype
@@ -290,16 +291,16 @@ class TestTrainCodebooks:
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
-            train_codebooks(np.zeros((4, 2)), n_base=3, n_res=2)
+            train_codebooks(np.zeros((4, 2)), np.ones(4), n_base=3, n_res=2)
         with pytest.raises(ValueError):
-            train_codebooks(np.zeros((4, 2)), n_base=2, n_res=9)
+            train_codebooks(np.zeros((4, 2)), np.ones(4), n_base=2, n_res=9)
 
 
 class TestQuantize:
     def trained(self, seed=11):
         rng = np.random.default_rng(seed)
         feats = blobs(seed=seed, n=300, d=4, k=6)
-        cb, _, _ = train_codebooks(feats, n_base=4, n_res=16, iters=20, seed=seed)
+        cb, _, _ = train_codebooks(feats, np.ones(300), n_base=4, n_res=16, iters=20, seed=seed)
         return feats, cb
 
     def test_exact_pair_reconstructs(self):
@@ -412,50 +413,54 @@ class TestQuantizeOracle:
 
 
 class TestAccumulateConfFreq:
-    def small_cb(self):
-        return LayeredCodebook(
-            base=Codebook(np.array([[0.0], [1.0]]), np.zeros(2), np.zeros(2)),
-            res=Codebook(np.array([[0.0], [0.5]]), np.zeros(2), np.zeros(2)),
+    """train_codebooks tallies each embedding's confidence and row count."""
+
+    # base clusters split on x, residual clusters on the sign of y
+    FEATS = np.array([[0.0, 1.0], [0.0, -1.0], [100.0, 1.0], [100.0, -1.0], [100.0, 1.0]])
+
+    def tallies(self, conf, feats=FEATS, n_base=2, n_res=2):
+        return train_codebooks(feats, conf, n_base=n_base, n_res=n_res, iters=10, seed=3)[0]
+
+    def by_cluster(self, cb, name):
+        """A layer's tally in cluster order: base by x, residual by y."""
+        base, res = getattr(cb.base, name), getattr(cb.res, name)
+        return (
+            base[np.argsort(cb.base.embeddings[:, 0])],
+            res[np.argsort(-cb.res.embeddings[:, 1])],
         )
 
     def test_zero_confidence_only_counts(self):
-        cb = self.small_cb()
-        idx = IndexGrid(np.array([[0, 1]]), np.array([[1, 1]]))
-        accumulate_conf_freq(cb, idx, np.zeros((1, 2)))
+        cb = self.tallies(np.zeros(5))
         np.testing.assert_array_equal(cb.base.conf_freq, [0.0, 0.0])
-        np.testing.assert_array_equal(cb.base.occ_freq, [1.0, 1.0])
-        np.testing.assert_array_equal(cb.res.occ_freq, [0.0, 2.0])
+        np.testing.assert_array_equal(cb.res.conf_freq, [0.0, 0.0])
+        base, res = self.by_cluster(cb, "occ_freq")
+        np.testing.assert_array_equal(base, [2.0, 3.0])
+        np.testing.assert_array_equal(res, [3.0, 2.0])
 
     def test_uniform_confidence_matches_counts(self):
-        cb = self.small_cb()
-        idx = IndexGrid(np.array([[0, 0], [1, 0]]), np.array([[0, 1], [1, 1]]))
-        accumulate_conf_freq(cb, idx, np.ones((2, 2)))
+        feats = blobs(seed=3, n=80, d=2, k=5)
+        cb = self.tallies(np.ones(len(feats)), feats, n_base=3, n_res=6)
         np.testing.assert_array_equal(cb.base.conf_freq, cb.base.occ_freq)
         np.testing.assert_array_equal(cb.res.conf_freq, cb.res.occ_freq)
+        assert cb.base.occ_freq.sum() == cb.res.occ_freq.sum() == len(feats)
 
     def test_hand_computed_sums(self):
-        cb = self.small_cb()
-        idx = IndexGrid(np.array([[0, 1], [1, 1]]), np.array([[0, 0], [1, 0]]))
-        conf = np.array([[0.1, 0.2], [0.3, 0.4]])
-        accumulate_conf_freq(cb, idx, conf)
-        np.testing.assert_allclose(cb.base.conf_freq, [0.1, 0.9], atol=1e-12)
-        np.testing.assert_allclose(cb.res.conf_freq, [0.7, 0.3], atol=1e-12)
-        np.testing.assert_allclose(cb.base.occ_freq, [1.0, 3.0])
+        cb = self.tallies(np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        base, res = self.by_cluster(cb, "conf_freq")
+        np.testing.assert_allclose(base, [0.1 + 0.2, 0.3 + 0.4 + 0.5], atol=1e-12)
+        np.testing.assert_allclose(res, [0.1 + 0.3 + 0.5, 0.2 + 0.4], atol=1e-12)
 
     def test_conf_bounded_by_occupancy_for_unit_confidences(self):
         rng = np.random.default_rng(31)
-        cb = self.small_cb()
-        for _ in range(5):
-            idx = IndexGrid(rng.integers(2, size=(3, 3)), rng.integers(2, size=(3, 3)))
-            accumulate_conf_freq(cb, idx, rng.uniform(0, 1, size=(3, 3)))
-        assert np.all(cb.base.conf_freq <= cb.base.occ_freq + 1e-12)
-        assert np.all(cb.res.conf_freq <= cb.res.occ_freq + 1e-12)
+        feats = blobs(seed=31, n=60, d=3, k=4)
+        cb = self.tallies(rng.uniform(0, 1, size=len(feats)), feats, n_base=3, n_res=5)
+        assert np.all(cb.base.conf_freq <= cb.base.occ_freq)
+        assert np.all(cb.res.conf_freq <= cb.res.occ_freq)
 
     def test_shape_mismatch(self):
-        cb = self.small_cb()
-        idx = IndexGrid(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
-        with pytest.raises(ValueError):
-            accumulate_conf_freq(cb, idx, np.zeros((3, 3)))
+        for conf in (np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+            with pytest.raises(ValueError, match="one confidence per feature row"):
+                self.tallies(conf)
 
 
 @st.composite
@@ -512,9 +517,8 @@ class TestCodebookIO:
 
     def test_round_trip_identity_proj(self, tmp_path):
         feats = blobs(seed=41, n=100, d=3, k=4)
-        cb, _, _ = train_codebooks(feats, n_base=3, n_res=8, iters=15, seed=41)
-        idx, _ = quantize(feats[:20].reshape(4, 5, 3), cb)
-        accumulate_conf_freq(cb, idx, np.random.default_rng(0).uniform(size=(4, 5)))
+        conf = np.random.default_rng(0).uniform(size=len(feats))
+        cb, _, _ = train_codebooks(feats, conf, n_base=3, n_res=8, iters=15, seed=41)
         path = tmp_path / "cb.txt"
         save_codebook(cb, str(path))
         back = load_codebook(str(path))
