@@ -81,12 +81,21 @@ def _checked(parse, ok, reason: str):
 
 
 _int, _float = _number(int, "an integer"), _number(float, "a number")
-_ints, _floats = _list(_int), _list(_float)
+_floats = _list(_float)
 _count = _checked(_int, lambda n: n >= 1, "at least 1")
+_seed = _checked(_int, lambda n: n >= 0, "at least 0")  # numpy seeds are nonnegative
 _finite_positive = _checked(_float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
 _finite_floats = _checked(
     _floats, lambda xs: xs and all(map(math.isfinite, xs)), "nonempty and finite"
 )
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed``: a bad value is a usage error that gives the reason."""
+    try:
+        return _seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _noise(text: str) -> float | tuple:
@@ -128,28 +137,28 @@ _TABLE = {
     ("world", "density"): ("world", "density", _float),
     ("world", "rect_min"): ("world", "rect_min", _int),
     ("world", "rect_max"): ("world", "rect_max", _int),
-    ("world", "seed"): ("world", "seed", _int),
+    ("world", "seed"): ("world", "seed", _seed),
     ("codebook", "n_base"): ("train", "n_base", _count),
     ("codebook", "n_res"): ("train", "n_res", _count),
     ("codebook", "iters"): ("train", "kmeans_iters", _count),
-    ("codebook", "seed"): ("train", "codebook_seed", _int),
+    ("codebook", "seed"): ("train", "codebook_seed", _seed),
     ("discriminator", "steps"): ("train", "disc_steps", _count),
     ("discriminator", "lr"): ("train", "disc_lr", _finite_positive),
     ("discriminator", "hidden"): ("train", "disc_hidden", _count),
-    ("discriminator", "seed"): ("train", "disc_seed", _int),
+    ("discriminator", "seed"): ("train", "disc_seed", _seed),
     ("train", "worlds"): ("train", "n_train_worlds", _count),
-    ("train", "seed"): ("train", "train_seed", _int),
+    ("train", "seed"): ("train", "train_seed", _seed),
     ("train", "tau_c_choices"): ("train", "tau_c_choices", _finite_floats),
     ("sweep", "tau_c"): ("sweep", "tau_c_grid", _floats),
     ("sweep", "tau_mi"): ("sweep", "tau_mi_grid", _floats),
-    ("sweep", "seeds"): ("sweep", "seeds", _ints),
+    ("sweep", "seeds"): ("sweep", "seeds", _list(_seed)),
     ("sweep", "coder"): ("sweep", "coder", str),
     ("sweep", "selector"): ("sweep", "selector", str),
     ("verify", "sources"): ("run", "verify_sources", _count),
     ("verify", "tables"): ("run", "verify_tables", _count),
     ("verify", "mc_draws"): ("run", "verify_mc_draws", _count),
     ("verify", "z_max"): ("run", "verify_z_max", _count),
-    ("verify", "seed"): ("run", "verify_seed", _int),
+    ("verify", "seed"): ("run", "verify_seed", _seed),
 }
 _SECTIONS = {section for section, _ in _TABLE}
 _FOV_KEY = re.compile(r"fov_(0|[1-9][0-9]*)")  # no leading zeros: one name per agent
@@ -436,7 +445,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed_arg, default=None)
     p = sub.add_parser("export")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)

@@ -38,6 +38,7 @@ from .vq import IndexGrid
 MAGIC = b"RDCM"
 VERSION = 1
 HEADER_BYTES = 10  # magic, version, h, w, code-table id
+SIDE_BITS = 16  # width of the h and w header fields
 
 _PAD = 2  # fills bit-table cells past a codeword's length; no bit equals it
 
@@ -357,8 +358,8 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
     """Serialize a message; a value too wide for its header field raises
     ``CodingError`` instead of being truncated."""
     fields = (
-        ("h", msg.h, 16),
-        ("w", msg.w, 16),
+        ("h", msg.h, SIDE_BITS),
+        ("w", msg.w, SIDE_BITS),
         ("table_id", table_id, 8),
         ("base payload length", msg.base_payload.n_bits, 32),
         ("full payload length", msg.full_payload.n_bits, 32),

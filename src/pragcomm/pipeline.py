@@ -45,6 +45,15 @@ def make_world(cfg: sw.WorldConfig) -> World:
     return World(cfg, gt, obs)
 
 
+def views(world: World) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's view of the world: its features, shape
+    (agents, h, w, 2K), and its task confidence, shape (agents, h, w)."""
+    cfg = world.cfg
+    feats = np.array([sw.extract_features(obs, cfg) for obs in world.obs])
+    conf = np.array([sw.confidence(f, cfg, cfg.agent_noise(a)) for a, f in enumerate(feats)])
+    return feats, conf
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_base: int = 4
@@ -128,10 +137,7 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
     worlds = [
         make_world(replace(cfg, seed=tc.train_seed + 1 + i)) for i in range(tc.n_train_worlds)
     ]
-    feats = np.array([[sw.extract_features(obs, cfg) for obs in w.obs] for w in worlds])
-    conf = np.array(
-        [[sw.confidence(f, cfg, cfg.agent_noise(a)) for a, f in enumerate(fs)] for fs in feats]
-    )
+    feats, conf = map(np.array, zip(*map(views, worlds)))
     cb, base_idx, _ = vq.train_codebooks(
         feats.reshape(-1, feats.shape[-1]), conf.ravel(), tc.n_base, tc.n_res,
         iters=tc.kmeans_iters, seed=tc.codebook_seed,
@@ -204,28 +210,21 @@ class Scene:
     """One world prepared for one stack: what no threshold changes, plus the
     threshold-dependent stages met so far.
 
-    Per agent it holds the features, the quantized grid, the confidence
-    (the receiver's request) and the sender's gate.  The other stages are
+    Per agent it holds the view (features and confidence, the receiver's
+    request), the quantized grid and the sender's gate.  The other stages are
     computed on first use and kept, so rounds sharing a scene build the code
     tables once per coder, score redundancy once per ``tau_c`` and threshold
     it per ``tau_mi``.
     """
 
     def __init__(self, world: World, stack: TrainedStack):
-        cfg = world.cfg
         self.world, self.stack, self._stages = world, stack, {}
-        self.feats = [sw.extract_features(obs, cfg) for obs in world.obs]
-        self.idx = [vq.quantize(f, stack.codebook)[0] for f in self.feats]
-        self.conf = [
-            sw.confidence(f, cfg, cfg.agent_noise(a)) for a, f in enumerate(self.feats)
-        ]
+        self.feats, self.conf = views(world)
+        self.idx = [vq.quantize(f, stack.codebook) for f in self.feats]
         # the gate is the confidence on observed cells only: a cell with no
         # evidence scores 1 - prior background, which is not a reason to
         # transmit it; cells with gate > tau_c are a sender's candidates
-        self.gate = [
-            np.where(obs != sw.UNOBSERVED, conf, -np.inf)
-            for obs, conf in zip(world.obs, self.conf)
-        ]
+        self.gate = np.where(world.obs != sw.UNOBSERVED, self.conf, -np.inf)
 
     def codes(self, coder: str) -> tuple[ec.PrefixCode, ec.PrefixCode]:
         """The stack's code tables under ``coder``, with their cached lookups."""
@@ -238,8 +237,8 @@ class Scene:
         """Discriminator score of sender s's abstract against receiver r's view."""
         key = ("redundancy", tau_c, s, r)
         if key not in self._stages:
-            abstract = vq.reconstruct_base(self.idx[s], self.stack.codebook)
-            abstract[~(self.gate[s] > tau_c)] = 0.0
+            base = self.stack.codebook.base.embeddings[self.idx[s].base_idx]
+            abstract = np.where((self.gate[s] > tau_c)[..., None], base, 0.0)
             disc = self.stack.discriminator
             self._stages[key] = mie.redundancy_map(disc, abstract, self.feats[r])
         return self._stages[key]
@@ -249,8 +248,7 @@ class Scene:
         features: the zero-distortion reference of a round."""
         key = ("raw", r, senders)
         if key not in self._stages:
-            raw = [self.feats[s] * _trust(self.world.cfg, s, r) for s in senders]
-            post = _receive(self.world, r, self.feats[r], raw)[0]
+            post = _raw_receive(self.world, self.feats, r, senders)[0]
             self._stages[key] = _mean_entropy_nats(post)
         return self._stages[key]
 
@@ -265,7 +263,6 @@ def directed_message(
     smoothed inside the candidate mask and weighted by the sender's trust.
     """
     cfg = scene.world.cfg
-    cb = scene.stack.codebook
     if selector == "mi":
         m_mi = mie.select_mask(scene.redundancy(s, r, tau_c), tau_mi)
     elif selector == "confidence_only":
@@ -279,9 +276,7 @@ def directed_message(
     masks = (scene.gate[s] > tau_c, m_mi)
     msg = ec.encode(scene.idx[s], masks, codes, abstract=send_abstract)
     sent = ec.transmitted_grid(scene.idx[s], masks, abstract=send_abstract)
-    received = vq.reconstruct_full(sent, cb)
-    base_only = (sent.base_idx >= 0) & (sent.res_idx < 0)  # the abstract's cells
-    received[base_only] = vq.reconstruct_base(sent, cb)[base_only]
+    received = vq.reconstruct(sent, scene.stack.codebook)
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
@@ -301,6 +296,12 @@ def _receive(world: World, r: int, own: np.ndarray, incoming: list):
     post = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r))
     per_class, mean = sw.score_iou(post.argmax(axis=2), world.gt, cfg.n_classes)
     return post, per_class, mean
+
+
+def _raw_receive(world: World, feats: np.ndarray, r: int, senders) -> tuple:
+    """``_receive`` of the senders' raw features, each weighted by its trust."""
+    raw = [feats[s] * _trust(world.cfg, s, r) for s in senders]
+    return _receive(world, r, feats[r], raw)
 
 
 def run_round(
@@ -370,23 +371,16 @@ def run_round(
 
 def uncompressed_iou(world: World) -> float:
     """Collaboration ceiling: receivers fuse the senders' raw feature grids."""
-    cfg = world.cfg
-    feats = [sw.extract_features(obs, cfg) for obs in world.obs]
-    ious = []
-    for r in range(cfg.n_agents):
-        raw = [feats[s] * _trust(cfg, s, r) for s in range(cfg.n_agents) if s != r]
-        ious.append(_receive(world, r, feats[r], raw)[2])
+    feats, _ = views(world)
+    agents = range(len(feats))
+    ious = [_raw_receive(world, feats, r, [s for s in agents if s != r])[2] for r in agents]
     return float(np.mean(ious))
 
 
 def solo_iou(world: World) -> float:
     """No-collaboration floor: each agent predicts from its own view alone."""
-    cfg = world.cfg
-    ious = [
-        _receive(world, a, sw.extract_features(obs, cfg), [])[2]
-        for a, obs in enumerate(world.obs)
-    ]
-    return float(np.mean(ious))
+    feats, _ = views(world)
+    return float(np.mean([_raw_receive(world, feats, r, ())[2] for r in range(len(feats))]))
 
 
 def run_sweep(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
+from .entropy_coder import SIDE_BITS
 
 UNOBSERVED = -1
 MAX_AGENTS = 5
@@ -39,6 +40,11 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if max(self.h, self.w) >= 1 << SIDE_BITS:
+            raise ValueError(
+                f"grid {self.h}x{self.w} does not fit the wire format's "
+                f"{SIDE_BITS}-bit h and w fields"
+            )
         if self.n_classes < 2:
             raise ValueError("need at least background plus one object class")
         if not 2 <= self.n_agents <= MAX_AGENTS:

@@ -201,11 +201,11 @@ def train_codebooks(
     return LayeredCodebook(*books), base_idx, res_idx
 
 
-def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:
+def quantize(grid: np.ndarray, cb: LayeredCodebook) -> IndexGrid:
     """Two-layer nearest-neighbour quantization of an (h, w, c) grid.
 
-    Per cell: nearest base row, then nearest residual row to what remains,
-    reconstruction = base + residual.  Ties go to the lowest index.  Both
+    Per cell: nearest base row, then nearest residual row to what remains;
+    ``reconstruct`` decodes the indices.  Ties go to the lowest index.  Both
     searches run once per distinct feature row, as in ``kmeans``.
     """
     grid = np.asarray(grid, dtype=np.float64)
@@ -217,32 +217,18 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarr
     uniq, inv, _ = unique_rows(grid.reshape(h * w, c))
     base_uniq = _nearest(uniq, cb.base.embeddings)
     res_uniq = _nearest(uniq - cb.base.embeddings[base_uniq], cb.res.embeddings)
-    base_idx, res_idx = base_uniq[inv], res_uniq[inv]
-    recon = cb.base.embeddings[base_idx] + cb.res.embeddings[res_idx]
-    return (
-        IndexGrid(base_idx.reshape(h, w), res_idx.reshape(h, w)),
-        recon.reshape(h, w, c),
-    )
+    return IndexGrid(base_uniq[inv].reshape(h, w), res_uniq[inv].reshape(h, w))
 
 
-def reconstruct_base(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
-    """Base-layer-only reconstruction (the coarse abstract)."""
-    h, w = idx.base_idx.shape
-    out = np.zeros((h, w, cb.base.dim))
-    present = idx.base_idx >= 0
-    out[present] = cb.base.embeddings[idx.base_idx[present]]
-    return out
-
-
-def reconstruct_full(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
-    """Two-layer reconstruction on the cells present in the index grid."""
-    h, w = idx.base_idx.shape
-    out = np.zeros((h, w, cb.base.dim))
-    present = (idx.base_idx >= 0) & (idx.res_idx >= 0)
-    out[present] = (
-        cb.base.embeddings[idx.base_idx[present]]
-        + cb.res.embeddings[idx.res_idx[present]]
-    )
+def reconstruct(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
+    """Decode an index grid, complete or partial: the base embedding on every
+    cell with a base index, plus the residual embedding on cells that also
+    carry a residual index, and zero elsewhere."""
+    out = np.zeros((*idx.base_idx.shape, cb.base.dim))
+    base = idx.base_idx >= 0
+    out[base] = cb.base.embeddings[idx.base_idx[base]]
+    both = base & (idx.res_idx >= 0)
+    out[both] += cb.res.embeddings[idx.res_idx[both]]
     return out
 
 

@@ -2,7 +2,9 @@
 they were before the sweep round stopped repeating work.
 
 Kept as test oracles: ``pragcomm.vq.quantize`` must give the same index
-grids and reconstruction, and ``pragcomm.simworld.extract_features``,
+grids, ``pragcomm.vq.reconstruct`` the same reconstruction as ``quantize``
+here and, on partial grids, as ``received_grid``, and
+``pragcomm.simworld.extract_features``,
 ``smooth``, ``posterior_from_obs`` and ``posterior_from_features`` the same
 arrays, compared byte for byte, as the functions below.  ``quantize`` here
 searches every cell, duplicates included; the neighbour loops build their
@@ -46,6 +48,37 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarr
         IndexGrid(base_idx.reshape(h, w), res_idx.reshape(h, w)),
         recon.reshape(h, w, c),
     )
+
+
+def reconstruct_base(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
+    """Base-layer-only reconstruction (the coarse abstract)."""
+    h, w = idx.base_idx.shape
+    out = np.zeros((h, w, cb.base.dim))
+    present = idx.base_idx >= 0
+    out[present] = cb.base.embeddings[idx.base_idx[present]]
+    return out
+
+
+def reconstruct_full(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
+    """Two-layer reconstruction on the cells present in the index grid."""
+    h, w = idx.base_idx.shape
+    out = np.zeros((h, w, cb.base.dim))
+    present = (idx.base_idx >= 0) & (idx.res_idx >= 0)
+    out[present] = (
+        cb.base.embeddings[idx.base_idx[present]]
+        + cb.res.embeddings[idx.res_idx[present]]
+    )
+    return out
+
+
+def received_grid(sent: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
+    """The receiver's decode of a transmitted grid: two layers where both
+    indices arrived, the abstract's base embedding where only a base index
+    did."""
+    received = reconstruct_full(sent, cb)
+    base_only = (sent.base_idx >= 0) & (sent.res_idx < 0)  # the abstract's cells
+    received[base_only] = reconstruct_base(sent, cb)[base_only]
+    return received
 
 
 def extract_features(obs: np.ndarray, cfg: WorldConfig) -> np.ndarray:

@@ -228,7 +228,7 @@ def run_gen_world(text: str, tmp_path, capsys) -> tuple[int, list[str]]:
 
 
 DEFAULTS = RunConfig(WorldConfig(), TrainConfig(), SweepConfig())
-SEEDS = st.integers(-(10**12), 10**12)
+SEEDS = st.integers(0, 10**12)
 COUNTS = st.integers(1, 10**9)
 FLIP = st.floats(0.0, 0.5, exclude_max=True)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -361,6 +361,16 @@ class TestConfigTable:
         assert run_gen_world(text, tmp_path, capsys) == (0, [])
         assert (tmp_path / "o" / "world_0.txt").exists()
 
+    @pytest.mark.parametrize("key", ["h", "w"])
+    def test_grid_wider_than_the_wire_format_rejected(self, key, tmp_path, capsys):
+        # rejected when the config is built: a grid this size is never allocated
+        shape = "65536x32" if key == "h" else "32x65536"
+        want = (
+            f"error: invalid [world] config: grid {shape} does not fit the wire "
+            "format's 16-bit h and w fields"
+        )
+        assert run_gen_world(f"[world]\n{key} = 65536\n", tmp_path, capsys) == (2, [want])
+
     @pytest.mark.parametrize("agent", [0, 1])
     def test_fov_outside_the_grid_names_its_key(self, agent, tmp_path, capsys):
         text = f"[world]\nfov_{agent} = rect 0 0 99 99\n"
@@ -369,6 +379,50 @@ class TestConfigTable:
             "rect ('rect', 0, 0, 99, 99) outside the 32x32 grid"
         )
         assert run_gen_world(text, tmp_path, capsys) == (2, [want])
+
+
+class TestSeeds:
+    """A negative seed is a usage error naming its key, raised before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def train_all(*args):
+            raise AssertionError("training ran before the seed was checked")
+
+        monkeypatch.setattr(cli.pl, "train_all", train_all)
+
+    @pytest.mark.parametrize("command", ["gen-world", "train", "sweep", "verify-theory"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("world", "seed", "-3"),
+            ("codebook", "seed", "-1"),
+            ("discriminator", "seed", "-2"),
+            ("train", "seed", "-9000"),
+            ("verify", "seed", "-7"),
+            ("sweep", "seeds", "1,-1,2"),
+        ],
+    )
+    def test_negative_config_seed_names_its_key(self, command, section, key, value,
+                                                tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        bad = next(v for v in value.split(",") if v.startswith("-"))
+        want = f"error: [{section}] {key}: must be at least 0, got {bad}"
+        assert (code, capsys.readouterr().err.splitlines()) == (2, [want])
+
+    @pytest.mark.parametrize("command", ["gen-world", "train", "sweep", "verify-theory"])
+    def test_negative_seed_option_is_usage_error(self, command, cfg_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg_file), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"pragcomm {command}: error: argument --seed: must be at least 0, got -1"
+        assert not out.exists()
+
+    def test_seed_zero_accepted(self, tmp_path, capsys):
+        assert run_gen_world("[world]\nseed = 0\n", tmp_path, capsys) == (0, [])
 
 
 class TestGenWorld:

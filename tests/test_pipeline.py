@@ -10,6 +10,7 @@ from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
 from pragcomm import simworld as sw
 from pragcomm import vq
+from conftest import ACCEPT_SEEDS, TRADEOFF_WORLD
 
 
 TEMPLATE = sw.WorldConfig(
@@ -102,7 +103,7 @@ class TestTrainingAssignments:
             for agent, obs in enumerate(world.obs):
                 feats = sw.extract_features(obs, world.cfg)
                 conf = sw.confidence(feats, world.cfg, world.cfg.agent_noise(agent))
-                idx, _ = quantize(feats, cb)
+                idx = quantize(feats, cb)
                 for book, indices in (("base", idx.base_idx), ("res", idx.res_idx)):
                     np.add.at(want[book][0], indices.ravel(), conf.ravel())
                     np.add.at(want[book][1], indices.ravel(), 1.0)
@@ -216,6 +217,50 @@ class TestRunRound:
             res = pl.run_round(empty, stack, 0.5, 1.0)
         assert res.per_class_iou[0] == 1.0
         assert np.isnan(res.per_class_iou[1:]).all()
+
+
+class TestViews:
+    def test_one_view_per_agent(self, world):
+        feats, conf = pl.views(world)
+        cfg = world.cfg
+        assert feats.shape == (cfg.n_agents, cfg.h, cfg.w, cfg.feature_channels)
+        for a, obs in enumerate(world.obs):
+            want = sw.extract_features(obs, cfg)
+            assert feats[a].tobytes() == want.tobytes()
+            assert conf[a].tobytes() == sw.confidence(want, cfg, cfg.agent_noise(a)).tobytes()
+
+    def test_scene_gates_observed_cells_only(self, stack, world):
+        scene = pl.Scene(world, stack)
+        observed = world.obs != sw.UNOBSERVED
+        assert np.array_equal(scene.gate[observed], scene.conf[observed])
+        assert np.all(scene.gate[~observed] == -np.inf)
+
+
+class TestInertResidual:
+    """With ``n_base >= K + 1`` the base codebook reproduces every one-hot
+    pattern, so the residual refines only channels the decoder never reads:
+    under the ``mi`` selector ``tau_mi`` moves the bits but not the task
+    scores.  A change that lets the residual carry task information fails
+    here."""
+
+    def test_task_scores_do_not_depend_on_tau_mi(self, tradeoff_sweeps):
+        scores, bits = {}, {}
+        for r in tradeoff_sweeps["mi"]:
+            scores.setdefault((r.seed, r.tau_c), set()).add((r.mean_iou, r.distortion_nats))
+            bits.setdefault((r.seed, r.tau_c), set()).add(r.total_bits)
+        assert len(scores) == 2 * len(ACCEPT_SEEDS)
+        assert all(len(v) == 1 for v in scores.values())
+        assert any(len(v) > 1 for v in bits.values())  # tau_mi did change the message
+
+    def test_residual_leaves_the_class_channels_alone(self, tradeoff_stack):
+        world = pl.make_world(pl.replace(TRADEOFF_WORLD, seed=ACCEPT_SEEDS[0]))
+        scene = pl.Scene(world, tradeoff_stack)
+        cb, k = tradeoff_stack.codebook, world.cfg.n_classes
+        for idx in scene.idx:
+            full = vq.reconstruct(idx, cb)
+            base = vq.reconstruct(vq.IndexGrid(idx.base_idx, np.full_like(idx.res_idx, -1)), cb)
+            assert full[..., :k].tobytes() == base[..., :k].tobytes()
+            assert full.tobytes() != base.tobytes()
 
 
 class TestSkippedDecode:

@@ -10,6 +10,7 @@ import sweep_oracle as oracle
 from array_files import assert_corruptions_rejected, assert_same_bits, extra_lines
 
 from pragcomm.bayes_risk import bayes_risk_ce
+from pragcomm.entropy_coder import SIDE_BITS
 from pragcomm.infotheory import JointTable
 from pragcomm.simworld import (
     UNOBSERVED,
@@ -55,6 +56,13 @@ class TestConfig:
             WorldConfig(h=3, w=3, density=0.5, rect_min=3, rect_max=3)
         cfg = WorldConfig(h=3, w=3, density=0.0, rect_min=3, rect_max=3)
         assert class_prior(cfg)[0] == 1.0
+
+    def test_grid_side_bounded_by_the_wire_format(self):
+        side = 1 << SIDE_BITS  # one past the largest h or w the wire format holds
+        for h, w in ((side, 8), (8, side)):
+            with pytest.raises(ValueError, match=f"{h}x{w} does not fit .* 16-bit"):
+                WorldConfig(h=h, w=w)
+        assert WorldConfig(h=side - 1, w=side - 1).h == side - 1
 
     def test_agent_count_bounds(self):
         with pytest.raises(ValueError):

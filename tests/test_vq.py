@@ -18,8 +18,7 @@ from pragcomm.vq import (
     kmeans,
     load_codebook,
     quantize,
-    reconstruct_base,
-    reconstruct_full,
+    reconstruct,
     save_codebook,
     train_codebooks,
     unique_rows,
@@ -121,6 +120,11 @@ def blobs(seed=0, n=120, d=3, k=4):
     centers = rng.normal(scale=5.0, size=(k, d))
     pts = centers[rng.integers(k, size=n)] + rng.normal(scale=0.3, size=(n, d))
     return pts
+
+
+def base_only(idx):
+    """The grid's base indices with every residual index dropped."""
+    return IndexGrid(idx.base_idx, np.full_like(idx.res_idx, -1))
 
 
 class TestKmeans:
@@ -273,7 +277,7 @@ class TestTrainCodebooks:
             sorted(cb.res.embeddings[:, 0]), [-0.5, 0.5], atol=1e-12
         )
         grid = feats.reshape(8, 4, 1)
-        _, recon = quantize(grid, cb)
+        recon = reconstruct(quantize(grid, cb), cb)
         np.testing.assert_allclose(recon, grid, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -284,7 +288,7 @@ class TestTrainCodebooks:
         cb, base_idx, res_idx = train_codebooks(
             feats, np.ones(len(feats)), n_base=3, n_res=9, iters=15, seed=seed
         )
-        idx, _ = quantize(feats.reshape(10, 12, 3), cb)
+        idx = quantize(feats.reshape(10, 12, 3), cb)
         for got, want in ((base_idx, idx.base_idx), (res_idx, idx.res_idx)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want.ravel())
@@ -307,7 +311,7 @@ class TestQuantize:
         _, cb = self.trained()
         cell = cb.base.embeddings[2] + cb.res.embeddings[5]
         grid = np.tile(cell, (2, 2, 1))
-        idx, recon = quantize(grid, cb)
+        recon = reconstruct(quantize(grid, cb), cb)
         np.testing.assert_allclose(recon, grid, atol=1e-9)
 
     def test_two_layer_beats_base_only(self):
@@ -316,8 +320,9 @@ class TestQuantize:
         worse = 0
         for _ in range(100):
             sample = feats[rng.integers(len(feats), size=12)].reshape(3, 4, 4)
-            idx, recon = quantize(sample, cb)
-            base_recon = reconstruct_base(idx, cb)
+            idx = quantize(sample, cb)
+            recon = reconstruct(idx, cb)
+            base_recon = reconstruct(base_only(idx), cb)
             mse_full = np.mean((recon - sample) ** 2)
             mse_base = np.mean((base_recon - sample) ** 2)
             if mse_full > mse_base + 1e-12:
@@ -331,7 +336,7 @@ class TestQuantize:
             res=Codebook(np.zeros((3, 2)), np.zeros(3), np.zeros(3)),
         )
         grid = np.array([[[1.0, 0.0]]])
-        idx, _ = quantize(grid, cb)
+        idx = quantize(grid, cb)
         assert idx.base_idx[0, 0] == 0
 
     def test_dimension_mismatch(self):
@@ -343,8 +348,10 @@ class TestQuantize:
         feats, cb = self.trained(seed=13)
         rng = np.random.default_rng(4)
         sample = feats[rng.integers(len(feats), size=24)].reshape(4, 6, 4)
-        idx1, recon1 = quantize(sample, cb)
-        idx2, recon2 = quantize(recon1, cb)
+        idx1 = quantize(sample, cb)
+        recon1 = reconstruct(idx1, cb)
+        idx2 = quantize(recon1, cb)
+        recon2 = reconstruct(idx2, cb)
         np.testing.assert_array_equal(idx1.base_idx, idx2.base_idx)
         np.testing.assert_array_equal(idx1.res_idx, idx2.res_idx)
         np.testing.assert_allclose(recon1, recon2, atol=1e-12)
@@ -353,13 +360,13 @@ class TestQuantize:
         # radius measured on the training sample, errors on fresh draws from
         # the same blob distribution
         feats, cb = self.trained(seed=17)
-        idx_train, _ = quantize(feats.reshape(-1, 1, 4), cb)
+        idx_train = quantize(feats.reshape(-1, 1, 4), cb)
         resid = feats - cb.base.embeddings[idx_train.base_idx.ravel()]
         radius = np.linalg.norm(
             resid - cb.res.embeddings[idx_train.res_idx.ravel()], axis=1
         ).max()
         fresh = blobs(seed=17, n=120, d=4, k=6)  # same generator, same seed family
-        _, recon = quantize(fresh.reshape(10, 12, 4), cb)
+        recon = reconstruct(quantize(fresh.reshape(10, 12, 4), cb), cb)
         errs = np.linalg.norm(recon.reshape(-1, 4) - fresh, axis=1)
         assert errs.max() <= radius + 1e-9
 
@@ -398,7 +405,8 @@ class TestQuantizeOracle:
     @given(case=quantize_cases())
     def test_same_indices_and_reconstruction(self, case):
         grid, cb = case
-        (got, got_recon), (want, want_recon) = quantize(grid, cb), oracle.quantize(grid, cb)
+        got, (want, want_recon) = quantize(grid, cb), oracle.quantize(grid, cb)
+        got_recon = reconstruct(got, cb)
         for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx),
                      (got_recon, want_recon)):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -408,7 +416,7 @@ class TestQuantizeOracle:
             base=Codebook(np.array([[2.0, 0.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2)),
             res=Codebook(np.array([[0.0, 0.5], [0.0, -0.5]]), np.zeros(2), np.zeros(2)),
         )
-        idx, _ = quantize(np.tile([1.0, 0.0], (3, 2, 1)), cb)
+        idx = quantize(np.tile([1.0, 0.0], (3, 2, 1)), cb)
         assert np.all(idx.base_idx == 0) and np.all(idx.res_idx == 0)
 
 
@@ -528,17 +536,38 @@ class TestCodebookIO:
         np.testing.assert_array_equal(back.res.occ_freq, cb.res.occ_freq)
 
 
+@st.composite
+def partial_grids(draw):
+    """(index grid, codebook) whose cells are absent, base-only or two-layer,
+    with residual indices also on some cells that lack a base index."""
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n_base = draw(st.integers(1, 5))
+    n_res = draw(st.integers(n_base, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base, res = rng.normal(size=(n_base, c)), rng.normal(size=(n_res, c))
+    base[rng.uniform(size=base.shape) < 0.2] = -0.0
+    cb = LayeredCodebook(*(Codebook(e, np.zeros(len(e)), np.zeros(len(e))) for e in (base, res)))
+    base_idx = np.where(rng.uniform(size=(h, w)) < 0.3, -1, rng.integers(0, n_base, (h, w)))
+    res_idx = np.where(rng.uniform(size=(h, w)) < 0.4, -1, rng.integers(0, n_res, (h, w)))
+    return IndexGrid(base_idx, res_idx), cb
+
+
 class TestPartialReconstruction:
     def test_absent_cells_stay_zero(self):
         emb = np.array([[1.0, 1.0], [2.0, 2.0]])
         cb = LayeredCodebook(
             base=Codebook(emb, np.zeros(2), np.zeros(2)),
-            res=Codebook(np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+            res=Codebook(np.full((2, 2), 0.5), np.zeros(2), np.zeros(2)),
         )
-        idx = IndexGrid(np.array([[0, -1], [1, -1]]), np.array([[0, -1], [0, -1]]))
-        full = reconstruct_full(idx, cb)
-        np.testing.assert_allclose(full[0, 0], [1.0, 1.0])
-        np.testing.assert_allclose(full[:, 1], 0.0)
-        base = reconstruct_base(idx, cb)
-        np.testing.assert_allclose(base[1, 0], [2.0, 2.0])
-        np.testing.assert_allclose(base[:, 1], 0.0)
+        idx = IndexGrid(np.array([[0, -1], [1, -1]]), np.array([[0, -1], [-1, 1]]))
+        out = reconstruct(idx, cb)
+        np.testing.assert_allclose(out[0, 0], [1.5, 1.5])  # both layers
+        np.testing.assert_allclose(out[1, 0], [2.0, 2.0])  # base only
+        np.testing.assert_allclose(out[:, 1], 0.0)  # no base index
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=partial_grids())
+    def test_matches_the_received_grid_oracle(self, case):
+        idx, cb = case
+        got, want = reconstruct(idx, cb), oracle.received_grid(idx, cb)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
