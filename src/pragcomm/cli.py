@@ -221,7 +221,20 @@ def parse_config(path: str) -> RunConfig:
             built[name] = cls(**fields[name])
         except ValueError as exc:
             raise ConfigError(f"invalid [{name}] config: {exc}") from None
-    return RunConfig(train=pl.TrainConfig(**fields["train"]), **built, **fields["run"])
+    train, world = pl.TrainConfig(**fields["train"]), built["world"]
+    # the codebooks are fit to every training view's cells
+    cells = train.n_train_worlds * world.n_agents * world.h * world.w
+    if train.n_base > train.n_res:
+        raise ConfigError(
+            f"[codebook] n_base: must be at most [codebook] n_res = {train.n_res}, "
+            f"got {train.n_base}"
+        )
+    if train.n_res > cells:
+        raise ConfigError(
+            f"[codebook] n_res: must be at most the {cells} training cells "
+            f"([train] worlds x [world] agents x h x w), got {train.n_res}"
+        )
+    return RunConfig(train=train, **built, **fields["run"])
 
 
 def _write_manifest(out: Path, command: str, config_path: str, seed) -> None:

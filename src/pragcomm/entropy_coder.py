@@ -58,9 +58,6 @@ class PrefixCode:
     def n_symbols(self) -> int:
         return len(self.lengths)
 
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self.lengths)
-
     def codeword_str(self, symbol: int) -> str:
         value, length = self.codewords[symbol]
         return format(value, f"0{length}b")

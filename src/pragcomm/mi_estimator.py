@@ -155,7 +155,10 @@ def _backward(d: Discriminator, acts, dscore: np.ndarray, masks):
         grads[i] = (delta.T @ a, delta.sum(axis=0))
         if i > 0:
             np.greater(a, 0.0, out=masks[i - 1])
-            np.matmul(delta, w, out=a)
+            if delta.shape[1] == 1:  # the scalar output layer: an outer product
+                np.multiply(delta, w, out=a)
+            else:
+                np.matmul(delta, w, out=a)
             np.multiply(a, masks[i - 1], out=a)
             delta = a
     return grads

@@ -220,7 +220,14 @@ class Scene:
     def __init__(self, world: World, stack: TrainedStack):
         self.world, self.stack, self._stages = world, stack, {}
         self.feats, self.conf = views(world)
-        self.idx = [vq.quantize(f, stack.codebook) for f in self.feats]
+        # one search over every agent's cells: a cell's indices do not
+        # depend on which other cells are quantized with it
+        agents = vq.quantize(self.feats.reshape(-1, *self.feats.shape[2:]), stack.codebook)
+        shape = self.conf.shape
+        self.idx = [
+            vq.IndexGrid(b, r)
+            for b, r in zip(agents.base_idx.reshape(shape), agents.res_idx.reshape(shape))
+        ]
         # the gate is the confidence on observed cells only: a cell with no
         # evidence scores 1 - prior background, which is not a reason to
         # transmit it; cells with gate > tau_c are a sender's candidates
@@ -280,8 +287,7 @@ def directed_message(
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
-    sm = sw.smooth(received)
-    received[msg.conf_mask] = sm[msg.conf_mask]
+    np.copyto(received, sw.smooth(received), where=msg.conf_mask[..., None])
     received *= _trust(cfg, s, r)
     return msg, received
 

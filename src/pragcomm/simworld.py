@@ -10,16 +10,22 @@ Because the channel and the prior are both known in closed form, the exact
 per-cell Bayes posterior is available for any combination of observations,
 which turns task scores and risks into checkable quantities rather than
 training outcomes.
+
+The per-cell kernels (the posteriors, ``smooth``'s nonzero test,
+``score_iou``) work on whole class and channel planes, adding in numpy's
+own summation order (``planes.sum_planes``) and never through BLAS, so
+their bits equal those of the per-cell reductions over the last axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
+from . import planes, textio
 from .entropy_coder import SIDE_BITS
 
 UNOBSERVED = -1
@@ -145,11 +151,6 @@ def class_prior(cfg: WorldConfig) -> np.ndarray:
     return prior
 
 
-def channel_matrix(cfg: WorldConfig, agent: int = 0) -> np.ndarray:
-    """L[k, y] = p(observed class k | true class y) inside the field of view."""
-    return _channel(cfg.n_classes, cfg.agent_noise(agent))
-
-
 def _channel(k: int, eps: float) -> np.ndarray:
     mat = np.full((k, k), eps / (k - 1))
     np.fill_diagonal(mat, 1.0 - eps)
@@ -220,12 +221,12 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
         obs_list = [obs_list]
     if agents is None:
         agents = range(len(obs_list))
-    log_prior, log_chans = _log_model(cfg, [cfg.agent_noise(a) for a in agents])
-    h, w = obs_list[0].shape
-    log_post = np.tile(log_prior, (h, w, 1))
+    log_prior, log_chans = _log_model(cfg, tuple(cfg.agent_noise(a) for a in agents))
+    log_post = np.empty((cfg.n_classes, *obs_list[0].shape))  # class planes
+    log_post[:] = log_prior[:, None, None]
     for obs, log_chan in zip(obs_list, log_chans):
         rr, cc = np.nonzero(obs != UNOBSERVED)
-        log_post[rr, cc, :] += log_chan[obs[rr, cc], :]
+        log_post[:, rr, cc] += log_chan[obs[rr, cc], :].T
     return _normalize(log_post)
 
 
@@ -242,27 +243,45 @@ def posterior_from_features(feat: np.ndarray, cfg: WorldConfig, noise: float) ->
     probability, which selects the channel model.
     """
     k = cfg.n_classes
-    log_prior, (log_chan,) = _log_model(cfg, [noise])
-    v = np.clip(feat[..., :k], 0.0, 8.0)
-    v = np.where(v > 1e-6, v, 0.0)
-    log_post = log_prior[None, None, :] + np.einsum("hwk,ky->hwy", v, log_chan)
+    log_prior, (log_chan,) = _log_model(cfg, (noise,))
+    # evidence planes: values above 1e-6 capped at 8, all else (NaN too) 0
+    ev = np.ascontiguousarray(feat[..., :k].transpose(2, 0, 1))
+    v = np.where(ev > 1e-6, ev, 0.0)
+    np.minimum(v, 8.0, out=v)
+    # class planes log p(y) + sum_j v_j log p(obs=j | y), the products added
+    # in sequence over j as einsum("hwk,ky->hwy") adds them
+    log_chan = log_chan[:, :, None, None]
+    log_post = log_chan[0] * v[0]
+    term = np.empty_like(log_post)
+    for j in range(1, k):
+        log_post += np.multiply(log_chan[j], v[j], out=term)
+    log_post += log_prior[:, None, None]
     return _normalize(log_post)
 
 
-def _log_model(cfg: WorldConfig, noises) -> tuple[np.ndarray, list]:
+@functools.lru_cache(maxsize=64)
+def _log_model(cfg: WorldConfig, noises: tuple) -> tuple[np.ndarray, tuple]:
     """The log class prior and, per flip probability in ``noises``, the log
     channel matrix floored at -1e9: a finite floor keeps zero-probability
-    evidence well-defined at noise 0.  Both posteriors decode with these."""
+    evidence well-defined at noise 0.  Both posteriors decode with these.
+    They depend only on the arguments, so they are built once per argument
+    pair and returned read-only."""
     with np.errstate(divide="ignore"):
-        log_chans = [np.maximum(np.log(_channel(cfg.n_classes, e)), -1e9) for e in noises]
-        return np.log(class_prior(cfg)), log_chans
+        log_prior = np.log(class_prior(cfg))
+        log_chans = tuple(np.maximum(np.log(_channel(cfg.n_classes, e)), -1e9) for e in noises)
+    for table in (log_prior, *log_chans):
+        table.flags.writeable = False
+    return log_prior, log_chans
 
 
 def _normalize(log_post: np.ndarray) -> np.ndarray:
-    """Per-cell probabilities from unnormalized log posteriors (h, w, K)."""
-    log_post -= log_post.max(axis=2, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=2, keepdims=True)
+    """Per-cell probabilities, shape (h, w, K), from unnormalized log
+    posteriors given as K class planes, shape (K, h, w).  Overwrites
+    ``log_post``."""
+    log_post -= np.maximum.reduce(log_post, axis=0)
+    np.exp(log_post, out=log_post)
+    post = np.empty((*log_post.shape[1:], len(log_post)))
+    np.divide(log_post, planes.sum_planes(log_post.copy()), out=np.moveaxis(post, -1, 0))
     return post
 
 
@@ -305,35 +324,42 @@ def smooth(sparse: np.ndarray) -> np.ndarray:
     sparse = np.asarray(sparse, dtype=np.float64)
     if sparse.ndim != 3:
         raise ValueError("sparse grid must be (h, w, c)")
-    nonzero = np.any(sparse != 0, axis=2)
+    nonzero = planes.any_last(sparse != 0)
     # an all-zero cell adds +-0.0 to sums that start at +0.0 and so are never
     # -0.0: summing every neighbour equals summing the nonzero ones, bit for bit
     sums = _neighbour_sum(sparse)
     counts = _neighbour_sum(nonzero)
     out = sparse.copy()
     fill = (~nonzero) & (counts > 0)
-    out[fill] = 0.5 * sums[fill] / counts[fill][:, None]
+    np.divide(0.5 * sums, counts[..., None], out=out, where=fill[..., None])
     return out
 
 
 def score_iou(pred: np.ndarray, gt: np.ndarray, n_classes: int):
-    """Per-class intersection-over-union and its mean.
+    """Per-class intersection-over-union and its mean over integer label grids.
 
     Classes absent from both prediction and ground truth are excluded from
-    the mean and reported as NaN.
+    the mean and reported as NaN.  Labels outside ``[0, n_classes)`` belong
+    to no class.
     """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError("prediction and ground truth must share a shape")
-    per_class = np.full(n_classes, np.nan)
-    for cls in range(n_classes):
-        p = pred == cls
-        g = gt == cls
-        union = np.logical_or(p, g).sum()
-        if union:
-            per_class[cls] = np.logical_and(p, g).sum() / union
-    present = ~np.isnan(per_class)
+    if pred.dtype.kind not in "biu" or gt.dtype.kind not in "biu":
+        raise ValueError("labels must be integers")
+    # one (K + 1) x (K + 1) confusion count; row and column K collect the
+    # labels outside every class
+    k1 = n_classes + 1
+    codes = [
+        np.where((a >= 0) & (a < n_classes), a, n_classes).astype(np.intp, copy=False).ravel()
+        for a in (pred, gt)
+    ]
+    joint = np.bincount(codes[0] * k1 + codes[1], minlength=k1 * k1).reshape(k1, k1)
+    inter = joint.diagonal()[:n_classes]
+    union = joint.sum(axis=1)[:n_classes] + joint.sum(axis=0)[:n_classes] - inter
+    present = union > 0
+    per_class = np.divide(inter, union, out=np.full(n_classes, np.nan), where=present)
     mean = float(per_class[present].mean()) if present.any() else float("nan")
     return per_class, mean
 

@@ -5,6 +5,11 @@ codebook encodes what the base layer missed.  Training is plain Lloyd
 k-means with k-means++ seeding so every run is reproducible and can be
 checked against a naive reference implementation.  Training also tallies,
 per embedding, the task confidence and the count of the rows it quantizes.
+
+The per-row kernels (squared distances, the duplicate-row test) work on
+whole channel planes instead of the short last axis of channels, adding in
+numpy's own summation order (``planes.sum_planes``) and never through
+BLAS, so their bits equal those of the per-row reductions.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
+from . import planes, textio
 
 
 @dataclass
@@ -81,7 +86,7 @@ def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.lexsort(x.T[::-1])
     ordered = x[order]
     first = np.ones(len(x), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first[1:] = planes.any_last(ordered[1:] != ordered[:-1])
     inverse = np.empty(len(x), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
@@ -89,9 +94,12 @@ def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared distances; each entry sums one contiguous row of d terms,
-    # so its bits do not depend on which other rows or centroids are present
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """(n, k) squared distances, summed over one (k, n) plane per channel.
+    Each entry adds its d terms in the order ``.sum(axis=-1)`` adds a row of
+    them, so its bits do not depend on which other rows or centroids are
+    present."""
+    diffs = np.ascontiguousarray(points.T)[:, None, :] - centroids.T[:, :, None]
+    return np.ascontiguousarray(planes.sum_planes(np.square(diffs, out=diffs)).T)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -224,12 +232,13 @@ def reconstruct(idx: IndexGrid, cb: LayeredCodebook) -> np.ndarray:
     """Decode an index grid, complete or partial: the base embedding on every
     cell with a base index, plus the residual embedding on cells that also
     carry a residual index, and zero elsewhere."""
-    out = np.zeros((*idx.base_idx.shape, cb.base.dim))
     base = idx.base_idx >= 0
-    out[base] = cb.base.embeddings[idx.base_idx[base]]
     both = base & (idx.res_idx >= 0)
-    out[both] += cb.res.embeddings[idx.res_idx[both]]
-    return out
+    # row n of the extended base table is the zero of a cell without a base index
+    emb = np.vstack([cb.base.embeddings, np.zeros(cb.base.dim)])
+    out = emb.take(np.where(base, idx.base_idx, cb.base.n), axis=0)
+    res = cb.res.embeddings.take(np.where(both, idx.res_idx, 0), axis=0)
+    return np.add(out, res, out=out, where=both[..., None])
 
 
 # --- codebook file ---------------------------------------------------------

@@ -3,28 +3,34 @@ they were before the sweep round stopped repeating work.
 
 Kept as test oracles: ``pragcomm.vq.quantize`` must give the same index
 grids, ``pragcomm.vq.reconstruct`` the same reconstruction as ``quantize``
-here and, on partial grids, as ``received_grid``, and
-``pragcomm.simworld.extract_features``,
-``smooth``, ``posterior_from_obs`` and ``posterior_from_features`` the same
-arrays, compared byte for byte, as the functions below.  ``quantize`` here
-searches every cell, duplicates included; the neighbour loops build their
-source and destination slices per shift, and ``smooth`` masks every shifted
-copy with ``np.where``.  Each posterior here builds its own log prior and
-log channel.
+here and, on partial grids, as ``received_grid``, ``pragcomm.vq._sq_dists``
+the same distances as ``sq_dists``, and
+``pragcomm.simworld.extract_features``, ``smooth``, ``posterior_from_obs``,
+``posterior_from_features`` and ``score_iou`` the same arrays, compared
+byte for byte, as the functions below.  ``quantize`` here searches every
+cell, duplicates included, and sums each squared distance over the last
+axis; the neighbour loops build their source and destination slices per
+shift, and ``smooth`` masks every shifted copy with ``np.where``.  Each
+posterior here builds its own log prior and log channel and reduces over
+the last (class) axis, and ``score_iou`` loops over the classes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pragcomm.simworld import UNOBSERVED, WorldConfig, _channel, channel_matrix, class_prior
+from pragcomm.simworld import UNOBSERVED, WorldConfig, _channel, class_prior
 from pragcomm.vq import IndexGrid, LayeredCodebook
+
+
+def sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, each summed over the last axis of its row."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin over squared distance; ties resolve to the lowest index
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return sq_dists(points, centroids).argmin(axis=1)
 
 
 def quantize(grid: np.ndarray, cb: LayeredCodebook) -> tuple[IndexGrid, np.ndarray]:
@@ -165,7 +171,7 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
     for obs, agent in zip(obs_list, agents):
         with np.errstate(divide="ignore"):
             # finite floor keeps zero-probability evidence well-defined at noise 0
-            log_chan = np.maximum(np.log(channel_matrix(cfg, agent)), -1e9)
+            log_chan = np.maximum(np.log(_channel(cfg.n_classes, cfg.agent_noise(agent))), -1e9)
         seen = obs != UNOBSERVED
         rr, cc = np.nonzero(seen)
         log_post[rr, cc, :] += log_chan[obs[rr, cc], :]
@@ -203,3 +209,22 @@ def posterior_from_features(
     post = np.exp(log_post)
     post /= post.sum(axis=2, keepdims=True)
     return post
+
+
+def score_iou(pred: np.ndarray, gt: np.ndarray, n_classes: int):
+    """Per-class intersection-over-union and its mean; classes absent from
+    both grids are NaN and left out of the mean."""
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError("prediction and ground truth must share a shape")
+    per_class = np.full(n_classes, np.nan)
+    for cls in range(n_classes):
+        p = pred == cls
+        g = gt == cls
+        union = np.logical_or(p, g).sum()
+        if union:
+            per_class[cls] = np.logical_and(p, g).sum() / union
+    present = ~np.isnan(per_class)
+    mean = float(per_class[present].mean()) if present.any() else float("nan")
+    return per_class, mean

@@ -220,6 +220,40 @@ class TestTrainConfigValidation:
         assert not (out / "codebook.txt").exists()
 
 
+class TestCodebookSizes:
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ({"n_base": "n_base = 33"},
+             "error: [codebook] n_base: must be at most [codebook] n_res = 32, got 33"),
+            ({"n_res": "n_res = 1025"},
+             "error: [codebook] n_res: must be at most the 1024 training cells "
+             "([train] worlds x [world] agents x h x w), got 1025"),
+        ],
+    )
+    def test_codebook_larger_than_allowed_names_its_key(self, lines, message, tmp_path, capsys):
+        text = "\n".join(
+            lines.get(row.split(" ")[0], row) for row in FAST_CFG.splitlines()
+        )
+        assert run_gen_world(text, tmp_path, capsys) == (2, [message])
+
+    def test_residual_codebook_above_the_training_cells_fails_train(self, tmp_path, capsys):
+        # the config fuzz's case: 1 world x 2 agents x 2 x 3 cells = 12 < 13
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            "[world]\nh = 2\nw = 3\nrect_min = 1\nrect_max = 1\n"
+            "[codebook]\nn_base = 4\nn_res = 13\n[train]\nworlds = 1\n"
+        )
+        out = tmp_path / "t"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [codebook] n_res: must be at most the 12 training cells "
+            "([train] worlds x [world] agents x h x w), got 13"
+        ]
+        assert not (out / "codebook.txt").exists()
+
+
 def run_gen_world(text: str, tmp_path, capsys) -> tuple[int, list[str]]:
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -250,8 +284,10 @@ VALID = {
     ("world", "rect_min"): ("world", "rect_min", st.integers(1, 7)),
     ("world", "rect_max"): ("world", "rect_max", st.integers(3, 32)),
     ("world", "seed"): ("world", "seed", SEEDS),
-    ("codebook", "n_base"): ("train", "n_base", COUNTS),
-    ("codebook", "n_res"): ("train", "n_res", COUNTS),
+    # n_base up to the default n_res; n_res from the default n_base up to the
+    # default world's 4 x 2 x 32 x 32 training cells
+    ("codebook", "n_base"): ("train", "n_base", st.integers(1, 64)),
+    ("codebook", "n_res"): ("train", "n_res", st.integers(4, 8192)),
     ("codebook", "iters"): ("train", "kmeans_iters", COUNTS),
     ("codebook", "seed"): ("train", "codebook_seed", SEEDS),
     ("discriminator", "steps"): ("train", "disc_steps", COUNTS),

@@ -66,7 +66,7 @@ class TestBuildCode:
             w = rng.uniform(0, 5, size=rng.integers(2, 20))
             w[rng.integers(len(w))] = 1.0  # at least one positive weight
             code = build_code(w)
-            assert code.kraft_sum() <= 1.0 + 1e-12
+            assert sum(2.0 ** -l for l in code.lengths) <= 1.0 + 1e-12
             words = [code.codeword_str(s) for s in range(code.n_symbols)]
             for a, b in itertools.permutations(words, 2):
                 assert not a.startswith(b) or a == b
@@ -115,7 +115,7 @@ class TestFixedLength:
     def test_fixed_code_uniform(self):
         code = fixed_code(6)
         assert all(l == 3 for l in code.lengths)
-        assert code.kraft_sum() <= 1.0
+        assert sum(2.0 ** -l for l in code.lengths) <= 1.0
 
 
 def grid_fixture(h=4, w=5, n_base=4, n_res=8, seed=0):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import warnings
 
@@ -263,6 +264,23 @@ class TestInertResidual:
             assert full.tobytes() != base.tobytes()
 
 
+class TestTradeoffSweepBytes:
+    """The criterion-8 sweeps (20 seeds, 2000-step stack) keep every byte of
+    their ``results_csv``: a rewritten kernel that moves one bit of one
+    round fails here."""
+
+    DIGESTS = {
+        "mi": "6bf2016b0105acd86304a7b7ecb0e632c30cbc3606849018d3798bf8b5209c3c",
+        "baseline": "a4017c65c095deff26e20c58b574eedf712412790ac18f1816961ab4726a2e17",
+        "confidence_only": "04bc792f42b011d5e7e2f0a33c7a348c8f49b0fe60bd6e86ec7d3e47b071ce1b",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_results_csv_digest(self, tradeoff_sweeps, name):
+        csv = pl.results_csv(tradeoff_sweeps[name], TRADEOFF_WORLD.n_classes)
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.DIGESTS[name]
+
+
 class TestSkippedDecode:
     """``directed_message`` builds the receiver's grid without decoding the
     message; that grid must be the one a decode of the message gives."""
@@ -368,10 +386,11 @@ class TestSweep:
             count(module, name)
         cfg = self.sweep_cfg(tau_mi_grid=(0.0, 0.5, float("inf")), seeds=(42, 43))
         assert len(pl.run_sweep(TEMPLATE, stack, cfg)) == 2 * 3 * 2
-        # per seed: one world, features and quantization per agent, the two
-        # code tables; one redundancy map per tau_c and directed pair
+        # per seed: one world, features per agent, one quantization of every
+        # agent's cells, the two code tables; one redundancy map per tau_c
+        # and directed pair
         assert calls == {
-            "generate": 2, "extract_features": 4, "quantize": 4, "redundancy_map": 8,
+            "generate": 2, "extract_features": 4, "quantize": 2, "redundancy_map": 8,
             "build_code": 4,
         }
 
@@ -388,8 +407,8 @@ class TestSweep:
         cfg = self.sweep_cfg(seeds=(42, 43), selector=selector)
         assert len(pl.run_sweep(TEMPLATE, stack, cfg)) == 2 * 2 * 2
         # the receiver's grid comes from the sender's indices; quantization
-        # still runs once per seed and agent
-        assert calls == {"decode": 0, "quantize": 4}
+        # still runs once per seed, over every agent's cells
+        assert calls == {"decode": 0, "quantize": 2}
 
     def test_scene_belongs_to_its_stack(self, stack, world):
         other = pl.TrainedStack(stack.codebook, stack.discriminator, [], [])

@@ -10,7 +10,7 @@ from array_files import (
     float_arrays,
     extra_lines,
 )
-from pragcomm import textio
+from pragcomm import textio, vq
 from pragcomm.vq import (
     Codebook,
     IndexGrid,
@@ -378,7 +378,7 @@ def quantize_cases(draw):
     shape = draw(st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(
         st.integers(1, 9), st.integers(1, 9)
     ))
-    c = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 20))  # from 8 channels on, numpy sums a distance pairwise
     n_base = draw(st.integers(1, 5))
     n_res = draw(st.integers(n_base, 12))
     kind = draw(st.sampled_from(("duplicates", "distinct", "ties")))
@@ -396,6 +396,25 @@ def quantize_cases(draw):
     grid = np.where(rng.uniform(size=grid.shape) < 0.2, -0.0, grid)
     cb = LayeredCodebook(*(Codebook(e, np.zeros(len(e)), np.zeros(len(e))) for e in (base, res)))
     return grid.reshape(*shape, c), cb
+
+
+class TestSqDistsOracle:
+    """The per-channel planes against the sum over each row's last axis.
+    An argmin hides most last-bit changes, so the distances are compared."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 30), k=st.integers(1, 20), d=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_distances(self, n, k, d, seed):
+        # from 8 channels on, numpy sums a row pairwise; magnitudes far apart
+        # make any other order round differently
+        rng = np.random.default_rng(seed)
+        points, centroids = (
+            rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 6, (m, d)) for m in (n, k)
+        )
+        points[rng.uniform(size=points.shape) < 0.2] = -0.0
+        got, want = vq._sq_dists(points, centroids), oracle.sq_dists(points, centroids)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestQuantizeOracle:
@@ -540,7 +559,7 @@ class TestCodebookIO:
 def partial_grids(draw):
     """(index grid, codebook) whose cells are absent, base-only or two-layer,
     with residual indices also on some cells that lack a base index."""
-    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 20))
     n_base = draw(st.integers(1, 5))
     n_res = draw(st.integers(n_base, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
