@@ -49,10 +49,30 @@ class CodingError(ValueError):
 
 @dataclass(frozen=True)
 class PrefixCode:
-    """Canonical prefix code: per-symbol lengths plus (value, length) codewords."""
+    """Canonical prefix code, given by its per-symbol codeword lengths."""
 
     lengths: tuple[int, ...]
-    codewords: tuple[tuple[int, int], ...]  # (value, length) per symbol
+
+    def __post_init__(self):
+        if not self.lengths or min(self.lengths) < 1:
+            raise CodingError(f"codeword lengths must be at least 1, got {self.lengths}")
+        longest = max(self.lengths)
+        if sum(1 << (longest - length) for length in self.lengths) > 1 << longest:
+            raise CodingError(f"codeword lengths {self.lengths} exceed the Kraft sum 1")
+
+    @cached_property
+    def codewords(self) -> tuple[tuple[int, int], ...]:
+        """(value, length) per symbol: in (length, symbol) order each
+        codeword is one more than the last, shifted left to its length."""
+        codewords = [None] * self.n_symbols
+        code = prev_len = 0
+        for sym in sorted(range(self.n_symbols), key=lambda s: (self.lengths[s], s)):
+            length = self.lengths[sym]
+            code <<= length - prev_len
+            codewords[sym] = (code, length)
+            code += 1
+            prev_len = length
+        return tuple(codewords)
 
     @property
     def n_symbols(self) -> int:
@@ -75,7 +95,7 @@ class PrefixCode:
     def canonical_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical decoding tables: per length L = 0..max_len the number of
         codewords and the rank of the first one, plus the symbols in rank
-        order, i.e. sorted by (length, symbol) as ``_canonicalize`` assigns.
+        order, i.e. sorted by (length, symbol) as ``codewords`` assigns them.
 
         The first code of each length stays implicit: the decoder tracks how
         far its bits lie past it, a number below ``n_symbols``.
@@ -85,44 +105,22 @@ class PrefixCode:
         return count, np.cumsum(count) - count, np.argsort(lengths, kind="stable")
 
 
-def _canonicalize(lengths: list[int]) -> PrefixCode:
-    order = sorted(range(len(lengths)), key=lambda s: (lengths[s], s))
-    codewords = [None] * len(lengths)
-    code = 0
-    prev_len = 0
-    for sym in order:
-        length = lengths[sym]
-        code <<= length - prev_len
-        codewords[sym] = (code, length)
-        code += 1
-        prev_len = length
-    return PrefixCode(tuple(lengths), tuple(codewords))
-
-
-def _huffman_lengths(weights: np.ndarray) -> list[int]:
+def _huffman_lengths(weights: np.ndarray) -> tuple[int, ...]:
+    """Huffman codeword lengths: each merge of the two lightest subtrees
+    puts every symbol under them one bit deeper."""
     n = len(weights)
     if n == 1:
-        return [1]
-    heap = [(float(w), i, i) for i, w in enumerate(weights)]
+        return (1,)
+    lengths = [0] * n
+    heap = [(float(w), i, [i]) for i, w in enumerate(weights)]
     heapq.heapify(heap)
-    parent: dict[int, int] = {}
-    next_id = n
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        parent[n1] = next_id
-        parent[n2] = next_id
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
-        next_id += 1
-    lengths = []
-    for sym in range(n):
-        depth = 0
-        node = sym
-        while node in parent:
-            node = parent[node]
-            depth += 1
-        lengths.append(depth)
-    return lengths
+    for node in range(n, 2 * n - 1):  # node ids break weight ties
+        w1, _, syms1 = heapq.heappop(heap)
+        w2, _, syms2 = heapq.heappop(heap)
+        for sym in syms1 + syms2:
+            lengths[sym] += 1
+        heapq.heappush(heap, (w1 + w2, node, syms1 + syms2))
+    return tuple(lengths)
 
 
 def build_code(weights: np.ndarray) -> PrefixCode:
@@ -141,7 +139,7 @@ def build_code(weights: np.ndarray) -> PrefixCode:
     scaled = weights / weights.sum()
     floor = float(scaled[scaled > 0].min()) * 1e-9 / len(weights)
     floored = np.maximum(scaled, floor)
-    return _canonicalize(_huffman_lengths(floored))
+    return PrefixCode(_huffman_lengths(floored))
 
 
 def fixed_length_bits(n_symbols: int) -> int:
@@ -154,7 +152,7 @@ def fixed_length_bits(n_symbols: int) -> int:
 def fixed_code(n_symbols: int) -> PrefixCode:
     """The fixed-length baseline code (all symbols at ceil(log2 n) bits)."""
     length = fixed_length_bits(n_symbols)
-    return _canonicalize([length] * n_symbols)
+    return PrefixCode((length,) * n_symbols)
 
 
 def expected_length(code: PrefixCode, weights: np.ndarray) -> float:

@@ -12,9 +12,8 @@ which turns task scores and risks into checkable quantities rather than
 training outcomes.
 
 The per-cell kernels (the posteriors, ``smooth``'s nonzero test,
-``score_iou``) work on whole class and channel planes, adding in numpy's
-own summation order (``planes.sum_planes``) and never through BLAS, so
-their bits equal those of the per-cell reductions over the last axis.
+``score_iou``) work on whole class and channel planes, added in index
+order, never through BLAS (``planes``).
 """
 
 from __future__ import annotations
@@ -248,13 +247,8 @@ def posterior_from_features(feat: np.ndarray, cfg: WorldConfig, noise: float) ->
     ev = np.ascontiguousarray(feat[..., :k].transpose(2, 0, 1))
     v = np.where(ev > 1e-6, ev, 0.0)
     np.minimum(v, 8.0, out=v)
-    # class planes log p(y) + sum_j v_j log p(obs=j | y), the products added
-    # in sequence over j as einsum("hwk,ky->hwy") adds them
-    log_chan = log_chan[:, :, None, None]
-    log_post = log_chan[0] * v[0]
-    term = np.empty_like(log_post)
-    for j in range(1, k):
-        log_post += np.multiply(log_chan[j], v[j], out=term)
+    # class planes log p(y) + sum_j v_j log p(obs=j | y)
+    log_post = planes.sum_planes(log_chan[:, :, None, None] * v[:, None])
     log_post += log_prior[:, None, None]
     return _normalize(log_post)
 
@@ -281,7 +275,7 @@ def _normalize(log_post: np.ndarray) -> np.ndarray:
     log_post -= np.maximum.reduce(log_post, axis=0)
     np.exp(log_post, out=log_post)
     post = np.empty((*log_post.shape[1:], len(log_post)))
-    np.divide(log_post, planes.sum_planes(log_post.copy()), out=np.moveaxis(post, -1, 0))
+    np.divide(log_post, planes.sum_planes(log_post), out=np.moveaxis(post, -1, 0))
     return post
 
 

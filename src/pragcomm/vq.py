@@ -7,9 +7,7 @@ checked against a naive reference implementation.  Training also tallies,
 per embedding, the task confidence and the count of the rows it quantizes.
 
 The per-row kernels (squared distances, the duplicate-row test) work on
-whole channel planes instead of the short last axis of channels, adding in
-numpy's own summation order (``planes.sum_planes``) and never through
-BLAS, so their bits equal those of the per-row reductions.
+whole channel planes, added in index order, never through BLAS (``planes``).
 """
 
 from __future__ import annotations
@@ -94,12 +92,11 @@ def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, summed over one (k, n) plane per channel.
-    Each entry adds its d terms in the order ``.sum(axis=-1)`` adds a row of
-    them, so its bits do not depend on which other rows or centroids are
-    present."""
-    diffs = np.ascontiguousarray(points.T)[:, None, :] - centroids.T[:, :, None]
-    return np.ascontiguousarray(planes.sum_planes(np.square(diffs, out=diffs)).T)
+    """(n, k) squared distances, summed over one (n, k) plane per channel
+    in index order, so an entry's bits do not depend on which other rows or
+    centroids are present."""
+    diffs = np.ascontiguousarray(points.T)[:, :, None] - centroids.T[:, None, :]
+    return planes.sum_planes(np.square(diffs, out=diffs))
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 Kept as a test oracle: ``pragcomm.entropy_coder`` must produce the same
 payloads, decoded grids and v1 blobs as these functions.  They share the
-message types and the code tables with the package.
+message types and the code tables with the package.  ``huffman_lengths``
+is the Huffman length count as it was before it counted depths while
+merging: it records each node's parent and walks up from every symbol.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -67,6 +71,32 @@ class BitReader:
         for _ in range(length):
             v = (v << 1) | self.read_bit()
         return v
+
+def huffman_lengths(weights: np.ndarray) -> list[int]:
+    n = len(weights)
+    if n == 1:
+        return [1]
+    heap = [(float(w), i, i) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    parent: dict[int, int] = {}
+    next_id = n
+    while len(heap) > 1:
+        w1, _, n1 = heapq.heappop(heap)
+        w2, _, n2 = heapq.heappop(heap)
+        parent[n1] = next_id
+        parent[n2] = next_id
+        heapq.heappush(heap, (w1 + w2, next_id, next_id))
+        next_id += 1
+    lengths = []
+    for sym in range(n):
+        depth = 0
+        node = sym
+        while node in parent:
+            node = parent[node]
+            depth += 1
+        lengths.append(depth)
+    return lengths
+
 
 def _encode_symbols(symbols, code: PrefixCode) -> Bits:
     writer = BitWriter()

@@ -13,9 +13,15 @@ axis; the neighbour loops build their source and destination slices per
 shift, and ``smooth`` masks every shifted copy with ``np.where``.  Each
 posterior here builds its own log prior and log channel and reduces over
 the last (class) axis, and ``score_iou`` loops over the classes.
+
+Every sum over the last axis here adds in index order (``_sum_last``),
+as the package's plane kernels do: ``.sum(axis=-1)`` would add 8 or more
+terms pairwise, whose last bits no output depends on.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,9 +29,16 @@ from pragcomm.simworld import UNOBSERVED, WorldConfig, _channel, class_prior
 from pragcomm.vq import IndexGrid, LayeredCodebook
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, added in index order."""
+    return functools.reduce(np.add, np.moveaxis(x, -1, 0))
+
+
 def sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, each summed over the last axis of its row."""
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """(n, k) squared distances, each summed over the last axis of its row.
+    Changed line: ``_sum_last`` instead of ``.sum(axis=2)``, which adds 8
+    or more channels pairwise."""
+    return _sum_last((points[:, None, :] - centroids[None, :, :]) ** 2)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -159,6 +172,9 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
     given the label); unobserved cells contribute nothing, so a cell nobody
     sees carries the prior.  ``agents`` names the observing agent per grid
     (defaults to 0, 1, ...) so each grid is inverted through its own channel.
+    Changed line: the normalizing sum is ``_sum_last`` instead of
+    ``post.sum(axis=2, keepdims=True)``, which adds 8 or more classes
+    pairwise.
     """
     if isinstance(obs_list, np.ndarray) and obs_list.ndim == 2:
         obs_list = [obs_list]
@@ -177,7 +193,7 @@ def posterior_from_obs(obs_list, cfg: WorldConfig, agents=None) -> np.ndarray:
         log_post[rr, cc, :] += log_chan[obs[rr, cc], :]
     log_post -= log_post.max(axis=2, keepdims=True)
     post = np.exp(log_post)
-    post /= post.sum(axis=2, keepdims=True)
+    post /= _sum_last(post)[..., None]
     return post
 
 
@@ -193,7 +209,10 @@ def posterior_from_features(
     product rule.  Values above 1 (trust-weighted evidence from a more
     reliable source) strengthen the vote; a cap keeps reconstruction noise
     from exploding the exponent.  ``noise`` selects the channel model (the
-    decoding agent's own flip probability by default).
+    decoding agent's own flip probability by default).  Changed line: the
+    normalizing sum is ``_sum_last`` instead of
+    ``post.sum(axis=2, keepdims=True)``, which adds 8 or more classes
+    pairwise.
     """
     k = cfg.n_classes
     prior = class_prior(cfg)
@@ -207,7 +226,7 @@ def posterior_from_features(
         )
     log_post -= log_post.max(axis=2, keepdims=True)
     post = np.exp(log_post)
-    post /= post.sum(axis=2, keepdims=True)
+    post /= _sum_last(post)[..., None]
     return post
 
 

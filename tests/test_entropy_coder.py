@@ -13,6 +13,7 @@ from pragcomm.entropy_coder import (
     CodingError,
     EncodedMessage,
     PrefixCode,
+    _huffman_lengths,
     build_code,
     decode,
     encode,
@@ -104,6 +105,46 @@ class TestBuildCode:
         assert code.codeword_str(1) == "10"
         assert code.codeword_str(2) == "110"
         assert code.codeword_str(3) == "111"
+
+
+@st.composite
+def huffman_weights(draw):
+    """Random, tied, geometric and uniform positive weights."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {
+        "random": rng.uniform(1e-6, 1.0, n),
+        "tied": rng.integers(1, 4, n).astype(float),
+        "geometric": 2.0 ** -np.arange(n),
+        "uniform": np.ones(n),
+    }[draw(st.sampled_from(("random", "tied", "geometric", "uniform")))]
+
+
+class TestPrefixCode:
+    """A code is its lengths: the codewords follow from them."""
+
+    def test_hand_built_code_round_trips(self):
+        code = PrefixCode((1, 1))
+        idx = IndexGrid(np.array([[0, 1]]), np.array([[1, 0]]))
+        masks = (np.ones((1, 2), bool),) * 2
+        got = decode(encode(idx, masks, (code, code)), (code, code))
+        assert (got.base_idx.tolist(), got.res_idx.tolist()) == ([[0, 1]], [[1, 0]])
+
+    @pytest.mark.parametrize("lengths", [(), (0,), (2, 0), (-1, 1), (1, 1, 1), (2, 1, 2, 2),
+                                         tuple(range(1, 61)) + (60, 60)])
+    def test_impossible_lengths_rejected(self, lengths):
+        # the last set overfills the Kraft sum by 2**-60, below a float's resolution
+        with pytest.raises(CodingError, match="codeword lengths"):
+            PrefixCode(lengths)
+
+    def test_complete_long_code_accepted(self):
+        code = PrefixCode(tuple(range(1, 61)) + (60,))
+        assert code.codeword_str(60) == "1" * 60
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=huffman_weights())
+    def test_huffman_lengths_match_the_parent_map_walk(self, weights):
+        assert _huffman_lengths(weights) == tuple(bitwise.huffman_lengths(weights))
 
 
 class TestFixedLength:
@@ -339,9 +380,13 @@ class TestCodingAblationDirection:
 @st.composite
 def prefix_codes(draw):
     n = draw(st.integers(1, 80))
-    kind = draw(st.sampled_from(("weights", "fixed", "geometric")))
+    kind = draw(st.sampled_from(("weights", "fixed", "geometric", "lengths")))
     if kind == "fixed":
         return fixed_code(n)
+    if kind == "lengths":  # hand-built, complete or not: every 2**-l <= 1 / n
+        shortest = fixed_length_bits(n)
+        return PrefixCode(tuple(draw(st.lists(
+            st.integers(shortest, shortest + 3), min_size=n, max_size=n))))
     if kind == "geometric":  # lengths 1..n-1, past 64 bits once n > 65
         return build_code(2.0 ** -np.arange(n))
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))

@@ -11,7 +11,7 @@ from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
 from pragcomm import simworld as sw
 from pragcomm import vq
-from conftest import ACCEPT_SEEDS, TRADEOFF_WORLD
+from conftest import ACCEPT_SEEDS, LOSSLESS_WORLD, TRADEOFF_WORLD
 
 
 TEMPLATE = sw.WorldConfig(
@@ -279,6 +279,34 @@ class TestTradeoffSweepBytes:
     def test_results_csv_digest(self, tradeoff_sweeps, name):
         csv = pl.results_csv(tradeoff_sweeps[name], TRADEOFF_WORLD.n_classes)
         assert hashlib.sha256(csv.encode()).hexdigest() == self.DIGESTS[name]
+
+
+class TestTrainedStackBytes:
+    """Both session stacks keep every byte of their codebook file, and
+    criterion 7's 20 rounds every byte of their ``results_csv``: training
+    is where the 8-channel squared distances act."""
+
+    CODEBOOKS = {
+        "lossless_stack": "45032edcfc2bf17429bd3eea2c1e1595fae71312eb4ec4025a245898e5a007a6",
+        "tradeoff_stack": "925b111f8fb4688d17031e681f7233ccfc59c8ab403baa757f5047efceb20a3e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_codebook_digest(self, request, tmp_path, name):
+        path = tmp_path / "codebook.txt"
+        vq.save_codebook(request.getfixturevalue(name).codebook, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CODEBOOKS[name]
+
+    def test_lossless_rounds_digest(self, lossless_stack):
+        rounds = [
+            pl.run_round(pl.make_world(pl.replace(LOSSLESS_WORLD, seed=seed)), lossless_stack,
+                         0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)])
+            for seed in ACCEPT_SEEDS
+        ]
+        csv = pl.results_csv(rounds, LOSSLESS_WORLD.n_classes)
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "2ce45f3ea13fe8abd08e0009a10fe45c9661620c98bc8b5094851d179bb203c4"
+        )
 
 
 class TestSkippedDecode:

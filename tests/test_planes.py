@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,35 +11,27 @@ ODD = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324]
 
 
 class TestSumPlanes:
-    """``sum_planes`` against numpy's own sum over the last axis."""
+    """``sum_planes`` against the index-order reduce over the same planes."""
 
     @settings(max_examples=400, deadline=None)
     @given(n=st.integers(1, 300), shape=PLANE_SHAPES, seed=st.integers(0, 2**32 - 1),
            p_odd=st.floats(0.0, 1.0))
     def test_matches_sum_over_the_last_axis(self, n, shape, seed, p_odd):
-        # lengths below 8 (sequential), 8..128 (one pairwise block) and
-        # beyond (recursive halves); magnitudes far apart so any other
-        # order rounds differently
+        # magnitudes far apart, so any other order rounds differently
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, *shape)) * 10.0 ** rng.integers(-12, 12, (n, *shape))
         x = np.where(rng.uniform(size=x.shape) < p_odd, rng.choice(ODD, size=x.shape), x)
+        before = x.tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = np.asarray(sum_planes(x.copy()))
-            want = np.asarray(np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1))
+            got = np.asarray(sum_planes(x))
+            want = np.asarray(functools.reduce(np.add, x))
         assert got.shape == want.shape and got.dtype == want.dtype
-        # a NaN's sign and payload follow the operand order of numpy's
-        # compiled loop, so only where the NaNs are is compared
+        # a NaN's sign and payload follow the compiled loop numpy picks
+        # (scalar or array), so only where the NaNs are is compared
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
-
-    def test_never_returns_negative_zero(self):
-        for n in (1, 7, 8, 9, 200):
-            got = sum_planes(np.full((n, 2), -0.0))
-            assert got.tobytes() == np.zeros(2).tobytes()
-
-    def test_no_planes_sum_to_zero(self):
-        assert sum_planes(np.zeros((0, 2, 3))).tobytes() == np.zeros((2, 3)).tobytes()
+        assert x.tobytes() == before
 
 
 class TestAnyLast:

@@ -314,7 +314,7 @@ FLIPS = st.sampled_from([0.0, 0.05, 0.25]) | st.floats(0.0, 0.5, exclude_max=Tru
 def posterior_worlds(draw):
     """Worlds whose prior and channels vary: zero noise, per-agent noise and
     zero density (a prior with zero entries) included.  From 8 classes on,
-    numpy sums a cell's posterior pairwise."""
+    numpy's .sum would add a cell's posterior pairwise."""
     k, n = draw(st.integers(2, 10)), draw(st.integers(2, 5))
     side = draw(st.integers(2, 16))
     rect_max = draw(st.integers(1, side - 1))
@@ -351,15 +351,31 @@ class TestPosteriorOracle:
     @given(cfg=posterior_worlds(), shape=GRID_SHAPES, seed=st.integers(0, 2**32 - 1),
            noise=FLIPS)
     def test_posterior_from_features_matches_oracle(self, cfg, shape, seed, noise):
-        # soft evidence below the 1e-6 cut, above the cap of 8, +-0.0, +-inf, NaN
-        rng = np.random.default_rng(seed)
-        feat = rng.uniform(-1.0, 10.0, size=(*shape, 2 * cfg.n_classes))
-        odd = rng.choice([0.0, -0.0, 1e-7, 1.0, 8.0, np.inf, -np.inf, np.nan], size=feat.shape)
-        feat = np.where(rng.uniform(size=feat.shape) < 0.3, odd, feat)
+        feat = soft_features(seed, shape, cfg.n_classes)
         assert_same_bytes(
             posterior_from_features(feat, cfg, noise),
             oracle.posterior_from_features(feat, cfg, noise),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=posterior_worlds(), shape=GRID_SHAPES, seed=st.integers(0, 2**32 - 1),
+           noise=FLIPS)
+    def test_each_cell_equals_its_own_decode(self, cfg, shape, seed, noise):
+        # a cell's posterior must not depend on the grid it is decoded in
+        feat = soft_features(seed, shape, cfg.n_classes)
+        post = posterior_from_features(feat, cfg, noise)
+        for r, c in np.ndindex(shape):
+            alone = posterior_from_features(feat[r : r + 1, c : c + 1], cfg, noise)
+            assert_same_bytes(post[r, c], alone[0, 0])
+
+
+def soft_features(seed, shape, k):
+    """Features with soft evidence below the 1e-6 cut, above the cap of 8,
+    +-0.0, +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    feat = rng.uniform(-1.0, 10.0, size=(*shape, 2 * k))
+    odd = rng.choice([0.0, -0.0, 1e-7, 1.0, 8.0, np.inf, -np.inf, np.nan], size=feat.shape)
+    return np.where(rng.uniform(size=feat.shape) < 0.3, odd, feat)
 
 
 class TestScoreIoU:

@@ -406,15 +406,31 @@ class TestSqDistsOracle:
     @given(n=st.integers(1, 30), k=st.integers(1, 20), d=st.integers(1, 20),
            seed=st.integers(0, 2**32 - 1))
     def test_same_distances(self, n, k, d, seed):
-        # from 8 channels on, numpy sums a row pairwise; magnitudes far apart
-        # make any other order round differently
+        points, centroids = self.draw(n, k, d, seed)
+        got, want = vq._sq_dists(points, centroids), oracle.sq_dists(points, centroids)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), k=st.integers(1, 20), d=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_entry_equals_its_own_call(self, n, k, d, seed):
+        # Scene quantizes all agents' cells in one call, so an entry must
+        # not depend on the rows and centroids searched with it
+        points, centroids = self.draw(n, k, d, seed)
+        got = vq._sq_dists(points, centroids)
+        alone = [[vq._sq_dists(p[None], c[None])[0, 0] for c in centroids] for p in points]
+        assert got.tobytes() == np.array(alone).tobytes()
+
+    @staticmethod
+    def draw(n, k, d, seed):
+        # from 8 channels on, numpy's .sum adds a row pairwise; magnitudes
+        # far apart make any order but index order round differently
         rng = np.random.default_rng(seed)
         points, centroids = (
             rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 6, (m, d)) for m in (n, k)
         )
         points[rng.uniform(size=points.shape) < 0.2] = -0.0
-        got, want = vq._sq_dists(points, centroids), oracle.sq_dists(points, centroids)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        return points, centroids
 
 
 class TestQuantizeOracle:
