@@ -57,9 +57,7 @@ class CellPosterior:
     """Per-cell posterior summary: class pmf plus regression-noise scales."""
 
     class_pmf: np.ndarray
-    reg_entropy: dict = field(default_factory=dict)  # per-key entropy, nats
     reg_sigma: dict = field(default_factory=dict)  # per-key Gaussian sigma
-    reg_b: dict = field(default_factory=dict)  # per-key Laplace scale
 
     def __post_init__(self):
         pmf = np.asarray(self.class_pmf, dtype=np.float64)
@@ -67,8 +65,6 @@ class CellPosterior:
             raise ValueError("class_pmf must be a pmf (nonnegative, sum 1 within 1e-9)")
         if any(v < 0 for v in self.reg_sigma.values()):
             raise ValueError("reg_sigma entries must be nonnegative")
-        if any(v <= 0 for v in self.reg_b.values()):
-            raise ValueError("reg_b entries must be positive")
         object.__setattr__(self, "class_pmf", pmf)
 
     def class_entropy_nats(self) -> float:

@@ -6,7 +6,8 @@ at all (fixed-length codes).  Codes are canonical, so identical weights give
 bit-identical codewords on every platform, and zero-weight symbols stay
 encodable at the longest lengths instead of breaking the decoder.
 
-Encoding, decoding and the wire format work on numpy bit arrays.  Each
+A message's two payloads are 1-D bool vectors, one element per bit;
+bytes exist only in ``message_to_bytes`` and ``message_from_bytes``.  Each
 code caches a table of its codewords' bits and the canonical tables of
 Moffat & Turpin 1997 ("On the implementation of minimum redundancy prefix
 codes"): the codewords of one length are consecutive integers, so a
@@ -142,17 +143,11 @@ def build_code(weights: np.ndarray) -> PrefixCode:
     return PrefixCode(_huffman_lengths(floored))
 
 
-def fixed_length_bits(n_symbols: int) -> int:
-    """Fixed code length for an n-symbol alphabet: ceil(log2 n), minimum 1."""
+def fixed_code(n_symbols: int) -> PrefixCode:
+    """The fixed-length baseline code: every symbol at ceil(log2 n) bits, minimum 1."""
     if n_symbols < 1:
         raise CodingError("alphabet must hold at least one symbol")
-    return max(1, math.ceil(math.log2(n_symbols)))
-
-
-def fixed_code(n_symbols: int) -> PrefixCode:
-    """The fixed-length baseline code (all symbols at ceil(log2 n) bits)."""
-    length = fixed_length_bits(n_symbols)
-    return PrefixCode((length,) * n_symbols)
+    return PrefixCode((max(1, math.ceil(math.log2(n_symbols))),) * n_symbols)
 
 
 def expected_length(code: PrefixCode, weights: np.ndarray) -> float:
@@ -165,27 +160,23 @@ def expected_length(code: PrefixCode, weights: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Bits:
-    """An immutable bit string padded to bytes, with its exact bit length."""
-
-    data: bytes
-    n_bits: int
-
-
-@dataclass(frozen=True)
 class EncodedMessage:
     """One sender-to-receiver message; its size and bit counts derive from its parts."""
 
     conf_mask: np.ndarray  # (h, w) bool
     redund_mask: np.ndarray  # (h, w) bool
-    base_payload: Bits  # base codes for every confidence-selected cell
-    full_payload: Bits  # base+res codes for cells passing both masks
+    base_payload: np.ndarray  # (n,) bool: base codes for every confidence-selected cell
+    full_payload: np.ndarray  # (m,) bool: base+res codes for cells passing both masks
 
     def __post_init__(self):
         # an integer 0/1 mask would index cells by number, not select them
         kinds = {(m.shape, m.dtype) for m in (self.conf_mask, self.redund_mask)}
         if len(kinds) != 1 or self.conf_mask.ndim != 2 or self.conf_mask.dtype != bool:
             raise CodingError(f"masks must be boolean and share one (h, w) shape, got {kinds}")
+        for p in (self.base_payload, self.full_payload):
+            if not isinstance(p, np.ndarray) or p.ndim != 1 or p.dtype != bool:
+                what = f"{p.dtype} {p.shape}" if isinstance(p, np.ndarray) else type(p).__name__
+                raise CodingError(f"payloads must be 1-D bool bit vectors, got {what}")
 
     @property
     def h(self) -> int:
@@ -197,11 +188,11 @@ class EncodedMessage:
 
     @property
     def payload_bits(self) -> int:
-        return self.full_payload.n_bits
+        return self.full_payload.size
 
     @property
     def abstract_bits(self) -> int:
-        return self.base_payload.n_bits
+        return self.base_payload.size
 
     @property
     def mask_bits(self) -> int:
@@ -213,19 +204,7 @@ class EncodedMessage:
         return self.payload_bits + self.abstract_bits + self.mask_bits
 
 
-def _bits_of(payload: Bits) -> np.ndarray:
-    """A payload's bits, one uint8 each."""
-    n_bits, held = payload.n_bits, 8 * len(payload.data)
-    if not 0 <= n_bits <= held:
-        raise CodingError(f"payload declares {n_bits} bits but holds {held}")
-    return np.unpackbits(np.frombuffer(payload.data, np.uint8), count=n_bits)
-
-
-def _pack(bits: np.ndarray) -> Bits:
-    return Bits(np.packbits(bits).tobytes(), int(bits.size))
-
-
-def _codewords(tables: tuple, syms: np.ndarray) -> Bits:
+def _codewords(tables: tuple, syms: np.ndarray) -> np.ndarray:
     """Code each row of ``syms`` with ``tables[j]`` for column j, rows in
     order; the first symbol outside its code raises before any lookup."""
     limits = [table.shape[0] for table in tables]
@@ -234,7 +213,7 @@ def _codewords(tables: tuple, syms: np.ndarray) -> Bits:
         sym, limit = syms.flat[bad[0]], limits[bad[0] % len(limits)]
         raise CodingError(f"symbol {sym} outside code range {limit}")
     bits = np.hstack([table[syms[:, j]] for j, table in enumerate(tables)]).ravel()
-    return _pack(bits[bits != _PAD])
+    return bits[bits != _PAD] == 1
 
 
 def encode(
@@ -248,7 +227,7 @@ def encode(
     The base payload carries base-layer codes for every confidence-selected
     cell (the coarse abstract handed over before redundancy scoring); the
     full payload carries base-and-residual codes for cells passing both
-    masks.  Cells are visited in raster order and bits packed MSB first.
+    masks.  Cells are visited in raster order, each codeword MSB first.
     ``abstract=False`` drops the base payload for pipelines that never hand
     an abstract over.
     """
@@ -258,7 +237,7 @@ def encode(
         raise CodingError(f"mask shapes must be {(h, w)}")
     tables = tuple(code.bit_table for code in codes)
     base_syms = idx.base_idx[conf_mask][:, None]
-    base = _codewords(tables[:1], base_syms) if abstract else Bits(b"", 0)
+    base = _codewords(tables[:1], base_syms) if abstract else np.zeros(0, bool)
     both = conf_mask & redund_mask
     full = _codewords(tables, np.stack([idx.base_idx[both], idx.res_idx[both]], 1))
     return EncodedMessage(conf_mask, redund_mask, base, full)
@@ -334,14 +313,13 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     confidence mask get the abstract base index (when an abstract was sent).
     """
     base_idx, res_idx = (np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2))
-    if msg.base_payload.n_bits:
-        jump, syms = _jumps(_bits_of(msg.base_payload), codes[0])
+    if msg.base_payload.size:
+        jump, syms = _jumps(msg.base_payload, codes[0])
         base_idx[msg.conf_mask] = syms[_walk(jump, int(msg.conf_mask.sum()), "base")]
 
     both = msg.conf_mask & msg.redund_mask
-    if msg.full_payload.n_bits or np.any(both):
-        bits = _bits_of(msg.full_payload)
-        (b_jump, b_syms), (r_jump, r_syms) = (_jumps(bits, code) for code in codes)
+    if msg.full_payload.size or np.any(both):
+        (b_jump, b_syms), (r_jump, r_syms) = (_jumps(msg.full_payload, c) for c in codes)
         # one step reads a base codeword and its residual; sinks stay put
         starts = _walk(r_jump[b_jump], int(both.sum()), "full")
         base_idx[both] = b_syms[starts]
@@ -356,8 +334,8 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
         ("h", msg.h, SIDE_BITS),
         ("w", msg.w, SIDE_BITS),
         ("table_id", table_id, 8),
-        ("base payload length", msg.base_payload.n_bits, 32),
-        ("full payload length", msg.full_payload.n_bits, 32),
+        ("base payload length", msg.abstract_bits, 32),
+        ("full payload length", msg.payload_bits, 32),
     )
     for name, value, bits in fields:
         if not 0 <= value < 1 << bits:
@@ -365,10 +343,10 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
     header = MAGIC + bytes([VERSION]) + b"".join(
         int(value).to_bytes(bits // 8, "big") for _, value, bits in fields[:3]
     )
-    body = [np.asarray(m, dtype=bool).ravel() for m in (msg.conf_mask, msg.redund_mask)]
+    body = [msg.conf_mask.ravel(), msg.redund_mask.ravel()]
     for payload in (msg.base_payload, msg.full_payload):
-        length = int(payload.n_bits).to_bytes(4, "big")
-        body += [np.unpackbits(np.frombuffer(length, np.uint8)), _bits_of(payload)]
+        length = payload.size.to_bytes(4, "big")
+        body += [np.unpackbits(np.frombuffer(length, np.uint8)), payload]
     return header + np.packbits(np.concatenate(body)).tobytes()
 
 
@@ -385,7 +363,7 @@ def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
     if blob[4] != VERSION:
         raise CodingError(f"unsupported version {blob[4]}")
     h, w = int.from_bytes(blob[5:7], "big"), int.from_bytes(blob[7:9], "big")
-    bits = np.unpackbits(np.frombuffer(blob, np.uint8, offset=HEADER_BYTES))
+    bits = np.unpackbits(np.frombuffer(blob, np.uint8, offset=HEADER_BYTES)).view(bool)
     pos = 0
 
     def take(n_bits: int) -> np.ndarray:
@@ -395,10 +373,8 @@ def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
         pos += n_bits
         return bits[pos - n_bits : pos]
 
-    conf_mask, redund_mask = (take(h * w).astype(bool).reshape(h, w) for _ in range(2))
-    base, full = (
-        _pack(take(int.from_bytes(np.packbits(take(32)), "big"))) for _ in range(2)
-    )
+    conf_mask, redund_mask = (take(h * w).reshape(h, w) for _ in range(2))
+    base, full = (take(int.from_bytes(np.packbits(take(32)), "big")) for _ in range(2))
     if bits.size - pos >= 8:
         raise CodingError("trailing bytes after the message")
     if bits[pos:].any():

@@ -404,21 +404,16 @@ def run_sweep(
     if jobs != 1:
         raise ValueError(f"run_sweep runs serially; jobs must be 1, got {jobs!r}")
     seeds = [int(seed) for seed in cfg.seeds]
-    scenes: dict[int, Scene] = {}
-    results = []
-    for tau_c in cfg.tau_c_grid:
-        for tau_mi in cfg.tau_mi_grid:
-            for seed in seeds:
-                if seed not in scenes:
-                    world = make_world(replace(world_template, seed=seed))
-                    scenes[seed] = Scene(world, stack)
-                results.append(
-                    run_round(
-                        scenes[seed], stack, float(tau_c), float(tau_mi),
-                        cfg.coder, cfg.selector,
-                    )
-                )
-    return results
+    scenes = {  # one per distinct seed, in seed order
+        seed: Scene(make_world(replace(world_template, seed=seed)), stack)
+        for seed in dict.fromkeys(seeds)
+    }
+    return [
+        run_round(scenes[seed], stack, float(tau_c), float(tau_mi), cfg.coder, cfg.selector)
+        for tau_c in cfg.tau_c_grid
+        for tau_mi in cfg.tau_mi_grid
+        for seed in seeds
+    ]
 
 
 def summarize(results: list[RoundResult]):

@@ -96,6 +96,8 @@ def _validate_shape(shape, h, w) -> None:
         return
     if kind == "sector":
         _, cy, cx, radius, a0, a1 = shape
+        if not all(map(math.isfinite, (radius, a0, a1))):
+            raise ValueError(f"sector {shape} needs a finite radius and angles")
         if not (0 <= cy < h and 0 <= cx < w and radius > 0):
             raise ValueError(f"sector {shape} outside the {h}x{w} grid")
         return
@@ -365,9 +367,3 @@ def save_labels(grid: np.ndarray, path: str) -> None:
     """Write an (h, w) integer grid as the array ``labels``."""
     textio.save_arrays(path, {"labels": grid})
 
-
-def load_labels(path: str) -> np.ndarray:
-    grid = textio.load_arrays(path, ["labels"])["labels"]
-    if grid.ndim != 2 or not np.all(grid == np.round(grid)):
-        raise ValueError(f"{path}: labels must be an (h, w) grid of integers")
-    return grid.astype(np.int64)

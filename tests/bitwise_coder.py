@@ -2,7 +2,9 @@
 
 Kept as a test oracle: ``pragcomm.entropy_coder`` must produce the same
 payloads, decoded grids and v1 blobs as these functions.  They share the
-message types and the code tables with the package.  ``huffman_lengths``
+message types and the code tables with the package.  Their writers and
+readers work on packed bytes; ``_payload`` and ``_packed`` convert to and
+from the message's bool bit vectors at the edges.  ``huffman_lengths``
 is the Huffman length count as it was before it counted depths while
 merging: it records each node's parent and walks up from every symbol.
 """
@@ -16,7 +18,6 @@ import numpy as np
 from pragcomm.entropy_coder import (
     MAGIC,
     VERSION,
-    Bits,
     CodingError,
     EncodedMessage,
     PrefixCode,
@@ -39,9 +40,9 @@ class BitWriter:
                 self.acc = 0
                 self.nbits = 0
 
-    def write_bits(self, bits: "Bits") -> None:
-        reader = BitReader(bits.data, bits.n_bits)
-        for _ in range(bits.n_bits):
+    def write_bits(self, bits: np.ndarray) -> None:
+        reader = BitReader(*_packed(bits))
+        for _ in range(bits.size):
             self.write(reader.read_bit(), 1)
 
     def finish(self) -> bytes:
@@ -98,7 +99,17 @@ def huffman_lengths(weights: np.ndarray) -> list[int]:
     return lengths
 
 
-def _encode_symbols(symbols, code: PrefixCode) -> Bits:
+def _payload(data: bytes, n_bits: int) -> np.ndarray:
+    """The first n_bits of packed bytes as a bool bit vector."""
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=n_bits).astype(bool)
+
+
+def _packed(bits: np.ndarray) -> tuple[bytes, int]:
+    """A bool bit vector as packed bytes and its bit count."""
+    return np.packbits(bits).tobytes(), bits.size
+
+
+def _encode_symbols(symbols, code: PrefixCode) -> np.ndarray:
     writer = BitWriter()
     count = 0
     for sym in symbols:
@@ -107,7 +118,7 @@ def _encode_symbols(symbols, code: PrefixCode) -> Bits:
         value, length = code.codewords[sym]
         writer.write(value, length)
         count += code.lengths[sym]
-    return Bits(writer.finish(), count)
+    return _payload(writer.finish(), count)
 
 
 def encode(
@@ -136,7 +147,7 @@ def encode(
     res_syms = idx.res_idx.ravel()
 
     base_payload = (
-        _encode_symbols(base_syms[sel], base_code) if abstract else Bits(b"", 0)
+        _encode_symbols(base_syms[sel], base_code) if abstract else _payload(b"", 0)
     )
     writer = BitWriter()
     full_bits = 0
@@ -147,7 +158,7 @@ def encode(
             value, length = code.codewords[sym]
             writer.write(value, length)
             full_bits += length
-    full_payload = Bits(writer.finish(), full_bits)
+    full_payload = _payload(writer.finish(), full_bits)
     return EncodedMessage(
         conf_mask=conf_mask,
         redund_mask=redund_mask,
@@ -184,20 +195,20 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     base_idx = np.full((h, w), -1, dtype=np.int64)
     res_idx = np.full((h, w), -1, dtype=np.int64)
 
-    if msg.base_payload.n_bits:
-        reader = BitReader(msg.base_payload.data, msg.base_payload.n_bits)
+    if msg.base_payload.size:
+        reader = BitReader(*_packed(msg.base_payload))
         for (r, c) in np.argwhere(msg.conf_mask):
             base_idx[r, c] = _decode_symbol(reader, base_tab, base_max)
-        if reader.pos != msg.base_payload.n_bits:
+        if reader.pos != msg.base_payload.size:
             raise CodingError("base payload has trailing bits")
 
     both = msg.conf_mask & msg.redund_mask
-    if msg.full_payload.n_bits or np.any(both):
-        reader = BitReader(msg.full_payload.data, msg.full_payload.n_bits)
+    if msg.full_payload.size or np.any(both):
+        reader = BitReader(*_packed(msg.full_payload))
         for (r, c) in np.argwhere(both):
             base_idx[r, c] = _decode_symbol(reader, base_tab, base_max)
             res_idx[r, c] = _decode_symbol(reader, res_tab, res_max)
-        if reader.pos != msg.full_payload.n_bits:
+        if reader.pos != msg.full_payload.size:
             raise CodingError("full payload has trailing bits")
     return IndexGrid(base_idx, res_idx)
 
@@ -214,8 +225,8 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
         ("h", msg.h, 16),
         ("w", msg.w, 16),
         ("table_id", table_id, 8),
-        ("base payload length", msg.base_payload.n_bits, 32),
-        ("full payload length", msg.full_payload.n_bits, 32),
+        ("base payload length", msg.base_payload.size, 32),
+        ("full payload length", msg.full_payload.size, 32),
     ):
         if not 0 <= value < 1 << bits:
             raise CodingError(f"{name} {value} does not fit its {bits}-bit field")
@@ -228,9 +239,9 @@ def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:
     writer.write(table_id, 8)
     _write_mask(writer, msg.conf_mask)
     _write_mask(writer, msg.redund_mask)
-    writer.write(msg.base_payload.n_bits, 32)
+    writer.write(msg.base_payload.size, 32)
     writer.write_bits(msg.base_payload)
-    writer.write(msg.full_payload.n_bits, 32)
+    writer.write(msg.full_payload.size, 32)
     writer.write_bits(msg.full_payload)
     return writer.finish()
 
@@ -255,12 +266,12 @@ def message_from_bytes(blob: bytes) -> tuple[EncodedMessage, int]:
     conf_mask = read_mask()
     redund_mask = read_mask()
 
-    def read_payload() -> Bits:
+    def read_payload() -> np.ndarray:
         n_bits = reader.read_uint(32)
         writer = BitWriter()
         for _ in range(n_bits):
             writer.write(reader.read_bit(), 1)
-        return Bits(writer.finish(), n_bits)
+        return _payload(writer.finish(), n_bits)
 
     base_payload = read_payload()
     full_payload = read_payload()

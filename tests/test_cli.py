@@ -71,6 +71,13 @@ def cfg_file(tmp_path):
     return path
 
 
+SWEEP_DIGESTS = {  # sha256 of `pragcomm sweep` on FAST_CFG
+    "results.csv": "c2e689447c5a9ef20e51c9af9c887881f0ffb53ffb530fd0525a5063e9297ddd",
+    "summary.csv": "27f5a64e22dcf7ea7bc0b9b78f7dea6baabc2f2dae8c43631ff379f10a328ac9",
+    "sample_message.bin": "7aefff5243c12e77741fcd1dd013803779c897ccfbd2277c404857bbc28d758c",
+}
+
+
 def tree_digest(root: Path) -> dict:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -416,6 +423,14 @@ class TestConfigTable:
         )
         assert run_gen_world(text, tmp_path, capsys) == (2, [want])
 
+    @pytest.mark.parametrize("angles", ["nan 90", "inf 90", "-inf 90", "0 nan"])
+    def test_non_finite_sector_names_its_key(self, angles, tmp_path, capsys):
+        text = f"[world]\nfov_0 = sector 16 16 10 {angles}\n"
+        code, err = run_gen_world(text, tmp_path, capsys)
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error: invalid [world] config: fov_0: sector")
+        assert err[0].endswith("needs a finite radius and angles")
+
 
 class TestSeeds:
     """A negative seed is a usage error naming its key, raised before any work."""
@@ -578,6 +593,14 @@ class TestTrainAndSweep:
         main(["sweep", "--config", str(cfg_file), "--out", str(out1)])
         main(["sweep", "--config", str(cfg_file), "--out", str(out2)])
         assert tree_digest(out1) == tree_digest(out2)
+
+    def test_sweep_bytes_pinned(self, cfg_file, tmp_path):
+        # the sample message is the only CLI output that goes through the
+        # wire format; any change to rounds, codes or bits moves a digest
+        out = tmp_path / "swept"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = tree_digest(out)
+        assert {name: digests[name] for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
 
     def test_export_emits_curves(self, cfg_file, tmp_path):
         out = tmp_path / "swept"

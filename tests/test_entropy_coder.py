@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pragcomm.entropy_coder import (
-    Bits,
     CodingError,
     EncodedMessage,
     PrefixCode,
@@ -19,7 +18,6 @@ from pragcomm.entropy_coder import (
     encode,
     expected_length,
     fixed_code,
-    fixed_length_bits,
     message_from_bytes,
     message_to_bytes,
     transmitted_grid,
@@ -149,9 +147,9 @@ class TestPrefixCode:
 
 class TestFixedLength:
     def test_values(self):
-        assert fixed_length_bits(128) == 7
-        assert fixed_length_bits(1) == 1
-        assert fixed_length_bits(6) == 3
+        assert fixed_code(128).lengths == (7,) * 128
+        assert fixed_code(1).lengths == (1,)
+        assert fixed_code(6).lengths == (3,) * 6
 
     def test_fixed_code_uniform(self):
         code = fixed_code(6)
@@ -254,7 +252,7 @@ class TestDecodeErrors:
         broken = EncodedMessage(
             conf_mask=msg.conf_mask,
             redund_mask=msg.redund_mask,
-            base_payload=Bits(msg.base_payload.data, msg.base_payload.n_bits - 3),
+            base_payload=msg.base_payload[:-3],
             full_payload=msg.full_payload,
         )
         with pytest.raises(CodingError):
@@ -269,7 +267,7 @@ class TestDecodeErrors:
         poisoned = EncodedMessage(
             conf_mask=msg.conf_mask,
             redund_mask=msg.redund_mask,
-            base_payload=Bits(b"\xff", 1),
+            base_payload=np.ones(1, bool),
             full_payload=msg.full_payload,
         )
         with pytest.raises(CodingError, match="invalid codeword"):
@@ -323,9 +321,9 @@ class TestWireFormat:
         elif field == "table_id":
             table_id = value
         else:
-            name = f"{field}_payload"
-            payload = Bits(getattr(msg, name).data, value)
-            msg = dataclasses.replace(msg, **{name: payload})
+            # a zero-stride view: 2**32 bits without allocating them
+            payload = np.broadcast_to(np.zeros(1, bool), (value,))
+            msg = dataclasses.replace(msg, **{f"{field}_payload": payload})
         with pytest.raises(CodingError, match="does not fit"):
             message_to_bytes(msg, table_id)
 
@@ -384,7 +382,7 @@ def prefix_codes(draw):
     if kind == "fixed":
         return fixed_code(n)
     if kind == "lengths":  # hand-built, complete or not: every 2**-l <= 1 / n
-        shortest = fixed_length_bits(n)
+        shortest = fixed_code(n).lengths[0]
         return PrefixCode(tuple(draw(st.lists(
             st.integers(shortest, shortest + 3), min_size=n, max_size=n))))
     if kind == "geometric":  # lengths 1..n-1, past 64 bits once n > 65
@@ -410,11 +408,9 @@ def messages(draw):
 
 def assert_same_message(got, want):
     assert (got.h, got.w, got.total_bits) == (want.h, want.w, want.total_bits)
-    assert got.base_payload == want.base_payload
-    assert got.full_payload == want.full_payload
-    for name in ("conf_mask", "redund_mask"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == getattr(want, name).dtype
+    for name in ("base_payload", "full_payload", "conf_mask", "redund_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestAgainstBitwiseOracle:
@@ -456,8 +452,8 @@ class TestAgainstBitwiseOracle:
         # an empty base payload is a message without an abstract
         for name, shortest in (("base_payload", 1), ("full_payload", 0)):
             payload = getattr(msg, name)
-            for n_bits in range(shortest, payload.n_bits):
-                cut = dataclasses.replace(msg, **{name: Bits(payload.data, n_bits)})
+            for n_bits in range(shortest, payload.size):
+                cut = dataclasses.replace(msg, **{name: payload[:n_bits]})
                 with pytest.raises(CodingError):
                     decode(cut, codes)
 
@@ -501,7 +497,7 @@ class TestVectorizedCoder:
         ones = np.ones((1, 4), dtype=bool)
         msg = encode(grid, (ones, ones), (code, code))
         want = bitwise.encode(grid, (ones, ones), (code, code))
-        assert msg.full_payload == want.full_payload
+        assert msg.full_payload.tobytes() == want.full_payload.tobytes()
         back = decode(msg, (code, code))
         np.testing.assert_array_equal(back.base_idx, grid.base_idx)
         np.testing.assert_array_equal(back.res_idx, grid.res_idx)
@@ -521,16 +517,24 @@ class TestVectorizedCoder:
         assert code == build_code(np.array([5.0, 1.0, 1.0]))
         np.testing.assert_array_equal(code.bit_table, [[0, 2], [1, 0], [1, 1]])
 
-    def test_payload_longer_than_its_data_rejected(self):
-        idx, bc, rc = grid_fixture(seed=51)
-        ones = np.ones((4, 5), dtype=bool)
-        msg = encode(idx, (ones, ones), (bc, rc))
-        data = msg.full_payload.data
-        bad = dataclasses.replace(msg, full_payload=Bits(data, 8 * len(data) + 1))
-        with pytest.raises(CodingError, match="holds"):
-            decode(bad, (bc, rc))
-        with pytest.raises(CodingError, match="holds"):
-            message_to_bytes(bad)
+
+class TestPayloads:
+    """A payload is a 1-D bool vector, one element per bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=messages(), table_id=st.integers(0, 255))
+    def test_wire_round_trip_keeps_them_and_other_kinds_are_rejected(self, case, table_id):
+        grid, masks, codes, abstract = case
+        msg = encode(grid, masks, codes, abstract=abstract)
+        back, got_id = message_from_bytes(message_to_bytes(msg, table_id))
+        assert got_id == table_id
+        for name in ("base_payload", "full_payload"):
+            got, want = getattr(back, name), getattr(msg, name)
+            assert (got.dtype, got.ndim) == (np.dtype(bool), 1)
+            assert got.tobytes() == want.tobytes()
+            for bad in (want.astype(np.uint8), want.astype(int), want[None], want.tolist()):
+                with pytest.raises(CodingError, match="1-D bool"):
+                    dataclasses.replace(msg, **{name: bad})
 
 
 class TestStrictParser:
