@@ -8,13 +8,19 @@ encodable at the longest lengths instead of breaking the decoder.
 
 A message's two payloads are 1-D bool vectors, one element per bit;
 bytes exist only in ``message_to_bytes`` and ``message_from_bytes``.  Each
-code caches a table of its codewords' bits and the canonical tables of
+code caches a table of its codewords' bits, the canonical tables of
 Moffat & Turpin 1997 ("On the implementation of minimum redundancy prefix
 codes"): the codewords of one length are consecutive integers, so a
 decoder needs only the count per length and the symbols in canonical
-order.  It decodes the codeword at every bit of a payload at once, one
-length at a time, then walks the codeword starts.  No codeword is held in
-a machine integer, so codes past 64 bits stay exact.
+order, and a decode table over its first ``table_bits`` bits, the longest
+codeword's length capped at ``TABLE_BITS`` = 12 (Hirschberg & Lelewer
+1990, "Efficient decoding of prefix codes").  The decoder reads the next
+bits at every bit of a payload at once, as one window per payload that
+both codes of the full payload share, and looks each window up: a
+codeword, no codeword, or a prefix of longer codewords.  Only those
+prefixes read on through the canonical tables, one length at a time.
+Then it walks the codeword starts.  No codeword is held in a machine
+integer, so codes past 64 bits stay exact.
 
 Wire format, version 1 (bit level, MSB first):
     magic "RDCM" | version u8 | h u16 | w u16 | code-table id u8 |
@@ -42,6 +48,8 @@ HEADER_BYTES = 10  # magic, version, h, w, code-table id
 SIDE_BITS = 16  # width of the h and w header fields
 
 _PAD = 2  # fills bit-table cells past a codeword's length; no bit equals it
+TABLE_BITS = 12  # widest decode-table index: at most 4096 entries per code
+_OPEN = -1  # decode-table length of a prefix of codewords longer than the table
 
 
 class CodingError(ValueError):
@@ -105,6 +113,35 @@ class PrefixCode:
         count = np.bincount(lengths)
         return count, np.cumsum(count) - count, np.argsort(lengths, kind="stable")
 
+    @cached_property
+    def table_bits(self) -> int:
+        """The bits ``decode_table`` looks up: the longest codeword's, at
+        most ``TABLE_BITS``."""
+        return min(max(self.lengths), TABLE_BITS)
+
+    @cached_property
+    def decode_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per value of the next ``table_bits`` bits of a payload, the
+        length and the symbol of the codeword they start with; length 0
+        when they start no codeword.  Length ``_OPEN`` marks the prefixes
+        of longer codewords: the symbol slot then holds how far the prefix
+        lies past the first code of length ``table_bits``, the state from
+        which ``_jumps`` reads on one bit at a time."""
+        width = self.table_bits
+        length, symbol = np.zeros((2, 1 << width), np.int64)
+        count = self.canonical_tables[0]
+        first = 0  # the first code of length `width`
+        for L in range(1, width):
+            first = (first + int(count[L])) << 1
+        for sym, (value, L) in enumerate(self.codewords):
+            if L <= width:
+                span = slice(value << (width - L), (value + 1) << (width - L))
+                length[span], symbol[span] = L, sym
+            else:
+                prefix = value >> (L - width)
+                length[prefix], symbol[prefix] = _OPEN, prefix - first
+        return length, symbol
+
 
 def _huffman_lengths(weights: np.ndarray) -> tuple[int, ...]:
     """Huffman codeword lengths: each merge of the two lightest subtrees
@@ -159,6 +196,15 @@ def expected_length(code: PrefixCode, weights: np.ndarray) -> float:
     return float((weights / total * np.asarray(code.lengths)).sum())
 
 
+def _kind(a) -> str:
+    """An array's dtype and shape, or any other value's type, for errors."""
+    return f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+
+
+def _is_bool_array(a, ndim: int) -> bool:
+    return isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype == bool
+
+
 @dataclass(frozen=True)
 class EncodedMessage:
     """One sender-to-receiver message; its size and bit counts derive from its parts."""
@@ -170,13 +216,13 @@ class EncodedMessage:
 
     def __post_init__(self):
         # an integer 0/1 mask would index cells by number, not select them
-        kinds = {(m.shape, m.dtype) for m in (self.conf_mask, self.redund_mask)}
-        if len(kinds) != 1 or self.conf_mask.ndim != 2 or self.conf_mask.dtype != bool:
+        masks = (self.conf_mask, self.redund_mask)
+        if not all(_is_bool_array(m, 2) for m in masks) or masks[0].shape != masks[1].shape:
+            kinds = ", ".join(_kind(m) for m in masks)
             raise CodingError(f"masks must be boolean and share one (h, w) shape, got {kinds}")
         for p in (self.base_payload, self.full_payload):
-            if not isinstance(p, np.ndarray) or p.ndim != 1 or p.dtype != bool:
-                what = f"{p.dtype} {p.shape}" if isinstance(p, np.ndarray) else type(p).__name__
-                raise CodingError(f"payloads must be 1-D bool bit vectors, got {what}")
+            if not _is_bool_array(p, 1):
+                raise CodingError(f"payloads must be 1-D bool bit vectors, got {_kind(p)}")
 
     @property
     def h(self) -> int:
@@ -252,8 +298,19 @@ def transmitted_grid(idx, masks: tuple[np.ndarray, np.ndarray], abstract: bool =
     return IndexGrid(base_idx, np.where(both, idx.res_idx, -1))
 
 
-def _jumps(bits: np.ndarray, code: PrefixCode) -> tuple[np.ndarray, np.ndarray]:
-    """Decode the codeword starting at every bit, one length at a time.
+def _window(bits: np.ndarray, width: int) -> np.ndarray:
+    """The next ``width`` bits (at most 57) from every bit of ``bits`` as
+    one number, MSB first, with zeros past the end: the 64-bit big-endian
+    word at the bit's byte, shifted left past the bits before it."""
+    packed = np.concatenate([np.packbits(bits), np.zeros(7, np.uint8)])
+    words = np.ndarray(packed.size - 7, ">u8", packed, strides=(1,))
+    word = words[:, None] << np.arange(8, dtype=np.uint64)  # bit i: row i >> 3, column i & 7
+    return (word >> (64 - width)).ravel()[: bits.size].view(np.int64)  # int64 indexes fastest
+
+
+def _jumps(bits: np.ndarray, window: np.ndarray, code: PrefixCode):
+    """Decode the codeword starting at every bit of ``bits``, given their
+    ``_window`` of ``code.table_bits`` bits.
 
     Returns per start bit the symbol and, in ``jump`` (n + 3 entries), the
     bit after its codeword.  Failures jump to sinks that map to themselves:
@@ -262,30 +319,34 @@ def _jumps(bits: np.ndarray, code: PrefixCode) -> tuple[np.ndarray, np.ndarray]:
     no codeword.
     """
     count, first_rank, order = code.canonical_tables
-    count = count.tolist()
-    max_len, n = len(count) - 1, bits.size
-    padded = np.concatenate([bits, np.zeros(max_len, np.uint8)])
-    # how far the bits read so far lie past the first code of the current
-    # length: a prefix of a longer codeword keeps it in [count, n_symbols),
-    # a prefix of no codeword never falls below that again, and a matched
-    # codeword drives it negative.  It at most doubles per length, so an
-    # occasional clip keeps it in int64 and leaves all three cases intact.
-    offset, length, matched = (np.zeros(n, np.int64) for _ in range(3))
-    for L in range(1, max_len + 1):
-        offset -= count[L - 1]
-        offset *= 2
-        offset += padded[L - 1 : L - 1 + n]
-        if L % 32 == 0:
-            np.clip(offset, -1, code.n_symbols, out=offset)
-        hit = offset.view(np.uint64) < count[L]  # negatives wrap to huge
-        np.putmask(length, hit, L)
-        np.putmask(matched, hit, offset)
+    n, max_len, table_bits = bits.size, len(count) - 1, code.table_bits
+    length, sym = (table[window] for table in code.decode_table)
+    if max_len > table_bits:  # continue the starts of longer codewords one length at a time
+        at = np.flatnonzero(length == _OPEN)
+        count = count.tolist()
+        padded = np.concatenate([bits, np.zeros(max_len, bool)])
+        # how far the bits read so far lie past the first code of the
+        # current length: a prefix of a longer codeword keeps it in
+        # [count, n_symbols), a prefix of no codeword never falls below
+        # that again, and a matched codeword drives it negative.  It at
+        # most doubles per length, so an occasional clip keeps it in int64
+        # and leaves all three cases intact.
+        offset, (found, matched) = sym[at], np.zeros((2, at.size), np.int64)
+        for L in range(table_bits + 1, max_len + 1):
+            offset -= count[L - 1]
+            offset *= 2
+            offset += padded[at + L - 1]
+            if L % 32 == 0:
+                np.clip(offset, -1, code.n_symbols, out=offset)
+            hit = offset.view(np.uint64) < count[L]  # negatives wrap to huge
+            np.putmask(found, hit, L)
+            np.putmask(matched, hit, offset)
+        length[at], sym[at] = found, order[first_rank[found] + matched]
     jump = np.arange(n) + length
     jump[length == 0] = n + 2
     tail = jump[max(0, n - max_len + 1) :]  # the starts whose reads may overrun
     tail[tail > n] = n + 1
-    jump = np.concatenate([jump, [n + 1, n + 1, n + 2]])
-    return jump, order[first_rank[length] + matched]
+    return np.concatenate([jump, [n + 1, n + 1, n + 2]]), sym
 
 
 def _walk(jump: np.ndarray, k: int, what: str) -> np.ndarray:
@@ -314,12 +375,17 @@ def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
     """
     base_idx, res_idx = (np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2))
     if msg.base_payload.size:
-        jump, syms = _jumps(msg.base_payload, codes[0])
+        bits = msg.base_payload
+        jump, syms = _jumps(bits, _window(bits, codes[0].table_bits), codes[0])
         base_idx[msg.conf_mask] = syms[_walk(jump, int(msg.conf_mask.sum()), "base")]
 
     both = msg.conf_mask & msg.redund_mask
     if msg.full_payload.size or np.any(both):
-        (b_jump, b_syms), (r_jump, r_syms) = (_jumps(msg.full_payload, c) for c in codes)
+        bits, width = msg.full_payload, max(c.table_bits for c in codes)
+        window = _window(bits, width)  # the narrower code reads its leading bits
+        (b_jump, b_syms), (r_jump, r_syms) = (
+            _jumps(bits, window >> (width - c.table_bits), c) for c in codes
+        )
         # one step reads a base codeword and its residual; sinks stay put
         starts = _walk(r_jump[b_jump], int(both.sum()), "full")
         base_idx[both] = b_syms[starts]

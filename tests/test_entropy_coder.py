@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pragcomm.entropy_coder import (
+    _OPEN,
+    TABLE_BITS,
     CodingError,
     EncodedMessage,
     PrefixCode,
     _huffman_lengths,
+    _jumps,
+    _window,
     build_code,
     decode,
     encode,
@@ -26,6 +30,7 @@ from pragcomm.infotheory import JointTable, entropy
 from pragcomm.vq import IndexGrid
 
 import bitwise_coder as bitwise
+import jumps_oracle
 
 
 def weight_entropy_bits(weights) -> float:
@@ -237,8 +242,10 @@ class TestEncode:
         idx, bc, rc = grid_fixture()
         ones = np.ones((4, 5), dtype=bool)
         msg = encode(idx, (ones, ones), (bc, rc))
+        nested = ones.tolist()
         cases = [(ones, ones[:3]), (ones.ravel(), ones.ravel()), (ones, ones.astype(int)),
-                 (ones.astype(int), ones.astype(int))]
+                 (ones.astype(int), ones.astype(int)), (nested, ones), (ones, nested),
+                 (nested, nested), (tuple(map(tuple, nested)), ones)]
         for conf, redund in cases:
             with pytest.raises(CodingError, match="boolean and share one"):
                 dataclasses.replace(msg, conf_mask=conf, redund_mask=redund)
@@ -394,6 +401,19 @@ def prefix_codes(draw):
 
 
 @st.composite
+def kernel_codes(draw):
+    """Codes for the decode kernel: any of ``prefix_codes``, or the complete
+    code with lengths 1, 2, ..., longest - 1, longest, longest for a longest
+    length next to the table width or past 64 bits, its symbols shuffled and
+    some dropped, which leaves windows that start no codeword."""
+    if draw(st.booleans()):
+        return draw(prefix_codes())
+    longest = draw(st.sampled_from((TABLE_BITS - 1, TABLE_BITS, TABLE_BITS + 1, 70)))
+    lengths = draw(st.permutations(tuple(range(1, longest + 1)) + (longest,)))
+    return PrefixCode(tuple(lengths[: draw(st.integers(1, len(lengths)))]))
+
+
+@st.composite
 def messages(draw):
     """(grid, masks, codes, abstract) for ``encode``."""
     codes = (draw(prefix_codes()), draw(prefix_codes()))
@@ -475,6 +495,33 @@ class TestAgainstBitwiseOracle:
         except CodingError:
             pass
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=messages(), data=st.data())
+    def test_corrupted_payloads_fail_or_decode_alike(self, case, data):
+        grid, masks, codes, abstract = case
+        msg = encode(grid, masks, codes, abstract=abstract)
+        name = data.draw(st.sampled_from(("base_payload", "full_payload")))
+        payload = getattr(msg, name).copy()
+        how = data.draw(st.sampled_from(("flip", "truncate", "extend")))
+        if how == "flip" and payload.size:  # an empty payload is extended instead
+            payload[data.draw(st.lists(st.integers(0, payload.size - 1), max_size=6))] ^= True
+        elif how == "truncate":
+            payload = payload[: data.draw(st.integers(0, payload.size))]
+        else:
+            extra = data.draw(hnp.arrays(bool, st.integers(1, 24)))
+            payload = np.concatenate([payload, extra])
+        corrupted = dataclasses.replace(msg, **{name: payload})
+        outcomes = []
+        for coder in (decode, bitwise.decode):
+            try:
+                got = coder(corrupted, codes)
+            except CodingError:
+                outcomes.append(None)
+            else:
+                arrays = (got.base_idx, got.res_idx)
+                outcomes.append([(a.dtype, a.shape, a.tobytes()) for a in arrays])
+        assert outcomes[0] == outcomes[1]
+
 
 class TestTransmittedGrid:
     @settings(max_examples=300, deadline=None)
@@ -514,8 +561,37 @@ class TestVectorizedCoder:
         code = build_code(np.array([5.0, 1.0, 1.0]))
         assert code.bit_table is code.bit_table
         assert code.canonical_tables is code.canonical_tables
+        assert code.decode_table is code.decode_table
         assert code == build_code(np.array([5.0, 1.0, 1.0]))
         np.testing.assert_array_equal(code.bit_table, [[0, 2], [1, 0], [1, 1]])
+        # codewords 0, 10, 11 over two-bit windows 00, 01, 10, 11
+        assert code.table_bits == 2
+        np.testing.assert_array_equal(code.decode_table, [[1, 1, 2, 2], [0, 0, 1, 2]])
+
+    def test_decode_table_marks_longer_and_missing_codewords(self):
+        # codewords 0 and 1 followed by 13 zeros: windows 0... start the
+        # first, 10...0 is open at offset 0 and every other 1... starts none
+        code = PrefixCode((1, TABLE_BITS + 2))
+        length, symbol = code.decode_table
+        assert code.table_bits == TABLE_BITS and length.size == 1 << TABLE_BITS
+        half = 1 << (TABLE_BITS - 1)
+        assert (length[:half] == 1).all() and (symbol[:half] == 0).all()
+        assert (length[half], symbol[half]) == (_OPEN, 0)
+        assert (length[half + 1 :] == 0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(code=kernel_codes(), data=st.data())
+    def test_kernel_matches_the_per_length_oracle(self, code, data):
+        n = data.draw(st.integers(0, 300))
+        density = data.draw(st.sampled_from((0.02, 0.3, 0.5, 0.7, 0.98)))
+        bits = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < density
+        # a payload's window may be wider than the code's table
+        width = data.draw(st.integers(code.table_bits, TABLE_BITS))
+        jump, sym = _jumps(bits, _window(bits, width) >> (width - code.table_bits), code)
+        want_jump, want_sym = jumps_oracle.jumps(bits, code)
+        np.testing.assert_array_equal(jump, want_jump)
+        resolved = want_jump[:n] <= n
+        np.testing.assert_array_equal(sym[resolved], want_sym[resolved])
 
 
 class TestPayloads:
