@@ -229,6 +229,11 @@ def parse_config(path: str) -> RunConfig:
             f"[codebook] n_base: must be at most [codebook] n_res = {train.n_res}, "
             f"got {train.n_base}"
         )
+    if train.n_res > 1 << ec.MAX_CODE_BITS:
+        raise ConfigError(
+            f"[codebook] n_res: must be at most {1 << ec.MAX_CODE_BITS}, the most "
+            f"symbols a {ec.MAX_CODE_BITS}-bit code holds, got {train.n_res}"
+        )
     if train.n_res > cells:
         raise ConfigError(
             f"[codebook] n_res: must be at most the {cells} training cells "

@@ -4,23 +4,21 @@ Codeword weights come from whatever tally the caller chooses: accumulated
 task confidence (the default coding mode), raw occurrence counts, or nothing
 at all (fixed-length codes).  Codes are canonical, so identical weights give
 bit-identical codewords on every platform, and zero-weight symbols stay
-encodable at the longest lengths instead of breaking the decoder.
+encodable at the longest lengths instead of breaking the decoder.  No
+codeword is longer than ``MAX_CODE_BITS`` = 16 bits: a Huffman code with
+longer codewords has its per-length counts adjusted as JPEG's Adjust_BITS
+does (ITU-T T.81, Annex K.3), which keeps the code complete, and every
+code that already fits keeps its lengths.
 
 A message's two payloads are 1-D bool vectors, one element per bit;
 bytes exist only in ``message_to_bytes`` and ``message_from_bytes``.  Each
-code caches a table of its codewords' bits, the canonical tables of
-Moffat & Turpin 1997 ("On the implementation of minimum redundancy prefix
-codes"): the codewords of one length are consecutive integers, so a
-decoder needs only the count per length and the symbols in canonical
-order, and a decode table over its first ``table_bits`` bits, the longest
-codeword's length capped at ``TABLE_BITS`` = 12 (Hirschberg & Lelewer
-1990, "Efficient decoding of prefix codes").  The decoder reads the next
-bits at every bit of a payload at once, as one window per payload that
-both codes of the full payload share, and looks each window up: a
-codeword, no codeword, or a prefix of longer codewords.  Only those
-prefixes read on through the canonical tables, one length at a time.
-Then it walks the codeword starts.  No codeword is held in a machine
-integer, so codes past 64 bits stay exact.
+code caches a table of its codewords' bits and a decode table over its
+longest codeword's length, at most 2**16 entries (Hirschberg & Lelewer
+1990, "Efficient decoding of prefix codes"; the codewords of one length
+are consecutive integers, Moffat & Turpin 1997).  The decoder reads the
+next bits at every bit of a payload at once, as one window per payload
+that both codes of the full payload share, and looks each window up once:
+the codeword it starts with, or none.  Then it walks the codeword starts.
 
 Wire format, version 1 (bit level, MSB first):
     magic "RDCM" | version u8 | h u16 | w u16 | code-table id u8 |
@@ -48,8 +46,7 @@ HEADER_BYTES = 10  # magic, version, h, w, code-table id
 SIDE_BITS = 16  # width of the h and w header fields
 
 _PAD = 2  # fills bit-table cells past a codeword's length; no bit equals it
-TABLE_BITS = 12  # widest decode-table index: at most 4096 entries per code
-_OPEN = -1  # decode-table length of a prefix of codewords longer than the table
+MAX_CODE_BITS = 16  # longest codeword: a decode table has at most 2**16 entries
 
 
 class CodingError(ValueError):
@@ -63,10 +60,11 @@ class PrefixCode:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.lengths or min(self.lengths) < 1:
-            raise CodingError(f"codeword lengths must be at least 1, got {self.lengths}")
-        longest = max(self.lengths)
-        if sum(1 << (longest - length) for length in self.lengths) > 1 << longest:
+        if not self.lengths or not 1 <= min(self.lengths) <= max(self.lengths) <= MAX_CODE_BITS:
+            raise CodingError(
+                f"codeword lengths must be from 1 to {MAX_CODE_BITS}, got {self.lengths}"
+            )
+        if sum(1 << (MAX_CODE_BITS - length) for length in self.lengths) > 1 << MAX_CODE_BITS:
             raise CodingError(f"codeword lengths {self.lengths} exceed the Kraft sum 1")
 
     @cached_property
@@ -101,45 +99,20 @@ class PrefixCode:
         return (np.frombuffer(text.encode(), np.uint8) - ord("0")).reshape(-1, width)
 
     @cached_property
-    def canonical_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical decoding tables: per length L = 0..max_len the number of
-        codewords and the rank of the first one, plus the symbols in rank
-        order, i.e. sorted by (length, symbol) as ``codewords`` assigns them.
-
-        The first code of each length stays implicit: the decoder tracks how
-        far its bits lie past it, a number below ``n_symbols``.
-        """
-        lengths = np.asarray(self.lengths)
-        count = np.bincount(lengths)
-        return count, np.cumsum(count) - count, np.argsort(lengths, kind="stable")
-
-    @cached_property
     def table_bits(self) -> int:
-        """The bits ``decode_table`` looks up: the longest codeword's, at
-        most ``TABLE_BITS``."""
-        return min(max(self.lengths), TABLE_BITS)
+        """The bits ``decode_table`` looks up: the longest codeword's."""
+        return max(self.lengths)
 
     @cached_property
     def decode_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Per value of the next ``table_bits`` bits of a payload, the
         length and the symbol of the codeword they start with; length 0
-        when they start no codeword.  Length ``_OPEN`` marks the prefixes
-        of longer codewords: the symbol slot then holds how far the prefix
-        lies past the first code of length ``table_bits``, the state from
-        which ``_jumps`` reads on one bit at a time."""
+        when they start no codeword."""
         width = self.table_bits
         length, symbol = np.zeros((2, 1 << width), np.int64)
-        count = self.canonical_tables[0]
-        first = 0  # the first code of length `width`
-        for L in range(1, width):
-            first = (first + int(count[L])) << 1
         for sym, (value, L) in enumerate(self.codewords):
-            if L <= width:
-                span = slice(value << (width - L), (value + 1) << (width - L))
-                length[span], symbol[span] = L, sym
-            else:
-                prefix = value >> (L - width)
-                length[prefix], symbol[prefix] = _OPEN, prefix - first
+            span = slice(value << (width - L), (value + 1) << (width - L))
+            length[span], symbol[span] = L, sym
         return length, symbol
 
 
@@ -161,29 +134,57 @@ def _huffman_lengths(weights: np.ndarray) -> tuple[int, ...]:
     return tuple(lengths)
 
 
+def _capped_lengths(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete code's lengths with none past ``MAX_CODE_BITS``, by
+    Adjust_BITS (ITU-T T.81, Annex K.3) on the per-length counts: two
+    codewords of the longest length I become one at I - 1, their former
+    prefix, and one of two that split a codeword of the longest length
+    J below I - 1.  The Kraft sum stays 1.  The symbols, in (length,
+    symbol) order, take the new lengths in order."""
+    count = np.bincount(lengths).tolist()
+    for longest in range(len(count) - 1, MAX_CODE_BITS, -1):
+        while count[longest]:
+            j = longest - 2
+            while not count[j]:
+                j -= 1
+            count[longest] -= 2
+            count[longest - 1] += 1
+            count[j + 1] += 2
+            count[j] -= 1
+    capped = np.empty(len(lengths), np.int64)
+    capped[np.argsort(lengths, kind="stable")] = np.repeat(np.arange(len(count)), count)
+    return tuple(capped.tolist())
+
+
+def _check_alphabet(n_symbols: int) -> None:
+    if not 1 <= n_symbols <= 1 << MAX_CODE_BITS:
+        raise CodingError(f"a code holds 1 to {1 << MAX_CODE_BITS} symbols, got {n_symbols}")
+
+
 def build_code(weights: np.ndarray) -> PrefixCode:
-    """Huffman-optimal canonical code for the given nonnegative weights.
+    """Huffman-optimal canonical code for the given nonnegative weights,
+    its codewords capped at ``MAX_CODE_BITS``.
 
     Zero-weight symbols are floored to a negligible epsilon so they land at
     the longest lengths while the code stays complete and decodable.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or weights.size == 0:
-        raise CodingError("weights must be a nonempty vector")
+    if weights.ndim != 1:
+        raise CodingError("weights must be a vector")
+    _check_alphabet(weights.size)
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise CodingError("weights must be finite and nonnegative")
     if not weights.any():
         raise CodingError("all-zero weights")
     scaled = weights / weights.sum()
     floor = float(scaled[scaled > 0].min()) * 1e-9 / len(weights)
-    floored = np.maximum(scaled, floor)
-    return PrefixCode(_huffman_lengths(floored))
+    lengths = _huffman_lengths(np.maximum(scaled, floor))
+    return PrefixCode(lengths if max(lengths) <= MAX_CODE_BITS else _capped_lengths(lengths))
 
 
 def fixed_code(n_symbols: int) -> PrefixCode:
     """The fixed-length baseline code: every symbol at ceil(log2 n) bits, minimum 1."""
-    if n_symbols < 1:
-        raise CodingError("alphabet must hold at least one symbol")
+    _check_alphabet(n_symbols)
     return PrefixCode((max(1, math.ceil(math.log2(n_symbols))),) * n_symbols)
 
 
@@ -318,30 +319,8 @@ def _jumps(bits: np.ndarray, window: np.ndarray, code: PrefixCode):
     past the end (also the jump from ``n``), ``n + 2`` when the bits match
     no codeword.
     """
-    count, first_rank, order = code.canonical_tables
-    n, max_len, table_bits = bits.size, len(count) - 1, code.table_bits
+    n, max_len = bits.size, code.table_bits
     length, sym = (table[window] for table in code.decode_table)
-    if max_len > table_bits:  # continue the starts of longer codewords one length at a time
-        at = np.flatnonzero(length == _OPEN)
-        count = count.tolist()
-        padded = np.concatenate([bits, np.zeros(max_len, bool)])
-        # how far the bits read so far lie past the first code of the
-        # current length: a prefix of a longer codeword keeps it in
-        # [count, n_symbols), a prefix of no codeword never falls below
-        # that again, and a matched codeword drives it negative.  It at
-        # most doubles per length, so an occasional clip keeps it in int64
-        # and leaves all three cases intact.
-        offset, (found, matched) = sym[at], np.zeros((2, at.size), np.int64)
-        for L in range(table_bits + 1, max_len + 1):
-            offset -= count[L - 1]
-            offset *= 2
-            offset += padded[at + L - 1]
-            if L % 32 == 0:
-                np.clip(offset, -1, code.n_symbols, out=offset)
-            hit = offset.view(np.uint64) < count[L]  # negatives wrap to huge
-            np.putmask(found, hit, L)
-            np.putmask(matched, hit, offset)
-        length[at], sym[at] = found, order[first_rank[found] + matched]
     jump = np.arange(n) + length
     jump[length == 0] = n + 2
     tail = jump[max(0, n - max_len + 1) :]  # the starts whose reads may overrun

@@ -38,12 +38,6 @@ class InfoQuantity:
         if self.units not in ("bits", "nats"):
             raise ValueError(f"unknown units {self.units!r}")
 
-    def in_bits(self) -> float:
-        return self.value if self.units == "bits" else self.value / LN2
-
-    def in_nats(self) -> float:
-        return self.value if self.units == "nats" else self.value * LN2
-
 
 @dataclass(frozen=True)
 class JointTable:

@@ -4,7 +4,7 @@ Kept as a test oracle: ``pragcomm.entropy_coder._jumps`` must give the same
 jump array and, at every start whose codeword ends inside the payload, the
 same symbol.  It decodes the codeword at every bit of a payload at once,
 one codeword length at a time, with the canonical tables of Moffat &
-Turpin 1997.
+Turpin 1997, built here from the code's lengths alone.
 """
 
 from __future__ import annotations
@@ -23,22 +23,24 @@ def jumps(bits: np.ndarray, code: PrefixCode) -> tuple[np.ndarray, np.ndarray]:
     past the end (also the jump from ``n``), ``n + 2`` when the bits match
     no codeword.
     """
-    count, first_rank, order = code.canonical_tables
+    # per length the number of codewords and the rank of the first, and
+    # the symbols in rank order: sorted by (length, symbol)
+    lengths = np.asarray(code.lengths)
+    count = np.bincount(lengths)
+    first_rank, order = np.cumsum(count) - count, np.argsort(lengths, kind="stable")
     count = count.tolist()
     max_len, n = len(count) - 1, bits.size
     padded = np.concatenate([bits, np.zeros(max_len, np.uint8)])
     # how far the bits read so far lie past the first code of the current
     # length: a prefix of a longer codeword keeps it in [count, n_symbols),
     # a prefix of no codeword never falls below that again, and a matched
-    # codeword drives it negative.  It at most doubles per length, so an
-    # occasional clip keeps it in int64 and leaves all three cases intact.
+    # codeword drives it negative.  It at most doubles per length, so over
+    # at most 16 lengths it stays far inside int64.
     offset, length, matched = (np.zeros(n, np.int64) for _ in range(3))
     for L in range(1, max_len + 1):
         offset -= count[L - 1]
         offset *= 2
         offset += padded[L - 1 : L - 1 + n]
-        if L % 32 == 0:
-            np.clip(offset, -1, code.n_symbols, out=offset)
         hit = offset.view(np.uint64) < count[L]  # negatives wrap to huge
         np.putmask(length, hit, L)
         np.putmask(matched, hit, offset)

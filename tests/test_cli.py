@@ -244,6 +244,22 @@ class TestCodebookSizes:
         )
         assert run_gen_world(text, tmp_path, capsys) == (2, [message])
 
+    def test_residual_codebook_past_a_16_bit_code_rejected(self, tmp_path):
+        # 4 worlds x 2 agents x 91 x 91 = 66248 training cells would hold
+        # 65537 codewords; parsed only, since k-means on it needs tens of GB
+        path = tmp_path / "wide.cfg"
+        text = "[world]\nh = 91\nw = 91\nagents = 2\n[train]\nworlds = 4\n"
+        text += "[codebook]\nn_res = {}\n"
+        path.write_text(text.format(65536))
+        assert parse_config(str(path)).train.n_res == 65536
+        path.write_text(text.format(65537))
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert str(err.value) == (
+            "[codebook] n_res: must be at most 65536, the most symbols a 16-bit code "
+            "holds, got 65537"
+        )
+
     def test_residual_codebook_above_the_training_cells_fails_train(self, tmp_path, capsys):
         # the config fuzz's case: 1 world x 2 agents x 2 x 3 cells = 12 < 13
         path = tmp_path / "tiny.cfg"

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pragcomm.entropy_coder import (
-    _OPEN,
-    TABLE_BITS,
+    MAX_CODE_BITS,
     CodingError,
     EncodedMessage,
     PrefixCode,
@@ -134,20 +133,35 @@ class TestPrefixCode:
         assert (got.base_idx.tolist(), got.res_idx.tolist()) == ([[0, 1]], [[1, 0]])
 
     @pytest.mark.parametrize("lengths", [(), (0,), (2, 0), (-1, 1), (1, 1, 1), (2, 1, 2, 2),
-                                         tuple(range(1, 61)) + (60, 60)])
+                                         tuple(range(1, 17)) + (16, 16), (17,), (1, 17),
+                                         tuple(range(1, 18)) + (17,)])
     def test_impossible_lengths_rejected(self, lengths):
-        # the last set overfills the Kraft sum by 2**-60, below a float's resolution
+        # the seventh set overfills the Kraft sum by 2**-16; the last three
+        # hold a codeword longer than 16 bits, the last of them in a complete code
         with pytest.raises(CodingError, match="codeword lengths"):
             PrefixCode(lengths)
 
     def test_complete_long_code_accepted(self):
-        code = PrefixCode(tuple(range(1, 61)) + (60,))
-        assert code.codeword_str(60) == "1" * 60
+        code = PrefixCode(tuple(range(1, MAX_CODE_BITS + 1)) + (MAX_CODE_BITS,))
+        assert code.codeword_str(MAX_CODE_BITS) == "1" * MAX_CODE_BITS
 
     @settings(max_examples=300, deadline=None)
     @given(weights=huffman_weights())
     def test_huffman_lengths_match_the_parent_map_walk(self, weights):
         assert _huffman_lengths(weights) == tuple(bitwise.huffman_lengths(weights))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=huffman_weights())
+    def test_built_code_is_huffman_capped_at_16_bits(self, weights):
+        huffman = np.array(_huffman_lengths(weights / weights.sum()))
+        got = np.array(build_code(weights).lengths)
+        if huffman.max() <= MAX_CODE_BITS:
+            np.testing.assert_array_equal(got, huffman)
+            return
+        assert got.max() <= MAX_CODE_BITS
+        assert sum(1 << (MAX_CODE_BITS - int(L)) for L in got) == 1 << MAX_CODE_BITS
+        shorter = huffman[:, None] < huffman[None, :]  # [a, b]: a's Huffman length is shorter
+        assert not (shorter & (got[:, None] > got[None, :])).any()
 
 
 class TestFixedLength:
@@ -155,6 +169,13 @@ class TestFixedLength:
         assert fixed_code(128).lengths == (7,) * 128
         assert fixed_code(1).lengths == (1,)
         assert fixed_code(6).lengths == (3,) * 6
+
+    def test_alphabets_past_a_16_bit_code_rejected(self):
+        assert fixed_code(1 << 16).lengths == (16,) * (1 << 16)
+        for n in (0, (1 << 16) + 1):
+            for make in (fixed_code, lambda n: build_code(np.ones(n))):
+                with pytest.raises(CodingError, match=f"1 to 65536 symbols, got {n}"):
+                    make(n)
 
     def test_fixed_code_uniform(self):
         code = fixed_code(6)
@@ -392,7 +413,7 @@ def prefix_codes(draw):
         shortest = fixed_code(n).lengths[0]
         return PrefixCode(tuple(draw(st.lists(
             st.integers(shortest, shortest + 3), min_size=n, max_size=n))))
-    if kind == "geometric":  # lengths 1..n-1, past 64 bits once n > 65
+    if kind == "geometric":  # Huffman lengths 1..n-1, capped at 16 bits once n > 17
         return build_code(2.0 ** -np.arange(n))
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     weights = draw(st.lists(weight, min_size=n, max_size=n))
@@ -404,11 +425,11 @@ def prefix_codes(draw):
 def kernel_codes(draw):
     """Codes for the decode kernel: any of ``prefix_codes``, or the complete
     code with lengths 1, 2, ..., longest - 1, longest, longest for a longest
-    length next to the table width or past 64 bits, its symbols shuffled and
+    length of 11 to 13 bits or the 16-bit cap, its symbols shuffled and
     some dropped, which leaves windows that start no codeword."""
     if draw(st.booleans()):
         return draw(prefix_codes())
-    longest = draw(st.sampled_from((TABLE_BITS - 1, TABLE_BITS, TABLE_BITS + 1, 70)))
+    longest = draw(st.sampled_from((11, 12, 13, MAX_CODE_BITS)))
     lengths = draw(st.permutations(tuple(range(1, longest + 1)) + (longest,)))
     return PrefixCode(tuple(lengths[: draw(st.integers(1, len(lengths)))]))
 
@@ -536,18 +557,21 @@ class TestTransmittedGrid:
 
 
 class TestVectorizedCoder:
-    def test_codeword_longer_than_64_bits(self):
+    def test_geometric_code_capped_at_16_bits(self):
+        # Huffman gives symbol s of 2**-s length s + 1, up to 79 bits
         code = build_code(2.0 ** -np.arange(80))
-        assert max(code.lengths) == 79
-        assert code.codeword_str(79) == "1" * 79
-        grid = IndexGrid(np.array([[79, 0, 78, 64]]), np.array([[78, 79, 1, 65]]))
+        assert max(code.lengths) == MAX_CODE_BITS
+        assert sum(2 ** (MAX_CODE_BITS - L) for L in code.lengths) == 2**MAX_CODE_BITS
+        assert code.codeword_str(79) == "1" * MAX_CODE_BITS
+        grid = IndexGrid(np.array([[79, 0, 78, 9]]), np.array([[78, 79, 1, 65]]))
         ones = np.ones((1, 4), dtype=bool)
         msg = encode(grid, (ones, ones), (code, code))
         want = bitwise.encode(grid, (ones, ones), (code, code))
-        assert msg.full_payload.tobytes() == want.full_payload.tobytes()
-        back = decode(msg, (code, code))
-        np.testing.assert_array_equal(back.base_idx, grid.base_idx)
-        np.testing.assert_array_equal(back.res_idx, grid.res_idx)
+        assert_same_message(msg, want)
+        back, want_back = decode(msg, (code, code)), bitwise.decode(want, (code, code))
+        for name in ("base_idx", "res_idx"):
+            got, oracle, sent = (getattr(g, name) for g in (back, want_back, grid))
+            assert got.tobytes() == oracle.tobytes() == sent.tobytes()
 
     @pytest.mark.parametrize("layer", ["base", "res"])
     def test_negative_symbol_rejected(self, layer):
@@ -560,7 +584,6 @@ class TestVectorizedCoder:
     def test_tables_cached_per_code(self):
         code = build_code(np.array([5.0, 1.0, 1.0]))
         assert code.bit_table is code.bit_table
-        assert code.canonical_tables is code.canonical_tables
         assert code.decode_table is code.decode_table
         assert code == build_code(np.array([5.0, 1.0, 1.0]))
         np.testing.assert_array_equal(code.bit_table, [[0, 2], [1, 0], [1, 1]])
@@ -569,14 +592,14 @@ class TestVectorizedCoder:
         np.testing.assert_array_equal(code.decode_table, [[1, 1, 2, 2], [0, 0, 1, 2]])
 
     def test_decode_table_marks_longer_and_missing_codewords(self):
-        # codewords 0 and 1 followed by 13 zeros: windows 0... start the
-        # first, 10...0 is open at offset 0 and every other 1... starts none
-        code = PrefixCode((1, TABLE_BITS + 2))
+        # codewords 0 and 1 followed by 15 zeros: windows 0... start the
+        # first, 10...0 the second and every other 1... none
+        code = PrefixCode((1, MAX_CODE_BITS))
         length, symbol = code.decode_table
-        assert code.table_bits == TABLE_BITS and length.size == 1 << TABLE_BITS
-        half = 1 << (TABLE_BITS - 1)
+        assert code.table_bits == MAX_CODE_BITS and length.size == 1 << MAX_CODE_BITS
+        half = 1 << (MAX_CODE_BITS - 1)
         assert (length[:half] == 1).all() and (symbol[:half] == 0).all()
-        assert (length[half], symbol[half]) == (_OPEN, 0)
+        assert (length[half], symbol[half]) == (MAX_CODE_BITS, 1)
         assert (length[half + 1 :] == 0).all()
 
     @settings(max_examples=300, deadline=None)
@@ -586,7 +609,7 @@ class TestVectorizedCoder:
         density = data.draw(st.sampled_from((0.02, 0.3, 0.5, 0.7, 0.98)))
         bits = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < density
         # a payload's window may be wider than the code's table
-        width = data.draw(st.integers(code.table_bits, TABLE_BITS))
+        width = data.draw(st.integers(code.table_bits, MAX_CODE_BITS))
         jump, sym = _jumps(bits, _window(bits, width) >> (width - code.table_bits), code)
         want_jump, want_sym = jumps_oracle.jumps(bits, code)
         np.testing.assert_array_equal(jump, want_jump)

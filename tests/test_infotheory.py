@@ -92,8 +92,6 @@ class TestEntropy:
         b = entropy(t, "A", "bits")
         n = entropy(t, "A", "nats")
         assert b.value * LN2 == pytest.approx(n.value, abs=1e-12)
-        assert b.in_nats() == pytest.approx(n.value, abs=1e-12)
-        assert n.in_bits() == pytest.approx(b.value, abs=1e-12)
 
 
 class TestConditionalEntropy:
