@@ -10,15 +10,20 @@ longer codewords has its per-length counts adjusted as JPEG's Adjust_BITS
 does (ITU-T T.81, Annex K.3), which keeps the code complete, and every
 code that already fits keeps its lengths.
 
-A message's two payloads are 1-D bool vectors, one element per bit;
-bytes exist only in ``message_to_bytes`` and ``message_from_bytes``.  Each
-code caches a table of its codewords' bits and a decode table over its
-longest codeword's length, at most 2**16 entries (Hirschberg & Lelewer
-1990, "Efficient decoding of prefix codes"; the codewords of one length
-are consecutive integers, Moffat & Turpin 1997).  The decoder reads the
-next bits at every bit of a payload at once, as one window per payload
-that both codes of the full payload share, and looks each window up once:
-the codeword it starts with, or none.  Then it walks the codeword starts.
+``_layout`` alone says what a message's two payloads code, cells in
+raster order: the abstract (base payload) the base index of every
+confidence-mask cell, or nothing when none is sent, and the full payload
+the base then the residual index of every cell in both masks.  v1 reads a
+nonempty base payload as an abstract, so an abstract cut to zero bits
+decodes as a message that never had one; an explicit flag would replace
+that test.  A payload is a 1-D bool vector, one element per bit; bytes
+exist only in ``message_to_bytes`` and ``message_from_bytes``.  Each code
+caches its codewords' bits and a decode table over its longest codeword's
+length, at most 2**16 entries (Hirschberg & Lelewer 1990, "Efficient
+decoding of prefix codes"; the codewords of one length are consecutive
+integers, Moffat & Turpin 1997).  The decoder reads the next bits at
+every bit of a payload at once, as one window its layers' codes share,
+looks each window up once per layer and walks the codeword starts.
 
 Wire format, version 1 (bit level, MSB first):
     magic "RDCM" | version u8 | h u16 | w u16 | code-table id u8 |
@@ -212,8 +217,8 @@ class EncodedMessage:
 
     conf_mask: np.ndarray  # (h, w) bool
     redund_mask: np.ndarray  # (h, w) bool
-    base_payload: np.ndarray  # (n,) bool: base codes for every confidence-selected cell
-    full_payload: np.ndarray  # (m,) bool: base+res codes for cells passing both masks
+    base_payload: np.ndarray  # (n,) bool: the abstract
+    full_payload: np.ndarray  # (m,) bool
 
     def __post_init__(self):
         # an integer 0/1 mask would index cells by number, not select them
@@ -251,6 +256,12 @@ class EncodedMessage:
         return self.payload_bits + self.abstract_bits + self.mask_bits
 
 
+def _layout(conf_mask: np.ndarray, redund_mask: np.ndarray, abstract: bool):
+    """Per payload, in wire order, the cells it codes and the index layers
+    (0 base, 1 residual) each cell carries, in codeword order."""
+    return ((conf_mask & bool(abstract), (0,)), (conf_mask & redund_mask, (0, 1)))
+
+
 def _codewords(tables: tuple, syms: np.ndarray) -> np.ndarray:
     """Code each row of ``syms`` with ``tables[j]`` for column j, rows in
     order; the first symbol outside its code raises before any lookup."""
@@ -269,34 +280,27 @@ def encode(
     codes: tuple[PrefixCode, PrefixCode],
     abstract: bool = True,
 ) -> EncodedMessage:
-    """Encode an index grid under the confidence and redundancy masks.
-
-    The base payload carries base-layer codes for every confidence-selected
-    cell (the coarse abstract handed over before redundancy scoring); the
-    full payload carries base-and-residual codes for cells passing both
-    masks.  Cells are visited in raster order, each codeword MSB first.
-    ``abstract=False`` drops the base payload for pipelines that never hand
-    an abstract over.
-    """
+    """Code ``idx`` under the two masks as ``_layout`` says, with or without an abstract."""
     conf_mask, redund_mask = (np.asarray(m, dtype=bool) for m in masks)
     h, w = idx.base_idx.shape
     if conf_mask.shape != (h, w) or redund_mask.shape != (h, w):
         raise CodingError(f"mask shapes must be {(h, w)}")
-    tables = tuple(code.bit_table for code in codes)
-    base_syms = idx.base_idx[conf_mask][:, None]
-    base = _codewords(tables[:1], base_syms) if abstract else np.zeros(0, bool)
-    both = conf_mask & redund_mask
-    full = _codewords(tables, np.stack([idx.base_idx[both], idx.res_idx[both]], 1))
+    grids, tables = (idx.base_idx, idx.res_idx), [code.bit_table for code in codes]
+    base, full = (
+        _codewords([tables[i] for i in layers], np.stack([grids[i][cells] for i in layers], 1))
+        for cells, layers in _layout(conf_mask, redund_mask, abstract)
+    )
     return EncodedMessage(conf_mask, redund_mask, base, full)
 
 
-def transmitted_grid(idx, masks: tuple[np.ndarray, np.ndarray], abstract: bool = True):
-    """The grid ``decode`` returns for the message ``encode`` makes from the
-    same arguments: ``idx`` on the cells the message carries, -1 elsewhere."""
-    conf_mask, redund_mask = (np.asarray(m, dtype=bool) for m in masks)
-    both = conf_mask & redund_mask
-    base_idx = np.where(conf_mask if abstract else both, idx.base_idx, -1)
-    return IndexGrid(base_idx, np.where(both, idx.res_idx, -1))
+def transmitted_grid(idx, msg: EncodedMessage):
+    """The grid ``decode(msg, codes)`` returns when ``msg`` is the encoding
+    of ``idx``: ``idx`` on the cells the message carries, -1 elsewhere."""
+    grid = [np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2)]
+    for cells, layers in _layout(msg.conf_mask, msg.redund_mask, msg.abstract_bits > 0):
+        for i in layers:
+            np.copyto(grid[i], (idx.base_idx, idx.res_idx)[i], where=cells)
+    return IndexGrid(*grid)
 
 
 def _window(bits: np.ndarray, width: int) -> np.ndarray:
@@ -347,29 +351,25 @@ def _walk(jump: np.ndarray, k: int, what: str) -> np.ndarray:
 
 
 def decode(msg: EncodedMessage, codes: tuple[PrefixCode, PrefixCode]):
-    """Recover the index grid on the transmitted cells; absent cells are -1.
-
-    Cells passing both masks get base and residual indices; cells only in the
-    confidence mask get the abstract base index (when an abstract was sent).
-    """
-    base_idx, res_idx = (np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2))
-    if msg.base_payload.size:
-        bits = msg.base_payload
-        jump, syms = _jumps(bits, _window(bits, codes[0].table_bits), codes[0])
-        base_idx[msg.conf_mask] = syms[_walk(jump, int(msg.conf_mask.sum()), "base")]
-
-    both = msg.conf_mask & msg.redund_mask
-    if msg.full_payload.size or np.any(both):
-        bits, width = msg.full_payload, max(c.table_bits for c in codes)
-        window = _window(bits, width)  # the narrower code reads its leading bits
-        (b_jump, b_syms), (r_jump, r_syms) = (
-            _jumps(bits, window >> (width - c.table_bits), c) for c in codes
-        )
-        # one step reads a base codeword and its residual; sinks stay put
-        starts = _walk(r_jump[b_jump], int(both.sum()), "full")
-        base_idx[both] = b_syms[starts]
-        res_idx[both] = r_syms[b_jump[starts]]
-    return IndexGrid(base_idx, res_idx)
+    """The index grid on the cells the message carries; absent cells are -1."""
+    grid = [np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2)]
+    payloads = (("base", msg.base_payload), ("full", msg.full_payload))
+    layout = _layout(msg.conf_mask, msg.redund_mask, msg.abstract_bits > 0)
+    for (what, bits), (cells, layers) in zip(payloads, layout):
+        k = np.count_nonzero(cells)
+        if not (k or bits.size):  # no cells, no bits: skip an empty walk's fixed cost
+            continue
+        width = max(codes[i].table_bits for i in layers)
+        window = _window(bits, width)  # a narrower code reads its leading bits
+        steps = [_jumps(bits, window >> (width - codes[i].table_bits), codes[i]) for i in layers]
+        jump = steps[0][0]
+        for layer_jump, _ in steps[1:]:  # one step reads a cell's codewords; sinks stay put
+            jump = layer_jump[jump]
+        starts = _walk(jump, k, what)
+        for i, (layer_jump, syms) in zip(layers, steps):
+            grid[i][cells] = syms[starts]
+            starts = layer_jump[starts]
+    return IndexGrid(*grid)
 
 
 def message_to_bytes(msg: EncodedMessage, table_id: int = 0) -> bytes:

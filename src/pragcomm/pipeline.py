@@ -278,12 +278,10 @@ def directed_message(
         m_mi = np.ones((cfg.h, cfg.w), dtype=bool)
     else:
         raise ValueError(f"unknown selector {selector!r}")
-    send_abstract = selector == "mi"
 
     masks = (scene.gate[s] > tau_c, m_mi)
-    msg = ec.encode(scene.idx[s], masks, codes, abstract=send_abstract)
-    sent = ec.transmitted_grid(scene.idx[s], masks, abstract=send_abstract)
-    received = vq.reconstruct(sent, scene.stack.codebook)
+    msg = ec.encode(scene.idx[s], masks, codes, abstract=selector == "mi")
+    received = vq.reconstruct(ec.transmitted_grid(scene.idx[s], msg), scene.stack.codebook)
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
