@@ -76,6 +76,10 @@ SWEEP_DIGESTS = {  # sha256 of `pragcomm sweep` on FAST_CFG
     "summary.csv": "27f5a64e22dcf7ea7bc0b9b78f7dea6baabc2f2dae8c43631ff379f10a328ac9",
     "sample_message.bin": "7aefff5243c12e77741fcd1dd013803779c897ccfbd2277c404857bbc28d758c",
 }
+VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on FAST_CFG
+    "report.txt": "e63330080833da604094789c8e4f0430dd78590cb4cb795ee475df3e6e50cae4",
+    "frontier.csv": "c8670b889bd7e4305a457f73895759d1a891171393e0158a6af2921a754aa6c1",
+}
 
 
 def tree_digest(root: Path) -> dict:
@@ -668,6 +672,12 @@ class TestVerifyTheory:
         frontier = (out / "frontier.csv").read_text().strip().splitlines()
         assert frontier[0].startswith("source,encoder_id,rate_bits")
         assert len(frontier) > 10
+
+    def test_outputs_pinned(self, cfg_file, tmp_path):
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = tree_digest(out)
+        assert {name: digests[name] for name in VERIFY_DIGESTS} == VERIFY_DIGESTS
 
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
