@@ -131,6 +131,7 @@ def pragmatic_distortion(
     For ``task="segmentation"`` this is H(Y | Z, X_r) - H(Y | X_s, X_r).
     For ``task="detection"`` each regression key k (a further table axis)
     adds (lambda_k / 2) * (exp(H(k | Z, X_r) - 1) - exp(H(k | X_s, X_r) - 1)).
+    A stacked table gives one distortion per table.
     """
     if task not in ("segmentation", "detection"):
         raise ValueError(f"unknown task {task!r}")
@@ -141,11 +142,13 @@ def pragmatic_distortion(
     if task == "detection":
         if params is None:
             params = RiskParams(loss_family="centerpoint")
+        # libm's exp per value: numpy's vector exp can differ in the last bit
+        exp = np.vectorize(math.exp, otypes=[float])
         for key in REGRESSION_KEYS:
             h_z = conditional_entropy(table_with_z, key, ["Z", "X_r"], "nats").value
             h_x = conditional_entropy(table_with_z, key, ["X_s", "X_r"], "nats").value
-            d += 0.5 * params.lam(key) * (math.exp(h_z - 1.0) - math.exp(h_x - 1.0))
-    return float(d)
+            d += 0.5 * params.lam(key) * (exp(h_z - 1.0) - exp(h_x - 1.0))
+    return d if table_with_z.stacked else float(d)
 
 
 # --- Monte-Carlo oracles ---------------------------------------------------
@@ -172,7 +175,6 @@ def mc_ce(
     m = marginal(t, [target] + list(given))
     flat = m.pmf.ravel()
     draws = rng.choice(flat.size, size=n, p=flat)
-    idx = np.unravel_index(draws, m.pmf.shape)
     tgt_dim = m.index(target)
     cond = m.pmf / np.maximum(m.pmf.sum(axis=tgt_dim, keepdims=True), 1e-300)
-    return float(-np.log(cond[idx]).mean())
+    return float(-np.log(cond.ravel()[draws]).mean())

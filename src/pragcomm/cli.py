@@ -90,6 +90,25 @@ _finite_floats = _checked(
 )
 
 
+def _count_below(cap: int, why: str):
+    return _checked(_count, lambda n: n <= cap, f"at most {cap} ({why})")
+
+
+# [verify] sizes, checked at parse time.  The memory that grows with the
+# config is the Monte-Carlo draws and the stacked identity tables: tracemalloc
+# over verify-theory on small.cfg measured 23.8 bytes a draw (mc_ce's uniforms,
+# indices and losses) and 472 bytes a table, so each gets 1 GiB.  A source's
+# frontier is freed before the next one is drawn (peak 0.7-1.4 MB from 10 to
+# 320 sources), so sources are capped by time: about 5 ms each, 1.5 h in all.
+VERIFY_BYTES = 1 << 30
+MAX_MC_DRAWS = VERIFY_BYTES // 24
+MAX_TABLES = VERIFY_BYTES // 480
+MAX_SOURCES = 10**6
+_draws = _count_below(MAX_MC_DRAWS, "1 GiB at 24 bytes a draw")
+_tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
+_sources = _count_below(MAX_SOURCES, "about 5 ms a source")
+
+
 def _seed_arg(text: str) -> int:
     """``--seed``: a bad value is a usage error that gives the reason."""
     try:
@@ -154,9 +173,9 @@ _TABLE = {
     ("sweep", "seeds"): ("sweep", "seeds", _list(_seed)),
     ("sweep", "coder"): ("sweep", "coder", str),
     ("sweep", "selector"): ("sweep", "selector", str),
-    ("verify", "sources"): ("run", "verify_sources", _count),
-    ("verify", "tables"): ("run", "verify_tables", _count),
-    ("verify", "mc_draws"): ("run", "verify_mc_draws", _count),
+    ("verify", "sources"): ("run", "verify_sources", _sources),
+    ("verify", "tables"): ("run", "verify_tables", _tables),
+    ("verify", "mc_draws"): ("run", "verify_mc_draws", _draws),
     ("verify", "z_max"): ("run", "verify_z_max", _count),
     ("verify", "seed"): ("run", "verify_seed", _seed),
 }
@@ -320,29 +339,37 @@ def _random_frontiers(cfg: RunConfig, rng: np.random.Generator, n: int):
         yield points, rd.theoretical_bound(t, distortions)
 
 
+def _channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it.JointTable:
+    """n random tables over axes, each extended to a "Z" axis through its own
+    random channel from "X_s"; every table is drawn before its kernel."""
+    pmfs, kernels = [], []
+    for _ in range(n):
+        t = it.random_joint(axes, rng)
+        pmfs.append(t.pmf)
+        kernels.append(rng.dirichlet(np.ones(n_z), size=t.size("X_s")))
+    t = it.JointTable(t.axes, np.stack(pmfs))
+    return it.extend_with_channel(t, "X_s", "Z", np.stack(kernels))
+
+
 def _verify_checks(cfg: RunConfig):
     """Yields (name, margin, tolerance, passed) tuples; margins are the
     worst-case observed values, tolerances the acceptance thresholds."""
     rng = np.random.default_rng(cfg.verify_seed)
 
-    worst = 0.0
-    for _ in range(cfg.verify_tables):
-        t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng)
-        lhs = it.conditional_mi(t, "Y", "X_s", ["X_r"]).value
-        rhs = (
-            it.entropy(t, "X_s").value
-            - it.conditional_entropy(t, "X_s", ["Y"]).value
-            - it.interaction_information(t, "Y", "X_s", "X_r").value
-        )
-        worst = max(worst, abs(lhs - rhs))
+    t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng, cfg.verify_tables)
+    lhs = it.conditional_mi(t, "Y", "X_s", ["X_r"]).value
+    rhs = (
+        it.entropy(t, "X_s").value
+        - it.conditional_entropy(t, "X_s", ["Y"]).value
+        - it.interaction_information(t, "Y", "X_s", "X_r").value
+    )
+    worst = float(np.abs(lhs - rhs).max())
     yield "identity_rate_decomposition", worst, 1e-10, worst <= 1e-10
 
-    worst = 0.0
-    for _ in range(100):
-        t = it.random_joint([("A", 3), ("B", 4)], rng)
-        lhs = it.joint_entropy(t, ["A", "B"]).value
-        rhs = it.entropy(t, "A").value + it.conditional_entropy(t, "B", ["A"]).value
-        worst = max(worst, abs(lhs - rhs))
+    t = it.random_joint([("A", 3), ("B", 4)], rng, 100)
+    lhs = it.joint_entropy(t, ["A", "B"]).value
+    rhs = it.entropy(t, "A").value + it.conditional_entropy(t, "B", ["A"]).value
+    worst = float(np.abs(lhs - rhs).max())
     yield "identity_chain_rule", worst, 1e-10, worst <= 1e-10
 
     t = it.random_joint([("A", 5)], rng)
@@ -351,16 +378,12 @@ def _verify_checks(cfg: RunConfig):
     diff = abs(bits * it.LN2 - nats)
     yield "unit_conversion", diff, 1e-12, diff <= 1e-12
 
-    worst = -np.inf
-    for _ in range(50):
-        t = it.random_joint([("Y", 3), ("X_s", 4)], rng)
-        kernel = rng.dirichlet(np.ones(3), size=4)
-        ext = it.extend_with_channel(t, "X_s", "Z", kernel)
-        gap = (
-            it.mutual_information(ext, "Y", "Z").value
-            - it.mutual_information(ext, "Y", "X_s").value
-        )
-        worst = max(worst, gap)
+    ext = _channel_stack(rng, [("Y", 3), ("X_s", 4)], 3, 50)
+    gap = (
+        it.mutual_information(ext, "Y", "Z").value
+        - it.mutual_information(ext, "Y", "X_s").value
+    )
+    worst = float(gap.max())
     yield "data_processing_inequality", worst, 1e-10, worst <= 1e-10
 
     min_margin = np.inf
@@ -390,19 +413,13 @@ def _verify_checks(cfg: RunConfig):
     worst = float(np.diff(vals).max())
     yield "bound_monotone_in_delta", worst, 1e-12, worst <= 1e-12
 
-    worst = 0.0
-    worst_neg = np.inf
-    for _ in range(50):
-        t = it.random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], rng)
-        kernel = rng.dirichlet(np.ones(2), size=3)
-        ext = it.extend_with_channel(t, "X_s", "Z", kernel)
-        d = br.pragmatic_distortion(ext, "segmentation")
-        want = (
-            it.conditional_mi(ext, "Y", "X_s", ["X_r"], "nats").value
-            - it.conditional_mi(ext, "Y", "Z", ["X_r"], "nats").value
-        )
-        worst = max(worst, abs(d - want))
-        worst_neg = min(worst_neg, d)
+    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)
+    d = br.pragmatic_distortion(ext, "segmentation")
+    want = (
+        it.conditional_mi(ext, "Y", "X_s", ["X_r"], "nats").value
+        - it.conditional_mi(ext, "Y", "Z", ["X_r"], "nats").value
+    )
+    worst, worst_neg = float(np.abs(d - want).max()), float(d.min())
     yield "distortion_identity", worst, 1e-10, worst <= 1e-10
     yield "distortion_nonnegative", worst_neg, -1e-10, worst_neg >= -1e-10
 

@@ -8,6 +8,9 @@ values computed here.
 Conventions:
     * ``0 * log 0 = 0``; pmf entries below 1e-15 are treated as exact zeros.
     * Quantities carry an explicit unit tag (bits or nats).
+    * A table may be a stack: one leading pmf axis indexes tables over the
+      same named axes, and every quantity then holds one value per table,
+      equal bit for bit to the value of that table alone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class AxisError(KeyError):
 
 @dataclass(frozen=True)
 class InfoQuantity:
-    """A scalar information quantity with an explicit unit tag."""
+    """An information quantity with an explicit unit tag; its value is a
+    float, or an array of one value per table for a stacked table."""
 
     value: float
     units: str  # "bits" or "nats"
@@ -44,7 +48,8 @@ class JointTable:
     """A joint pmf over named finite alphabets.
 
     ``axes`` is an ordered tuple of (name, size) pairs; ``pmf`` holds the
-    probabilities indexed by the axis product in that order.
+    probabilities indexed by the axis product in that order.  A pmf with one
+    more, leading, axis is a stack of tables, each validated on its own.
     """
 
     axes: tuple[tuple[str, int], ...]
@@ -58,17 +63,29 @@ class JointTable:
         if any(s < 1 for _, s in axes):
             raise ValueError("every axis size must be >= 1")
         pmf = np.asarray(self.pmf, dtype=np.float64)
-        if pmf.shape != tuple(s for _, s in axes):
+        lead = pmf.ndim - len(axes)
+        if lead not in (0, 1) or pmf.shape[lead:] != tuple(s for _, s in axes):
             raise ValueError(f"pmf shape {pmf.shape} does not match axes {axes}")
-        if not np.all(pmf >= 0):  # NaN fails too
-            raise ValueError("pmf entries must be nonnegative")
-        total = float(pmf.sum())
-        if not abs(total - 1.0) <= _PMF_TOL:
-            raise ValueError(f"pmf sums to {total!r}, expected 1 within {_PMF_TOL}")
+        tables = pmf if lead else pmf[None]
+        cells = tuple(range(1, tables.ndim))
+        nonnegative = np.all(tables >= 0, axis=cells)  # NaN fails too
+        totals = tables.sum(axis=cells)
+        bad = ~(nonnegative & (np.abs(totals - 1.0) <= _PMF_TOL))
+        if bad.any():
+            k = int(bad.argmax())
+            at = f"table {k}: " if lead else ""
+            if not nonnegative[k]:
+                raise ValueError(f"{at}pmf entries must be nonnegative")
+            total = float(totals[k])
+            raise ValueError(f"{at}pmf sums to {total!r}, expected 1 within {_PMF_TOL}")
         pmf = pmf.copy()
         pmf.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "pmf", pmf)
+
+    @property
+    def stacked(self) -> bool:
+        return self.pmf.ndim > len(self.axes)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -85,10 +102,12 @@ class JointTable:
 
 
 def _marginal_pmf(t: JointTable, names: list[str] | tuple[str, ...]) -> np.ndarray:
-    """The pmf of the ``names`` marginal, axes in the table's own order."""
+    """The pmf of the ``names`` marginal, axes in the table's own order
+    (after the stack axis of a stacked table)."""
     for n in names:
         t.index(n)  # raises AxisError on unknown names
-    drop = tuple(i for i, (n, _) in enumerate(t.axes) if n not in names)
+    lead = int(t.stacked)
+    drop = tuple(lead + i for i, (n, _) in enumerate(t.axes) if n not in names)
     return t.pmf.sum(axis=drop) if drop else t.pmf
 
 
@@ -111,16 +130,20 @@ def _entropies_nats(p: np.ndarray) -> np.ndarray:
 def _entropy_in(t: JointTable, base: str):
     """h(*names): entropy of the names' joint marginal in ``base``, 0.0 for no names.
 
-    The scalar quantities below are plain-float compositions of h.
+    h is a float, or one value per table of a stack; the quantities below
+    are plain compositions of h either way.
     """
     if base not in ("bits", "nats"):
         raise ValueError(f"base must be 'bits' or 'nats', got {base!r}")
     unit = LN2 if base == "bits" else 1.0
 
-    def h(*names: str) -> float:
+    def h(*names: str):
         if not names:
-            return 0.0
-        return float(_entropies_nats(_marginal_pmf(t, names)[None])[0]) / unit
+            return np.zeros(len(t.pmf)) if t.stacked else 0.0
+        p = _marginal_pmf(t, names)
+        if t.stacked:
+            return _entropies_nats(p) / unit
+        return float(_entropies_nats(p[None])[0]) / unit
 
     return h
 
@@ -204,28 +227,34 @@ def extend_with_channel(
 
     ``kernel[s, z]`` is the row-stochastic conditional pmf p(z | source=s).
     The result has p(..., z) = p(...) * kernel[s, z], i.e. the new variable
-    depends on the rest only through the source axis.
+    depends on the rest only through the source axis.  A stack of n tables
+    takes an (n, s, z) stack of kernels, one per table.
     """
     if new_axis in t.names:
         raise AxisError(f"axis {new_axis!r} already present")
     idx = t.index(source_axis)
     kernel = np.asarray(kernel, dtype=np.float64)
+    stack = t.pmf.shape[: int(t.stacked)]
     s_size = t.axes[idx][1]
-    if kernel.ndim != 2 or kernel.shape[0] != s_size:
-        raise ValueError(f"kernel must be ({s_size}, z) shaped, got {kernel.shape}")
-    if not (np.all(kernel >= 0) and np.all(np.abs(kernel.sum(axis=1) - 1.0) <= _PMF_TOL)):
+    if kernel.shape[:-1] != (*stack, s_size):
+        rows = ", ".join(map(str, (*stack, s_size)))
+        raise ValueError(f"kernel must be ({rows}, z) shaped, got {kernel.shape}")
+    if not (np.all(kernel >= 0) and np.all(np.abs(kernel.sum(axis=-1) - 1.0) <= _PMF_TOL)):
         raise ValueError("kernel rows must be pmfs summing to 1")
-    shape = [1] * t.pmf.ndim + [kernel.shape[1]]
-    shape[idx] = s_size
+    shape = [*stack] + [1] * len(t.axes) + [kernel.shape[-1]]
+    shape[len(stack) + idx] = s_size
     pmf = t.pmf[..., None] * kernel.reshape(shape)
-    return JointTable(t.axes + ((new_axis, kernel.shape[1]),), pmf)
+    return JointTable(t.axes + ((new_axis, kernel.shape[-1]),), pmf)
 
 
 def random_joint(
-    axes: list[tuple[str, int]], rng: np.random.Generator
+    axes: list[tuple[str, int]], rng: np.random.Generator, n: int | None = None
 ) -> JointTable:
-    """A random joint table: flat Dirichlet over the flattened product alphabet."""
-    axes = tuple((str(n), int(s)) for n, s in axes)
+    """A random joint table: flat Dirichlet over the flattened product alphabet.
+
+    With ``n``, a stack of n such tables, drawn as n calls would draw them.
+    """
+    axes = tuple((str(name), int(size)) for name, size in axes)
     sizes = tuple(s for _, s in axes)
-    flat = rng.dirichlet(np.ones(int(np.prod(sizes))))
-    return JointTable(axes, flat.reshape(sizes))
+    flat = rng.dirichlet(np.ones(int(np.prod(sizes))), size=n)
+    return JointTable(axes, flat.reshape(flat.shape[:-1] + sizes))

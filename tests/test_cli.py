@@ -330,9 +330,9 @@ VALID = {
     ("sweep", "seeds"): ("sweep", "seeds", st.lists(SEEDS, min_size=1, max_size=5).map(tuple)),
     ("sweep", "coder"): ("sweep", "coder", st.sampled_from(CODERS)),
     ("sweep", "selector"): ("sweep", "selector", st.sampled_from(SELECTORS)),
-    ("verify", "sources"): ("run", "verify_sources", COUNTS),
-    ("verify", "tables"): ("run", "verify_tables", COUNTS),
-    ("verify", "mc_draws"): ("run", "verify_mc_draws", COUNTS),
+    ("verify", "sources"): ("run", "verify_sources", st.integers(1, cli.MAX_SOURCES)),
+    ("verify", "tables"): ("run", "verify_tables", st.integers(1, cli.MAX_TABLES)),
+    ("verify", "mc_draws"): ("run", "verify_mc_draws", st.integers(1, cli.MAX_MC_DRAWS)),
     ("verify", "z_max"): ("run", "verify_z_max", COUNTS),
     ("verify", "seed"): ("run", "verify_seed", SEEDS),
 }
@@ -514,6 +514,22 @@ class TestGenWorld:
         ) == 0
         assert (out / "world_9.txt").exists()
 
+    def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
+        real = cli.br.pragmatic_distortion
+
+        def one_nan(table, task, params=None):
+            d = real(table, task, params).copy()
+            d[7] = float("nan")
+            return d
+
+        monkeypatch.setattr(cli.br, "pragmatic_distortion", one_nan)
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text().splitlines()
+        assert "FAIL distortion_identity margin=nan tol=1.0e-10" in report
+        assert "FAIL distortion_nonnegative margin=nan tol=-1.0e-10" in report
+        assert report[-1] == "FAILED"
+
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["gen-world", "--config", str(cfg_file), "--out", str(out1)])
@@ -679,6 +695,22 @@ class TestVerifyTheory:
         digests = tree_digest(out)
         assert {name: digests[name] for name in VERIFY_DIGESTS} == VERIFY_DIGESTS
 
+    def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
+        real = cli.br.pragmatic_distortion
+
+        def one_nan(table, task, params=None):
+            d = real(table, task, params).copy()
+            d[7] = float("nan")
+            return d
+
+        monkeypatch.setattr(cli.br, "pragmatic_distortion", one_nan)
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text().splitlines()
+        assert "FAIL distortion_identity margin=nan tol=1.0e-10" in report
+        assert "FAIL distortion_nonnegative margin=nan tol=-1.0e-10" in report
+        assert report[-1] == "FAILED"
+
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out1)])
@@ -705,6 +737,26 @@ class TestVerifyTheory:
         assert "[verify]" in err[0] and key in err[0]
         assert "PASS" not in captured.out
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "key, cap, why",
+        [
+            ("mc_draws", cli.MAX_MC_DRAWS, "1 GiB at 24 bytes a draw"),
+            ("tables", cli.MAX_TABLES, "1 GiB at 480 bytes a table"),
+            ("sources", cli.MAX_SOURCES, "about 5 ms a source"),
+        ],
+    )
+    def test_size_caps_parsed_only(self, key, cap, why, tmp_path):
+        # parsed only: a run past the cap would allocate gigabytes or take hours
+        path = tmp_path / "big.cfg"
+        path.write_text(f"[verify]\n{key} = {cap}\n")
+        assert getattr(parse_config(str(path)), f"verify_{key}") == cap
+        path.write_text(f"[verify]\n{key} = {10 * cap + 1}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert str(err.value) == (
+            f"[verify] {key}: must be at most {cap} ({why}), got {10 * cap + 1}"
+        )
 
     def test_shipped_config_passes(self, tmp_path):
         shipped = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pragcomm.bayes_risk import RiskParams, pragmatic_distortion
 from pragcomm.infotheory import (
     LN2,
     AxisError,
@@ -348,3 +349,130 @@ class TestEntropyKernel:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError, match="base"):
             conditional_mi(xor_triple(), "Y", "X_s", ["X_r"], "trits")
+
+
+def stack_pmfs(rng: np.random.Generator, n: int, sizes: tuple, p_zero: float) -> np.ndarray:
+    """n random pmfs over sizes; each cell is an exact zero with probability p_zero."""
+    cells = rng.exponential(size=(n, math.prod(sizes)))
+    cells[rng.uniform(size=cells.shape) < p_zero] = 0.0
+    cells[cells.sum(axis=1) == 0, 0] = 1.0
+    return (cells / cells.sum(axis=1, keepdims=True)).reshape(n, *sizes)
+
+
+def assert_per_table(stacked, per_table):
+    """A stack's values are, bit for bit, the unstacked tables' floats."""
+    assert all(type(v) is float for v in per_table)
+    assert isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
+    assert stacked.tobytes() == np.array(per_table).tobytes()
+
+
+@st.composite
+def table_stacks(draw):
+    """(axes, pmf stack, a shuffled axis order) over 1-4 axes of size 1-4."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    axes = tuple((f"V{i}", s) for i, s in enumerate(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pmf = stack_pmfs(rng, draw(st.integers(1, 5)), sizes, draw(st.sampled_from([0.0, 0.3])))
+    return axes, pmf, draw(st.permutations([n for n, _ in axes]))
+
+
+class TestStackedTables:
+    """A stack of tables gives each table's own values, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=table_stacks(), base=st.sampled_from(["bits", "nats"]), data=st.data())
+    def test_every_quantity_matches_the_tables_alone(self, stack, base, data):
+        axes, pmf, order = stack
+        t = JointTable(axes, pmf)
+        tables = [JointTable(axes, p) for p in pmf]
+        a, rest = order[0], order[1:]
+        given_ = data.draw(st.lists(st.sampled_from(rest), unique=True) if rest else st.just([]))
+        calls = [
+            (entropy, (a, base)),
+            (joint_entropy, (order[: data.draw(st.integers(0, len(order)))], base)),
+            (conditional_entropy, (a, given_, base)),
+        ]
+        if rest:
+            b, others = rest[0], rest[1:]
+            given_b = data.draw(st.lists(st.sampled_from(others), unique=True)
+                                if others else st.just([]))
+            calls += [(mutual_information, (a, b, base)), (conditional_mi, (a, b, given_b, base))]
+            if others:
+                calls.append((interaction_information, (a, b, others[0], base)))
+        for f, args in calls:
+            got = f(t, *args)
+            assert got.units == base
+            assert_per_table(got.value, [f(one, *args).value for one in tables])
+        kept = marginal(t, [a, *given_])
+        assert kept.pmf.tobytes() == np.stack([marginal(one, [a, *given_]).pmf
+                                               for one in tables]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=table_stacks(), n_z=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_extend_with_a_kernel_per_table(self, stack, n_z, seed):
+        axes, pmf, order = stack
+        rng = np.random.default_rng(seed)
+        source = order[0]
+        kernels = rng.dirichlet(np.ones(n_z), size=(len(pmf), dict(axes)[source]))
+        ext = extend_with_channel(JointTable(axes, pmf), source, "Z", kernels)
+        alone = [extend_with_channel(JointTable(axes, p), source, "Z", k)
+                 for p, k in zip(pmf, kernels)]
+        assert ext.axes == alone[0].axes
+        assert ext.pmf.tobytes() == np.stack([e.pmf for e in alone]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 2), min_size=6, max_size=6),
+           task=st.sampled_from(["segmentation", "detection"]))
+    def test_pragmatic_distortion_per_table(self, n, seed, sizes, task):
+        rng = np.random.default_rng(seed)
+        names = ("Y", "X_s", "X_r", "loc", "size", "ori")
+        axes = tuple(zip(names, sizes))
+        pmf = stack_pmfs(rng, n, tuple(sizes), 0.3)
+        kernels = rng.dirichlet(np.ones(3), size=(n, sizes[1]))
+        ext = extend_with_channel(JointTable(axes, pmf), "X_s", "Z", kernels)
+        params = RiskParams("centerpoint", (0.5, 1.0, 2.0))
+        alone = [
+            pragmatic_distortion(extend_with_channel(JointTable(axes, p), "X_s", "Z", k),
+                                 task, params)
+            for p, k in zip(pmf, kernels)
+        ]
+        assert_per_table(pragmatic_distortion(ext, task, params), alone)
+
+    def test_random_joint_stack_is_the_calls_in_order(self):
+        axes = [("A", 3), ("B", 2)]
+        one_by_one = np.random.default_rng(5)
+        want = [random_joint(axes, one_by_one).pmf for _ in range(7)]
+        stacked = np.random.default_rng(5)
+        t = random_joint(axes, stacked, 7)
+        assert t.stacked and t.pmf.tobytes() == np.stack(want).tobytes()
+        assert stacked.random() == one_by_one.random()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-0.5, "entries must be nonnegative"), (np.nan, "entries must be"), (0.25, "sums to")],
+    )
+    def test_bad_table_is_named(self, k, bad, message):
+        pmf = np.full((3, 2, 2), 0.25)
+        pmf[k, 1, 0] += bad
+        with pytest.raises(ValueError, match=f"^table {k}: pmf {message}"):
+            JointTable((("A", 2), ("B", 2)), pmf)
+
+    def test_kernel_stack_must_match_the_tables(self):
+        t = JointTable((("A", 2),), np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match=r"kernel must be \(3, 2, z\) shaped"):
+            extend_with_channel(t, "A", "Z", np.eye(2))
+
+    def test_unstacked_values_stay_float(self):
+        t = xor_triple()
+        values = [
+            entropy(t, "Y").value,
+            joint_entropy(t, []).value,
+            conditional_entropy(t, "Y", ["X_s"]).value,
+            mutual_information(t, "Y", "X_s").value,
+            conditional_mi(t, "Y", "X_s", ["X_r"]).value,
+            interaction_information(t, "Y", "X_s", "X_r").value,
+        ]
+        assert all(type(v) is float for v in values)
+        assert not t.stacked
