@@ -85,6 +85,7 @@ class JointTable:
 
     @property
     def stacked(self) -> bool:
+        """Whether the pmf's leading axis indexes a stack of tables."""
         return self.pmf.ndim > len(self.axes)
 
     @property
