@@ -96,15 +96,16 @@ def _count_below(cap: int, why: str):
 
 # [verify] sizes, checked at parse time.  The memory that grows with the
 # config is the Monte-Carlo draws and the stacked identity tables: tracemalloc
-# over verify-theory on small.cfg measured 23.8 bytes a draw (mc_ce's uniforms,
-# indices and losses) and 472 bytes a table, so each gets 1 GiB.  A source's
-# frontier is freed before the next one is drawn (peak 0.7-1.4 MB from 10 to
-# 320 sources), so sources are capped by time: about 5 ms each, 1.5 h in all.
+# over verify-theory on small.cfg measured 8.0 bytes a draw (one float64 a
+# sample; mc_ce gathers its losses into its uniforms) and 472 bytes a table,
+# so each gets 1 GiB.  A source's frontier is freed before the next one is
+# drawn (peak 0.7-1.4 MB from 10 to 320 sources), so sources are capped by
+# time: about 5 ms each, 1.5 h in all.
 VERIFY_BYTES = 1 << 30
-MAX_MC_DRAWS = VERIFY_BYTES // 24
+MAX_MC_DRAWS = VERIFY_BYTES // 8
 MAX_TABLES = VERIFY_BYTES // 480
 MAX_SOURCES = 10**6
-_draws = _count_below(MAX_MC_DRAWS, "1 GiB at 24 bytes a draw")
+_draws = _count_below(MAX_MC_DRAWS, "1 GiB at 8 bytes a draw")
 _tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
 _sources = _count_below(MAX_SOURCES, "about 5 ms a source")
 
@@ -330,13 +331,13 @@ def cmd_export(results_path: str, out: Path) -> int:
 
 
 def _random_frontiers(cfg: RunConfig, rng: np.random.Generator, n: int):
-    """Yields (frontier points, their bounds) for n random sources drawn from rng."""
+    """Yields (``rd.frontier_columns``, their bounds) for n random sources
+    drawn from rng."""
     for _ in range(n):
         sizes = [int(s) for s in rng.integers(2, 5, size=3)]
         t = it.random_joint(list(zip(("Y", "X_s", "X_r"), sizes)), rng)
-        points = rd.enumerate_frontier(t, min(sizes[1], cfg.verify_z_max))
-        distortions = np.maximum([p.distortion_nats for p in points], 0.0)
-        yield points, rd.theoretical_bound(t, distortions)
+        columns = rd.frontier_columns(t, min(sizes[1], cfg.verify_z_max))
+        yield columns, rd.theoretical_bound(t, np.maximum(columns[1], 0.0))
 
 
 def _channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it.JointTable:
@@ -387,8 +388,7 @@ def _verify_checks(cfg: RunConfig):
     yield "data_processing_inequality", worst, 1e-10, worst <= 1e-10
 
     min_margin = np.inf
-    for points, bounds in _random_frontiers(cfg, rng, cfg.verify_sources):
-        rates = np.array([p.rate_bits for p in points])
+    for (rates, *_), bounds in _random_frontiers(cfg, rng, cfg.verify_sources):
         min_margin = min(min_margin, float((rates - bounds).min()))
     yield "bound_soundness", min_margin, -1e-9, min_margin >= -1e-9
 
@@ -457,12 +457,10 @@ def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
     rng = np.random.default_rng(cfg.verify_seed)
     rows = []
     frontiers = _random_frontiers(cfg, rng, min(cfg.verify_sources, 10))
-    for src_id, (points, bounds) in enumerate(frontiers):
-        for p, bound in zip(points, bounds.tolist()):
-            rows.append((
-                f"src{src_id}", p.encoder_id, p.rate_bits, p.distortion_nats,
-                p.cond_h_z_given_y, p.mi_z_xr, bound, p.pareto,
-            ))
+    for src_id, (columns, bounds) in enumerate(frontiers):
+        flags = rd.pareto_flags(np.column_stack(columns[:2]))
+        values = zip(*(c.tolist() for c in columns), bounds.tolist(), flags)
+        rows.extend((f"src{src_id}", e, *v) for e, v in enumerate(values))
     header = "source,encoder_id,rate_bits,distortion_nats,h_z_given_y,mi_z_xr,bound_bits,pareto_flag"
     (out / "frontier.csv").write_text(textio.csv_text(header.split(","), rows))
     _write_manifest(out, "verify-theory", config_path, cfg.verify_seed)

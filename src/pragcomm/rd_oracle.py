@@ -80,13 +80,17 @@ def theoretical_bound(source: JointTable, delta_nats: float | np.ndarray) -> flo
     return float(bound) if bound.ndim == 0 else bound
 
 
-def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint]:
-    """One RDPoint per deterministic encoder X_s -> Z, Pareto subset flagged.
+def frontier_columns(
+    source: JointTable, z_alphabet_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per deterministic encoder X_s -> Z: the arrays (rate in bits,
+    distortion in nats, H(Z | Y) in bits, I(Z; X_r) in bits).
 
-    Encoder ``e`` is the ``e``-th mapping of ``itertools.product(range(|Z|),
-    repeat=|X_s|)``.  All encoders are evaluated at once through the joint
-    p(e, y, z, x_r).  Guarded to stay within z_alphabet_size ** |X_s| <= 46656
-    enumerations (|X_s| <= 6 and z alphabet no larger than |X_s|).
+    Entry ``e`` belongs to the ``e``-th mapping of
+    ``itertools.product(range(|Z|), repeat=|X_s|)``.  All encoders are
+    evaluated at once through the joint p(e, y, z, x_r).  Guarded to stay
+    within z_alphabet_size ** |X_s| <= 46656 enumerations (|X_s| <= 6 and z
+    alphabet no larger than |X_s|).
     """
     n_source = source.size("X_s")
     if n_source > MAX_SOURCE_ALPHABET:
@@ -120,9 +124,16 @@ def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint
     dist = h_yzr - h_zr - conditional_entropy(source, "Y", ["X_s", "X_r"], "nats").value
     h_zy = (h_yz - entropy(source, "Y", "nats").value) / LN2
     i_zxr = (h_z + entropy(source, "X_r", "nats").value - h_zr) / LN2
-    flags = pareto_flags(np.column_stack([rate, dist]))
-    columns = zip(rate.tolist(), dist.tolist(), h_zy.tolist(), i_zxr.tolist(), flags)
-    return [RDPoint(e, *fields) for e, fields in enumerate(columns)]
+    return rate, dist, h_zy, i_zxr
+
+
+def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint]:
+    """One RDPoint per deterministic encoder X_s -> Z (numbered as in
+    ``frontier_columns``), Pareto subset flagged."""
+    columns = frontier_columns(source, z_alphabet_size)
+    flags = pareto_flags(np.column_stack(columns[:2]))
+    rows = zip(*(c.tolist() for c in columns), flags)
+    return [RDPoint(e, *fields) for e, fields in enumerate(rows)]
 
 
 def pareto_flags(

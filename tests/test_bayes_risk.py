@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragcomm.bayes_risk import (
     SQRT_2_OVER_PI,
@@ -23,6 +25,8 @@ from pragcomm.infotheory import (
     extend_with_channel,
     random_joint,
 )
+
+import mc_oracle as oracle
 
 
 def binary_channel(flip: float) -> JointTable:
@@ -249,3 +253,110 @@ class TestFirstOrderBound:
         lhs = np.exp(h1 - 1) - np.exp(h2 - 1)
         rhs = (h1 - h2) / math.e
         assert np.all(lhs >= rhs - 1e-12)
+
+
+@st.composite
+def ce_cases(draw):
+    """(table, target, given) over 1-400 cells, often with zero cells (a run
+    of trailing ones included); ``given`` is some of the other axes in a
+    random order."""
+    names = ["Y", "X", "W"][: draw(st.integers(1, 3))]
+    sizes = []
+    for _ in names:
+        sizes.append(draw(st.integers(1, 400 // math.prod(sizes))))
+    cells = math.prod(sizes)
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = r.random(cells) * (r.random(cells) >= draw(st.sampled_from([0.0, 0.3, 0.9])))
+    w[cells - draw(st.integers(0, cells - 1)):] = 0.0
+    if w.sum() == 0:
+        w[0] = 1.0
+    t = JointTable(tuple(zip(names, sizes)), (w / w.sum()).reshape(sizes))
+    target = draw(st.sampled_from(names))
+    others = draw(st.permutations([n for n in names if n != target]))
+    return t, target, others[: draw(st.integers(0, len(others)))]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestMonteCarloMatchesNaiveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=ce_cases(), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_cross_entropy_same_float(self, case, n, seed):
+        t, target, cond = case
+        got = mc_ce(t, target, cond, n, np.random.default_rng(seed))
+        want = oracle.mc_ce(t, target, cond, n, np.random.default_rng(seed))
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cells", [3, 300])  # a uint8 and a uint16 draw index
+    def test_a_uniform_on_a_cdf_step(self, seed, cells):
+        # the one uniform equals the first cdf entry: choice takes the first
+        # cell whose cdf is above it, past the empty second cell
+        u0 = np.random.default_rng(seed).random()
+        pmf = np.zeros(cells)
+        pmf[[0, 2]] = u0, 1.0 - u0
+        assert pmf.cumsum()[-1] == 1.0
+        t = JointTable((("Y", cells),), pmf)
+        got = mc_ce(t, "Y", [], 1, np.random.default_rng(seed))
+        assert same_bits(got, oracle.mc_ce(t, "Y", [], 1, np.random.default_rng(seed)))
+        assert got == -math.log(1.0 - u0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.sampled_from([0.0]) | st.floats(1e-6, 1e6),
+        b=st.floats(1e-6, 1e6),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l1_same_float(self, sigma, b, n, seed):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = mc_l1_gaussian(sigma, n, rngs[0]), mc_l1_laplace(b, n, rngs[0])
+        want = oracle.mc_l1_gaussian(sigma, n, rngs[1]), oracle.mc_l1_laplace(b, n, rngs[1])
+        assert all(map(same_bits, got, want))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (20, 15)])  # uint8, uint16 index
+    def test_many_draw_blocks_same_float(self, shape):
+        # verify-theory's 1M draws, in many blocks
+        axes = list(zip(("Y", "X"), shape))
+        t = random_joint(axes, np.random.default_rng(7))
+        for f, want, args in (
+            (mc_ce, oracle.mc_ce, (t, "Y", ["X"])),
+            (mc_l1_gaussian, oracle.mc_l1_gaussian, (1.0,)),
+            (mc_l1_laplace, oracle.mc_l1_laplace, (3.0,)),
+        ):
+            got = f(*args, 1_000_000, np.random.default_rng(8))
+            assert same_bits(got, want(*args, 1_000_000, np.random.default_rng(8)))
+
+
+class TestRiskInputsRejected:
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_gaussian_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            bayes_risk_l1_gaussian(sigma)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            mc_l1_gaussian(sigma, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("b", [0.0, -2.0, math.nan, math.inf])
+    def test_bad_laplace_scale(self, b):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            bayes_risk_l1_laplace(b)
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            mc_l1_laplace(b, 10, np.random.default_rng(0))
+
+    def test_zero_sigma_is_zero_risk(self):
+        assert bayes_risk_l1_gaussian(0.0) == 0.0
+        assert mc_l1_gaussian(0.0, 10, np.random.default_rng(0)) == 0.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_draws(self, n):
+        t = random_joint([("Y", 2), ("X", 2)], np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        for call in (
+            lambda: mc_l1_gaussian(1.0, n, rng),
+            lambda: mc_l1_laplace(1.0, n, rng),
+            lambda: mc_ce(t, "Y", ["X"], n, rng),
+        ):
+            with pytest.raises(ValueError, match="at least 1 draw"):
+                call()

@@ -80,6 +80,11 @@ VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on FAST_CFG
     "report.txt": "e63330080833da604094789c8e4f0430dd78590cb4cb795ee475df3e6e50cae4",
     "frontier.csv": "c8670b889bd7e4305a457f73895759d1a891171393e0158a6af2921a754aa6c1",
 }
+SMALL_CFG = Path(__file__).resolve().parents[1] / "configs" / "small.cfg"
+SMALL_VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on configs/small.cfg
+    "report.txt": "beebbd587bfabf01cbf580a660c3e5406808b43e3196175d3ac1372c08b7bc19",
+    "frontier.csv": "88029e94e5702db54af010685f9ae70f2716a3b5005d31ec387c6699f535d88a",
+}
 
 
 def tree_digest(root: Path) -> dict:
@@ -695,6 +700,13 @@ class TestVerifyTheory:
         digests = tree_digest(out)
         assert {name: digests[name] for name in VERIFY_DIGESTS} == VERIFY_DIGESTS
 
+    def test_small_config_outputs_pinned(self, tmp_path):
+        # the benchmark's settings: 1M draws a Monte-Carlo check, 50 sources
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(SMALL_CFG), "--out", str(out)]) == 0
+        digests = tree_digest(out)
+        assert {name: digests[name] for name in SMALL_VERIFY_DIGESTS} == SMALL_VERIFY_DIGESTS
+
     def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
         real = cli.br.pragmatic_distortion
 
@@ -741,7 +753,7 @@ class TestVerifyTheory:
     @pytest.mark.parametrize(
         "key, cap, why",
         [
-            ("mc_draws", cli.MAX_MC_DRAWS, "1 GiB at 24 bytes a draw"),
+            ("mc_draws", cli.MAX_MC_DRAWS, "1 GiB at 8 bytes a draw"),
             ("tables", cli.MAX_TABLES, "1 GiB at 480 bytes a table"),
             ("sources", cli.MAX_SOURCES, "about 5 ms a source"),
         ],

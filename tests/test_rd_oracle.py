@@ -18,6 +18,7 @@ from pragcomm.rd_oracle import (
     check_conditions,
     deterministic_kernel,
     enumerate_frontier,
+    frontier_columns,
     make_separable_source,
     pareto_flags,
     theoretical_bound,
@@ -371,6 +372,27 @@ class TestBatchedFrontierMatchesOracle:
         pmf[:, 1:, :] = 1.0 / 8
         t = JointTable((("Y", 2), ("X_s", 3), ("X_r", 2)), pmf)
         assert_same_points(enumerate_frontier(t, 3), oracle.enumerate_frontier(t, 3))
+
+
+class TestFrontierColumns:
+    @settings(max_examples=40, deadline=None)
+    @given(source=sources(), data=st.data())
+    def test_columns_are_the_points_fields(self, source, data):
+        z = data.draw(st.integers(1, source.size("X_s")))
+        columns = frontier_columns(source, z)
+        points = enumerate_frontier(source, z)
+        fields = ("rate_bits", "distortion_nats", "cond_h_z_given_y", "mi_z_xr")
+        for column, field in zip(columns, fields, strict=True):
+            assert column.dtype == np.float64 and column.shape == (len(points),)
+            want = np.array([getattr(p, field) for p in points])
+            assert column.tobytes() == want.tobytes(), field
+        assert [p.encoder_id for p in points] == list(range(len(points)))
+
+    def test_keeps_the_guards(self):
+        t = random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], np.random.default_rng(0))
+        for z in (0, 4):
+            with pytest.raises(ValueError, match="alphabet too large"):
+                frontier_columns(t, z)
 
 
 class TestCheckConditionsMatchesFrontier:
