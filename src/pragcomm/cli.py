@@ -307,7 +307,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, config_path: str) -> int:
     scene = pl.Scene(first_world, stack)
     codes = scene.codes(sweep.coder)
     tau_c, tau_mi = float(sweep.tau_c_grid[0]), float(sweep.tau_mi_grid[0])
-    msg, _ = pl.directed_message(scene, codes, tau_c, tau_mi, sweep.selector, 0, 1)
+    msg = pl.encode_message(scene, codes, tau_c, tau_mi, sweep.selector, 0, 1)
     (out / "sample_message.bin").write_bytes(ec.message_to_bytes(msg))
     _write_manifest(out, "sweep", config_path, list(sweep.seeds))
     print(f"{len(results)} sweep points written to {out}")

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -288,18 +288,27 @@ def encode(
     grids, tables = (idx.base_idx, idx.res_idx), [code.bit_table for code in codes]
     base, full = (
         _codewords([tables[i] for i in layers], np.stack([grids[i][cells] for i in layers], 1))
+        if cells.any() else np.zeros(0, bool)
         for cells, layers in _layout(conf_mask, redund_mask, abstract)
     )
     return EncodedMessage(conf_mask, redund_mask, base, full)
+
+
+def carried(msg: EncodedMessage) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``msg`` that carry a base index and those that carry a
+    residual index, each over both payloads."""
+    layout = _layout(msg.conf_mask, msg.redund_mask, msg.abstract_bits > 0)
+    return tuple(
+        reduce(np.logical_or, [cells for cells, layers in layout if i in layers]) for i in (0, 1)
+    )
 
 
 def transmitted_grid(idx, msg: EncodedMessage):
     """The grid ``decode(msg, codes)`` returns when ``msg`` is the encoding
     of ``idx``: ``idx`` on the cells the message carries, -1 elsewhere."""
     grid = [np.full((msg.h, msg.w), -1, dtype=np.int64) for _ in range(2)]
-    for cells, layers in _layout(msg.conf_mask, msg.redund_mask, msg.abstract_bits > 0):
-        for i in layers:
-            np.copyto(grid[i], (idx.base_idx, idx.res_idx)[i], where=cells)
+    for out, src, cells in zip(grid, (idx.base_idx, idx.res_idx), carried(msg)):
+        np.copyto(out, src, where=cells)
     return IndexGrid(*grid)
 
 

@@ -214,7 +214,9 @@ class Scene:
     request), the quantized grid and the sender's gate.  The other stages are
     computed on first use and kept, so rounds sharing a scene build the code
     tables once per coder, score redundancy once per ``tau_c`` and threshold
-    it per ``tau_mi``.
+    it per ``tau_mi``.  Messages are encoded per round, but a receiver
+    decodes once per distinct set of incoming masks, whatever coder,
+    selector or thresholds produced them.
     """
 
     def __init__(self, world: World, stack: TrainedStack):
@@ -259,16 +261,32 @@ class Scene:
             self._stages[key] = _mean_entropy_nats(post)
         return self._stages[key]
 
+    def receive(self, r: int, incoming: list) -> tuple:
+        """Receiver r's per-class IoU, mean IoU and mean posterior entropy
+        from its incoming ``(sender, message)`` pairs in sender order.
 
-def directed_message(
+        With the scene's index grids and codebook, a received grid depends
+        on its sender, its receiver, the confidence mask and the cells that
+        carry each index layer; those masks' bytes key the result, so
+        messages that carry the same cells are decoded once.  Only the
+        scores are kept, never a grid.
+        """
+        key = ("receive", r, tuple(
+            (s, *(np.packbits(m).tobytes() for m in (msg.conf_mask, *ec.carried(msg))))
+            for s, msg in incoming
+        ))
+        if key not in self._stages:
+            grids = [received_grid(self, msg, s, r) for s, msg in incoming]
+            post, per_class, mean = _receive(self.world, r, self.feats[r], grids)
+            per_class.flags.writeable = False  # every later hit returns it
+            self._stages[key] = per_class, mean, _mean_entropy_nats(post)
+        return self._stages[key]
+
+
+def encode_message(
     scene: Scene, codes, tau_c: float, tau_mi: float, selector: str, s: int, r: int
-) -> tuple[ec.EncodedMessage, np.ndarray]:
-    """Encode sender s's message to receiver r at one grid point.
-
-    Returns the message and the grid r reconstructs from it: the transmitted
-    cells, which a lossless decode of the message reproduces (so none runs),
-    smoothed inside the candidate mask and weighted by the sender's trust.
-    """
+) -> ec.EncodedMessage:
+    """Select and encode sender s's message to receiver r at one grid point."""
     cfg = scene.world.cfg
     if selector == "mi":
         m_mi = mie.select_mask(scene.redundancy(s, r, tau_c), tau_mi)
@@ -280,14 +298,29 @@ def directed_message(
         raise ValueError(f"unknown selector {selector!r}")
 
     masks = (scene.gate[s] > tau_c, m_mi)
-    msg = ec.encode(scene.idx[s], masks, codes, abstract=selector == "mi")
+    return ec.encode(scene.idx[s], masks, codes, abstract=selector == "mi")
+
+
+def received_grid(scene: Scene, msg: ec.EncodedMessage, s: int, r: int) -> np.ndarray:
+    """The grid receiver r reconstructs from sender s's message: the
+    transmitted cells, which a lossless decode of the message reproduces (so
+    none runs), smoothed inside the candidate mask and weighted by the
+    sender's trust."""
     received = vq.reconstruct(ec.transmitted_grid(scene.idx[s], msg), scene.stack.codebook)
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
     # sending, which the receiver should not overwrite with pseudo-evidence
     np.copyto(received, sw.smooth(received), where=msg.conf_mask[..., None])
-    received *= _trust(cfg, s, r)
-    return msg, received
+    received *= _trust(scene.world.cfg, s, r)
+    return received
+
+
+def directed_message(
+    scene: Scene, codes, tau_c: float, tau_mi: float, selector: str, s: int, r: int
+) -> tuple[ec.EncodedMessage, np.ndarray]:
+    """One directed message at one grid point and the grid r reconstructs from it."""
+    msg = encode_message(scene, codes, tau_c, tau_mi, selector, s, r)
+    return msg, received_grid(scene, msg, s, r)
 
 
 def _receive(world: World, r: int, own: np.ndarray, incoming: list):
@@ -319,7 +352,8 @@ def run_round(
 ) -> RoundResult:
     """One full collaboration round over the given directed pairs.
 
-    Defaults to every ordered agent pair.  Each receiver fuses its incoming
+    Defaults to every ordered agent pair; a given list must be nonempty and
+    name two distinct agents per pair.  Each receiver fuses its incoming
     smoothed messages in sender order (max-fusion makes the order moot) and
     predicts from the fused posterior; bits are summed over messages and the
     task scores averaged over receivers.  ``world`` may be a scene prepared
@@ -328,28 +362,33 @@ def run_round(
     scene = world if isinstance(world, Scene) else Scene(world, stack)
     if scene.stack is not stack:
         raise ValueError("the scene was prepared for another stack")
-    world = scene.world
-    cfg = world.cfg
+    cfg = scene.world.cfg
+    agents = range(cfg.n_agents)
     if pairs is None:
-        agents = range(cfg.n_agents)
         pairs = [(s, r) for r in agents for s in agents if s != r]
+    if not pairs:
+        raise ValueError("pairs must name at least one directed pair")
+    for s, r in pairs:
+        if s == r or s not in agents or r not in agents:
+            raise ValueError(
+                f"pair {(s, r)} must name two distinct agents in 0..{cfg.n_agents - 1}"
+            )
     codes = scene.codes(coder)
 
     by_receiver: dict[int, list] = {}
     msgs = []
     for s, r in pairs:
-        msg, received = directed_message(scene, codes, tau_c, tau_mi, selector, s, r)
-        msgs.append(msg)
-        by_receiver.setdefault(r, []).append((s, received))
+        msgs.append(encode_message(scene, codes, tau_c, tau_mi, selector, s, r))
+        by_receiver.setdefault(r, []).append((s, msgs[-1]))
 
     ious, per_class, distortions = [], [], []
     for r, incoming in sorted(by_receiver.items()):
         incoming.sort(key=lambda item: item[0])
-        post, pc, mean = _receive(world, r, scene.feats[r], [g for _, g in incoming])
+        pc, mean, entropy = scene.receive(r, incoming)
         ious.append(mean)
         per_class.append(pc)
         senders = tuple(s for s, _ in incoming)
-        distortions.append(_mean_entropy_nats(post) - scene.raw_reference(r, senders))
+        distortions.append(entropy - scene.raw_reference(r, senders))
 
     # np.nanmean without its warning: a class no receiver scored stays NaN
     per_class = np.stack(per_class)

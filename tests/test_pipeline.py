@@ -27,6 +27,18 @@ TEMPLATE = sw.WorldConfig(
     seed=0,
 )
 
+# three agents on TEMPLATE's grid: each receiver fuses two messages
+THREE_AGENTS = pl.replace(
+    TEMPLATE,
+    n_agents=3,
+    fovs=(
+        (("rect", 0, 0, 24, 12),),
+        (("rect", 0, 6, 24, 18),),
+        (("rect", 0, 12, 24, 24),),
+    ),
+    seed=77,
+)
+
 TRAIN = pl.TrainConfig(n_train_worlds=2, disc_steps=250, kmeans_iters=15)
 
 
@@ -189,23 +201,21 @@ class TestRunRound:
         assert res.mean_iou > pl.solo_iou(world)
 
     def test_three_agent_round(self, stack):
-        cfg3 = pl.replace(
-            TEMPLATE,
-            n_agents=3,
-            noise=0.05,
-            fovs=(
-                (("rect", 0, 0, 24, 12),),
-                (("rect", 0, 6, 24, 18),),
-                (("rect", 0, 12, 24, 24),),
-            ),
-            seed=77,
-        )
-        world3 = pl.make_world(cfg3)
+        world3 = pl.make_world(THREE_AGENTS)
         res = pl.run_round(world3, stack, 0.5, 1.0, selector="mi")
         # six directed messages, each carrying its two mask bitmaps
         assert res.mask_bits == 6 * 2 * 24 * 24
         assert res.total_bits == res.payload_bits + res.abstract_bits + res.mask_bits
         assert res.mean_iou > pl.solo_iou(world3)
+
+    @pytest.mark.parametrize(
+        "pairs, named",
+        [([], "pairs must name"), ([(0, 2)], r"\(0, 2\)"), ([(1, 1)], r"\(1, 1\)"),
+         ([(0, 1), (-1, 0)], r"\(-1, 0\)")],
+    )
+    def test_invalid_pairs_rejected(self, stack, world, pairs, named):
+        with pytest.raises(ValueError, match=named):
+            pl.run_round(world, stack, 0.5, 1.0, pairs=pairs)
 
     def test_class_absent_everywhere_stays_nan_without_a_warning(self, stack):
         # no objects: classes 1..3 are in no receiver's prediction or ground truth
@@ -421,6 +431,91 @@ class TestSweep:
             "generate": 2, "extract_features": 4, "quantize": 2, "redundancy_map": 8,
             "build_code": 4,
         }
+
+    @pytest.mark.parametrize("selector", pl.SELECTORS)
+    def test_three_agent_sweep_matches_fresh_rounds(self, stack, monkeypatch, selector):
+        # -inf and -1.0 select the same cells under confidence_only and
+        # none, and inf does under every selector, so rounds share decodes
+        cfg = self.sweep_cfg(
+            tau_mi_grid=(-float("inf"), -1.0, float("inf")), seeds=(77, 78), selector=selector
+        )
+        fresh = [
+            pl.run_round(
+                pl.make_world(pl.replace(THREE_AGENTS, seed=seed)),
+                stack, tau_c, tau_mi, cfg.coder, selector,
+            )
+            for tau_c in cfg.tau_c_grid
+            for tau_mi in cfg.tau_mi_grid
+            for seed in cfg.seeds
+        ]
+        smoothed = []
+        original = sw.smooth
+        monkeypatch.setattr(sw, "smooth", lambda x: smoothed.append(1) or original(x))
+        swept = pl.run_sweep(THREE_AGENTS, stack, cfg)
+        np.testing.assert_equal(
+            [dataclasses.astuple(r) for r in swept],
+            [dataclasses.astuple(r) for r in fresh],
+        )
+        assert len(smoothed) < 6 * len(swept)  # six messages a round
+
+    @pytest.mark.parametrize("selector", pl.SELECTORS)
+    def test_receive_runs_once_per_distinct_masks(self, stack, monkeypatch, selector):
+        inf = float("inf")
+        cfg = self.sweep_cfg(
+            tau_c_grid=(0.0, 0.5), tau_mi_grid=(-inf, -1.0, 0.0, 1e9, inf), seeds=(42, 43),
+            selector=selector,
+        )
+        # what reaches each receiver, from the masks alone: the confidence
+        # mask, the cells with a base index and those with a residual index
+        keys = set()
+        for seed in cfg.seeds:
+            scene = pl.Scene(pl.make_world(pl.replace(TEMPLATE, seed=seed)), stack)
+            for tau_c, tau_mi, (s, r) in itertools.product(
+                cfg.tau_c_grid, cfg.tau_mi_grid, ((0, 1), (1, 0))
+            ):
+                conf = scene.gate[s] > tau_c
+                if selector == "mi":
+                    both = conf & (scene.redundancy(s, r, tau_c) < tau_mi)
+                else:
+                    both = conf & (scene.conf[r] < tau_mi if selector == "confidence_only" else True)
+                base = conf if selector == "mi" else both
+                keys.add((seed, s, r, conf.tobytes(), base.tobytes(), both.tobytes()))
+        calls = {}
+        for module, name in ((ec, "encode"), (sw, "smooth"), (sw, "posterior_from_features")):
+
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        results = pl.run_sweep(TEMPLATE, stack, cfg)
+        messages = 2 * len(results)
+        assert len(keys) < messages  # 1e9 and inf carry the same cells
+        # every message is encoded, since the wire format sees each one;
+        # each distinct input is smoothed and decoded once, besides the
+        # posteriors of each agent's confidence and raw-fusion reference
+        views = refs = 2 * len(cfg.seeds)
+        assert calls == {
+            "encode": messages, "smooth": len(keys),
+            "posterior_from_features": len(keys) + views + refs,
+        }
+
+    def test_senders_with_equal_masks_decode_apart(self, stack):
+        # every agent sees every cell, so under `none` at tau_c = -inf the
+        # messages of agents 0 and 1 to agent 2 carry the same cells
+        template = pl.replace(THREE_AGENTS, fovs=(("full",),) * 3)
+        scene = pl.Scene(pl.make_world(template), stack)
+        inf = float("inf")
+        shared, fresh = [], []
+        for pairs in ([(0, 2)], [(1, 2)]):
+            shared.append(pl.run_round(scene, stack, -inf, inf, selector="none", pairs=pairs))
+            fresh.append(pl.run_round(
+                pl.make_world(template), stack, -inf, inf, selector="none", pairs=pairs
+            ))
+        assert shared[0].mean_iou != shared[1].mean_iou
+        np.testing.assert_equal(
+            [dataclasses.astuple(r) for r in shared], [dataclasses.astuple(r) for r in fresh]
+        )
 
     @pytest.mark.parametrize("selector", pl.SELECTORS)
     def test_sweep_never_decodes(self, stack, monkeypatch, selector):
