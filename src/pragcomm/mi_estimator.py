@@ -81,11 +81,6 @@ def _check_weights(weights, n: int, side: str) -> np.ndarray:
     return weights
 
 
-def _distinct_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, _, counts = vq.unique_rows(pairs)
-    return rows, counts.astype(np.float64)
-
-
 def make_batch(
     s: np.ndarray, r: np.ndarray, rng: np.random.Generator
 ) -> PairBatch:
@@ -100,8 +95,8 @@ def make_batch(
     if s.shape != r.shape:
         raise ValueError("s and r must align")
     perm = rng.permutation(len(r))
-    joint, joint_w = _distinct_rows(np.concatenate([s, r], axis=1))
-    marginal, marginal_w = _distinct_rows(np.concatenate([s, r[perm]], axis=1))
+    joint, _, joint_w = vq.unique_rows(np.concatenate([s, r], axis=1))
+    marginal, _, marginal_w = vq.unique_rows(np.concatenate([s, r[perm]], axis=1))
     return PairBatch(joint, marginal, joint_w, marginal_w)
 
 

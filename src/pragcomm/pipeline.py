@@ -122,8 +122,8 @@ class RoundResult:
 
 
 def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
-    """Prepare the stack in order: codebooks with their confidence tallies,
-    then the redundancy discriminator.
+    """Prepare the stack in stages: training views, codebooks with their
+    confidence tallies, the pair batch, then the redundancy discriminator.
 
     Stage one is free here: the task decoder is the closed-form posterior.
     The training views share the template's grid, so their features form
@@ -142,29 +142,33 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
         feats.reshape(-1, feats.shape[-1]), conf.ravel(), tc.n_base, tc.n_res,
         iters=tc.kmeans_iters, seed=tc.codebook_seed,
     )
-    base_idx = base_idx.reshape(conf.shape)
-
-    joint_s, joint_r, tau_draws = [], [], []
-    for wi in range(len(worlds)):
-        for s, r in itertools.permutations(range(cfg.n_agents), 2):
-            tau_draws.append(float(rng.choice(tc.tau_c_choices)))
-            # conf, not the deployment gate: the gate drops criterion 7 to 13/20 seeds
-            sel = conf[wi, s] > tau_draws[-1]
-            joint_s.append(cb.base.embeddings[base_idx[wi, s][sel]])
-            joint_r.append(feats[wi, r][sel])
-    s_arr = np.concatenate(joint_s, axis=0)
-    r_arr = np.concatenate(joint_r, axis=0)
-    if len(s_arr) == 0:
-        raise ValueError(
-            "no training cell's confidence exceeds its [train] tau_c_choices "
-            "draw; lower those thresholds or raise [world] density"
-        )
-    batch = mie.make_batch(s_arr, r_arr, rng)
+    n_scenes = len(worlds) * math.perm(cfg.n_agents, 2)
+    tau_draws = [float(rng.choice(tc.tau_c_choices)) for _ in range(n_scenes)]
+    batch = pair_batch(cb, base_idx.reshape(conf.shape), feats, conf, tau_draws, rng)
     disc = mie.init_discriminator(2 * feats.shape[-1], hidden=tc.disc_hidden, seed=tc.disc_seed)
     disc, losses = mie.train(disc, batch, steps=tc.disc_steps, lr=tc.disc_lr)
     return TrainedStack(
         codebook=cb, discriminator=disc, tau_draws=tau_draws, disc_losses=losses
     )
+
+
+def pair_batch(cb: vq.LayeredCodebook, base_idx, feats, conf, taus, rng) -> mie.PairBatch:
+    """The discriminator's training batch.  ``base_idx`` and ``conf`` are
+    (worlds, agents, h, w), ``feats`` adds the channels, and ``taus`` holds
+    one threshold per scene: per world, each ``itertools.permutations``
+    (sender, receiver) pair.  A cell whose sender confidence exceeds its
+    scene's threshold pairs the sender's base codeword with the receiver's
+    features, in world, then pair, then row-major cell order."""
+    senders, receivers = np.array(list(itertools.permutations(range(conf.shape[1]), 2))).T
+    # conf, not the deployment gate: the gate drops criterion 7 to 13/20 seeds
+    sel = conf[:, senders] > np.reshape(taus, (len(conf), len(senders), 1, 1))
+    if not sel.any():
+        raise ValueError(
+            "no training cell's confidence exceeds its [train] tau_c_choices "
+            "draw; lower those thresholds or raise [world] density"
+        )
+    abstract = cb.base.embeddings[base_idx[:, senders][sel]]
+    return mie.make_batch(abstract, feats[:, receivers][sel], rng)
 
 
 def build_codes(
@@ -313,14 +317,6 @@ def received_grid(scene: Scene, msg: ec.EncodedMessage, s: int, r: int) -> np.nd
     np.copyto(received, sw.smooth(received), where=msg.conf_mask[..., None])
     received *= _trust(scene.world.cfg, s, r)
     return received
-
-
-def directed_message(
-    scene: Scene, codes, tau_c: float, tau_mi: float, selector: str, s: int, r: int
-) -> tuple[ec.EncodedMessage, np.ndarray]:
-    """One directed message at one grid point and the grid r reconstructs from it."""
-    msg = encode_message(scene, codes, tau_c, tau_mi, selector, s, r)
-    return msg, received_grid(scene, msg, s, r)
 
 
 def _receive(world: World, r: int, own: np.ndarray, incoming: list):

@@ -1,0 +1,122 @@
+"""A catalogue of faults the tests must catch, and a driver that tries them.
+
+Each mutant names a file, an exact text that occurs once in it, the text
+that replaces it, and the test ids that must fail once it is applied.
+``tests/test_mutants.py`` checks in tier-1 that every old text still
+occurs exactly once and that every listed test still exists, so the
+catalogue cannot go stale silently.
+
+Running this file applies each mutant to its own temporary copy of the
+tree, runs that mutant's tests there and reports it as killed (every
+listed test failed), survived, or hung (still running after ``TIMEOUT_S``
+seconds, when it is stopped):
+
+    python tests/mutants.py [name ...]
+
+It exits with status 1 if any mutant survived or hung.  A change that
+adds a fault worth keeping adds it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120  # per mutant; its tests take a few seconds at HEAD
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest ids that must all fail
+
+
+PAIR_ORACLE = "tests/test_pipeline.py::TestPairBatch::test_matches_loop_oracle"
+PAIR_ORDER = "tests/test_pipeline.py::TestPairBatch::test_rows_in_world_pair_cell_order"
+PAIR_TIE = "tests/test_pipeline.py::TestPairBatch::test_confidence_equal_to_tau_is_dropped"
+TRAIN_PIN = "tests/test_cli.py::TestTrainAndSweep::test_train_bytes_pinned"
+
+MUTANTS = (
+    Mutant(
+        "pair_batch_tie_kept",
+        "src/pragcomm/pipeline.py",
+        "sel = conf[:, senders] > np.reshape(",
+        "sel = conf[:, senders] >= np.reshape(",
+        (PAIR_ORACLE, PAIR_TIE),
+    ),
+    Mutant(
+        "pair_batch_sender_receiver_swapped",
+        "src/pragcomm/pipeline.py",
+        "senders, receivers = np.array(",
+        "receivers, senders = np.array(",
+        (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
+    ),
+    Mutant(
+        "pair_batch_taus_pair_major",
+        "src/pragcomm/pipeline.py",
+        "np.reshape(taus, (len(conf), len(senders), 1, 1))",
+        "np.reshape(taus, (len(senders), len(conf), 1, 1)).swapaxes(0, 1)",
+        (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
+    ),
+)
+
+
+def _failed_ids(output: str) -> set:
+    """Test ids that pytest's ``-rfE`` summary reports as failed or errored."""
+    failed = set()
+    for line in output.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("FAILED", "ERROR"):
+            failed.add(rest.split(" - ")[0])
+    return failed
+
+
+def run(mutant: Mutant) -> str:
+    """``killed``, ``survived`` or ``hung``, from one copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"))
+        target = tree / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: old text must occur once in {mutant.path}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+               *mutant.tests]
+        try:
+            done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "hung"
+    return "killed" if set(mutant.tests) <= _failed_ids(done.stdout) else "survived"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        verdict = run(mutant)
+        bad += verdict != "killed"
+        print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {mutant.name}", flush=True)
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -76,6 +76,12 @@ SWEEP_DIGESTS = {  # sha256 of `pragcomm sweep` on FAST_CFG
     "summary.csv": "27f5a64e22dcf7ea7bc0b9b78f7dea6baabc2f2dae8c43631ff379f10a328ac9",
     "sample_message.bin": "7aefff5243c12e77741fcd1dd013803779c897ccfbd2277c404857bbc28d758c",
 }
+TRAIN_DIGESTS = {  # sha256 of `pragcomm train` on FAST_CFG
+    "codebook.txt": "a69aebc9fe7c230116e75e0b0f30dbcb44ca6fda58559b0f1858aec6a02f0451",
+    "discriminator.txt": "399d0431f30822f00e25f123246c15d05052b9083bf8d032f80bc352bf091816",
+    "disc_losses.txt": "8873b46ed0c47af5c476a2f3e675f4c015bbdd3f5c318767ae740519d02c4531",
+    "tau_draws.txt": "130f08675cfe7aad68df4d52ceb2125a59bd46633e6583b8d619b7ce94006161",
+}
 VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on FAST_CFG
     "report.txt": "e63330080833da604094789c8e4f0430dd78590cb4cb795ee475df3e6e50cae4",
     "frontier.csv": "c8670b889bd7e4305a457f73895759d1a891171393e0158a6af2921a754aa6c1",
@@ -552,6 +558,14 @@ class TestTrainAndSweep:
         losses = load_arrays(str(out / "disc_losses.txt"), ["disc_losses"])["disc_losses"]
         assert len(losses) == 60  # one per discriminator step
         assert losses[-1] < losses[0]
+
+    def test_train_bytes_pinned(self, cfg_file, tmp_path):
+        # the discriminator, its loss curve and the threshold draws are
+        # pinned nowhere else; the sweep sees them only through masks
+        out = tmp_path / "trained"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = tree_digest(out)
+        assert {name: digests[name] for name in TRAIN_DIGESTS} == TRAIN_DIGESTS
 
     def test_diverging_discriminator_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disc_oracle as oracle
+from plugin_oracle import plugin_target
 from array_files import (
     assert_corruptions_rejected,
     assert_same_bits,
@@ -275,6 +276,41 @@ class TestMIQuantities:
                 sig = 1.0 / (1.0 + np.exp(-score(d, x)[0]))
                 want = joint[a, b] / (joint[a, b] + marg[a, b])
                 assert abs(sig - want) < 0.05
+
+
+class TestPluginTarget:
+    """``tests/plugin_oracle.py`` reads the exact plug-in I(S; R) and PMI
+    off a batch's distinct joint rows and counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        ks=st.integers(1, 4),
+        kr=st.integers(1, 5),
+        coupling=st.floats(0.0, 1.0),
+    )
+    def test_matches_infotheory(self, seed, n, ks, kr, coupling):
+        rng = np.random.default_rng(seed)
+        s_sym = rng.integers(ks, size=n)
+        r_sym = np.where(rng.uniform(size=n) < coupling, s_sym % kr, rng.integers(kr, size=n))
+        k = max(ks, kr)  # both halves of a row are k wide
+        batch = make_batch(one_hot(s_sym, k), one_hot(r_sym, k), rng)
+        table = plugin_from_samples(list(zip(s_sym, r_sym)), [("S", ks), ("R", kr)])
+        mi, pmi = plugin_target(batch)
+        assert mi == pytest.approx(mutual_information(table, "S", "R", "nats").value, abs=1e-12)
+        a, b = batch.joint_pairs[:, :k].argmax(1), batch.joint_pairs[:, k:].argmax(1)
+        p = table.pmf
+        want = np.log(p[a, b]) - np.log(p.sum(1)[a]) - np.log(p.sum(0)[b])
+        np.testing.assert_allclose(pmi, want, rtol=0, atol=1e-12)
+
+    def test_repeated_rows_give_the_counted_target(self):
+        s = one_hot([0, 0, 1, 1, 1], 2)
+        r = one_hot([0, 1, 1, 1, 1], 2)
+        expanded = PairBatch(np.concatenate([s, r], axis=1), np.zeros((1, 4)))
+        counted = make_batch(s, r, np.random.default_rng(0))
+        assert len(counted.joint_pairs) == 3
+        assert plugin_target(expanded)[0] == pytest.approx(plugin_target(counted)[0], abs=1e-15)
 
 
 class TestRedundancyMap:

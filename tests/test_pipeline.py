@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pair_oracle
 from pragcomm import entropy_coder as ec
 from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
@@ -123,6 +126,117 @@ class TestTrainingAssignments:
         for book, layer in (("base", cb.base), ("res", cb.res)):
             for got, expected in zip((layer.conf_freq, layer.occ_freq), want[book]):
                 assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+TAU_LEVELS = (0.2, 0.5, 0.8)  # confidences are drawn from these and their ends
+NO_CELL = (
+    "no training cell's confidence exceeds its [train] tau_c_choices "
+    "draw; lower those thresholds or raise [world] density"
+)
+
+
+def training_views(seed, n_worlds, n_agents, h, w, c=3, n_base=4, silent=0.3):
+    """Random stacked views for ``pair_batch``: confidences on a grid that
+    holds every threshold exactly, a share of (world, sender) views at
+    confidence 0 so their scenes select nothing, and features on a few
+    levels so both batch sides repeat rows."""
+    rng = np.random.default_rng(seed)
+    conf = rng.choice((0.0, *TAU_LEVELS, 1.0), size=(n_worlds, n_agents, h, w))
+    conf[rng.random((n_worlds, n_agents)) < silent] = 0.0
+    feats = rng.integers(0, 3, size=(n_worlds, n_agents, h, w, c)).astype(float)
+    base_idx = rng.integers(0, n_base, size=(n_worlds, n_agents, h, w))
+    emb = rng.integers(0, 3, size=(n_base, c)).astype(float)
+    book = vq.Codebook(emb, np.zeros(n_base), np.zeros(n_base))
+    return vq.LayeredCodebook(book, book), base_idx, feats, conf
+
+
+def staged_pair_batch(cb, base_idx, feats, conf, tau_c_choices, rng):
+    """``train_all``'s draws, one scalar ``rng.choice`` per scene, then the stage."""
+    n_scenes = len(conf) * conf.shape[1] * (conf.shape[1] - 1)
+    taus = [float(rng.choice(tau_c_choices)) for _ in range(n_scenes)]
+    return pl.pair_batch(cb, base_idx, feats, conf, taus, rng), taus
+
+
+def outcome(build, views, choices, seed):
+    """The batch and draws, or the error text, with the final rng state."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = build(*views, choices, rng)
+    except ValueError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+def batch_bits(batch: mie.PairBatch) -> list:
+    arrays = (batch.joint_pairs, batch.marginal_pairs, batch.joint_weights,
+              batch.marginal_weights)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestPairBatch:
+    """``pair_batch`` is the loop ``train_all`` ran before its stages
+    (``tests/pair_oracle.py``), as one boolean selection."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_worlds=st.integers(1, 3),
+        n_agents=st.integers(2, 5),
+        h=st.integers(1, 4),
+        w=st.integers(1, 4),
+        choices=st.lists(st.sampled_from(TAU_LEVELS), min_size=1, max_size=3),
+        silent=st.sampled_from((0.0, 0.3, 1.0)),
+    )
+    def test_matches_loop_oracle(self, seed, n_worlds, n_agents, h, w, choices, silent):
+        views = training_views(seed, n_worlds, n_agents, h, w, silent=silent)
+        (new, new_state), (old, old_state) = (
+            outcome(build, views, tuple(choices), seed + 1)
+            for build in (staged_pair_batch, pair_oracle.pair_batch)
+        )
+        assert new_state == old_state
+        if isinstance(old, str):
+            assert new == old == NO_CELL
+        else:
+            assert new[1] == old[1]  # the draws
+            assert batch_bits(new[0]) == batch_bits(old[0])
+
+    def test_confidence_equal_to_tau_is_dropped(self):
+        cb, base_idx, feats, _ = training_views(3, 1, 2, 2, 2)
+        conf = np.full(base_idx.shape, 0.5)
+        with pytest.raises(ValueError) as exc:
+            pl.pair_batch(cb, base_idx, feats, conf, [0.5, 0.5], np.random.default_rng(0))
+        assert str(exc.value) == NO_CELL
+        conf[0, 0, 1, 1] = 0.8  # the one cell above its threshold
+        batch = pl.pair_batch(cb, base_idx, feats, conf, [0.5, 0.5], np.random.default_rng(0))
+        want = np.concatenate([cb.base.embeddings[base_idx[0, 0, 1, 1]], feats[0, 1, 1, 1]])
+        assert batch.joint_pairs.tolist() == [want.tolist()]
+
+    def test_rows_in_world_pair_cell_order(self, monkeypatch):
+        # a cell's features name its (world, agent, column), its base
+        # codeword its flat index; every confidence is 1
+        n_worlds, n_agents, w = 2, 3, 2
+        feats = np.array([[[[(wi, a, j) for j in range(w)]] for a in range(n_agents)]
+                          for wi in range(n_worlds)], dtype=float)
+        base_idx = np.arange(n_worlds * n_agents * w).reshape(n_worlds, n_agents, 1, w)
+        book = vq.Codebook(np.repeat(np.arange(base_idx.size), 3).reshape(-1, 3),
+                           np.zeros(base_idx.size), np.zeros(base_idx.size))
+        cb, conf = vq.LayeredCodebook(book, book), np.ones(base_idx.shape)
+        pairs = list(itertools.permutations(range(n_agents), 2))
+        seen = []
+        monkeypatch.setattr(mie, "make_batch", lambda s, r, rng: seen.append((s, r)))
+
+        pl.pair_batch(cb, base_idx, feats, conf, [0.0] * 12, np.random.default_rng(0))
+        order = [(wi, s, r, j) for wi in range(n_worlds) for s, r in pairs for j in range(w)]
+        assert seen[-1][0][:, 0].tolist() == [base_idx[wi, s, 0, j] for wi, s, _, j in order]
+        assert seen[-1][1].tolist() == [[wi, r, j] for wi, _, r, j in order]
+
+        # thresholds are read world by world: only scene 10, world 1's
+        # fifth pair (2, 0), passes its cells
+        taus = [1.0] * 10 + [0.5, 1.0]
+        pl.pair_batch(cb, base_idx, feats, conf, taus, np.random.default_rng(0))
+        assert pairs[4] == (2, 0)
+        assert seen[-1][0][:, 0].tolist() == base_idx[1, 2, 0].tolist()
+        assert seen[-1][1].tolist() == [[1, 0, j] for j in range(w)]
 
 
 class TestBuildCodes:
@@ -320,7 +434,7 @@ class TestTrainedStackBytes:
 
 
 class TestSkippedDecode:
-    """``directed_message`` builds the receiver's grid without decoding the
+    """``received_grid`` builds the receiver's grid without decoding the
     message; that grid must be the one a decode of the message gives."""
 
     def test_received_grid_is_the_decoded_grid(self, stack, monkeypatch):
@@ -343,7 +457,8 @@ class TestSkippedDecode:
         for scene, coder, selector, tau_c, tau_mi, (s, r) in grid:
             codes = scene.codes(coder)
             built.clear()
-            msg, _ = pl.directed_message(scene, codes, tau_c, tau_mi, selector, s, r)
+            msg = pl.encode_message(scene, codes, tau_c, tau_mi, selector, s, r)
+            pl.received_grid(scene, msg, s, r)
             (got,) = built
             want = ec.decode(msg, codes)
             for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx)):
