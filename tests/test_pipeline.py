@@ -128,7 +128,7 @@ class TestTrainingAssignments:
                 assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
 
 
-TAU_LEVELS = (0.2, 0.5, 0.8)  # confidences are drawn from these and their ends
+TAU_LEVELS = (0.2, 0.5, 0.8)  # thresholds; confidences take these values, 0 and 1
 NO_CELL = (
     "no training cell's confidence exceeds its [train] tau_c_choices "
     "draw; lower those thresholds or raise [world] density"
