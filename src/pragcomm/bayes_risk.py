@@ -179,7 +179,10 @@ def mc_l1_gaussian(sigma: float, n: int, rng: np.random.Generator) -> float:
     _check_draws(n)
     if sigma == 0:
         return 0.0
-    x = rng.normal(0.0, sigma, size=n)
+    # rng.normal(0, sigma) draws 0 + sigma * z from these z, so scaling them
+    # in place gives its values up to the sign of a zero, which abs drops
+    x = rng.standard_normal(n)
+    x *= sigma
     return float(np.abs(x, out=x).mean())
 
 

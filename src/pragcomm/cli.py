@@ -98,13 +98,15 @@ def _count_below(cap: int, why: str):
 # config is the Monte-Carlo draws and the stacked identity tables: tracemalloc
 # over verify-theory on small.cfg measured 8.0 bytes a draw (one float64 a
 # sample; mc_ce gathers its losses into its uniforms) and 472 bytes a table,
-# so each gets 1 GiB.  A source's frontier is freed before the next one is
-# drawn (peak 0.7-1.4 MB from 10 to 320 sources), so sources are capped by
-# time: about 5 ms each, 1.5 h in all.
+# so each gets 1 GiB.  Sources are drawn and evaluated _SOURCE_CHUNK at a
+# time and a chunk's frontiers are freed before the next chunk is drawn (peak
+# 6.7-7.2 MB from 256 to 3000 sources), so sources are capped by time: at
+# most 5 ms each, 1.5 h in all.
 VERIFY_BYTES = 1 << 30
 MAX_MC_DRAWS = VERIFY_BYTES // 8
 MAX_TABLES = VERIFY_BYTES // 480
 MAX_SOURCES = 10**6
+_SOURCE_CHUNK = 256  # random sources held at once, which bounds their memory
 _draws = _count_below(MAX_MC_DRAWS, "1 GiB at 8 bytes a draw")
 _tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
 _sources = _count_below(MAX_SOURCES, "about 5 ms a source")
@@ -332,23 +334,37 @@ def cmd_export(results_path: str, out: Path) -> int:
 
 def _random_frontiers(cfg: RunConfig, rng: np.random.Generator, n: int):
     """Yields (``rd.frontier_columns``, their bounds) for n random sources
-    drawn from rng."""
-    for _ in range(n):
-        sizes = [int(s) for s in rng.integers(2, 5, size=3)]
-        t = it.random_joint(list(zip(("Y", "X_s", "X_r"), sizes)), rng)
-        columns = rd.frontier_columns(t, min(sizes[1], cfg.verify_z_max))
-        yield columns, rd.theoretical_bound(t, np.maximum(columns[1], 0.0))
+    drawn from rng, in draw order.  The sources are drawn _SOURCE_CHUNK at a
+    time, each its sizes and then its pmf; a chunk's sources of one shape
+    are then evaluated as one stack."""
+    names = ("Y", "X_s", "X_r")
+    for start in range(0, n, _SOURCE_CHUNK):
+        draws = []
+        for _ in range(min(_SOURCE_CHUNK, n - start)):
+            sizes = tuple(int(s) for s in rng.integers(2, 5, size=3))
+            draws.append((sizes, it.random_pmf(sizes, rng)))
+        groups: dict[tuple, list[int]] = {}  # shape -> its sources, in draw order
+        for k, (sizes, _) in enumerate(draws):
+            groups.setdefault(sizes, []).append(k)
+        results = [None] * len(draws)
+        for sizes, members in groups.items():
+            t = it.JointTable(tuple(zip(names, sizes)), np.stack([draws[k][1] for k in members]))
+            columns = rd.frontier_columns(t, min(sizes[1], cfg.verify_z_max))
+            bounds = rd.theoretical_bound(t, np.maximum(columns[1], 0.0))
+            for row, k in enumerate(members):
+                results[k] = tuple(c[row] for c in columns), bounds[row]
+        yield from results
 
 
 def _channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it.JointTable:
     """n random tables over axes, each extended to a "Z" axis through its own
     random channel from "X_s"; every table is drawn before its kernel."""
+    sizes = tuple(s for _, s in axes)
     pmfs, kernels = [], []
     for _ in range(n):
-        t = it.random_joint(axes, rng)
-        pmfs.append(t.pmf)
-        kernels.append(rng.dirichlet(np.ones(n_z), size=t.size("X_s")))
-    t = it.JointTable(t.axes, np.stack(pmfs))
+        pmfs.append(it.random_pmf(sizes, rng))
+        kernels.append(rng.dirichlet(np.ones(n_z), size=dict(axes)["X_s"]))
+    t = it.JointTable(tuple(axes), np.stack(pmfs))
     return it.extend_with_channel(t, "X_s", "Z", np.stack(kernels))
 
 
@@ -387,10 +403,10 @@ def _verify_checks(cfg: RunConfig):
     worst = float(gap.max())
     yield "data_processing_inequality", worst, 1e-10, worst <= 1e-10
 
-    min_margin = np.inf
-    for (rates, *_), bounds in _random_frontiers(cfg, rng, cfg.verify_sources):
-        min_margin = min(min_margin, float((rates - bounds).min()))
-    yield "bound_soundness", min_margin, -1e-9, min_margin >= -1e-9
+    margins = [(rates - bounds).min() for (rates, *_), bounds in
+               _random_frontiers(cfg, rng, cfg.verify_sources)]
+    worst = float(np.min(margins))  # a NaN margin propagates and fails
+    yield "bound_soundness", worst, -1e-9, worst >= -1e-9
 
     source, kernel = rd.make_separable_source(
         np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.4, 0.6])

@@ -248,14 +248,22 @@ def extend_with_channel(
     return JointTable(t.axes + ((new_axis, kernel.shape[-1]),), pmf)
 
 
+def random_pmf(
+    sizes: tuple[int, ...], rng: np.random.Generator, n: int | None = None
+) -> np.ndarray:
+    """A raw pmf of the given shape: flat Dirichlet over the flattened product
+    alphabet, not yet validated as a table.
+
+    With ``n``, a stack of n such pmfs, drawn as n calls would draw them.
+    """
+    sizes = tuple(int(s) for s in sizes)
+    flat = rng.dirichlet(np.ones(math.prod(sizes)), size=n)
+    return flat.reshape(flat.shape[:-1] + sizes)
+
+
 def random_joint(
     axes: list[tuple[str, int]], rng: np.random.Generator, n: int | None = None
 ) -> JointTable:
-    """A random joint table: flat Dirichlet over the flattened product alphabet.
-
-    With ``n``, a stack of n such tables, drawn as n calls would draw them.
-    """
+    """A random joint table over ``axes``, its pmf drawn by ``random_pmf``."""
     axes = tuple((str(name), int(size)) for name, size in axes)
-    sizes = tuple(s for _, s in axes)
-    flat = rng.dirichlet(np.ones(int(np.prod(sizes))), size=n)
-    return JointTable(axes, flat.reshape(flat.shape[:-1] + sizes))
+    return JointTable(axes, random_pmf(tuple(s for _, s in axes), rng, n))

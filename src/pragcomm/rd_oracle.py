@@ -13,6 +13,7 @@ I(Z; X_r) = 0 (the message repeats nothing the receiver already has).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,11 @@ from .infotheory import (
     LN2,
     JointTable,
     _entropies_nats,
+    _marginal_pmf,
     conditional_entropy,
     conditional_mi,
     entropy,
     extend_with_channel,
-    marginal,
     mutual_information,
 )
 from .bayes_risk import pragmatic_distortion
@@ -70,14 +71,49 @@ def theoretical_bound(source: JointTable, delta_nats: float | np.ndarray) -> flo
     """Lower bound on the rate in bits: max(0, I(Y; X_s | X_r) - delta).
 
     ``delta_nats`` may be an array; the result is then the array of bounds,
-    with I(Y; X_s | X_r) computed once.
+    with I(Y; X_s | X_r) computed once.  A stacked source takes deltas whose
+    leading axis has one row per table and gives one row of bounds per table.
+    Raises ValueError on a negative or NaN delta.
     """
     delta = np.asarray(delta_nats, dtype=np.float64)
-    if np.any(delta < 0):
+    if not np.all(delta >= 0):  # NaN fails too
         raise ValueError("delta must be >= 0")
     i_bits = conditional_mi(source, "Y", "X_s", ["X_r"], "bits").value
+    if source.stacked:
+        if delta.ndim == 0 or len(delta) != len(i_bits):
+            raise ValueError(
+                f"{len(i_bits)} stacked tables need one row of deltas each, got {delta.shape}"
+            )
+        i_bits = i_bits.reshape(-1, *(1,) * (delta.ndim - 1))
     bound = np.maximum(0.0, i_bits - delta / LN2)
     return float(bound) if bound.ndim == 0 else bound
+
+
+def _encoder_joints(p: np.ndarray, n_z: int):
+    """Yields the joints p(table, e, y, z, x_r) of the deterministic encoders
+    e: X_s -> Z of the stacked p(table, y, x_s, x_r), in consecutive blocks
+    of encoders numbered as ``itertools.product(range(n_z), repeat=|X_s|)``.
+
+    Each cell sums p(y, x_s, x_r) over the x_s the encoder sends to z in
+    increasing x_s, whatever the stack or block, so every table's values are
+    its own.  Encoders that agree on their first k symbols share that partial
+    sum, so the joints grow one symbol at a time.  A block fixes as few
+    leading symbols as keep it within _BLOCK_CELLS floats, or all of them.
+    """
+    n, n_y, n_source, n_r = p.shape
+    # term[x][:, v]: p(y, x_s = x, x_r) placed at z = v
+    eye = np.eye(n_z)
+    terms = [p[:, None, :, x, None, :] * eye[:, None, :, None] for x in range(n_source)]
+    fixed = 0  # leading symbols each block fixes
+    while fixed < n_source and n * n_y * n_z * n_r * n_z ** (n_source - fixed) > _BLOCK_CELLS:
+        fixed += 1
+    for prefix in itertools.product(range(n_z), repeat=fixed):
+        joint = np.zeros((n, 1, n_y, n_z, n_r))
+        for x, v in enumerate(prefix):
+            joint = joint + terms[x][:, v:v + 1]
+        for x in range(fixed, n_source):
+            joint = (joint[:, :, None] + terms[x][:, None]).reshape(n, -1, n_y, n_z, n_r)
+        yield joint
 
 
 def frontier_columns(
@@ -88,9 +124,10 @@ def frontier_columns(
 
     Entry ``e`` belongs to the ``e``-th mapping of
     ``itertools.product(range(|Z|), repeat=|X_s|)``.  All encoders are
-    evaluated at once through the joint p(e, y, z, x_r).  Guarded to stay
-    within z_alphabet_size ** |X_s| <= 46656 enumerations (|X_s| <= 6 and z
-    alphabet no larger than |X_s|).
+    evaluated at once through the joint p(e, y, z, x_r).  A stacked source
+    gives arrays with one row per table, each equal bit for bit to that
+    table's own arrays.  Guarded to stay within z_alphabet_size ** |X_s| <=
+    46656 enumerations (|X_s| <= 6 and z alphabet no larger than |X_s|).
     """
     n_source = source.size("X_s")
     if n_source > MAX_SOURCE_ALPHABET:
@@ -102,29 +139,34 @@ def frontier_columns(
             f"alphabet too large: need 1 <= |Z|={z_alphabet_size} <= |X_s|={n_source}"
         )
     names = ("Y", "X_s", "X_r")
-    m = marginal(source, names)
-    p = m.pmf.transpose([m.index(n) for n in names])
-    # row e of ``mappings`` is the e-th tuple of itertools.product, in its order
-    mappings = np.indices((z_alphabet_size,) * n_source).reshape(n_source, -1).T
-    # blocks of encoders bound the joint p(e, y, z, x_r) to _BLOCK_CELLS floats
-    cells = len(mappings) * z_alphabet_size * (p.size // n_source)
+    kept = [n for n in source.names if n in names]
+    p = _marginal_pmf(source, names)
+    p = (p if source.stacked else p[None]).transpose(0, *(1 + kept.index(n) for n in names))
     parts = []
-    for block in np.array_split(mappings, -(-cells // _BLOCK_CELLS)):
-        kernels = deterministic_kernel(block, z_alphabet_size)
-        joint = np.einsum("yxr,exz->eyzr", p, kernels, optimize=True)
+    for joint in _encoder_joints(p, z_alphabet_size):
+        joint = joint.reshape(-1, *joint.shape[2:])
         p_zr = joint.sum(axis=1)
         parts.append([
-            _entropies_nats(q) for q in (p_zr.sum(axis=2), p_zr, joint, joint.sum(axis=3))
+            _entropies_nats(q).reshape(len(p), -1)
+            for q in (p_zr.sum(axis=2), p_zr, joint, joint.sum(axis=3))
         ])
-    h_z, h_zr, h_yzr, h_yz = (np.concatenate(h) for h in zip(*parts))
+    h_z, h_zr, h_yzr, h_yz = (np.concatenate(h, axis=1) for h in zip(*parts))
+
+    def column(q):  # one value per table, against that table's encoders
+        return np.reshape(q.value, (-1, 1))
+
     rate = h_z / LN2  # I(X_s; Z) = H(Z) for a deterministic encoder
-    h_xs = entropy(source, "X_s", "bits").value
-    if np.any(rate > h_xs + 1e-9):
-        raise RuntimeError(f"encoder rate {rate.max()!r} exceeds H(X_s)={h_xs!r}")
-    dist = h_yzr - h_zr - conditional_entropy(source, "Y", ["X_s", "X_r"], "nats").value
-    h_zy = (h_yz - entropy(source, "Y", "nats").value) / LN2
-    i_zxr = (h_z + entropy(source, "X_r", "nats").value - h_zr) / LN2
-    return rate, dist, h_zy, i_zxr
+    h_xs = column(entropy(source, "X_s", "bits"))
+    over = rate > h_xs + 1e-9
+    if over.any():
+        k = int(over.any(axis=1).argmax())
+        h_xs_k = float(h_xs[k, 0])
+        raise RuntimeError(f"encoder rate {rate[k].max()!r} exceeds H(X_s)={h_xs_k!r}")
+    dist = h_yzr - h_zr - column(conditional_entropy(source, "Y", ["X_s", "X_r"], "nats"))
+    h_zy = (h_yz - column(entropy(source, "Y", "nats"))) / LN2
+    i_zxr = (h_z + column(entropy(source, "X_r", "nats")) - h_zr) / LN2
+    columns = (rate, dist, h_zy, i_zxr)
+    return columns if source.stacked else tuple(c[0] for c in columns)
 
 
 def enumerate_frontier(source: JointTable, z_alphabet_size: int) -> list[RDPoint]:

@@ -1,10 +1,13 @@
-"""The per-encoder frontier enumeration and the quadratic Pareto loop as they
-were before batching.
+"""The per-encoder frontier enumeration, the quadratic Pareto loop and the
+per-source random draws of ``verify-theory`` as they were before batching.
 
 Kept as a test oracle: ``pragcomm.rd_oracle.enumerate_frontier`` must give
 the same points, and ``pragcomm.rd_oracle.pareto_flags`` the same flags, as
 these functions.  Each encoder is evaluated through the validated
-``JointTable`` path of ``pragcomm.infotheory`` one at a time.
+``JointTable`` path of ``pragcomm.infotheory`` one at a time.  Likewise
+``pragcomm.cli._random_frontiers`` and ``_channel_stack`` must draw and
+return what ``random_frontiers`` and ``channel_stack`` do, one validated
+table at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +22,14 @@ from pragcomm.infotheory import (
     conditional_entropy,
     extend_with_channel,
     mutual_information,
+    random_joint,
 )
-from pragcomm.rd_oracle import MAX_SOURCE_ALPHABET, RDPoint
+from pragcomm.rd_oracle import (
+    MAX_SOURCE_ALPHABET,
+    RDPoint,
+    frontier_columns,
+    theoretical_bound,
+)
 
 
 def _point_for_kernel(
@@ -85,3 +94,25 @@ def pareto_flags(points: list[tuple[float, float]], eps: float = 1e-12) -> list[
         )
         flags.append(not dominated)
     return flags
+
+
+def random_frontiers(cfg, rng: np.random.Generator, n: int):
+    """Yields (``rd.frontier_columns``, their bounds) for n random sources
+    drawn from rng."""
+    for _ in range(n):
+        sizes = [int(s) for s in rng.integers(2, 5, size=3)]
+        t = random_joint(list(zip(("Y", "X_s", "X_r"), sizes)), rng)
+        columns = frontier_columns(t, min(sizes[1], cfg.verify_z_max))
+        yield columns, theoretical_bound(t, np.maximum(columns[1], 0.0))
+
+
+def channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> JointTable:
+    """n random tables over axes, each extended to a "Z" axis through its own
+    random channel from "X_s"; every table is drawn before its kernel."""
+    pmfs, kernels = [], []
+    for _ in range(n):
+        t = random_joint(axes, rng)
+        pmfs.append(t.pmf)
+        kernels.append(rng.dirichlet(np.ones(n_z), size=t.size("X_s")))
+    t = JointTable(t.axes, np.stack(pmfs))
+    return extend_with_channel(t, "X_s", "Z", np.stack(kernels))

@@ -44,6 +44,10 @@ PAIR_ORACLE = "tests/test_pipeline.py::TestPairBatch::test_matches_loop_oracle"
 PAIR_ORDER = "tests/test_pipeline.py::TestPairBatch::test_rows_in_world_pair_cell_order"
 PAIR_TIE = "tests/test_pipeline.py::TestPairBatch::test_confidence_equal_to_tau_is_dropped"
 TRAIN_PIN = "tests/test_cli.py::TestTrainAndSweep::test_train_bytes_pinned"
+DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
+VERIFY_PIN = "tests/test_cli.py::TestVerifyTheory::test_small_config_outputs_pinned"
+STACKED_BOUND = "tests/test_rd_oracle.py::TestStackedSources::test_bound_rows_are_the_tables_own"
+NAN_RATE = "tests/test_cli.py::TestVerifyTheory::test_nan_rate_fails_bound_soundness"
 
 MUTANTS = (
     Mutant(
@@ -66,6 +70,27 @@ MUTANTS = (
         "np.reshape(taus, (len(conf), len(senders), 1, 1))",
         "np.reshape(taus, (len(senders), len(conf), 1, 1)).swapaxes(0, 1)",
         (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
+    ),
+    Mutant(
+        "random_frontiers_group_order",
+        "src/pragcomm/cli.py",
+        "        yield from results\n",
+        "        yield from (results[k] for members in groups.values() for k in members)\n",
+        (DRAW_ORDER, VERIFY_PIN),
+    ),
+    Mutant(
+        "bound_stack_one_table_broadcast",
+        "src/pragcomm/rd_oracle.py",
+        "i_bits = i_bits.reshape(",
+        "i_bits = i_bits[:1].reshape(",
+        (STACKED_BOUND, DRAW_ORDER, VERIFY_PIN),
+    ),
+    Mutant(
+        "bound_soundness_min_skips_nan",
+        "src/pragcomm/cli.py",
+        "worst = float(np.min(margins))",
+        "worst = float(min(margins))",
+        (NAN_RATE,),
     ),
 )
 

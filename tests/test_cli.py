@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from pragcomm.pipeline import (
 )
 from pragcomm.simworld import MAX_AGENTS, WorldConfig
 from pragcomm.textio import load_arrays
+
+import frontier_oracle as oracle
 
 
 FAST_CFG = """
@@ -737,6 +741,40 @@ class TestVerifyTheory:
         assert "FAIL distortion_nonnegative margin=nan tol=-1.0e-10" in report
         assert report[-1] == "FAILED"
 
+    def test_nan_rate_fails_bound_soundness(self, cfg_file, monkeypatch):
+        real = cli.rd.frontier_columns
+        stacks = []
+
+        def nan_rates_after_the_first_stack(source, z):
+            # source 0's stack stays finite, so a min() that skips NaN would pass
+            columns = real(source, z)
+            stacks.append(source)
+            if len(stacks) > 1:
+                columns[0][:] = np.nan
+            return columns
+
+        monkeypatch.setattr(cli.rd, "frontier_columns", nan_rates_after_the_first_stack)
+        checks = {name: (margin, ok) for name, margin, _, ok in
+                  cli._verify_checks(parse_config(str(cfg_file)))}
+        margin, ok = checks["bound_soundness"]
+        assert len(stacks) > 1
+        assert math.isnan(margin) and not ok
+        assert checks["bound_tightness_conditions"][1]
+
+    def test_nan_distortion_is_an_error(self, cfg_file, tmp_path, monkeypatch, capsys):
+        real = cli.rd.frontier_columns
+
+        def nan_distortion(source, z):
+            columns = real(source, z)
+            columns[1][-1, -1] = np.nan
+            return columns
+
+        monkeypatch.setattr(cli.rd, "frontier_columns", nan_distortion)
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: delta must be >= 0"]
+        assert not (out / "report.txt").exists()
+
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out1)])
@@ -790,6 +828,70 @@ class TestVerifyTheory:
         code = main(["verify-theory", "--config", str(shipped), "--out", str(out)])
         assert code == 0
         assert (out / "report.txt").read_text().strip().endswith("OK")
+
+
+class _OneShape:
+    """Draws as a Generator does, except that every source gets ``sizes``."""
+
+    def __init__(self, seed, sizes):
+        self.rng, self.sizes = np.random.default_rng(seed), sizes
+
+    def integers(self, low, high, size):
+        return np.array(self.sizes)
+
+    def dirichlet(self, alpha, size=None):
+        return self.rng.dirichlet(alpha, size)
+
+
+class TestRandomDrawsMatchOracle:
+    """The sources and channels verify-theory draws, grouped and stacked,
+    against the per-table loops kept in ``tests/frontier_oracle.py``."""
+
+    @staticmethod
+    def assert_same_frontiers(got, want):
+        assert len(got) == len(want)
+        for (columns, bounds), (want_columns, want_bounds) in zip(got, want):
+            for a, b in zip((*columns, bounds), (*want_columns, want_bounds), strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert (a == b).all()
+
+    def check_frontiers(self, cfg, seed, n):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = list(cli._random_frontiers(cfg, rng, n))
+        self.assert_same_frontiers(got, list(oracle.random_frontiers(cfg, want_rng, n)))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    def test_sources_in_draw_order(self, seed, n):
+        self.check_frontiers(parse_config(str(SMALL_CFG)), seed, n)
+
+    @pytest.mark.parametrize("z_max", [1, 2, 3])
+    def test_every_z_cap(self, z_max):
+        self.check_frontiers(replace(parse_config(str(SMALL_CFG)), verify_z_max=z_max), 5, 30)
+
+    def test_sources_in_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SOURCE_CHUNK", 7)
+        self.check_frontiers(parse_config(str(SMALL_CFG)), 11, 50)
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 2), (2, 2, 2)])
+    def test_every_source_of_one_shape(self, sizes):
+        cfg = parse_config(str(SMALL_CFG))
+        got = list(cli._random_frontiers(cfg, _OneShape(3, sizes), 20))
+        want = list(oracle.random_frontiers(cfg, _OneShape(3, sizes), 20))
+        self.assert_same_frontiers(got, want)
+
+    @pytest.mark.parametrize(
+        "axes, n_z", [([("Y", 3), ("X_s", 4)], 3), ([("Y", 2), ("X_s", 3), ("X_r", 2)], 2)]
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_channel_stack_matches_per_table_draws(self, axes, n_z, seed):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cli._channel_stack(rng, axes, n_z, 50)
+        want = oracle.channel_stack(want_rng, axes, n_z, 50)
+        assert got.axes == want.axes and got.pmf.shape == want.pmf.shape
+        assert got.pmf.tobytes() == want.pmf.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ class TestTheoreticalBound:
             theoretical_bound(xor_triple(), -0.1)
         with pytest.raises(ValueError):
             theoretical_bound(xor_triple(), np.array([0.0, -0.1]))
+
+    @pytest.mark.parametrize("delta", [math.nan, [0.0, math.nan], [[0.5], [math.nan]]])
+    def test_nan_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="^delta must be >= 0"):
+            theoretical_bound(xor_triple(), delta)
+        stack = JointTable(xor_triple().axes, np.stack([xor_triple().pmf] * 2))
+        with pytest.raises(ValueError, match="^delta must be >= 0"):
+            theoretical_bound(stack, np.broadcast_to(delta, (2, 2)))
 
     def test_array_of_deltas_matches_scalar_calls(self):
         rng = np.random.default_rng(32)
@@ -410,3 +419,83 @@ class TestCheckConditionsMatchesFrontier:
         assert h_zy == pytest.approx(point.cond_h_z_given_y, abs=1e-12)
         assert i_zxr == pytest.approx(point.mi_z_xr, abs=1e-12)
         assert gap == pytest.approx(point.rate_bits - bound, abs=1e-12)
+
+
+@st.composite
+def stacks(draw, largest=4):
+    """1-5 (Y, X_s, X_r) tables of one shape with axes of size 1-``largest``
+    in a random order, often with exact-zero atoms."""
+    n = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, largest)) for _ in range(3)]
+    cells = int(np.prod(sizes))
+    weights = st.lists(
+        st.sampled_from([0.0]) | st.floats(1e-3, 1.0), min_size=cells, max_size=cells
+    ).filter(lambda w: sum(w) > 0)
+    pmf = np.array([draw(weights) for _ in range(n)]).reshape(n, *sizes)
+    pmf /= pmf.sum(axis=(1, 2, 3), keepdims=True)
+    order = draw(st.permutations(range(3)))
+    axes = tuple(zip(("Y", "X_s", "X_r"), sizes))
+    return JointTable(
+        tuple(axes[i] for i in order), pmf.transpose(0, *(1 + i for i in order))
+    )
+
+
+def table(stack: JointTable, k: int) -> JointTable:
+    return JointTable(stack.axes, stack.pmf[k])
+
+
+def assert_rows_are_the_tables_own(columns, stack, z):
+    for k in range(len(stack.pmf)):
+        own = frontier_columns(table(stack, k), z)
+        for column, want in zip(columns, own, strict=True):
+            assert column.shape == (len(stack.pmf), len(want))
+            assert column[k].tobytes() == want.tobytes()
+
+
+class TestStackedSources:
+    @settings(max_examples=40, deadline=None)
+    @given(stack=stacks())
+    def test_frontier_rows_are_the_tables_own(self, stack):
+        for z in range(1, stack.size("X_s") + 1):
+            assert_rows_are_the_tables_own(frontier_columns(stack, z), stack, z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=stacks(), data=st.data())
+    def test_rows_of_a_split_stack_are_the_tables_own(self, stack, data):
+        n_source = stack.size("X_s")
+        z = data.draw(st.integers(1, n_source))
+        cells = len(stack.pmf) * z**n_source * z * (stack.pmf[0].size // n_source)
+        block = data.draw(st.integers(1, max(1, cells // 2)))
+        with mock.patch.object(rd_oracle, "_BLOCK_CELLS", block):
+            columns = frontier_columns(stack, z)
+        assert_rows_are_the_tables_own(columns, stack, z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=stacks(), data=st.data())
+    def test_bound_rows_are_the_tables_own(self, stack, data):
+        trailing = data.draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+        shape = (len(stack.pmf), *trailing)
+        values = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0)
+        size = int(np.prod(shape))
+        delta = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        bounds = theoretical_bound(stack, delta.reshape(shape))
+        assert bounds.shape == shape and bounds.dtype == np.float64
+        for k in range(len(stack.pmf)):
+            own = theoretical_bound(table(stack, k), delta.reshape(shape)[k])
+            assert type(own) is (float if not trailing else np.ndarray)
+            assert np.asarray(own).tobytes() == bounds[k].tobytes()
+
+    @pytest.mark.parametrize("delta", [0.5, np.zeros(3), np.zeros((3, 2))])
+    def test_stack_takes_one_row_of_deltas_per_table(self, delta):
+        stack = JointTable(xor_triple().axes, np.stack([xor_triple().pmf] * 2))
+        with pytest.raises(ValueError, match="2 stacked tables need one row of deltas each"):
+            theoretical_bound(stack, delta)
+
+    def test_single_table_keeps_its_shapes_and_types(self):
+        t = random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], np.random.default_rng(3))
+        for column in frontier_columns(t, 3):
+            assert type(column) is np.ndarray
+            assert column.dtype == np.float64 and column.shape == (27,)
+        assert type(theoretical_bound(t, 0.5)) is float
+        assert theoretical_bound(t, np.zeros(4)).shape == (4,)
+        assert theoretical_bound(t, np.zeros((2, 3))).shape == (2, 3)
