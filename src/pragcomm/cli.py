@@ -95,19 +95,19 @@ def _count_below(cap: int, why: str):
 
 
 # [verify] sizes, checked at parse time.  The memory that grows with the
-# config is the Monte-Carlo draws and the stacked identity tables: tracemalloc
-# over verify-theory on small.cfg measured 8.0 bytes a draw (one float64 a
-# sample; mc_ce gathers its losses into its uniforms) and 472 bytes a table,
-# so each gets 1 GiB.  Sources are drawn and evaluated _SOURCE_CHUNK at a
-# time and a chunk's frontiers are freed before the next chunk is drawn (peak
-# 6.7-7.2 MB from 256 to 3000 sources), so sources are capped by time: at
-# most 5 ms each, 1.5 h in all.
-VERIFY_BYTES = 1 << 30
-MAX_MC_DRAWS = VERIFY_BYTES // 8
-MAX_TABLES = VERIFY_BYTES // 480
+# config is the stacked identity tables: tracemalloc over verify-theory on
+# small.cfg measured 472 bytes a table, so tables get 1 GiB.  The Monte-Carlo
+# checks hold one block of draws at a time whatever their number, and random
+# sources are drawn and evaluated _SOURCE_CHUNK at a time, a chunk's
+# frontiers freed before the next chunk is drawn (peak 6.7-7.2 MB from 256 to
+# 3000 sources), so both are capped by time.  Draws cost about 40 ns each
+# over the three checks (10^7 draws each, medians of 5, 2 cores), 5-6 s at
+# the cap; sources at most 5 ms each, 1.5 h in all.
+MAX_MC_DRAWS = 1 << 27
+MAX_TABLES = (1 << 30) // 480
 MAX_SOURCES = 10**6
 _SOURCE_CHUNK = 256  # random sources held at once, which bounds their memory
-_draws = _count_below(MAX_MC_DRAWS, "1 GiB at 8 bytes a draw")
+_draws = _count_below(MAX_MC_DRAWS, "about 40 ns a draw")
 _tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
 _sources = _count_below(MAX_SOURCES, "about 5 ms a source")
 

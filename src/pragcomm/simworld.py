@@ -249,8 +249,12 @@ def posterior_from_features(feat: np.ndarray, cfg: WorldConfig, noise: float) ->
     ev = np.ascontiguousarray(feat[..., :k].transpose(2, 0, 1))
     v = np.where(ev > 1e-6, ev, 0.0)
     np.minimum(v, 8.0, out=v)
-    # class planes log p(y) + sum_j v_j log p(obs=j | y)
-    log_post = planes.sum_planes(log_chan[:, :, None, None] * v[:, None])
+    # class planes log p(y) + sum_j v_j log p(obs=j | y), added in j order;
+    # each term is made in one reused buffer
+    log_post = log_chan[0][:, None, None] * v[0]
+    term = np.empty_like(log_post)
+    for j in range(1, k):
+        log_post += np.multiply(log_chan[j][:, None, None], v[j], out=term)
     log_post += log_prior[:, None, None]
     return _normalize(log_post)
 

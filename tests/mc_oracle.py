@@ -1,10 +1,12 @@
 """The Monte-Carlo risk oracles as they were before their draws were cut to
-one pass per cell and one buffer.
+one pass per cell and made one block at a time.
 
 Kept as a test oracle: ``pragcomm.bayes_risk.mc_ce``, ``mc_l1_gaussian``
 and ``mc_l1_laplace`` must return the same float as these functions from
-the same generator state.  They sample through ``Generator.choice`` and
-take ``|x|`` into a new array, which is the plain reading of each estimator.
+the same generator state.  They draw all n samples in one call, sample
+through ``Generator.choice``, take ``|x|`` into a new array and average it
+with ``mean``, which is the plain reading of each estimator; the package
+draws and sums one block at a time in numpy's own pairwise order.
 """
 
 from __future__ import annotations

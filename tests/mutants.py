@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str
     new: str
-    tests: tuple  # pytest ids that must all fail
+    tests: tuple  # pytest ids that must all fail, a parametrized one with its case
 
 
 PAIR_ORACLE = "tests/test_pipeline.py::TestPairBatch::test_matches_loop_oracle"
@@ -48,6 +48,12 @@ DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_sev
 VERIFY_PIN = "tests/test_cli.py::TestVerifyTheory::test_small_config_outputs_pinned"
 STACKED_BOUND = "tests/test_rd_oracle.py::TestStackedSources::test_bound_rows_are_the_tables_own"
 NAN_RATE = "tests/test_cli.py::TestVerifyTheory::test_nan_rate_fails_bound_soundness"
+MC = "tests/test_bayes_risk.py::TestMonteCarloMatchesNaiveOracle::"
+MC_CE, MC_L1 = MC + "test_cross_entropy_same_float", MC + "test_l1_same_float"
+MC_BLOCKS = MC + "test_many_draw_blocks_same_float[shape0]"  # a (3, 3) table, as verify's
+MC_BLOCKS_LARGE = MC + "test_many_draw_blocks_same_float[shape1]"
+MC_LEAVES = MC + "test_many_leaves_same_float"
+MC_BLOCK_PIN = MC + "test_draw_block_at_least_numpys_pairwise_block"
 
 MUTANTS = (
     Mutant(
@@ -91,6 +97,31 @@ MUTANTS = (
         "worst = float(np.min(margins))",
         "worst = float(min(margins))",
         (NAN_RATE,),
+    ),
+    Mutant(
+        "draw_block_below_numpys_pairwise_block",
+        "src/pragcomm/bayes_risk.py",
+        "_DRAW_BLOCK = 1 << 16",
+        "_DRAW_BLOCK = 1 << 6",
+        (MC_BLOCK_PIN, MC_CE, MC_L1, MC_BLOCKS),
+    ),
+    Mutant(
+        "pairwise_split_not_a_multiple_of_8",
+        "src/pragcomm/bayes_risk.py",
+        "half = n // 2 - (n // 2) % 8",
+        "half = n // 2",
+        (MC_LEAVES,),
+    ),
+    Mutant(
+        "draw_leaves_in_a_running_total",
+        "src/pragcomm/bayes_risk.py",
+        "    half = n // 2 - (n // 2) % 8\n"
+        "    return _pairwise_sum(half, block) + _pairwise_sum(n - half, block)\n",
+        "    total = np.float64(0.0)\n"
+        "    for start in range(0, n, _DRAW_BLOCK):\n"
+        "        total += np.add.reduce(block(min(_DRAW_BLOCK, n - start)))\n"
+        "    return total\n",
+        (MC_LEAVES, MC_BLOCKS, MC_BLOCKS_LARGE),
     ),
 )
 

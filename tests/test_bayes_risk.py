@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pragcomm import bayes_risk, cli
 from pragcomm.bayes_risk import (
     SQRT_2_OVER_PI,
     CellPosterior,
@@ -328,6 +331,66 @@ class TestMonteCarloMatchesNaiveOracle:
         ):
             got = f(*args, 1_000_000, np.random.default_rng(8))
             assert same_bits(got, want(*args, 1_000_000, np.random.default_rng(8)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(128, 1024),
+        case=ce_cases(),
+        n=st.integers(1, 20000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_many_leaves_same_float(self, block, case, n, seed):
+        # leaves of 128-1024 draws: up to 20000 draws make many leaves, odd
+        # right halves and splits that 8 does not divide
+        t, target, cond = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bayes_risk, "_DRAW_BLOCK", block)
+            for f, want, args in (
+                (mc_ce, oracle.mc_ce, (t, target, cond)),
+                (mc_l1_gaussian, oracle.mc_l1_gaussian, (2.5,)),
+                (mc_l1_laplace, oracle.mc_l1_laplace, (3.0,)),
+            ):
+                got = f(*args, n, np.random.default_rng(seed))
+                assert same_bits(got, want(*args, n, np.random.default_rng(seed)))
+
+    def test_draw_block_at_least_numpys_pairwise_block(self):
+        # np.add.reduce splits a float64 segment only when it is longer than
+        # 128 values, numpy's pairwise block; leaves shorter than that would
+        # split where numpy does not and round differently
+        assert bayes_risk._DRAW_BLOCK >= 128
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    # Measured: 0.50 MB for each L1 estimator (one block of 65536 float64
+    # draws), 1.16 MB for mc_ce (its three block buffers, plus np.take's
+    # intp copy of the block's draw indices), 1.25 MB for the whole of
+    # verify-theory's checks on small.cfg.  The bounds give 1.4-1.6x
+    # headroom; a buffer of all 10^6 draws alone is 8 MB.
+    def test_estimators_hold_one_block(self):
+        t = random_joint([("Y", 3), ("X", 3)], np.random.default_rng(7))
+        for f, args in (
+            (mc_ce, (t, "Y", ["X"])),
+            (mc_l1_gaussian, (1.0,)),
+            (mc_l1_laplace, (3.0,)),
+        ):
+            rng = np.random.default_rng(8)
+            assert traced_peak(lambda: f(*args, 1_000_000, rng)) < 1_600_000, f
+
+    def test_verify_checks_peak(self):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"
+        cfg = cli.parse_config(str(shipped))
+        assert cfg.verify_mc_draws == 1_000_000
+        assert traced_peak(lambda: list(cli._verify_checks(cfg))) < 2_000_000
 
 
 class TestRiskInputsRejected:

@@ -805,13 +805,14 @@ class TestVerifyTheory:
     @pytest.mark.parametrize(
         "key, cap, why",
         [
-            ("mc_draws", cli.MAX_MC_DRAWS, "1 GiB at 8 bytes a draw"),
+            ("mc_draws", cli.MAX_MC_DRAWS, "about 40 ns a draw"),
             ("tables", cli.MAX_TABLES, "1 GiB at 480 bytes a table"),
             ("sources", cli.MAX_SOURCES, "about 5 ms a source"),
         ],
     )
     def test_size_caps_parsed_only(self, key, cap, why, tmp_path):
-        # parsed only: a run past the cap would allocate gigabytes or take hours
+        # parsed only: a run past a cap would allocate gigabytes or take
+        # minutes to hours
         path = tmp_path / "big.cfg"
         path.write_text(f"[verify]\n{key} = {cap}\n")
         assert getattr(parse_config(str(path)), f"verify_{key}") == cap

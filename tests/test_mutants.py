@@ -14,7 +14,7 @@ def test_old_text_occurs_once(mutant):
 def test_listed_tests_exist(mutant):
     assert mutant.tests
     for test_id in mutant.tests:
-        path, *classes, func = test_id.split("::")
+        path, *classes, func = test_id.split("[")[0].split("::")
         source = (ROOT / path).read_text()
         for name in classes:
             assert f"class {name}" in source, test_id
