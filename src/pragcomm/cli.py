@@ -490,7 +490,13 @@ def main(argv=None) -> int:
         description="task-oriented compression experiments on synthetic perception worlds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-world", "train", "sweep", "verify-theory"):
+    commands = {
+        "gen-world": cmd_gen_world,
+        "train": cmd_train,
+        "sweep": cmd_sweep,
+        "verify-theory": cmd_verify_theory,
+    }
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -517,14 +523,7 @@ def main(argv=None) -> int:
                 train=replace(cfg.train, train_seed=args.seed + 9000),
                 sweep=replace(cfg.sweep, seeds=(args.seed,)),
             )
-        if args.command == "gen-world":
-            return cmd_gen_world(cfg, out, args.config)
-        if args.command == "train":
-            return cmd_train(cfg, out, args.config)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.config)
-        if args.command == "verify-theory":
-            return cmd_verify_theory(cfg, out, args.config)
+        return commands[args.command](cfg, out, args.config)
     except (ValueError, RuntimeError, OSError) as exc:  # CodingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -532,7 +531,6 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

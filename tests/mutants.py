@@ -54,6 +54,16 @@ MC_BLOCKS = MC + "test_many_draw_blocks_same_float[shape0]"  # a (3, 3) table, a
 MC_BLOCKS_LARGE = MC + "test_many_draw_blocks_same_float[shape1]"
 MC_LEAVES = MC + "test_many_leaves_same_float"
 MC_BLOCK_PIN = MC + "test_draw_block_at_least_numpys_pairwise_block"
+CDF_STEP = MC + "test_a_uniform_on_a_cdf_step[3-0]"  # [cells-seed]: a uint8 draw index
+CDF_STEP_LARGE = MC + "test_a_uniform_on_a_cdf_step[300-0]"
+SWEEP = "tests/test_pipeline.py::TestSweep::"
+EQUAL_MASKS = SWEEP + "test_senders_with_equal_masks_decode_apart"
+RECEIVE_ONCE = SWEEP + "test_receive_runs_once_per_distinct_masks[confidence_only]"
+SUM_PLANES = "tests/test_planes.py::TestSumPlanes::test_matches_sum_over_the_last_axis"
+SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_its_own_call"
+POSTERIOR_ALONE = (
+    "tests/test_simworld.py::TestPosteriorOracle::test_each_cell_equals_its_own_decode"
+)
 
 MUTANTS = (
     Mutant(
@@ -122,6 +132,37 @@ MUTANTS = (
         "        total += np.add.reduce(block(min(_DRAW_BLOCK, n - start)))\n"
         "    return total\n",
         (MC_LEAVES, MC_BLOCKS, MC_BLOCKS_LARGE),
+    ),
+    Mutant(
+        "mc_ce_uniform_on_a_step_counted_below",
+        "src/pragcomm/bayes_risk.py",
+        "draws += np.greater_equal(u, c, out=above)",
+        "draws += np.greater(u, c, out=above)",
+        (CDF_STEP, CDF_STEP_LARGE),
+    ),
+    Mutant(
+        "receive_key_without_sender",
+        "src/pragcomm/pipeline.py",
+        "(s, *(np.packbits(m).tobytes() for m in (msg.conf_mask, *ec.carried(msg))))",
+        "(*(np.packbits(m).tobytes() for m in (msg.conf_mask, *ec.carried(msg))),)",
+        (EQUAL_MASKS,),
+    ),
+    Mutant(
+        "receive_key_without_confidence_mask",
+        "src/pragcomm/pipeline.py",
+        "for m in (msg.conf_mask, *ec.carried(msg))",
+        "for m in ec.carried(msg)",
+        (RECEIVE_ONCE,),
+    ),
+    Mutant(
+        "sum_planes_in_numpys_order",
+        "src/pragcomm/planes.py",
+        "    total = x[0].copy()\n"
+        "    for plane in x[1:]:\n"
+        "        total += plane\n"
+        "    return total\n",
+        "    return x.sum(axis=0)\n",
+        (SUM_PLANES, SQ_DISTS_ALONE, POSTERIOR_ALONE),
     ),
 )
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import tempfile
@@ -19,6 +18,7 @@ from pragcomm.simworld import MAX_AGENTS, WorldConfig
 from pragcomm.textio import load_arrays
 
 import frontier_oracle as oracle
+from goldens import pins, tree_digests
 
 
 FAST_CFG = """
@@ -75,34 +75,7 @@ def cfg_file(tmp_path):
     return path
 
 
-SWEEP_DIGESTS = {  # sha256 of `pragcomm sweep` on FAST_CFG
-    "results.csv": "c2e689447c5a9ef20e51c9af9c887881f0ffb53ffb530fd0525a5063e9297ddd",
-    "summary.csv": "27f5a64e22dcf7ea7bc0b9b78f7dea6baabc2f2dae8c43631ff379f10a328ac9",
-    "sample_message.bin": "7aefff5243c12e77741fcd1dd013803779c897ccfbd2277c404857bbc28d758c",
-}
-TRAIN_DIGESTS = {  # sha256 of `pragcomm train` on FAST_CFG
-    "codebook.txt": "a69aebc9fe7c230116e75e0b0f30dbcb44ca6fda58559b0f1858aec6a02f0451",
-    "discriminator.txt": "399d0431f30822f00e25f123246c15d05052b9083bf8d032f80bc352bf091816",
-    "disc_losses.txt": "8873b46ed0c47af5c476a2f3e675f4c015bbdd3f5c318767ae740519d02c4531",
-    "tau_draws.txt": "130f08675cfe7aad68df4d52ceb2125a59bd46633e6583b8d619b7ce94006161",
-}
-VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on FAST_CFG
-    "report.txt": "e63330080833da604094789c8e4f0430dd78590cb4cb795ee475df3e6e50cae4",
-    "frontier.csv": "c8670b889bd7e4305a457f73895759d1a891171393e0158a6af2921a754aa6c1",
-}
 SMALL_CFG = Path(__file__).resolve().parents[1] / "configs" / "small.cfg"
-SMALL_VERIFY_DIGESTS = {  # sha256 of `pragcomm verify-theory` on configs/small.cfg
-    "report.txt": "beebbd587bfabf01cbf580a660c3e5406808b43e3196175d3ac1372c08b7bc19",
-    "frontier.csv": "88029e94e5702db54af010685f9ae70f2716a3b5005d31ec387c6699f535d88a",
-}
-
-
-def tree_digest(root: Path) -> dict:
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.iterdir())
-        if p.is_file()
-    }
 
 
 class TestConfigParsing:
@@ -549,7 +522,13 @@ class TestGenWorld:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["gen-world", "--config", str(cfg_file), "--out", str(out1)])
         main(["gen-world", "--config", str(cfg_file), "--out", str(out2)])
-        assert tree_digest(out1) == tree_digest(out2)
+        assert tree_digests(out1) == tree_digests(out2)
+
+    def test_labels_pinned(self, cfg_file, tmp_path):
+        out = tmp_path / "world_out"
+        assert main(["gen-world", "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("gen-world")} == pins("gen-world")
 
 
 class TestTrainAndSweep:
@@ -568,8 +547,8 @@ class TestTrainAndSweep:
         # pinned nowhere else; the sweep sees them only through masks
         out = tmp_path / "trained"
         assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
-        digests = tree_digest(out)
-        assert {name: digests[name] for name in TRAIN_DIGESTS} == TRAIN_DIGESTS
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("train")} == pins("train")
 
     def test_diverging_discriminator_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"
@@ -651,15 +630,15 @@ class TestTrainAndSweep:
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["sweep", "--config", str(cfg_file), "--out", str(out1)])
         main(["sweep", "--config", str(cfg_file), "--out", str(out2)])
-        assert tree_digest(out1) == tree_digest(out2)
+        assert tree_digests(out1) == tree_digests(out2)
 
     def test_sweep_bytes_pinned(self, cfg_file, tmp_path):
         # the sample message is the only CLI output that goes through the
         # wire format; any change to rounds, codes or bits moves a digest
         out = tmp_path / "swept"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
-        digests = tree_digest(out)
-        assert {name: digests[name] for name in SWEEP_DIGESTS} == SWEEP_DIGESTS
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("sweep")} == pins("sweep")
 
     def test_export_emits_curves(self, cfg_file, tmp_path):
         out = tmp_path / "swept"
@@ -671,6 +650,14 @@ class TestTrainAndSweep:
         curve = (exp / "curve_task_entropy_mi.csv").read_text().strip().splitlines()
         assert curve[0] == "mean_total_bits,mean_iou,tau_c,tau_mi,pareto"
         assert len(curve) - 1 == 4  # one row per threshold pair
+
+    def test_export_curves_pinned(self, cfg_file, tmp_path):
+        out = tmp_path / "swept"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        exp = tmp_path / "curves"
+        assert main(["export", "--results", str(out / "results.csv"), "--out", str(exp)]) == 0
+        digests = tree_digests(exp)
+        assert {name: digests[name] for name in pins("export")} == pins("export")
 
     @pytest.mark.parametrize(
         "text", ["", "seed,tau_c\n1,0.5\n", "seed,tau_c,tau_mi\n", "header only,\n"]
@@ -715,15 +702,15 @@ class TestVerifyTheory:
     def test_outputs_pinned(self, cfg_file, tmp_path):
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 0
-        digests = tree_digest(out)
-        assert {name: digests[name] for name in VERIFY_DIGESTS} == VERIFY_DIGESTS
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("verify")} == pins("verify")
 
     def test_small_config_outputs_pinned(self, tmp_path):
         # the benchmark's settings: 1M draws a Monte-Carlo check, 50 sources
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(SMALL_CFG), "--out", str(out)]) == 0
-        digests = tree_digest(out)
-        assert {name: digests[name] for name in SMALL_VERIFY_DIGESTS} == SMALL_VERIFY_DIGESTS
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("small-verify")} == pins("small-verify")
 
     def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
         real = cli.br.pragmatic_distortion
@@ -779,7 +766,7 @@ class TestVerifyTheory:
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out1)])
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out2)])
-        assert tree_digest(out1) == tree_digest(out2)
+        assert tree_digests(out1) == tree_digests(out2)
 
     @pytest.mark.parametrize(
         "line",
@@ -809,6 +796,7 @@ class TestVerifyTheory:
             ("tables", cli.MAX_TABLES, "1 GiB at 480 bytes a table"),
             ("sources", cli.MAX_SOURCES, "about 5 ms a source"),
         ],
+        ids=["mc_draws", "tables", "sources"],
     )
     def test_size_caps_parsed_only(self, key, cap, why, tmp_path):
         # parsed only: a run past a cap would allocate gigabytes or take

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import warnings
 
@@ -15,6 +14,7 @@ from pragcomm import pipeline as pl
 from pragcomm import simworld as sw
 from pragcomm import vq
 from conftest import ACCEPT_SEEDS, LOSSLESS_WORLD, TRADEOFF_WORLD
+from goldens import pins, tree_digests
 
 
 TEMPLATE = sw.WorldConfig(
@@ -393,16 +393,11 @@ class TestTradeoffSweepBytes:
     their ``results_csv``: a rewritten kernel that moves one bit of one
     round fails here."""
 
-    DIGESTS = {
-        "mi": "6bf2016b0105acd86304a7b7ecb0e632c30cbc3606849018d3798bf8b5209c3c",
-        "baseline": "a4017c65c095deff26e20c58b574eedf712412790ac18f1816961ab4726a2e17",
-        "confidence_only": "04bc792f42b011d5e7e2f0a33c7a348c8f49b0fe60bd6e86ec7d3e47b071ce1b",
-    }
-
-    @pytest.mark.parametrize("name", sorted(DIGESTS))
-    def test_results_csv_digest(self, tradeoff_sweeps, name):
+    @pytest.mark.parametrize("name", sorted(pins("tradeoff")))
+    def test_results_csv_digest(self, tradeoff_sweeps, name, tmp_path):
         csv = pl.results_csv(tradeoff_sweeps[name], TRADEOFF_WORLD.n_classes)
-        assert hashlib.sha256(csv.encode()).hexdigest() == self.DIGESTS[name]
+        (tmp_path / name).write_text(csv)
+        assert tree_digests(tmp_path) == {name: pins("tradeoff")[name]}
 
 
 class TestTrainedStackBytes:
@@ -410,27 +405,19 @@ class TestTrainedStackBytes:
     criterion 7's 20 rounds every byte of their ``results_csv``: training
     is where the 8-channel squared distances act."""
 
-    CODEBOOKS = {
-        "lossless_stack": "45032edcfc2bf17429bd3eea2c1e1595fae71312eb4ec4025a245898e5a007a6",
-        "tradeoff_stack": "925b111f8fb4688d17031e681f7233ccfc59c8ab403baa757f5047efceb20a3e",
-    }
-
-    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    @pytest.mark.parametrize("name", sorted(pins("codebooks")))
     def test_codebook_digest(self, request, tmp_path, name):
-        path = tmp_path / "codebook.txt"
-        vq.save_codebook(request.getfixturevalue(name).codebook, str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CODEBOOKS[name]
+        vq.save_codebook(request.getfixturevalue(name).codebook, str(tmp_path / name))
+        assert tree_digests(tmp_path) == {name: pins("codebooks")[name]}
 
-    def test_lossless_rounds_digest(self, lossless_stack):
+    def test_lossless_rounds_digest(self, lossless_stack, tmp_path):
         rounds = [
             pl.run_round(pl.make_world(pl.replace(LOSSLESS_WORLD, seed=seed)), lossless_stack,
                          0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)])
             for seed in ACCEPT_SEEDS
         ]
-        csv = pl.results_csv(rounds, LOSSLESS_WORLD.n_classes)
-        assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "2ce45f3ea13fe8abd08e0009a10fe45c9661620c98bc8b5094851d179bb203c4"
-        )
+        (tmp_path / "results.csv").write_text(pl.results_csv(rounds, LOSSLESS_WORLD.n_classes))
+        assert tree_digests(tmp_path) == pins("lossless")
 
 
 class TestSkippedDecode:
