@@ -57,10 +57,10 @@ variants = {
 out = Path(__file__).resolve().parent / "demo_out"
 out.mkdir(exist_ok=True)
 
-solo = np.mean([pl.solo_iou(pl.make_world(pl.replace(world_template, seed=s))) for s in seeds])
-full = np.mean(
-    [pl.uncompressed_iou(pl.make_world(pl.replace(world_template, seed=s))) for s in seeds]
-)
+# every variant sweeps the same worlds: prepare them once, as scenes
+scenes = pl.scenes(world_template, stack, seeds)
+solo = np.mean([pl.solo_iou(scenes[s].world) for s in seeds])
+full = np.mean([pl.uncompressed_iou(scenes[s].world) for s in seeds])
 print(f"no-collaboration IoU {solo:.4f}; raw-feature-sharing IoU {full:.4f}")
 print(f"(raw sharing would cost 32 bits x {world_template.feature_channels} channels "
       f"x {world_template.h * world_template.w} cells = "
@@ -68,7 +68,7 @@ print(f"(raw sharing would cost 32 bits x {world_template.feature_channels} chan
 print()
 
 for name, cfg in variants.items():
-    results = pl.run_sweep(world_template, stack, cfg)
+    results = pl.sweep_scenes(scenes, cfg)
     rows = pl.summarize(results)
     (out / f"{name.replace('+', '_')}.csv").write_text(pl.summary_csv(rows))
     print(f"{name}: Pareto points (mean over {len(seeds)} seeds)")

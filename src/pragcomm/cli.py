@@ -300,16 +300,14 @@ def cmd_train(cfg: RunConfig, out: Path, config_path: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, config_path: str) -> int:
-    stack = pl.train_all(cfg.world, cfg.train)
-    results = pl.run_sweep(cfg.world, stack, cfg.sweep)
+    sweep = cfg.sweep
+    scenes = pl.scenes(cfg.world, pl.train_all(cfg.world, cfg.train), sweep.seeds)
+    results = pl.sweep_scenes(scenes, sweep)
     (out / "results.csv").write_text(pl.results_csv(results, cfg.world.n_classes))
     (out / "summary.csv").write_text(pl.summary_csv(pl.summarize(results)))
-    sweep = cfg.sweep
-    first_world = pl.make_world(replace(cfg.world, seed=int(sweep.seeds[0])))
-    scene = pl.Scene(first_world, stack)
-    codes = scene.codes(sweep.coder)
     tau_c, tau_mi = float(sweep.tau_c_grid[0]), float(sweep.tau_mi_grid[0])
-    msg = pl.encode_message(scene, codes, tau_c, tau_mi, sweep.selector, 0, 1)
+    scene = scenes[int(sweep.seeds[0])]
+    msg = pl.encode_message(scene, sweep.coder, tau_c, tau_mi, sweep.selector, 0, 1)
     (out / "sample_message.bin").write_bytes(ec.message_to_bytes(msg))
     _write_manifest(out, "sweep", config_path, list(sweep.seeds))
     print(f"{len(results)} sweep points written to {out}")

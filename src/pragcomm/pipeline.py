@@ -288,7 +288,7 @@ class Scene:
 
 
 def encode_message(
-    scene: Scene, codes, tau_c: float, tau_mi: float, selector: str, s: int, r: int
+    scene: Scene, coder: str, tau_c: float, tau_mi: float, selector: str, s: int, r: int
 ) -> ec.EncodedMessage:
     """Select and encode sender s's message to receiver r at one grid point."""
     cfg = scene.world.cfg
@@ -302,7 +302,7 @@ def encode_message(
         raise ValueError(f"unknown selector {selector!r}")
 
     masks = (scene.gate[s] > tau_c, m_mi)
-    return ec.encode(scene.idx[s], masks, codes, abstract=selector == "mi")
+    return ec.encode(scene.idx[s], masks, scene.codes(coder), abstract=selector == "mi")
 
 
 def received_grid(scene: Scene, msg: ec.EncodedMessage, s: int, r: int) -> np.ndarray:
@@ -369,12 +369,11 @@ def run_round(
             raise ValueError(
                 f"pair {(s, r)} must name two distinct agents in 0..{cfg.n_agents - 1}"
             )
-    codes = scene.codes(coder)
 
     by_receiver: dict[int, list] = {}
     msgs = []
     for s, r in pairs:
-        msgs.append(encode_message(scene, codes, tau_c, tau_mi, selector, s, r))
+        msgs.append(encode_message(scene, coder, tau_c, tau_mi, selector, s, r))
         by_receiver.setdefault(r, []).append((s, msgs[-1]))
 
     ious, per_class, distortions = [], [], []
@@ -422,31 +421,39 @@ def solo_iou(world: World) -> float:
     return float(np.mean([_raw_receive(world, feats, r, ())[2] for r in range(len(feats))]))
 
 
+def scenes(world_template: sw.WorldConfig, stack: TrainedStack, seeds) -> dict[int, Scene]:
+    """One scene per distinct seed, in first-appearance order: the worlds a
+    sweep session prepares once and shares across all its grids."""
+    return {
+        seed: Scene(make_world(replace(world_template, seed=seed)), stack)
+        for seed in dict.fromkeys(map(int, seeds))
+    }
+
+
+def sweep_scenes(scenes: dict[int, Scene], cfg: SweepConfig) -> list[RoundResult]:
+    """Grid product of thresholds and seeds in (tau_c, tau_mi, seed) order,
+    each round on its seed's scene, so every round shares that scene's stages."""
+    return [
+        run_round(scenes[seed], scenes[seed].stack, float(tau_c), float(tau_mi),
+                  cfg.coder, cfg.selector)
+        for tau_c in cfg.tau_c_grid
+        for tau_mi in cfg.tau_mi_grid
+        for seed in map(int, cfg.seeds)
+    ]
+
+
 def run_sweep(
     world_template: sw.WorldConfig,
     stack: TrainedStack,
     cfg: SweepConfig,
     jobs: int = 1,
 ) -> list[RoundResult]:
-    """Grid product of thresholds and seeds in (tau_c, tau_mi, seed) order.
-
-    Each seed's world is prepared once as a scene its rounds share.  The
-    ``jobs`` keyword exists only for the benchmark's ``sweep_pass``, which
-    passes ``jobs=1``; any other value is rejected.
-    """
+    """``sweep_scenes`` on scenes prepared for this one grid.  Its only caller
+    outside the tests is the benchmark's ``sweep_pass``, which passes
+    ``jobs=1``: the one value accepted, kept for that call alone."""
     if jobs != 1:
         raise ValueError(f"run_sweep runs serially; jobs must be 1, got {jobs!r}")
-    seeds = [int(seed) for seed in cfg.seeds]
-    scenes = {  # one per distinct seed, in seed order
-        seed: Scene(make_world(replace(world_template, seed=seed)), stack)
-        for seed in dict.fromkeys(seeds)
-    }
-    return [
-        run_round(scenes[seed], stack, float(tau_c), float(tau_mi), cfg.coder, cfg.selector)
-        for tau_c in cfg.tau_c_grid
-        for tau_mi in cfg.tau_mi_grid
-        for seed in seeds
-    ]
+    return sweep_scenes(scenes(world_template, stack, cfg.seeds), cfg)
 
 
 def summarize(results: list[RoundResult]):

@@ -50,34 +50,25 @@ def tradeoff_stack():
 
 @pytest.fixture(scope="session")
 def tradeoff_sweeps(tradeoff_stack):
-    """The three sweeps the trade-off criteria compare."""
+    """The three sweeps the trade-off criteria compare, on one set of scenes."""
     inf = float("inf")
     common = dict(tau_c_grid=(0.3, 0.9), seeds=ACCEPT_SEEDS)
-    mi = pl.run_sweep(
-        TRADEOFF_WORLD,
-        tradeoff_stack,
-        pl.SweepConfig(
+    grids = {
+        "mi": pl.SweepConfig(
             tau_mi_grid=(-1.0, 0.0, 0.3, 0.6, 1.0, inf),
             coder="task_entropy",
             selector="mi",
             **common,
         ),
-    )
-    baseline = pl.run_sweep(
-        TRADEOFF_WORLD,
-        tradeoff_stack,
-        pl.SweepConfig(
+        "baseline": pl.SweepConfig(
             tau_mi_grid=(inf,), coder="fixed", selector="none", **common
         ),
-    )
-    conf = pl.run_sweep(
-        TRADEOFF_WORLD,
-        tradeoff_stack,
-        pl.SweepConfig(
+        "confidence_only": pl.SweepConfig(
             tau_mi_grid=(0.3, 0.7, 0.9, inf),
             coder="task_entropy",
             selector="confidence_only",
             **common,
         ),
-    )
-    return {"mi": mi, "baseline": baseline, "confidence_only": conf}
+    }
+    scenes = pl.scenes(TRADEOFF_WORLD, tradeoff_stack, ACCEPT_SEEDS)
+    return {name: pl.sweep_scenes(scenes, cfg) for name, cfg in grids.items()}

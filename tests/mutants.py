@@ -9,7 +9,8 @@ catalogue cannot go stale silently.
 Running this file applies each mutant to its own temporary copy of the
 tree, runs that mutant's tests there and reports it as killed (every
 listed test failed), survived, or hung (still running after ``TIMEOUT_S``
-seconds, when it is stopped):
+seconds, when it is stopped).  Hypothesis runs with a fixed seed, so a
+mutant's failing example is found and shrunk the same way on every run:
 
     python tests/mutants.py [name ...]
 
@@ -59,6 +60,12 @@ CDF_STEP_LARGE = MC + "test_a_uniform_on_a_cdf_step[300-0]"
 SWEEP = "tests/test_pipeline.py::TestSweep::"
 EQUAL_MASKS = SWEEP + "test_senders_with_equal_masks_decode_apart"
 RECEIVE_ONCE = SWEEP + "test_receive_runs_once_per_distinct_masks[confidence_only]"
+RECEIVE_RING = SWEEP + "test_receive_keys_on_the_confidence_mask"
+FRESH_WORLDS = SWEEP + "test_matches_rounds_on_fresh_worlds[mi-task_entropy]"
+CODER = "tests/test_entropy_coder.py::"
+CAPPED = CODER + "TestPrefixCode::test_built_code_is_huffman_capped_at_16_bits"
+GEOMETRIC = CODER + "TestVectorizedCoder::test_geometric_code_capped_at_16_bits"
+KERNEL = CODER + "TestVectorizedCoder::test_kernel_matches_the_per_length_oracle"
 SUM_PLANES = "tests/test_planes.py::TestSumPlanes::test_matches_sum_over_the_last_axis"
 SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_its_own_call"
 POSTERIOR_ALONE = (
@@ -152,7 +159,28 @@ MUTANTS = (
         "src/pragcomm/pipeline.py",
         "for m in (msg.conf_mask, *ec.carried(msg))",
         "for m in ec.carried(msg)",
-        (RECEIVE_ONCE,),
+        (RECEIVE_ONCE, RECEIVE_RING),
+    ),
+    Mutant(
+        "scenes_all_on_the_template_world",
+        "src/pragcomm/pipeline.py",
+        "Scene(make_world(replace(world_template, seed=seed)), stack)",
+        "Scene(make_world(world_template), stack)",
+        (FRESH_WORLDS,),
+    ),
+    Mutant(
+        "capped_lengths_handed_out_in_reverse",
+        "src/pragcomm/entropy_coder.py",
+        'capped[np.argsort(lengths, kind="stable")] =',
+        'capped[np.argsort(lengths, kind="stable")[::-1]] =',
+        (CAPPED, GEOMETRIC),
+    ),
+    Mutant(
+        "jumps_without_the_tail_sink",
+        "src/pragcomm/entropy_coder.py",
+        "    tail[tail > n] = n + 1\n",
+        "",
+        (KERNEL,),
     ),
     Mutant(
         "sum_planes_in_numpys_order",
@@ -190,7 +218,7 @@ def run(mutant: Mutant) -> str:
         target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-               *mutant.tests]
+               "--hypothesis-seed=0", *mutant.tests]
         try:
             done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragcomm import cli
+from pragcomm import pipeline as pl
 from pragcomm.cli import ConfigError, RunConfig, main, parse_config
 from pragcomm.pipeline import (
     CODERS, SELECTORS, RoundResult, SweepConfig, TrainConfig, results_csv,
@@ -637,6 +638,22 @@ class TestTrainAndSweep:
         # wire format; any change to rounds, codes or bits moves a digest
         out = tmp_path / "swept"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("sweep")} == pins("sweep")
+
+    def test_sweep_prepares_one_scene_per_seed(self, cfg_file, tmp_path, monkeypatch):
+        # the sample message is encoded on the sweep's scene of the first seed
+        prepared = []
+        original = pl.Scene.__init__
+
+        def counted(scene, world, stack):
+            prepared.append(world.cfg.seed)
+            original(scene, world, stack)
+
+        monkeypatch.setattr(pl.Scene, "__init__", counted)
+        out = tmp_path / "swept"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert prepared == [1, 2]  # FAST_CFG's seeds
         digests = tree_digests(out)
         assert {name: digests[name] for name in pins("sweep")} == pins("sweep")
 

@@ -444,7 +444,7 @@ class TestSkippedDecode:
         for scene, coder, selector, tau_c, tau_mi, (s, r) in grid:
             codes = scene.codes(coder)
             built.clear()
-            msg = pl.encode_message(scene, codes, tau_c, tau_mi, selector, s, r)
+            msg = pl.encode_message(scene, coder, tau_c, tau_mi, selector, s, r)
             pl.received_grid(scene, msg, s, r)
             (got,) = built
             want = ec.decode(msg, codes)
@@ -507,6 +507,19 @@ class TestSweep:
             [dataclasses.astuple(r) for r in swept],
             [dataclasses.astuple(r) for r in fresh],
         )
+
+    def test_grids_on_shared_scenes_match_their_own_sweeps(self, stack):
+        scenes = pl.scenes(TEMPLATE, stack, (43, 42, 44, 43))
+        assert list(scenes) == [43, 42, 44]  # distinct, in first-appearance order
+        for cfg in (
+            self.sweep_cfg(),
+            self.sweep_cfg(tau_mi_grid=(0.5,), seeds=(44, 43), selector="confidence_only"),
+            self.sweep_cfg(tau_mi_grid=(float("inf"),), coder="fixed", selector="none"),
+        ):
+            np.testing.assert_equal(
+                [dataclasses.astuple(r) for r in pl.sweep_scenes(scenes, cfg)],
+                [dataclasses.astuple(r) for r in pl.run_sweep(TEMPLATE, stack, cfg)],
+            )
 
     def test_each_stage_runs_once_per_input(self, stack, monkeypatch):
         calls = {}
@@ -618,6 +631,23 @@ class TestSweep:
         np.testing.assert_equal(
             [dataclasses.astuple(r) for r in shared], [dataclasses.astuple(r) for r in fresh]
         )
+
+    def test_receive_keys_on_the_confidence_mask(self, stack, world):
+        # two messages carry the same 4x4 block; the second's confidence
+        # mask adds the ring around it, where the receiver smooths
+        block, ring = np.zeros((2, TEMPLATE.h, TEMPLATE.w), bool)
+        block[8:12, 8:12] = ring[7:13, 7:13] = True
+        scene = pl.Scene(world, stack)
+        inner, outer = (
+            [(0, ec.encode(scene.idx[0], (conf, block), scene.codes("task_entropy"),
+                           abstract=False))]
+            for conf in (block, ring)
+        )
+        np.testing.assert_equal(ec.carried(inner[0][1]), ec.carried(outer[0][1]))
+        first = scene.receive(1, inner)
+        want = pl.Scene(world, stack).receive(1, outer)
+        assert first[2] != want[2]  # smoothing into the ring moves the entropy
+        np.testing.assert_equal(scene.receive(1, outer), want)
 
     @pytest.mark.parametrize("selector", pl.SELECTORS)
     def test_sweep_never_decodes(self, stack, monkeypatch, selector):
