@@ -130,7 +130,8 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
     one (worlds, agents, h, w, channels) array.  Confidence thresholds are
     drawn uniformly from ``tau_c_choices`` per training scene so the
     discriminator sees the abstracts it will meet at deployment; the draws
-    are recorded on the returned stack.
+    are recorded on the returned stack.  The discriminator trains in
+    float32 and is returned in float64.
     """
     rng = np.random.default_rng(tc.train_seed)
     cfg = world_template  # the training worlds differ from it only in seed
@@ -146,9 +147,11 @@ def train_all(world_template: sw.WorldConfig, tc: TrainConfig) -> TrainedStack:
     tau_draws = [float(rng.choice(tc.tau_c_choices)) for _ in range(n_scenes)]
     batch = pair_batch(cb, base_idx.reshape(conf.shape), feats, conf, tau_draws, rng)
     disc = mie.init_discriminator(2 * feats.shape[-1], hidden=tc.disc_hidden, seed=tc.disc_seed)
-    disc, losses = mie.train(disc, batch, steps=tc.disc_steps, lr=tc.disc_lr)
+    # a float32 step takes half a float64 one's time; the upcast back is exact
+    disc, losses = mie.train(disc.astype(np.float32), batch, steps=tc.disc_steps, lr=tc.disc_lr)
     return TrainedStack(
-        codebook=cb, discriminator=disc, tau_draws=tau_draws, disc_losses=losses
+        codebook=cb, discriminator=disc.astype(np.float64), tau_draws=tau_draws,
+        disc_losses=losses,
     )
 
 

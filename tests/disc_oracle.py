@@ -4,8 +4,10 @@ Kept as a test oracle: ``pragcomm.mi_estimator.train`` must give the same
 losses and weights, compared with ``==``, as ``train`` below.  Every layer
 allocates fresh pre-activation, activation and delta arrays, and the joint
 and marginal rows are stacked and their weights normalized on every step.
-It shares the ``Discriminator`` and ``PairBatch`` types and the softplus and
-sigmoid helpers with the package.
+It computes in the dtype of the net's weights, as the package does: the
+rows and the normalized side weights are cast to it.  It shares the
+``Discriminator`` and ``PairBatch`` types and the softplus and sigmoid
+helpers with the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pragcomm.mi_estimator import Discriminator, PairBatch, _sigmoid, _softplus
 
 
 def _forward(d: Discriminator, x: np.ndarray):
-    acts = [np.asarray(x, dtype=np.float64)]
+    acts = [np.asarray(x, dtype=d.weights[0][0].dtype)]
     pre = []
     a = acts[0]
     for i, (w, b) in enumerate(d.weights):
@@ -43,8 +45,8 @@ def loss_and_grads(d: Discriminator, batch: PairBatch):
     n_j = len(batch.joint_pairs)
     t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
     tj, tm = t[:n_j], t[n_j:]
-    pj = batch.joint_weights / batch.joint_weights.sum()
-    pm = batch.marginal_weights / batch.marginal_weights.sum()
+    pj = (batch.joint_weights / batch.joint_weights.sum()).astype(tj.dtype)
+    pm = (batch.marginal_weights / batch.marginal_weights.sum()).astype(tj.dtype)
     loss = float(pj @ _softplus(-tj) + pm @ _softplus(tm))
     dscore = np.concatenate([-pj * _sigmoid(-tj), pm * _sigmoid(tm)])
     return loss, _backward(d, cache, dscore)

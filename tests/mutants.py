@@ -45,6 +45,7 @@ PAIR_ORACLE = "tests/test_pipeline.py::TestPairBatch::test_matches_loop_oracle"
 PAIR_ORDER = "tests/test_pipeline.py::TestPairBatch::test_rows_in_world_pair_cell_order"
 PAIR_TIE = "tests/test_pipeline.py::TestPairBatch::test_confidence_equal_to_tau_is_dropped"
 TRAIN_PIN = "tests/test_cli.py::TestTrainAndSweep::test_train_bytes_pinned"
+STACK_FILES = "tests/test_cli.py::TestTrainAndSweep::test_stack_scores_the_same_through_its_files"
 DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
 VERIFY_PIN = "tests/test_cli.py::TestVerifyTheory::test_small_config_outputs_pinned"
 STACKED_BOUND = "tests/test_rd_oracle.py::TestStackedSources::test_bound_rows_are_the_tables_own"
@@ -93,6 +94,20 @@ MUTANTS = (
         "np.reshape(taus, (len(conf), len(senders), 1, 1))",
         "np.reshape(taus, (len(senders), len(conf), 1, 1)).swapaxes(0, 1)",
         (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
+    ),
+    Mutant(
+        "train_all_in_float64",
+        "src/pragcomm/pipeline.py",
+        "mie.train(disc.astype(np.float32), batch,",
+        "mie.train(disc, batch,",
+        (TRAIN_PIN,),
+    ),
+    Mutant(
+        "trained_weights_left_float32",
+        "src/pragcomm/pipeline.py",
+        "discriminator=disc.astype(np.float64),",
+        "discriminator=disc,",
+        (STACK_FILES,),
     ),
     Mutant(
         "random_frontiers_group_order",

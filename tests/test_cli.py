@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragcomm import cli
+from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
+from pragcomm import vq
 from pragcomm.cli import ConfigError, RunConfig, main, parse_config
 from pragcomm.pipeline import (
     CODERS, SELECTORS, RoundResult, SweepConfig, TrainConfig, results_csv,
@@ -550,6 +552,30 @@ class TestTrainAndSweep:
         assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
         digests = tree_digests(out)
         assert {name: digests[name] for name in pins("train")} == pins("train")
+
+    def test_stack_scores_the_same_through_its_files(self, cfg_file, tmp_path):
+        # a stack loaded from train's files must score redundancy exactly as
+        # the stack train_all returns; its discriminator is float64 in both
+        out = tmp_path / "trained"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = parse_config(str(cfg_file))
+        stack = pl.train_all(cfg.world, cfg.train)
+        assert {a.dtype for layer in stack.discriminator.weights for a in layer} == {
+            np.dtype(np.float64)
+        }
+        loaded = pl.TrainedStack(
+            vq.load_codebook(str(out / "codebook.txt")),
+            mie.load_discriminator(str(out / "discriminator.txt")),
+            stack.tau_draws,
+            stack.disc_losses,
+        )
+        want, got = (pl.scenes(cfg.world, k, cfg.sweep.seeds) for k in (stack, loaded))
+        for seed in cfg.sweep.seeds:
+            for tau_c in cfg.sweep.tau_c_grid:
+                for s, r in [(0, 1), (1, 0)]:  # FAST_CFG's two agents
+                    assert np.array_equal(
+                        got[seed].redundancy(s, r, tau_c), want[seed].redundancy(s, r, tau_c)
+                    )
 
     def test_diverging_discriminator_is_run_error(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"

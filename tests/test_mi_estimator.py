@@ -156,9 +156,10 @@ class TestInPlaceStep:
         lr=st.floats(0.01, 2.0),
         weighted=st.booleans(),
         steps=st.integers(1, 6),
+        dtype=st.sampled_from([np.float32, np.float64]),
     )
     def test_train_equals_allocating_oracle(
-        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps
+        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps, dtype
     ):
         rng = np.random.default_rng(seed)
         weights = (
@@ -168,10 +169,14 @@ class TestInPlaceStep:
         )
         batch = PairBatch(rng.normal(size=(n_j, 2 * c)), rng.normal(size=(n_m, 2 * c)), *weights)
         d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
+        d = d.astype(dtype)
         got_d, got_losses = train(d, batch, steps, lr)
         want_d, want_losses = oracle.train(d, batch, steps, lr)
         assert got_losses == want_losses
         assert same_weights(got_d, want_d)
+        assert {a.dtype for layer in got_d.weights + want_d.weights for a in layer} == {
+            np.dtype(dtype)
+        }
 
     def test_gradients_survive_a_later_call(self):
         batch = independent_batch(n=256, seed=13)
