@@ -100,14 +100,15 @@ def _count_below(cap: int, why: str):
 # checks hold one block of draws at a time whatever their number, and random
 # sources are drawn and evaluated _SOURCE_CHUNK at a time, a chunk's
 # frontiers freed before the next chunk is drawn (peak 6.7-7.2 MB from 256 to
-# 3000 sources), so both are capped by time.  Draws cost about 40 ns each
-# over the three checks (10^7 draws each, medians of 5, 2 cores), 5-6 s at
-# the cap; sources at most 5 ms each, 1.5 h in all.
+# 3000 sources), so both are capped by time.  Draws cost about 27 ns each
+# over the three checks on 2 cores, where the worker thread's two checks are
+# the longer path: 3.5-3.7 s at the cap (39 ns and 5.3-5.4 s with every check
+# on one thread); sources at most 5 ms each, 1.5 h in all.
 MAX_MC_DRAWS = 1 << 27
 MAX_TABLES = (1 << 30) // 480
 MAX_SOURCES = 10**6
 _SOURCE_CHUNK = 256  # random sources held at once, which bounds their memory
-_draws = _count_below(MAX_MC_DRAWS, "about 40 ns a draw")
+_draws = _count_below(MAX_MC_DRAWS, "about 27 ns a draw")
 _tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
 _sources = _count_below(MAX_SOURCES, "about 5 ms a source")
 
@@ -368,7 +369,30 @@ def _channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it
 
 def _verify_checks(cfg: RunConfig):
     """Yields (name, margin, tolerance, passed) tuples; margins are the
-    worst-case observed values, tolerances the acceptance thresholds."""
+    worst-case observed values, tolerances the acceptance thresholds.
+
+    The Laplace and cross-entropy Monte-Carlo checks run on one worker
+    thread while this one runs the others: numpy releases the GIL while it
+    draws and sums.  No output depends on which thread finishes first: each
+    Monte-Carlo check draws from its own generator and sums in a fixed
+    order, the main generator draws in the same order as without the
+    worker, and every result is taken and yielded in check order, a worker's
+    exception at its own check.  The thread is joined when the checks end
+    or are closed; a worker check not yet started is dropped."""
+    # imported here, so that importing the CLI for another command loads no new module
+    from concurrent.futures import ThreadPoolExecutor
+
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield from _checks(cfg, worker)
+    finally:
+        worker.shutdown(cancel_futures=True)
+
+
+def _checks(cfg: RunConfig, worker):
+    """_verify_checks' list, with worker running two of the Monte-Carlo checks."""
+    n = cfg.verify_mc_draws
+    laplace = worker.submit(br.mc_l1_laplace, 3.0, n, np.random.default_rng(cfg.verify_seed + 2))
     rng = np.random.default_rng(cfg.verify_seed)
 
     t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng, cfg.verify_tables)
@@ -428,6 +452,10 @@ def _verify_checks(cfg: RunConfig):
     yield "bound_monotone_in_delta", worst, 1e-12, worst <= 1e-12
 
     ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)
+    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)
+    ce = worker.submit(
+        br.mc_ce, ce_table, "Y", ["X"], n, np.random.default_rng(cfg.verify_seed + 3)
+    )
     d = br.pragmatic_distortion(ext, "segmentation")
     want = (
         it.conditional_mi(ext, "Y", "X_s", ["X_r"], "nats").value
@@ -437,19 +465,15 @@ def _verify_checks(cfg: RunConfig):
     yield "distortion_identity", worst, 1e-10, worst <= 1e-10
     yield "distortion_nonnegative", worst_neg, -1e-10, worst_neg >= -1e-10
 
-    n = cfg.verify_mc_draws
     est = br.mc_l1_gaussian(1.0, n, np.random.default_rng(cfg.verify_seed + 1))
     rel = abs(est - br.SQRT_2_OVER_PI) / br.SQRT_2_OVER_PI
     yield "mc_gaussian_l1", rel, 0.01, rel <= 0.01
 
-    est = br.mc_l1_laplace(3.0, n, np.random.default_rng(cfg.verify_seed + 2))
-    rel = abs(est - 3.0) / 3.0
+    rel = abs(laplace.result() - 3.0) / 3.0
     yield "mc_laplace_l1", rel, 0.01, rel <= 0.01
 
-    t = it.random_joint([("Y", 3), ("X", 3)], rng)
-    closed = br.bayes_risk_ce(t, "Y", ["X"])
-    est = br.mc_ce(t, "Y", ["X"], n, np.random.default_rng(cfg.verify_seed + 3))
-    rel = abs(est - closed) / max(closed, 1e-12)
+    closed = br.bayes_risk_ce(ce_table, "Y", ["X"])
+    rel = abs(ce.result() - closed) / max(closed, 1e-12)
     yield "mc_cross_entropy", rel, 0.01, rel <= 0.01
 
     h = rng.uniform(0, 3, size=(200, 2))

@@ -45,11 +45,15 @@ PAIR_ORACLE = "tests/test_pipeline.py::TestPairBatch::test_matches_loop_oracle"
 PAIR_ORDER = "tests/test_pipeline.py::TestPairBatch::test_rows_in_world_pair_cell_order"
 PAIR_TIE = "tests/test_pipeline.py::TestPairBatch::test_confidence_equal_to_tau_is_dropped"
 TRAIN_PIN = "tests/test_cli.py::TestTrainAndSweep::test_train_bytes_pinned"
+SWEEP_PIN = "tests/test_cli.py::TestTrainAndSweep::test_sweep_bytes_pinned"
 STACK_FILES = "tests/test_cli.py::TestTrainAndSweep::test_stack_scores_the_same_through_its_files"
 DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
-VERIFY_PIN = "tests/test_cli.py::TestVerifyTheory::test_small_config_outputs_pinned"
+VERIFY = "tests/test_cli.py::TestVerifyTheory::"
+VERIFY_PIN = VERIFY + "test_small_config_outputs_pinned"
+VERIFY_FAST_PIN = VERIFY + "test_outputs_pinned"
+CE_STREAM = VERIFY + "test_cross_entropy_table_follows_the_distortion_channels"
 STACKED_BOUND = "tests/test_rd_oracle.py::TestStackedSources::test_bound_rows_are_the_tables_own"
-NAN_RATE = "tests/test_cli.py::TestVerifyTheory::test_nan_rate_fails_bound_soundness"
+NAN_RATE = VERIFY + "test_nan_rate_fails_bound_soundness"
 MC = "tests/test_bayes_risk.py::TestMonteCarloMatchesNaiveOracle::"
 MC_CE, MC_L1 = MC + "test_cross_entropy_same_float", MC + "test_l1_same_float"
 MC_BLOCKS = MC + "test_many_draw_blocks_same_float[shape0]"  # a (3, 3) table, as verify's
@@ -67,6 +71,7 @@ CODER = "tests/test_entropy_coder.py::"
 CAPPED = CODER + "TestPrefixCode::test_built_code_is_huffman_capped_at_16_bits"
 GEOMETRIC = CODER + "TestVectorizedCoder::test_geometric_code_capped_at_16_bits"
 KERNEL = CODER + "TestVectorizedCoder::test_kernel_matches_the_per_length_oracle"
+CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_lossless_regime"
 SUM_PLANES = "tests/test_planes.py::TestSumPlanes::test_matches_sum_over_the_last_axis"
 SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_its_own_call"
 POSTERIOR_ALONE = (
@@ -95,7 +100,7 @@ MUTANTS = (
         "np.reshape(taus, (len(senders), len(conf), 1, 1)).swapaxes(0, 1)",
         (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
     ),
-    Mutant(
+    Mutant(  # only a golden pin kills it
         "train_all_in_float64",
         "src/pragcomm/pipeline.py",
         "mie.train(disc.astype(np.float32), batch,",
@@ -122,6 +127,15 @@ MUTANTS = (
         "i_bits = i_bits.reshape(",
         "i_bits = i_bits[:1].reshape(",
         (STACKED_BOUND, DRAW_ORDER, VERIFY_PIN),
+    ),
+    Mutant(
+        "verify_ce_table_drawn_early",
+        "src/pragcomm/cli.py",
+        '    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n'
+        '    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n',
+        '    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n'
+        '    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n',
+        (CE_STREAM, VERIFY_PIN, VERIFY_FAST_PIN),
     ),
     Mutant(
         "bound_soundness_min_skips_nan",
@@ -182,6 +196,13 @@ MUTANTS = (
         "Scene(make_world(replace(world_template, seed=seed)), stack)",
         "Scene(make_world(world_template), stack)",
         (FRESH_WORLDS,),
+    ),
+    Mutant(
+        "redundancy_score_constant",
+        "src/pragcomm/pipeline.py",
+        "mie.redundancy_map(disc, abstract, self.feats[r])",
+        "mie.redundancy_map(disc, abstract, self.feats[r]) * 0.0",
+        (CRITERION_7, SWEEP_PIN),
     ),
     Mutant(
         "capped_lengths_handed_out_in_reverse",

@@ -1,6 +1,9 @@
+import copy
 import json
 import math
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -805,6 +808,92 @@ class TestVerifyTheory:
         assert capsys.readouterr().err.splitlines() == ["error: delta must be >= 0"]
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("slow", ["mc_l1_laplace", "mc_l1_gaussian"])
+    def test_small_config_pinned_whichever_thread_ends_last(self, slow, tmp_path, monkeypatch):
+        # the Laplace check runs on the worker, the Gaussian one on the main thread
+        real = getattr(cli.br, slow)
+
+        def late(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(cli.br, slow, late)
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(SMALL_CFG), "--out", str(out)]) == 0
+        digests = tree_digests(out)
+        assert {name: digests[name] for name in pins("small-verify")} == pins("small-verify")
+
+    def test_one_worker_runs_the_laplace_and_cross_entropy_checks(self, cfg_file, monkeypatch):
+        threads = {}
+
+        def spy(name):
+            real = getattr(cli.br, name)
+
+            def recorded(*args):
+                threads[name] = threading.current_thread(), threading.active_count()
+                return real(*args)
+
+            monkeypatch.setattr(cli.br, name, recorded)
+
+        for name in ("mc_l1_gaussian", "mc_l1_laplace", "mc_ce"):
+            spy(name)
+        before = threading.active_count()
+        list(cli._verify_checks(parse_config(str(cfg_file))))
+        assert threading.active_count() == before
+        assert threads["mc_l1_gaussian"] == (threading.main_thread(), before + 1)
+        assert threads["mc_l1_laplace"][0] is threads["mc_ce"][0] is not threading.main_thread()
+        assert threads["mc_ce"][1] == before + 1
+
+    def test_cross_entropy_table_follows_the_distortion_channels(self, cfg_file, monkeypatch):
+        # the main generator draws in the same order as when every check ran on it
+        real_stack, real_ce = cli._channel_stack, cli.br.mc_ce
+        after_stack, scored = [], []
+
+        def stack(rng, *args):
+            ext = real_stack(rng, *args)
+            after_stack.append(copy.deepcopy(rng))
+            return ext
+
+        def ce(t, *args):
+            scored.append(t)
+            return real_ce(t, *args)
+
+        monkeypatch.setattr(cli, "_channel_stack", stack)
+        monkeypatch.setattr(cli.br, "mc_ce", ce)
+        list(cli._verify_checks(parse_config(str(cfg_file))))
+        want = cli.it.random_joint([("Y", 3), ("X", 3)], after_stack[-1])
+        assert len(after_stack) == 2 and len(scored) == 1
+        assert scored[0].pmf.tobytes() == want.pmf.tobytes()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(ValueError("bad draw"), "error: bad draw"), (MemoryError(), "error: out of memory")],
+        ids=["ValueError", "MemoryError"],
+    )
+    def test_worker_failure_is_one_error_line(
+        self, exc, line, cfg_file, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.br, "mc_l1_laplace", fail)
+        before = threading.active_count()
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert "Traceback" not in captured.out + captured.err
+        assert threading.active_count() == before
+        assert not (out / "report.txt").exists()
+
+    def test_closing_after_the_first_check_joins_the_worker(self, cfg_file):
+        before = threading.active_count()
+        checks = cli._verify_checks(parse_config(str(cfg_file)))
+        assert next(checks)[0] == "identity_rate_decomposition"
+        assert threading.active_count() == before + 1
+        checks.close()
+        assert threading.active_count() == before
+
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         main(["verify-theory", "--config", str(cfg_file), "--out", str(out1)])
@@ -835,7 +924,7 @@ class TestVerifyTheory:
     @pytest.mark.parametrize(
         "key, cap, why",
         [
-            ("mc_draws", cli.MAX_MC_DRAWS, "about 40 ns a draw"),
+            ("mc_draws", cli.MAX_MC_DRAWS, "about 27 ns a draw"),
             ("tables", cli.MAX_TABLES, "1 GiB at 480 bytes a table"),
             ("sources", cli.MAX_SOURCES, "about 5 ms a source"),
         ],
