@@ -59,8 +59,8 @@ out.mkdir(exist_ok=True)
 
 # every variant sweeps the same worlds: prepare them once, as scenes
 scenes = pl.scenes(world_template, stack, seeds)
-solo = np.mean([pl.solo_iou(scenes[s].world) for s in seeds])
-full = np.mean([pl.uncompressed_iou(scenes[s].world) for s in seeds])
+solo = np.mean([pl.solo_iou(scenes[s]) for s in seeds])
+full = np.mean([pl.uncompressed_iou(scenes[s]) for s in seeds])
 print(f"no-collaboration IoU {solo:.4f}; raw-feature-sharing IoU {full:.4f}")
 print(f"(raw sharing would cost 32 bits x {world_template.feature_channels} channels "
       f"x {world_template.h * world_template.w} cells = "

@@ -23,17 +23,12 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import bayes_risk as br
 from . import entropy_coder as ec
-from . import infotheory as it
 from . import mi_estimator as mie
 from . import pipeline as pl
-from . import rd_oracle as rd
 from . import simworld as sw
-from . import textio, vq
+from . import textio, verify, vq
 
 
 class ConfigError(ValueError):
@@ -45,11 +40,7 @@ class RunConfig:
     world: sw.WorldConfig
     train: pl.TrainConfig
     sweep: pl.SweepConfig
-    verify_sources: int = 50
-    verify_tables: int = 200
-    verify_mc_draws: int = 1_000_000
-    verify_z_max: int = 4
-    verify_seed: int = 7
+    verify: verify.VerifyConfig
 
 
 # --- value parsers: text -> value, or a ValueError giving the reason -------
@@ -98,7 +89,7 @@ def _count_below(cap: int, why: str):
 # config is the stacked identity tables: tracemalloc over verify-theory on
 # small.cfg measured 472 bytes a table, so tables get 1 GiB.  The Monte-Carlo
 # checks hold one block of draws at a time whatever their number, and random
-# sources are drawn and evaluated _SOURCE_CHUNK at a time, a chunk's
+# sources are drawn and evaluated verify.SOURCE_CHUNK at a time, a chunk's
 # frontiers freed before the next chunk is drawn (peak 6.7-7.2 MB from 256 to
 # 3000 sources), so both are capped by time.  Draws cost about 27 ns each
 # over the three checks on 2 cores, where the worker thread's two checks are
@@ -107,7 +98,6 @@ def _count_below(cap: int, why: str):
 MAX_MC_DRAWS = 1 << 27
 MAX_TABLES = (1 << 30) // 480
 MAX_SOURCES = 10**6
-_SOURCE_CHUNK = 256  # random sources held at once, which bounds their memory
 _draws = _count_below(MAX_MC_DRAWS, "about 27 ns a draw")
 _tables = _count_below(MAX_TABLES, "1 GiB at 480 bytes a table")
 _sources = _count_below(MAX_SOURCES, "about 5 ms a source")
@@ -147,10 +137,9 @@ def _fov(text: str) -> tuple:
     return tuple(shapes)
 
 
-# (section, key) -> (RunConfig attribute it fills, field, value parser); a key
-# the file leaves out keeps the field's dataclass default, and "run" names
-# RunConfig's own fields.  [world] also takes fov_0 .. fov_{agents-1}, parsed
-# by _fov; an agent without one sees the whole grid.
+# (section, key) -> (RunConfig attribute, its field, value parser); a key the
+# file leaves out keeps the field's default.  [world] also takes fov_0 ..
+# fov_{agents-1}, parsed by _fov; an agent without one sees the whole grid.
 _TABLE = {
     ("world", "h"): ("world", "h", _int),
     ("world", "w"): ("world", "w", _int),
@@ -177,11 +166,11 @@ _TABLE = {
     ("sweep", "seeds"): ("sweep", "seeds", _list(_seed)),
     ("sweep", "coder"): ("sweep", "coder", str),
     ("sweep", "selector"): ("sweep", "selector", str),
-    ("verify", "sources"): ("run", "verify_sources", _sources),
-    ("verify", "tables"): ("run", "verify_tables", _tables),
-    ("verify", "mc_draws"): ("run", "verify_mc_draws", _draws),
-    ("verify", "z_max"): ("run", "verify_z_max", _count),
-    ("verify", "seed"): ("run", "verify_seed", _seed),
+    ("verify", "sources"): ("verify", "sources", _sources),
+    ("verify", "tables"): ("verify", "tables", _tables),
+    ("verify", "mc_draws"): ("verify", "mc_draws", _draws),
+    ("verify", "z_max"): ("verify", "z_max", _count),
+    ("verify", "seed"): ("verify", "seed", _seed),
 }
 _SECTIONS = {section for section, _ in _TABLE}
 _FOV_KEY = re.compile(r"fov_(0|[1-9][0-9]*)")  # no leading zeros: one name per agent
@@ -216,7 +205,7 @@ def parse_config(path: str) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    fields = {"world": {}, "train": {}, "sweep": {}, "run": {}}
+    fields = {"world": {}, "train": {}, "sweep": {}, "verify": {}}
     fovs = {}
     for section, entries in _parse_lines(text).items():
         for key, value in entries.items():
@@ -239,12 +228,13 @@ def parse_config(path: str) -> RunConfig:
     n_specs = min(n_agents, sw.MAX_AGENTS)
     world["fovs"] = tuple(fovs.get(a, ("full",)) for a in range(n_specs))
     built = {}
-    for name, cls in (("world", sw.WorldConfig), ("sweep", pl.SweepConfig)):
+    for name, cls in (("world", sw.WorldConfig), ("train", pl.TrainConfig),
+                      ("sweep", pl.SweepConfig), ("verify", verify.VerifyConfig)):
         try:
             built[name] = cls(**fields[name])
         except ValueError as exc:
             raise ConfigError(f"invalid [{name}] config: {exc}") from None
-    train, world = pl.TrainConfig(**fields["train"]), built["world"]
+    train, world = built["train"], built["world"]
     # the codebooks are fit to every training view's cells
     cells = train.n_train_worlds * world.n_agents * world.h * world.w
     if train.n_base > train.n_res:
@@ -262,17 +252,12 @@ def parse_config(path: str) -> RunConfig:
             f"[codebook] n_res: must be at most the {cells} training cells "
             f"([train] worlds x [world] agents x h x w), got {train.n_res}"
         )
-    return RunConfig(train=train, **built, **fields["run"])
+    return RunConfig(**built)
 
 
 def _write_manifest(out: Path, command: str, config_path: str, seed) -> None:
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
-    manifest = {
-        "command": command,
-        "config_sha256": digest,
-        "seed": seed,
-        "version": __version__,
-    }
+    manifest = {"command": command, "config_sha256": digest, "seed": seed, "version": __version__}
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
 
 
@@ -328,180 +313,16 @@ def cmd_export(results_path: str, out: Path) -> int:
     return 0
 
 
-# --- theory verification -------------------------------------------------
-
-
-def _random_frontiers(cfg: RunConfig, rng: np.random.Generator, n: int):
-    """Yields (``rd.frontier_columns``, their bounds) for n random sources
-    drawn from rng, in draw order.  The sources are drawn _SOURCE_CHUNK at a
-    time, each its sizes and then its pmf; a chunk's sources of one shape
-    are then evaluated as one stack."""
-    names = ("Y", "X_s", "X_r")
-    for start in range(0, n, _SOURCE_CHUNK):
-        draws = []
-        for _ in range(min(_SOURCE_CHUNK, n - start)):
-            sizes = tuple(int(s) for s in rng.integers(2, 5, size=3))
-            draws.append((sizes, it.random_pmf(sizes, rng)))
-        groups: dict[tuple, list[int]] = {}  # shape -> its sources, in draw order
-        for k, (sizes, _) in enumerate(draws):
-            groups.setdefault(sizes, []).append(k)
-        results = [None] * len(draws)
-        for sizes, members in groups.items():
-            t = it.JointTable(tuple(zip(names, sizes)), np.stack([draws[k][1] for k in members]))
-            columns = rd.frontier_columns(t, min(sizes[1], cfg.verify_z_max))
-            bounds = rd.theoretical_bound(t, np.maximum(columns[1], 0.0))
-            for row, k in enumerate(members):
-                results[k] = tuple(c[row] for c in columns), bounds[row]
-        yield from results
-
-
-def _channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it.JointTable:
-    """n random tables over axes, each extended to a "Z" axis through its own
-    random channel from "X_s"; every table is drawn before its kernel."""
-    sizes = tuple(s for _, s in axes)
-    pmfs, kernels = [], []
-    for _ in range(n):
-        pmfs.append(it.random_pmf(sizes, rng))
-        kernels.append(rng.dirichlet(np.ones(n_z), size=dict(axes)["X_s"]))
-    t = it.JointTable(tuple(axes), np.stack(pmfs))
-    return it.extend_with_channel(t, "X_s", "Z", np.stack(kernels))
-
-
-def _verify_checks(cfg: RunConfig):
-    """Yields (name, margin, tolerance, passed) tuples; margins are the
-    worst-case observed values, tolerances the acceptance thresholds.
-
-    The Laplace and cross-entropy Monte-Carlo checks run on one worker
-    thread while this one runs the others: numpy releases the GIL while it
-    draws and sums.  No output depends on which thread finishes first: each
-    Monte-Carlo check draws from its own generator and sums in a fixed
-    order, the main generator draws in the same order as without the
-    worker, and every result is taken and yielded in check order, a worker's
-    exception at its own check.  The thread is joined when the checks end
-    or are closed; a worker check not yet started is dropped."""
-    # imported here, so that importing the CLI for another command loads no new module
-    from concurrent.futures import ThreadPoolExecutor
-
-    worker = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield from _checks(cfg, worker)
-    finally:
-        worker.shutdown(cancel_futures=True)
-
-
-def _checks(cfg: RunConfig, worker):
-    """_verify_checks' list, with worker running two of the Monte-Carlo checks."""
-    n = cfg.verify_mc_draws
-    laplace = worker.submit(br.mc_l1_laplace, 3.0, n, np.random.default_rng(cfg.verify_seed + 2))
-    rng = np.random.default_rng(cfg.verify_seed)
-
-    t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng, cfg.verify_tables)
-    lhs = it.conditional_mi(t, "Y", "X_s", ["X_r"]).value
-    rhs = (
-        it.entropy(t, "X_s").value
-        - it.conditional_entropy(t, "X_s", ["Y"]).value
-        - it.interaction_information(t, "Y", "X_s", "X_r").value
-    )
-    worst = float(np.abs(lhs - rhs).max())
-    yield "identity_rate_decomposition", worst, 1e-10, worst <= 1e-10
-
-    t = it.random_joint([("A", 3), ("B", 4)], rng, 100)
-    lhs = it.joint_entropy(t, ["A", "B"]).value
-    rhs = it.entropy(t, "A").value + it.conditional_entropy(t, "B", ["A"]).value
-    worst = float(np.abs(lhs - rhs).max())
-    yield "identity_chain_rule", worst, 1e-10, worst <= 1e-10
-
-    t = it.random_joint([("A", 5)], rng)
-    bits = it.entropy(t, "A", "bits").value
-    nats = it.entropy(t, "A", "nats").value
-    diff = abs(bits * it.LN2 - nats)
-    yield "unit_conversion", diff, 1e-12, diff <= 1e-12
-
-    ext = _channel_stack(rng, [("Y", 3), ("X_s", 4)], 3, 50)
-    gap = (
-        it.mutual_information(ext, "Y", "Z").value
-        - it.mutual_information(ext, "Y", "X_s").value
-    )
-    worst = float(gap.max())
-    yield "data_processing_inequality", worst, 1e-10, worst <= 1e-10
-
-    margins = [(rates - bounds).min() for (rates, *_), bounds in
-               _random_frontiers(cfg, rng, cfg.verify_sources)]
-    worst = float(np.min(margins))  # a NaN margin propagates and fails
-    yield "bound_soundness", worst, -1e-9, worst >= -1e-9
-
-    source, kernel = rd.make_separable_source(
-        np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.4, 0.6])
-    )
-    h_zy, i_zxr, gap = rd.check_conditions(source, kernel)
-    worst = max(h_zy, i_zxr, gap)
-    yield "bound_tightness_conditions", worst, 1e-9, worst <= 1e-9
-
-    t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 3)], rng)
-    ext = it.extend_with_channel(t, "X_s", "Z", rd.deterministic_kernel([0, 1, 0]))
-    worst = max(
-        it.conditional_mi(ext, "Z", "X_r", ["X_s"]).value,
-        it.conditional_mi(ext, "Z", "Y", ["X_s"]).value,
-    )
-    yield "markov_premise", worst, 1e-10, worst <= 1e-10
-
-    t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng)
-    deltas = np.linspace(0.0, 1.5, 16)
-    vals = rd.theoretical_bound(t, deltas)
-    worst = float(np.diff(vals).max())
-    yield "bound_monotone_in_delta", worst, 1e-12, worst <= 1e-12
-
-    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)
-    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)
-    ce = worker.submit(
-        br.mc_ce, ce_table, "Y", ["X"], n, np.random.default_rng(cfg.verify_seed + 3)
-    )
-    d = br.pragmatic_distortion(ext, "segmentation")
-    want = (
-        it.conditional_mi(ext, "Y", "X_s", ["X_r"], "nats").value
-        - it.conditional_mi(ext, "Y", "Z", ["X_r"], "nats").value
-    )
-    worst, worst_neg = float(np.abs(d - want).max()), float(d.min())
-    yield "distortion_identity", worst, 1e-10, worst <= 1e-10
-    yield "distortion_nonnegative", worst_neg, -1e-10, worst_neg >= -1e-10
-
-    est = br.mc_l1_gaussian(1.0, n, np.random.default_rng(cfg.verify_seed + 1))
-    rel = abs(est - br.SQRT_2_OVER_PI) / br.SQRT_2_OVER_PI
-    yield "mc_gaussian_l1", rel, 0.01, rel <= 0.01
-
-    rel = abs(laplace.result() - 3.0) / 3.0
-    yield "mc_laplace_l1", rel, 0.01, rel <= 0.01
-
-    closed = br.bayes_risk_ce(ce_table, "Y", ["X"])
-    rel = abs(ce.result() - closed) / max(closed, 1e-12)
-    yield "mc_cross_entropy", rel, 0.01, rel <= 0.01
-
-    h = rng.uniform(0, 3, size=(200, 2))
-    h1, h2 = np.maximum(h[:, 0], h[:, 1]), np.minimum(h[:, 0], h[:, 1])
-    worst = float(((h1 - h2) / math.e - (np.exp(h1 - 1) - np.exp(h2 - 1))).max())
-    yield "first_order_exponential_bound", worst, 1e-12, worst <= 1e-12
-
-
 def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
-    lines = []
-    all_ok = True
-    for name, margin, tol, ok in _verify_checks(cfg):
+    lines, all_ok = [], True
+    for name, margin, tol, ok in verify.checks(cfg.verify):
         all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name} margin={margin:.3e} tol={tol:.1e}")
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.3e} tol={tol:.1e}")
     lines.append("OK" if all_ok else "FAILED")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-
-    rng = np.random.default_rng(cfg.verify_seed)
-    rows = []
-    frontiers = _random_frontiers(cfg, rng, min(cfg.verify_sources, 10))
-    for src_id, (columns, bounds) in enumerate(frontiers):
-        flags = rd.pareto_flags(np.column_stack(columns[:2]))
-        values = zip(*(c.tolist() for c in columns), bounds.tolist(), flags)
-        rows.extend((f"src{src_id}", e, *v) for e, v in enumerate(values))
-    header = "source,encoder_id,rate_bits,distortion_nats,h_z_given_y,mi_z_xr,bound_bits,pareto_flag"
-    (out / "frontier.csv").write_text(textio.csv_text(header.split(","), rows))
-    _write_manifest(out, "verify-theory", config_path, cfg.verify_seed)
+    rows = verify.frontier_rows(cfg.verify)
+    (out / "frontier.csv").write_text(textio.csv_text(verify.FRONTIER_COLUMNS, rows))
+    _write_manifest(out, "verify-theory", config_path, cfg.verify.seed)
     print("\n".join(lines))
     return 0 if all_ok else 1
 

@@ -264,7 +264,7 @@ class Scene:
         features: the zero-distortion reference of a round."""
         key = ("raw", r, senders)
         if key not in self._stages:
-            post = _raw_receive(self.world, self.feats, r, senders)[0]
+            post = _raw_receive(self, r, senders)[0]
             self._stages[key] = _mean_entropy_nats(post)
         return self._stages[key]
 
@@ -334,15 +334,14 @@ def _receive(world: World, r: int, own: np.ndarray, incoming: list):
     return post, per_class, mean
 
 
-def _raw_receive(world: World, feats: np.ndarray, r: int, senders) -> tuple:
+def _raw_receive(scene: Scene, r: int, senders) -> tuple:
     """``_receive`` of the senders' raw features, each weighted by its trust."""
-    raw = [feats[s] * _trust(world.cfg, s, r) for s in senders]
-    return _receive(world, r, feats[r], raw)
+    raw = [scene.feats[s] * _trust(scene.world.cfg, s, r) for s in senders]
+    return _receive(scene.world, r, scene.feats[r], raw)
 
 
 def run_round(
-    world: World | Scene,
-    stack: TrainedStack,
+    scene: Scene,
     tau_c: float,
     tau_mi: float,
     coder: str = "task_entropy",
@@ -355,12 +354,8 @@ def run_round(
     name two distinct agents per pair.  Each receiver fuses its incoming
     smoothed messages in sender order (max-fusion makes the order moot) and
     predicts from the fused posterior; bits are summed over messages and the
-    task scores averaged over receivers.  ``world`` may be a scene prepared
-    for ``stack``, whose stages are then shared with other rounds.
+    task scores averaged over receivers.  Rounds on one scene share its stages.
     """
-    scene = world if isinstance(world, Scene) else Scene(world, stack)
-    if scene.stack is not stack:
-        raise ValueError("the scene was prepared for another stack")
     cfg = scene.world.cfg
     agents = range(cfg.n_agents)
     if pairs is None:
@@ -410,18 +405,16 @@ def run_round(
     )
 
 
-def uncompressed_iou(world: World) -> float:
+def uncompressed_iou(scene: Scene) -> float:
     """Collaboration ceiling: receivers fuse the senders' raw feature grids."""
-    feats, _ = views(world)
-    agents = range(len(feats))
-    ious = [_raw_receive(world, feats, r, [s for s in agents if s != r])[2] for r in agents]
+    agents = range(len(scene.feats))
+    ious = [_raw_receive(scene, r, [s for s in agents if s != r])[2] for r in agents]
     return float(np.mean(ious))
 
 
-def solo_iou(world: World) -> float:
+def solo_iou(scene: Scene) -> float:
     """No-collaboration floor: each agent predicts from its own view alone."""
-    feats, _ = views(world)
-    return float(np.mean([_raw_receive(world, feats, r, ())[2] for r in range(len(feats))]))
+    return float(np.mean([_raw_receive(scene, r, ())[2] for r in range(len(scene.feats))]))
 
 
 def scenes(world_template: sw.WorldConfig, stack: TrainedStack, seeds) -> dict[int, Scene]:
@@ -437,8 +430,7 @@ def sweep_scenes(scenes: dict[int, Scene], cfg: SweepConfig) -> list[RoundResult
     """Grid product of thresholds and seeds in (tau_c, tau_mi, seed) order,
     each round on its seed's scene, so every round shares that scene's stages."""
     return [
-        run_round(scenes[seed], scenes[seed].stack, float(tau_c), float(tau_mi),
-                  cfg.coder, cfg.selector)
+        run_round(scenes[seed], float(tau_c), float(tau_mi), cfg.coder, cfg.selector)
         for tau_c in cfg.tau_c_grid
         for tau_mi in cfg.tau_mi_grid
         for seed in map(int, cfg.seeds)

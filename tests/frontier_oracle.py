@@ -5,9 +5,9 @@ Kept as a test oracle: ``pragcomm.rd_oracle.enumerate_frontier`` must give
 the same points, and ``pragcomm.rd_oracle.pareto_flags`` the same flags, as
 these functions.  Each encoder is evaluated through the validated
 ``JointTable`` path of ``pragcomm.infotheory`` one at a time.  Likewise
-``pragcomm.cli._random_frontiers`` and ``_channel_stack`` must draw and
-return what ``random_frontiers`` and ``channel_stack`` do, one validated
-table at a time.
+``pragcomm.verify.random_frontiers`` and ``pragcomm.verify.channel_stack``
+must draw and return what ``random_frontiers`` and ``channel_stack`` do,
+one validated table at a time.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ def pareto_flags(points: list[tuple[float, float]], eps: float = 1e-12) -> list[
     return flags
 
 
-def random_frontiers(cfg, rng: np.random.Generator, n: int):
+def random_frontiers(rng: np.random.Generator, n: int, z_max: int):
     """Yields (``rd.frontier_columns``, their bounds) for n random sources
-    drawn from rng."""
+    drawn from rng, each with output alphabets up to z_max."""
     for _ in range(n):
         sizes = [int(s) for s in rng.integers(2, 5, size=3)]
         t = random_joint(list(zip(("Y", "X_s", "X_r"), sizes)), rng)
-        columns = frontier_columns(t, min(sizes[1], cfg.verify_z_max))
+        columns = frontier_columns(t, min(sizes[1], z_max))
         yield columns, theoretical_bound(t, np.maximum(columns[1], 0.0))
 
 

@@ -47,6 +47,9 @@ PAIR_TIE = "tests/test_pipeline.py::TestPairBatch::test_confidence_equal_to_tau_
 TRAIN_PIN = "tests/test_cli.py::TestTrainAndSweep::test_train_bytes_pinned"
 SWEEP_PIN = "tests/test_cli.py::TestTrainAndSweep::test_sweep_bytes_pinned"
 STACK_FILES = "tests/test_cli.py::TestTrainAndSweep::test_stack_scores_the_same_through_its_files"
+FLOAT32_TRAIN = (
+    "tests/test_pipeline.py::TestTrainAll::test_trains_a_float32_copy_and_returns_it_in_float64"
+)
 DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
 VERIFY = "tests/test_cli.py::TestVerifyTheory::"
 VERIFY_PIN = VERIFY + "test_small_config_outputs_pinned"
@@ -100,23 +103,23 @@ MUTANTS = (
         "np.reshape(taus, (len(senders), len(conf), 1, 1)).swapaxes(0, 1)",
         (PAIR_ORACLE, PAIR_ORDER, TRAIN_PIN),
     ),
-    Mutant(  # only a golden pin kills it
+    Mutant(
         "train_all_in_float64",
         "src/pragcomm/pipeline.py",
         "mie.train(disc.astype(np.float32), batch,",
         "mie.train(disc, batch,",
-        (TRAIN_PIN,),
+        (FLOAT32_TRAIN, TRAIN_PIN),
     ),
     Mutant(
         "trained_weights_left_float32",
         "src/pragcomm/pipeline.py",
         "discriminator=disc.astype(np.float64),",
         "discriminator=disc,",
-        (STACK_FILES,),
+        (FLOAT32_TRAIN, STACK_FILES),
     ),
     Mutant(
         "random_frontiers_group_order",
-        "src/pragcomm/cli.py",
+        "src/pragcomm/verify.py",
         "        yield from results\n",
         "        yield from (results[k] for members in groups.values() for k in members)\n",
         (DRAW_ORDER, VERIFY_PIN),
@@ -130,16 +133,16 @@ MUTANTS = (
     ),
     Mutant(
         "verify_ce_table_drawn_early",
-        "src/pragcomm/cli.py",
-        '    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n'
-        '    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n',
-        '    ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n'
-        '    ext = _channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n',
+        "src/pragcomm/verify.py",
+        '        ext = channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n'
+        '        ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n',
+        '        ce_table = it.random_joint([("Y", 3), ("X", 3)], rng)\n'
+        '        ext = channel_stack(rng, [("Y", 2), ("X_s", 3), ("X_r", 2)], 2, 50)\n',
         (CE_STREAM, VERIFY_PIN, VERIFY_FAST_PIN),
     ),
     Mutant(
         "bound_soundness_min_skips_nan",
-        "src/pragcomm/cli.py",
+        "src/pragcomm/verify.py",
         "worst = float(np.min(margins))",
         "worst = float(min(margins))",
         (NAN_RATE,),

@@ -267,7 +267,7 @@ def test_criterion_7_lossless_regime(lossless_stack):
     for seed in ACCEPT_SEEDS:
         world = pl.make_world(pl.replace(LOSSLESS_WORLD, seed=seed))
         res = pl.run_round(
-            world, lossless_stack, 0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)]
+            pl.Scene(world, lossless_stack), 0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)]
         )
         feats = [sw.extract_features(world.obs[a], world.cfg) for a in range(2)]
         fused = sw.fuse(feats[1], feats[0])

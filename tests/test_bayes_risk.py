@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pragcomm import bayes_risk, cli
+from pragcomm import bayes_risk, cli, verify
 from pragcomm.bayes_risk import (
     SQRT_2_OVER_PI,
     CellPosterior,
@@ -388,9 +388,9 @@ class TestMonteCarloMemory:
 
     def test_verify_checks_peak(self):
         shipped = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"
-        cfg = cli.parse_config(str(shipped))
-        assert cfg.verify_mc_draws == 1_000_000
-        assert traced_peak(lambda: list(cli._verify_checks(cfg))) < 2_000_000
+        vc = cli.parse_config(str(shipped)).verify
+        assert vc.mc_draws == 1_000_000
+        assert traced_peak(lambda: list(verify.checks(vc))) < 2_000_000
 
 
 class TestRiskInputsRejected:

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pragcomm import bayes_risk as br
 from pragcomm import cli
+from pragcomm import infotheory as it
 from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
-from pragcomm import vq
+from pragcomm import rd_oracle as rd
+from pragcomm import verify, vq
 from pragcomm.cli import ConfigError, RunConfig, main, parse_config
 from pragcomm.pipeline import (
     CODERS, SELECTORS, RoundResult, SweepConfig, TrainConfig, results_csv,
@@ -82,6 +85,7 @@ def cfg_file(tmp_path):
 
 
 SMALL_CFG = Path(__file__).resolve().parents[1] / "configs" / "small.cfg"
+SMALL_Z_MAX = parse_config(str(SMALL_CFG)).verify.z_max
 
 
 class TestConfigParsing:
@@ -282,7 +286,7 @@ def run_gen_world(text: str, tmp_path, capsys) -> tuple[int, list[str]]:
     return code, capsys.readouterr().err.splitlines()
 
 
-DEFAULTS = RunConfig(WorldConfig(), TrainConfig(), SweepConfig())
+DEFAULTS = RunConfig(WorldConfig(), TrainConfig(), SweepConfig(), verify.VerifyConfig())
 SEEDS = st.integers(0, 10**12)
 COUNTS = st.integers(1, 10**9)
 FLIP = st.floats(0.0, 0.5, exclude_max=True)
@@ -293,8 +297,8 @@ def float_lists(elements):
     return st.lists(elements, min_size=1, max_size=5).map(tuple)
 
 
-# (section, key) -> (RunConfig attribute, field, valid values); "run" names
-# RunConfig's own fields.  Valid values keep the other defaults valid too.
+# (section, key) -> (RunConfig attribute, field, valid values).  Valid values
+# keep the other defaults valid too.
 VALID = {
     ("world", "h"): ("world", "h", st.integers(7, 64)),
     ("world", "w"): ("world", "w", st.integers(7, 64)),
@@ -324,11 +328,11 @@ VALID = {
     ("sweep", "seeds"): ("sweep", "seeds", st.lists(SEEDS, min_size=1, max_size=5).map(tuple)),
     ("sweep", "coder"): ("sweep", "coder", st.sampled_from(CODERS)),
     ("sweep", "selector"): ("sweep", "selector", st.sampled_from(SELECTORS)),
-    ("verify", "sources"): ("run", "verify_sources", st.integers(1, cli.MAX_SOURCES)),
-    ("verify", "tables"): ("run", "verify_tables", st.integers(1, cli.MAX_TABLES)),
-    ("verify", "mc_draws"): ("run", "verify_mc_draws", st.integers(1, cli.MAX_MC_DRAWS)),
-    ("verify", "z_max"): ("run", "verify_z_max", COUNTS),
-    ("verify", "seed"): ("run", "verify_seed", SEEDS),
+    ("verify", "sources"): ("verify", "sources", st.integers(1, cli.MAX_SOURCES)),
+    ("verify", "tables"): ("verify", "tables", st.integers(1, cli.MAX_TABLES)),
+    ("verify", "mc_draws"): ("verify", "mc_draws", st.integers(1, cli.MAX_MC_DRAWS)),
+    ("verify", "z_max"): ("verify", "z_max", COUNTS),
+    ("verify", "seed"): ("verify", "seed", SEEDS),
 }
 
 
@@ -353,13 +357,10 @@ class TestConfigTable:
         section, key = entry
         target, field, values = VALID[entry]
         value = data.draw(values)
-        if target == "run":
-            want = replace(DEFAULTS, **{field: value})
-        else:
-            changes = {field: value}
-            if key == "agents":  # each agent without a fov_N line sees the whole grid
-                changes["fovs"] = (("full",),) * value
-            want = replace(DEFAULTS, **{target: replace(getattr(DEFAULTS, target), **changes)})
+        changes = {field: value}
+        if key == "agents":  # each agent without a fov_N line sees the whole grid
+            changes["fovs"] = (("full",),) * value
+        want = replace(DEFAULTS, **{target: replace(getattr(DEFAULTS, target), **changes)})
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "one.cfg"
             path.write_text(f"[{section}]\n{key} = {config_text(value)}\n")
@@ -509,14 +510,14 @@ class TestGenWorld:
         assert (out / "world_9.txt").exists()
 
     def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
-        real = cli.br.pragmatic_distortion
+        real = br.pragmatic_distortion
 
         def one_nan(table, task, params=None):
             d = real(table, task, params).copy()
             d[7] = float("nan")
             return d
 
-        monkeypatch.setattr(cli.br, "pragmatic_distortion", one_nan)
+        monkeypatch.setattr(br, "pragmatic_distortion", one_nan)
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 1
         report = (out / "report.txt").read_text().splitlines()
@@ -759,14 +760,14 @@ class TestVerifyTheory:
         assert {name: digests[name] for name in pins("small-verify")} == pins("small-verify")
 
     def test_nan_margin_fails(self, cfg_file, tmp_path, monkeypatch):
-        real = cli.br.pragmatic_distortion
+        real = br.pragmatic_distortion
 
         def one_nan(table, task, params=None):
             d = real(table, task, params).copy()
             d[7] = float("nan")
             return d
 
-        monkeypatch.setattr(cli.br, "pragmatic_distortion", one_nan)
+        monkeypatch.setattr(br, "pragmatic_distortion", one_nan)
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 1
         report = (out / "report.txt").read_text().splitlines()
@@ -775,7 +776,7 @@ class TestVerifyTheory:
         assert report[-1] == "FAILED"
 
     def test_nan_rate_fails_bound_soundness(self, cfg_file, monkeypatch):
-        real = cli.rd.frontier_columns
+        real = rd.frontier_columns
         stacks = []
 
         def nan_rates_after_the_first_stack(source, z):
@@ -786,23 +787,23 @@ class TestVerifyTheory:
                 columns[0][:] = np.nan
             return columns
 
-        monkeypatch.setattr(cli.rd, "frontier_columns", nan_rates_after_the_first_stack)
+        monkeypatch.setattr(rd, "frontier_columns", nan_rates_after_the_first_stack)
         checks = {name: (margin, ok) for name, margin, _, ok in
-                  cli._verify_checks(parse_config(str(cfg_file)))}
+                  verify.checks(parse_config(str(cfg_file)).verify)}
         margin, ok = checks["bound_soundness"]
         assert len(stacks) > 1
         assert math.isnan(margin) and not ok
         assert checks["bound_tightness_conditions"][1]
 
     def test_nan_distortion_is_an_error(self, cfg_file, tmp_path, monkeypatch, capsys):
-        real = cli.rd.frontier_columns
+        real = rd.frontier_columns
 
         def nan_distortion(source, z):
             columns = real(source, z)
             columns[1][-1, -1] = np.nan
             return columns
 
-        monkeypatch.setattr(cli.rd, "frontier_columns", nan_distortion)
+        monkeypatch.setattr(rd, "frontier_columns", nan_distortion)
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: delta must be >= 0"]
@@ -811,13 +812,13 @@ class TestVerifyTheory:
     @pytest.mark.parametrize("slow", ["mc_l1_laplace", "mc_l1_gaussian"])
     def test_small_config_pinned_whichever_thread_ends_last(self, slow, tmp_path, monkeypatch):
         # the Laplace check runs on the worker, the Gaussian one on the main thread
-        real = getattr(cli.br, slow)
+        real = getattr(br, slow)
 
         def late(*args):
             time.sleep(0.05)
             return real(*args)
 
-        monkeypatch.setattr(cli.br, slow, late)
+        monkeypatch.setattr(br, slow, late)
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(SMALL_CFG), "--out", str(out)]) == 0
         digests = tree_digests(out)
@@ -827,18 +828,18 @@ class TestVerifyTheory:
         threads = {}
 
         def spy(name):
-            real = getattr(cli.br, name)
+            real = getattr(br, name)
 
             def recorded(*args):
                 threads[name] = threading.current_thread(), threading.active_count()
                 return real(*args)
 
-            monkeypatch.setattr(cli.br, name, recorded)
+            monkeypatch.setattr(br, name, recorded)
 
         for name in ("mc_l1_gaussian", "mc_l1_laplace", "mc_ce"):
             spy(name)
         before = threading.active_count()
-        list(cli._verify_checks(parse_config(str(cfg_file))))
+        list(verify.checks(parse_config(str(cfg_file)).verify))
         assert threading.active_count() == before
         assert threads["mc_l1_gaussian"] == (threading.main_thread(), before + 1)
         assert threads["mc_l1_laplace"][0] is threads["mc_ce"][0] is not threading.main_thread()
@@ -846,7 +847,7 @@ class TestVerifyTheory:
 
     def test_cross_entropy_table_follows_the_distortion_channels(self, cfg_file, monkeypatch):
         # the main generator draws in the same order as when every check ran on it
-        real_stack, real_ce = cli._channel_stack, cli.br.mc_ce
+        real_stack, real_ce = verify.channel_stack, br.mc_ce
         after_stack, scored = [], []
 
         def stack(rng, *args):
@@ -858,10 +859,10 @@ class TestVerifyTheory:
             scored.append(t)
             return real_ce(t, *args)
 
-        monkeypatch.setattr(cli, "_channel_stack", stack)
-        monkeypatch.setattr(cli.br, "mc_ce", ce)
-        list(cli._verify_checks(parse_config(str(cfg_file))))
-        want = cli.it.random_joint([("Y", 3), ("X", 3)], after_stack[-1])
+        monkeypatch.setattr(verify, "channel_stack", stack)
+        monkeypatch.setattr(br, "mc_ce", ce)
+        list(verify.checks(parse_config(str(cfg_file)).verify))
+        want = it.random_joint([("Y", 3), ("X", 3)], after_stack[-1])
         assert len(after_stack) == 2 and len(scored) == 1
         assert scored[0].pmf.tobytes() == want.pmf.tobytes()
 
@@ -876,7 +877,7 @@ class TestVerifyTheory:
         def fail(*args):
             raise exc
 
-        monkeypatch.setattr(cli.br, "mc_l1_laplace", fail)
+        monkeypatch.setattr(br, "mc_l1_laplace", fail)
         before = threading.active_count()
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
@@ -888,7 +889,7 @@ class TestVerifyTheory:
 
     def test_closing_after_the_first_check_joins_the_worker(self, cfg_file):
         before = threading.active_count()
-        checks = cli._verify_checks(parse_config(str(cfg_file)))
+        checks = verify.checks(parse_config(str(cfg_file)).verify)
         assert next(checks)[0] == "identity_rate_decomposition"
         assert threading.active_count() == before + 1
         checks.close()
@@ -935,7 +936,7 @@ class TestVerifyTheory:
         # minutes to hours
         path = tmp_path / "big.cfg"
         path.write_text(f"[verify]\n{key} = {cap}\n")
-        assert getattr(parse_config(str(path)), f"verify_{key}") == cap
+        assert getattr(parse_config(str(path)).verify, key) == cap
         path.write_text(f"[verify]\n{key} = {10 * cap + 1}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(str(path))
@@ -976,30 +977,29 @@ class TestRandomDrawsMatchOracle:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert (a == b).all()
 
-    def check_frontiers(self, cfg, seed, n):
+    def check_frontiers(self, seed, n, z_max=SMALL_Z_MAX):
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = list(cli._random_frontiers(cfg, rng, n))
-        self.assert_same_frontiers(got, list(oracle.random_frontiers(cfg, want_rng, n)))
+        got = list(verify.random_frontiers(rng, n, z_max))
+        self.assert_same_frontiers(got, list(oracle.random_frontiers(want_rng, n, z_max)))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 10, 50])
     @pytest.mark.parametrize("seed", [0, 7, 2026])
     def test_sources_in_draw_order(self, seed, n):
-        self.check_frontiers(parse_config(str(SMALL_CFG)), seed, n)
+        self.check_frontiers(seed, n)
 
     @pytest.mark.parametrize("z_max", [1, 2, 3])
     def test_every_z_cap(self, z_max):
-        self.check_frontiers(replace(parse_config(str(SMALL_CFG)), verify_z_max=z_max), 5, 30)
+        self.check_frontiers(5, 30, z_max)
 
     def test_sources_in_several_chunks(self, monkeypatch):
-        monkeypatch.setattr(cli, "_SOURCE_CHUNK", 7)
-        self.check_frontiers(parse_config(str(SMALL_CFG)), 11, 50)
+        monkeypatch.setattr(verify, "SOURCE_CHUNK", 7)
+        self.check_frontiers(11, 50)
 
     @pytest.mark.parametrize("sizes", [(3, 4, 2), (2, 2, 2)])
     def test_every_source_of_one_shape(self, sizes):
-        cfg = parse_config(str(SMALL_CFG))
-        got = list(cli._random_frontiers(cfg, _OneShape(3, sizes), 20))
-        want = list(oracle.random_frontiers(cfg, _OneShape(3, sizes), 20))
+        got = list(verify.random_frontiers(_OneShape(3, sizes), 20, SMALL_Z_MAX))
+        want = list(oracle.random_frontiers(_OneShape(3, sizes), 20, SMALL_Z_MAX))
         self.assert_same_frontiers(got, want)
 
     @pytest.mark.parametrize(
@@ -1008,7 +1008,7 @@ class TestRandomDrawsMatchOracle:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_channel_stack_matches_per_table_draws(self, axes, n_z, seed):
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = cli._channel_stack(rng, axes, n_z, 50)
+        got = verify.channel_stack(rng, axes, n_z, 50)
         want = oracle.channel_stack(want_rng, axes, n_z, 50)
         assert got.axes == want.axes and got.pmf.shape == want.pmf.shape
         assert got.pmf.tobytes() == want.pmf.tobytes()

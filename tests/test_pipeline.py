@@ -55,6 +55,11 @@ def world():
     return pl.make_world(pl.replace(TEMPLATE, seed=42))
 
 
+@pytest.fixture
+def scene(stack, world):
+    return pl.Scene(world, stack)
+
+
 class TestTrainAll:
     def test_frequencies_accumulated(self, stack):
         assert stack.codebook.base.conf_freq.sum() > 0
@@ -70,6 +75,22 @@ class TestTrainAll:
         top = int(np.argmax(cb.base.conf_freq))
         class_channel = int(np.argmax(cb.base.embeddings[top][: TEMPLATE.n_classes]))
         assert class_channel != 0  # background channel carries little confidence
+
+    def test_trains_a_float32_copy_and_returns_it_in_float64(self, monkeypatch):
+        calls, real = [], mie.train
+
+        def spy(d, batch, **kwargs):
+            calls.append((d.dtype, *real(d, batch, **kwargs)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(mie, "train", spy)
+        stack = pl.train_all(TEMPLATE, dataclasses.replace(TRAIN, disc_steps=3))
+        [(dtype, trained, losses)] = calls
+        assert dtype == np.float32 and stack.discriminator.dtype == np.float64
+        for got, want in zip(stack.discriminator.weights, trained.weights, strict=True):
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w.astype(np.float64))
+        assert stack.disc_losses is losses
 
     def test_training_deterministic(self):
         a = pl.train_all(TEMPLATE, TRAIN)
@@ -255,91 +276,91 @@ class TestBuildCodes:
 
 
 class TestRunRound:
-    def test_threshold_above_max_confidence_matches_solo(self, stack, world):
-        res = pl.run_round(world, stack, tau_c=1.5, tau_mi=float("inf"))
+    def test_threshold_above_max_confidence_matches_solo(self, scene):
+        res = pl.run_round(scene, tau_c=1.5, tau_mi=float("inf"))
         assert res.payload_bits == 0
         assert res.abstract_bits == 0
         assert res.total_bits == res.mask_bits
-        assert res.mean_iou == pytest.approx(pl.solo_iou(world), abs=1e-12)
+        assert res.mean_iou == pytest.approx(pl.solo_iou(scene), abs=1e-12)
 
-    def test_everything_through_matches_full_sharing(self, stack, world):
-        res = pl.run_round(world, stack, tau_c=0.0, tau_mi=float("inf"))
-        assert res.mean_iou == pytest.approx(pl.uncompressed_iou(world), abs=0.02)
+    def test_everything_through_matches_full_sharing(self, scene):
+        res = pl.run_round(scene, tau_c=0.0, tau_mi=float("inf"))
+        assert res.mean_iou == pytest.approx(pl.uncompressed_iou(scene), abs=0.02)
 
     def test_round_deterministic(self, stack, world):
-        a = pl.run_round(world, stack, 0.5, 1.0)
-        b = pl.run_round(world, stack, 0.5, 1.0)
+        a = pl.run_round(pl.Scene(world, stack), 0.5, 1.0)
+        b = pl.run_round(pl.Scene(world, stack), 0.5, 1.0)
         assert a == b
 
-    def test_accounting_identity(self, stack, world):
+    def test_accounting_identity(self, scene):
         for selector in ("mi", "confidence_only", "none"):
-            res = pl.run_round(world, stack, 0.5, 0.8, selector=selector)
+            res = pl.run_round(scene, 0.5, 0.8, selector=selector)
             assert res.total_bits == res.payload_bits + res.abstract_bits + res.mask_bits
             assert res.bpp == pytest.approx(res.total_bits / (24 * 24))
 
-    def test_abstract_only_for_mi_selector(self, stack, world):
-        mi = pl.run_round(world, stack, 0.5, 1.0, selector="mi")
-        conf = pl.run_round(world, stack, 0.5, 1.0, selector="confidence_only")
-        none = pl.run_round(world, stack, 0.5, 1.0, selector="none")
+    def test_abstract_only_for_mi_selector(self, scene):
+        mi = pl.run_round(scene, 0.5, 1.0, selector="mi")
+        conf = pl.run_round(scene, 0.5, 1.0, selector="confidence_only")
+        none = pl.run_round(scene, 0.5, 1.0, selector="none")
         assert mi.abstract_bits > 0
         assert conf.abstract_bits == 0
         assert none.abstract_bits == 0
 
-    def test_rate_monotone_in_tau_c(self, stack, world):
+    def test_rate_monotone_in_tau_c(self, scene):
         taus = [0.0, 0.3, 0.6, 0.9, 0.99, 1.5]
         bits = [
-            pl.run_round(world, stack, t, 0.5, selector="mi").total_bits for t in taus
+            pl.run_round(scene, t, 0.5, selector="mi").total_bits for t in taus
         ]
         assert all(a >= b for a, b in zip(bits, bits[1:]))
 
-    def test_rate_monotone_in_tau_mi(self, stack, world):
+    def test_rate_monotone_in_tau_mi(self, scene):
         taus = [-2.0, -0.5, 0.0, 0.5, 1.5, float("inf")]
         bits = [
-            pl.run_round(world, stack, 0.3, t, selector="mi").total_bits for t in taus
+            pl.run_round(scene, 0.3, t, selector="mi").total_bits for t in taus
         ]
         assert all(a <= b for a, b in zip(bits, bits[1:]))
 
-    def test_single_direction_pairs(self, stack, world):
-        res = pl.run_round(world, stack, 0.5, 1.0, pairs=[(0, 1)])
-        both = pl.run_round(world, stack, 0.5, 1.0)
+    def test_single_direction_pairs(self, scene):
+        res = pl.run_round(scene, 0.5, 1.0, pairs=[(0, 1)])
+        both = pl.run_round(scene, 0.5, 1.0)
         assert res.mask_bits == both.mask_bits // 2
 
-    def test_selector_none_ignores_tau_mi(self, stack, world):
-        a = pl.run_round(world, stack, 0.5, -5.0, selector="none")
-        b = pl.run_round(world, stack, 0.5, 5.0, selector="none")
+    def test_selector_none_ignores_tau_mi(self, scene):
+        a = pl.run_round(scene, 0.5, -5.0, selector="none")
+        b = pl.run_round(scene, 0.5, 5.0, selector="none")
         assert a.total_bits == b.total_bits
         assert a.mean_iou == b.mean_iou
 
-    def test_collaboration_beats_solo(self, stack, world):
-        res = pl.run_round(world, stack, 0.5, float("inf"), selector="mi")
-        assert res.mean_iou > pl.solo_iou(world)
+    def test_collaboration_beats_solo(self, scene):
+        res = pl.run_round(scene, 0.5, float("inf"), selector="mi")
+        assert res.mean_iou > pl.solo_iou(scene)
 
     def test_three_agent_round(self, stack):
-        world3 = pl.make_world(THREE_AGENTS)
-        res = pl.run_round(world3, stack, 0.5, 1.0, selector="mi")
+        scene3 = pl.Scene(pl.make_world(THREE_AGENTS), stack)
+        res = pl.run_round(scene3, 0.5, 1.0, selector="mi")
         # six directed messages, each carrying its two mask bitmaps
         assert res.mask_bits == 6 * 2 * 24 * 24
         assert res.total_bits == res.payload_bits + res.abstract_bits + res.mask_bits
-        assert res.mean_iou > pl.solo_iou(world3)
+        assert res.mean_iou > pl.solo_iou(scene3)
 
     @pytest.mark.parametrize(
         "pairs, named",
         [([], "pairs must name"), ([(0, 2)], r"\(0, 2\)"), ([(1, 1)], r"\(1, 1\)"),
          ([(0, 1), (-1, 0)], r"\(-1, 0\)")],
     )
-    def test_invalid_pairs_rejected(self, stack, world, pairs, named):
+    def test_invalid_pairs_rejected(self, scene, pairs, named):
         with pytest.raises(ValueError, match=named):
-            pl.run_round(world, stack, 0.5, 1.0, pairs=pairs)
+            pl.run_round(scene, 0.5, 1.0, pairs=pairs)
 
     def test_class_absent_everywhere_stays_nan_without_a_warning(self, stack):
         # no objects: classes 1..3 are in no receiver's prediction or ground truth
-        empty = pl.make_world(pl.replace(
+        empty = pl.Scene(pl.make_world(pl.replace(
             TEMPLATE, h=12, w=12, density=0.0, seed=5,
             fovs=((("rect", 0, 0, 12, 9),), (("rect", 0, 3, 12, 12),)),
-        ))
+        )), stack)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = pl.run_round(empty, stack, 0.5, 1.0)
+            res = pl.run_round(empty, 0.5, 1.0)
         assert res.per_class_iou[0] == 1.0
         assert np.isnan(res.per_class_iou[1:]).all()
 
@@ -412,8 +433,8 @@ class TestTrainedStackBytes:
 
     def test_lossless_rounds_digest(self, lossless_stack, tmp_path):
         rounds = [
-            pl.run_round(pl.make_world(pl.replace(LOSSLESS_WORLD, seed=seed)), lossless_stack,
-                         0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)])
+            pl.run_round(pl.Scene(pl.make_world(pl.replace(LOSSLESS_WORLD, seed=seed)),
+                                  lossless_stack), 0.5, 1.0, "task_entropy", "mi", pairs=[(0, 1)])
             for seed in ACCEPT_SEEDS
         ]
         (tmp_path / "results.csv").write_text(pl.results_csv(rounds, LOSSLESS_WORLD.n_classes))
@@ -496,8 +517,8 @@ class TestSweep:
         swept = pl.run_sweep(TEMPLATE, stack, cfg)
         fresh = [
             pl.run_round(
-                pl.make_world(pl.replace(TEMPLATE, seed=seed)),
-                stack, tau_c, tau_mi, coder, selector,
+                pl.Scene(pl.make_world(pl.replace(TEMPLATE, seed=seed)), stack),
+                tau_c, tau_mi, coder, selector,
             )
             for tau_c in cfg.tau_c_grid
             for tau_mi in cfg.tau_mi_grid
@@ -556,8 +577,8 @@ class TestSweep:
         )
         fresh = [
             pl.run_round(
-                pl.make_world(pl.replace(THREE_AGENTS, seed=seed)),
-                stack, tau_c, tau_mi, cfg.coder, selector,
+                pl.Scene(pl.make_world(pl.replace(THREE_AGENTS, seed=seed)), stack),
+                tau_c, tau_mi, cfg.coder, selector,
             )
             for tau_c in cfg.tau_c_grid
             for tau_mi in cfg.tau_mi_grid
@@ -623,9 +644,9 @@ class TestSweep:
         inf = float("inf")
         shared, fresh = [], []
         for pairs in ([(0, 2)], [(1, 2)]):
-            shared.append(pl.run_round(scene, stack, -inf, inf, selector="none", pairs=pairs))
+            shared.append(pl.run_round(scene, -inf, inf, selector="none", pairs=pairs))
             fresh.append(pl.run_round(
-                pl.make_world(template), stack, -inf, inf, selector="none", pairs=pairs
+                pl.Scene(pl.make_world(template), stack), -inf, inf, selector="none", pairs=pairs
             ))
         assert shared[0].mean_iou != shared[1].mean_iou
         np.testing.assert_equal(
@@ -665,12 +686,6 @@ class TestSweep:
         # still runs once per seed, over every agent's cells
         assert calls == {"decode": 0, "quantize": 2}
 
-    def test_scene_belongs_to_its_stack(self, stack, world):
-        other = pl.TrainedStack(stack.codebook, stack.discriminator, [], [])
-        scene = pl.Scene(world, stack)
-        with pytest.raises(ValueError, match="another stack"):
-            pl.run_round(scene, other, 0.5, 1.0)
-
     def test_summary_grouping_and_pareto(self, stack):
         results = pl.run_sweep(TEMPLATE, stack, self.sweep_cfg())
         rows = pl.summarize(results)
@@ -699,11 +714,8 @@ class TestSweep:
 
 
 class TestCSV:
-    def test_results_csv_shape(self, stack, world):
-        results = [
-            pl.run_round(world, stack, 0.5, 1.0),
-            pl.run_round(world, stack, 0.9, 1.0),
-        ]
+    def test_results_csv_shape(self, scene):
+        results = [pl.run_round(scene, 0.5, 1.0), pl.run_round(scene, 0.9, 1.0)]
         text = pl.results_csv(results, TEMPLATE.n_classes)
         lines = text.strip().split("\n")
         assert len(lines) == 3
@@ -713,8 +725,8 @@ class TestCSV:
         assert header[-1] == "distortion_nats"
         assert len(lines[1].split(",")) == len(header)
 
-    def test_results_csv_parses_back(self, stack, world):
-        results = [pl.run_round(world, stack, tau_c, 1.0) for tau_c in (0.5, 0.9)]
+    def test_results_csv_parses_back(self, scene):
+        results = [pl.run_round(scene, tau_c, 1.0) for tau_c in (0.5, 0.9)]
         text = pl.results_csv(results, TEMPLATE.n_classes)
         assert pl.parse_results_csv(text) == results
         rows = text.splitlines()
