@@ -4,14 +4,14 @@ multi-agent grid perception.
 The package has two halves that check each other:
 
 * a theory half (:mod:`pragcomm.infotheory`, :mod:`pragcomm.bayes_risk`,
-  :mod:`pragcomm.rd_oracle`) computing exact quantities on small finite
-  distributions, and
+  :mod:`pragcomm.rd_oracle`, :mod:`pragcomm.verify`) computing and checking
+  exact quantities on small finite distributions, and
 * a systems half (:mod:`pragcomm.vq`, :mod:`pragcomm.entropy_coder`,
-  :mod:`pragcomm.mi_estimator`, :mod:`pragcomm.simworld`,
-  :mod:`pragcomm.pipeline`) implementing the actual communication stack
-  on synthetic perception worlds.
+  :mod:`pragcomm.mi_estimator`, :mod:`pragcomm.simworld`, :mod:`pragcomm.planes`,
+  :mod:`pragcomm.pipeline`) running the communication stack on synthetic worlds.
 
-The CLI in :mod:`pragcomm.cli` wires config files to both halves.
+The CLI in :mod:`pragcomm.cli` wires config files to both halves, whose files
+:mod:`pragcomm.textio` reads and writes.
 """
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -461,27 +461,14 @@ def summarize(results: list[RoundResult]):
     for r in results:
         groups.setdefault((r.tau_c, r.tau_mi, r.coder, r.selector), []).append(r)
     rows = []
-    for key in sorted(groups):
-        rs = groups[key]
-        bits = np.array([r.total_bits for r in rs], dtype=float)
-        iou = np.array([r.mean_iou for r in rs])
-        dist = np.array([r.distortion_nats for r in rs])
-        abstract = np.array([r.abstract_bits for r in rs], dtype=float)
-        rows.append(
-            {
-                "tau_c": key[0],
-                "tau_mi": key[1],
-                "coder": key[2],
-                "selector": key[3],
-                "n_seeds": len(rs),
-                "mean_total_bits": float(bits.mean()),
-                "std_total_bits": float(bits.std()),
-                "mean_iou": float(iou.mean()),
-                "std_iou": float(iou.std()),
-                "mean_distortion_nats": float(dist.mean()),
-                "mean_abstract_bits": float(abstract.mean()),
-            }
-        )
+    for key, rs in sorted(groups.items()):
+        bits, iou, dist, abstract = np.array(
+            [(r.total_bits, r.mean_iou, r.distortion_nats, r.abstract_bits) for r in rs]
+        ).T
+        rows.append(dict(zip(_SUMMARY_COLUMNS, (
+            *key, len(rs), float(bits.mean()), float(bits.std()), float(iou.mean()),
+            float(iou.std()), float(dist.mean()), float(abstract.mean()),
+        ))))
     points = [(row["mean_total_bits"], -row["mean_iou"]) for row in rows]
     for row, flag in zip(rows, rd.pareto_flags(points, eps=0.0)):
         row["pareto"] = int(flag)
@@ -491,42 +478,37 @@ def summarize(results: list[RoundResult]):
 # --- CSV emission ------------------------------------------------------------
 
 
+def _cells(values) -> list:
+    """A row's values, each tuple spread over one cell per item."""
+    return [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+
+
 def _results_header(n_classes: int) -> list[str]:
-    return [
-        "seed", "tau_c", "tau_mi", "coder", "selector", "total_bits",
-        "payload_bits", "abstract_bits", "mask_bits", "bpp", "mean_iou",
-        *(f"iou_class_{k}" for k in range(n_classes)), "distortion_nats",
-    ]
+    """``RoundResult``'s fields in order, ``per_class_iou`` one column per class."""
+    classes = tuple(f"iou_class_{k}" for k in range(n_classes))
+    return _cells(classes if f.name == "per_class_iou" else f.name for f in fields(RoundResult))
 
 
 def results_csv(results: list[RoundResult], n_classes: int) -> str:
-    rows = (
-        [
-            r.seed, r.tau_c, r.tau_mi, r.coder, r.selector, r.total_bits,
-            r.payload_bits, r.abstract_bits, r.mask_bits, r.bpp, r.mean_iou,
-            *r.per_class_iou, r.distortion_nats,
-        ]
-        for r in results
-    )
-    return textio.csv_text(_results_header(n_classes), rows)
+    return textio.csv_text(_results_header(n_classes), (_cells(astuple(r)) for r in results))
 
 
 def parse_results_csv(text: str) -> list[RoundResult]:
-    """The rounds of a ``results_csv`` text."""
+    """The rounds of a ``results_csv`` text, each cell parsed as its field's type."""
     header, *lines = text.splitlines() or [""]
-    n_classes = header.count(",iou_class_")
-    if header.split(",") != _results_header(n_classes):
+    columns = _results_header(n_classes := header.count(",iou_class_"))
+    if header.split(",") != columns:
         raise ValueError(f"not a results.csv header: {header!r}")
     results = []
-    for line in lines:
-        c = line.split(",")
-        if len(c) != 12 + n_classes:
-            raise ValueError(f"results row has {len(c)} cells, want {12 + n_classes}")
-        counts, reals = [int(x) for x in c[5:9]], [float(x) for x in c[9:]]
-        results.append(RoundResult(
-            int(c[0]), float(c[1]), float(c[2]), c[3], c[4], *counts, *reals[:2],
-            tuple(reals[2:-1]), reals[-1],
-        ))
+    for cells in (line.split(",") for line in lines):
+        if len(cells) != len(columns):
+            raise ValueError(f"results row has {len(cells)} cells, want {len(columns)}")
+        values = iter(cells)
+        results.append(RoundResult(*(
+            tuple(map(float, itertools.islice(values, n_classes))) if f.name == "per_class_iou"
+            else {"int": int, "float": float, "str": str}[f.type](next(values))
+            for f in fields(RoundResult)
+        )))
     return results
 
 

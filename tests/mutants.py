@@ -50,13 +50,14 @@ STACK_FILES = "tests/test_cli.py::TestTrainAndSweep::test_stack_scores_the_same_
 FLOAT32_TRAIN = (
     "tests/test_pipeline.py::TestTrainAll::test_trains_a_float32_copy_and_returns_it_in_float64"
 )
-DRAW_ORDER = "tests/test_cli.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
+DRAW_ORDER = "tests/test_verify.py::TestRandomDrawsMatchOracle::test_sources_in_several_chunks"
+CHECKS = "tests/test_verify.py::TestChecks::"
+CE_STREAM = CHECKS + "test_cross_entropy_table_follows_the_distortion_channels"
+NAN_RATE = CHECKS + "test_nan_rate_fails_bound_soundness"
 VERIFY = "tests/test_cli.py::TestVerifyTheory::"
 VERIFY_PIN = VERIFY + "test_small_config_outputs_pinned"
 VERIFY_FAST_PIN = VERIFY + "test_outputs_pinned"
-CE_STREAM = VERIFY + "test_cross_entropy_table_follows_the_distortion_channels"
 STACKED_BOUND = "tests/test_rd_oracle.py::TestStackedSources::test_bound_rows_are_the_tables_own"
-NAN_RATE = VERIFY + "test_nan_rate_fails_bound_soundness"
 MC = "tests/test_bayes_risk.py::TestMonteCarloMatchesNaiveOracle::"
 MC_CE, MC_L1 = MC + "test_cross_entropy_same_float", MC + "test_l1_same_float"
 MC_BLOCKS = MC + "test_many_draw_blocks_same_float[shape0]"  # a (3, 3) table, as verify's
@@ -80,6 +81,7 @@ SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_it
 POSTERIOR_ALONE = (
     "tests/test_simworld.py::TestPosteriorOracle::test_each_cell_equals_its_own_decode"
 )
+SECTOR_WRAP = "tests/test_simworld.py::TestGenerate::test_sector_wrapping_through_zero_degrees"
 
 MUTANTS = (
     Mutant(
@@ -230,6 +232,13 @@ MUTANTS = (
         "    return total\n",
         "    return x.sum(axis=0)\n",
         (SUM_PLANES, SQ_DISTS_ALONE, POSTERIOR_ALONE),
+    ),
+    Mutant(
+        "sector_wrap_intersects",
+        "src/pragcomm/simworld.py",
+        "span = (ang >= lo) | (ang <= hi)",
+        "span = (ang >= lo) & (ang <= hi)",
+        (SECTOR_WRAP,),
     ),
 )
 

@@ -54,6 +54,20 @@ class TestBuildCode:
         with pytest.raises(CodingError, match="all-zero"):
             build_code(np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (np.ones((2, 2)), "weights must be a vector"),
+            (np.array([1.0, -1.0]), "weights must be finite and nonnegative"),
+            (np.array([1.0, np.nan]), "weights must be finite and nonnegative"),
+            (np.array([1.0, np.inf]), "weights must be finite and nonnegative"),
+        ],
+        ids=["2-D", "negative", "nan", "inf"],
+    )
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(CodingError, match=f"^{message}$"):
+            build_code(weights)
+
     def test_expected_length_within_entropy_plus_one(self):
         rng = np.random.default_rng(77)
         for _ in range(30):
@@ -258,6 +272,14 @@ class TestEncode:
             np.testing.assert_array_equal(back.base_idx[conf], idx.base_idx[conf])
             both = conf & red
             np.testing.assert_array_equal(back.res_idx[both], idx.res_idx[both])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_mask_of_another_shape_rejected(self, which):
+        idx, bc, rc = grid_fixture()  # a 4 x 5 grid
+        masks = [np.ones((4, 5), dtype=bool)] * 2
+        masks[which] = np.ones((5, 4), dtype=bool)
+        with pytest.raises(CodingError, match=r"^mask shapes must be \(4, 5\)$"):
+            encode(idx, tuple(masks), (bc, rc))
 
     def test_masks_must_be_boolean_and_share_one_grid_shape(self):
         idx, bc, rc = grid_fixture()

@@ -124,6 +124,17 @@ class TestGenerate:
         assert not mask[4, 8]  # straight up is 270 degrees
         assert not mask[8, 15]  # beyond the radius
 
+    def test_sector_wrapping_through_zero_degrees(self):
+        # 300 to 60 degrees covers the cells right of the centre within 2
+        cfg = WorldConfig(
+            h=5, w=5, rect_min=1, rect_max=3,
+            fovs=((("sector", 2, 2, 2.0, 300, 60),), ("full",)),
+        )
+        want = np.zeros((5, 5), dtype=bool)
+        want[1, 3] = want[3, 3] = True  # at 315 and 45 degrees
+        want[2, 2:] = True  # the centre (its angle is 0) and the two cells at 0 degrees
+        np.testing.assert_array_equal(fov_mask(cfg, 0), want)
+
 
 class TestExtractFeatures:
     def test_unobserved_cell_zero_vector(self):
