@@ -26,7 +26,7 @@ from . import entropy_coder as ec
 from . import mi_estimator as mie
 from . import rd_oracle as rd
 from . import simworld as sw
-from . import textio, vq
+from . import planes, textio, vq
 from .infotheory import _entropies_nats
 
 CODERS = ("task_entropy", "occurrence", "fixed")
@@ -229,6 +229,8 @@ class Scene:
     def __init__(self, world: World, stack: TrainedStack):
         self.world, self.stack, self._stages = world, stack, {}
         self.feats, self.conf = views(world)
+        # the K channels a receiver decodes, one contiguous grid per agent
+        self.evidence = np.ascontiguousarray(self.feats[..., : world.cfg.n_classes])
         # one search over every agent's cells: a cell's indices do not
         # depend on which other cells are quantized with it
         agents = vq.quantize(self.feats.reshape(-1, *self.feats.shape[2:]), stack.codebook)
@@ -284,7 +286,7 @@ class Scene:
         ))
         if key not in self._stages:
             grids = [received_grid(self, msg, s, r) for s, msg in incoming]
-            post, per_class, mean = _receive(self.world, r, self.feats[r], grids)
+            post, per_class, mean = _receive(self.world, r, self.evidence[r], grids)
             per_class.flags.writeable = False  # every later hit returns it
             self._stages[key] = per_class, mean, _mean_entropy_nats(post)
         return self._stages[key]
@@ -309,21 +311,38 @@ def encode_message(
 
 
 def received_grid(scene: Scene, msg: ec.EncodedMessage, s: int, r: int) -> np.ndarray:
-    """The grid receiver r reconstructs from sender s's message: the
-    transmitted cells, which a lossless decode of the message reproduces (so
-    none runs), smoothed inside the candidate mask and weighted by the
-    sender's trust."""
-    received = vq.reconstruct(ec.transmitted_grid(scene.idx[s], msg), scene.stack.codebook)
+    """The K evidence channels of the grid receiver r reconstructs from
+    sender s's message, the only ones its posterior reads: the transmitted
+    cells, which a lossless decode of the message reproduces (so none runs),
+    smoothed inside the candidate mask and weighted by the sender's trust."""
+    k = scene.world.cfg.n_classes
+    full = vq.reconstruct(ec.transmitted_grid(scene.idx[s], msg), scene.stack.codebook)
+    # smoothing fills only cells that are zero on all 2K channels, so the
+    # evidence goes with one more channel, nonzero where any of the 2K is
+    nonzero = planes.any_last(full != 0)
+    received = full[..., : k + 1].copy()
+    received[..., k] = nonzero
     # propagate into holes the selection punched, but never past the
     # candidate mask: silence outside it means the sender saw nothing worth
-    # sending, which the receiver should not overwrite with pseudo-evidence
-    np.copyto(received, sw.smooth(received), where=msg.conf_mask[..., None])
-    received *= _trust(scene.world.cfg, s, r)
-    return received
+    # sending, which the receiver should not overwrite with pseudo-evidence.
+    # A hole's fill reads only its 8 neighbours, so only the box around the
+    # holes is smoothed: an empty box when every candidate cell arrived
+    box = _around(msg.conf_mask & ~nonzero)
+    np.copyto(received[box], sw.smooth(received[box]), where=msg.conf_mask[box][..., None])
+    return received[..., :k] * _trust(scene.world.cfg, s, r)
+
+
+def _around(cells: np.ndarray) -> tuple[slice, slice]:
+    """The smallest box, as row and column slices, that holds every True
+    cell of ``cells`` and the cells next to them; empty when none is True."""
+    if not cells.any():
+        return slice(0, 0), slice(0, 0)
+    rows, cols = np.flatnonzero(cells.any(axis=1)), np.flatnonzero(cells.any(axis=0))
+    return slice(max(rows[0] - 1, 0), rows[-1] + 2), slice(max(cols[0] - 1, 0), cols[-1] + 2)
 
 
 def _receive(world: World, r: int, own: np.ndarray, incoming: list):
-    """Receiver r max-fuses the incoming grids into its own features and
+    """Receiver r max-fuses the incoming evidence grids into its own and
     decodes; returns (posterior, per-class IoU, mean IoU)."""
     cfg = world.cfg
     fused = own
@@ -335,9 +354,9 @@ def _receive(world: World, r: int, own: np.ndarray, incoming: list):
 
 
 def _raw_receive(scene: Scene, r: int, senders) -> tuple:
-    """``_receive`` of the senders' raw features, each weighted by its trust."""
-    raw = [scene.feats[s] * _trust(scene.world.cfg, s, r) for s in senders]
-    return _receive(scene.world, r, scene.feats[r], raw)
+    """``_receive`` of the senders' raw evidence, each weighted by its trust."""
+    raw = [scene.evidence[s] * _trust(scene.world.cfg, s, r) for s in senders]
+    return _receive(scene.world, r, scene.evidence[r], raw)
 
 
 def run_round(

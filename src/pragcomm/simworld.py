@@ -166,15 +166,16 @@ def generate(cfg: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     rng = np.random.default_rng(cfg.seed)
     gt = np.zeros((cfg.h, cfg.w), dtype=np.int64)
-    for _ in range(_n_rectangles(cfg)):
-        a = int(rng.integers(cfg.rect_min, cfg.rect_max + 1))
-        b = int(rng.integers(cfg.rect_min, cfg.rect_max + 1))
-        r0 = int(rng.integers(cfg.h))
-        c0 = int(rng.integers(cfg.w))
-        cls = int(rng.integers(1, cfg.n_classes))
-        rows = np.arange(r0, r0 + a) % cfg.h
-        cols = np.arange(c0, c0 + b) % cfg.w
-        gt[np.ix_(rows, cols)] = cls
+    # every rectangle's (a, b, r0, c0, cls) in one call, drawn in the order
+    # of one scalar call per value and from the same stream
+    m = _n_rectangles(cfg)
+    low = np.tile([cfg.rect_min, cfg.rect_min, 0, 0, 1], m)
+    high = np.tile([cfg.rect_max + 1, cfg.rect_max + 1, cfg.h, cfg.w, cfg.n_classes], m)
+    for a, b, r0, c0, cls in rng.integers(low, high).reshape(m, 5).tolist():
+        if r0 + a <= cfg.h and c0 + b <= cfg.w:
+            gt[r0 : r0 + a, c0 : c0 + b] = cls
+        else:  # wraps round an edge of the torus
+            gt[np.ix_(np.arange(r0, r0 + a) % cfg.h, np.arange(c0, c0 + b) % cfg.w)] = cls
 
     obs = np.full((cfg.n_agents, cfg.h, cfg.w), UNOBSERVED, dtype=np.int64)
     for agent in range(cfg.n_agents):

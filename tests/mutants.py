@@ -82,6 +82,11 @@ POSTERIOR_ALONE = (
     "tests/test_simworld.py::TestPosteriorOracle::test_each_cell_equals_its_own_decode"
 )
 SECTOR_WRAP = "tests/test_simworld.py::TestGenerate::test_sector_wrapping_through_zero_degrees"
+RECT_LOOP = "tests/test_simworld.py::TestGenerateOracle::test_matches_the_rectangle_loop"
+HISTOGRAM_CELL = (
+    "tests/test_pipeline.py::TestReceiveOnEvidence::"
+    "test_cell_zero_only_on_the_evidence_stays_unfilled"
+)
 
 MUTANTS = (
     Mutant(
@@ -196,6 +201,13 @@ MUTANTS = (
         (RECEIVE_ONCE, RECEIVE_RING),
     ),
     Mutant(
+        "receive_empty_test_on_k_channels",
+        "src/pragcomm/pipeline.py",
+        "planes.any_last(full != 0)",
+        "planes.any_last(full[..., :k] != 0)",
+        (HISTOGRAM_CELL,),
+    ),
+    Mutant(
         "scenes_all_on_the_template_world",
         "src/pragcomm/pipeline.py",
         "Scene(make_world(replace(world_template, seed=seed)), stack)",
@@ -239,6 +251,13 @@ MUTANTS = (
         "span = (ang >= lo) | (ang <= hi)",
         "span = (ang >= lo) & (ang <= hi)",
         (SECTOR_WRAP,),
+    ),
+    Mutant(
+        "generate_slices_wrapping_rects",
+        "src/pragcomm/simworld.py",
+        "if r0 + a <= cfg.h and c0 + b <= cfg.w:",
+        "if True:",
+        (RECT_LOOP,),
     ),
 )
 

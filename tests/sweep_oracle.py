@@ -1,7 +1,10 @@
-"""Quantization, feature extraction, smoothing and the two posteriors as
-they were before the sweep round stopped repeating work.
+"""World generation, quantization, feature extraction, smoothing and the
+two posteriors as they were before the sweep round stopped repeating work.
 
-Kept as test oracles: ``pragcomm.vq.quantize`` must give the same index
+Kept as test oracles: ``pragcomm.simworld.generate`` must give the same
+ground truth and observations as ``generate`` here, which draws each
+rectangle's five integers in scalar calls and writes every rectangle
+through ``np.ix_``; ``pragcomm.vq.quantize`` must give the same index
 grids, ``pragcomm.vq.reconstruct`` the same reconstruction as ``quantize``
 here and, on partial grids, as ``received_grid``, ``pragcomm.vq._sq_dists``
 the same distances as ``sq_dists``, and
@@ -25,8 +28,47 @@ import functools
 
 import numpy as np
 
-from pragcomm.simworld import UNOBSERVED, WorldConfig, _channel, class_prior
+from pragcomm.simworld import (
+    UNOBSERVED,
+    WorldConfig,
+    _channel,
+    _n_rectangles,
+    class_prior,
+    fov_mask,
+)
 from pragcomm.vq import IndexGrid, LayeredCodebook
+
+
+def generate(cfg: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth labels (h, w) and per-agent observations (n_agents, h, w).
+
+    Observed cells carry the (possibly flipped) class; cells outside an
+    agent's field of view carry UNOBSERVED.  Deterministic given the seed.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    gt = np.zeros((cfg.h, cfg.w), dtype=np.int64)
+    for _ in range(_n_rectangles(cfg)):
+        a = int(rng.integers(cfg.rect_min, cfg.rect_max + 1))
+        b = int(rng.integers(cfg.rect_min, cfg.rect_max + 1))
+        r0 = int(rng.integers(cfg.h))
+        c0 = int(rng.integers(cfg.w))
+        cls = int(rng.integers(1, cfg.n_classes))
+        rows = np.arange(r0, r0 + a) % cfg.h
+        cols = np.arange(c0, c0 + b) % cfg.w
+        gt[np.ix_(rows, cols)] = cls
+
+    obs = np.full((cfg.n_agents, cfg.h, cfg.w), UNOBSERVED, dtype=np.int64)
+    for agent in range(cfg.n_agents):
+        mask = fov_mask(cfg, agent)
+        eps = cfg.agent_noise(agent)
+        seen = gt.copy()
+        if eps > 0:
+            flips = rng.uniform(size=(cfg.h, cfg.w)) < eps
+            # uniformly random wrong class: shift by 1..K-1 modulo K
+            shift = rng.integers(1, cfg.n_classes, size=(cfg.h, cfg.w))
+            seen = np.where(flips, (gt + shift) % cfg.n_classes, gt)
+        obs[agent][mask] = seen[mask]
+    return gt, obs
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pair_oracle
+import sweep_oracle as oracle
 from pragcomm import entropy_coder as ec
 from pragcomm import mi_estimator as mie
 from pragcomm import pipeline as pl
@@ -475,6 +477,81 @@ class TestSkippedDecode:
                 mask_kinds.add((bool(m.any()), bool(m.all())))
         # empty, partial and full masks all met
         assert mask_kinds == {(False, False), (True, False), (True, True)}
+
+
+@pytest.fixture(scope="module")
+def receive_scenes(stack):
+    """Scenes with equal and unequal trust, two and three agents."""
+    return [
+        pl.Scene(pl.make_world(pl.replace(TEMPLATE, seed=42)), stack),
+        pl.Scene(pl.make_world(pl.replace(TEMPLATE, seed=43, noise=(0.02, 0.3))), stack),
+        pl.Scene(pl.make_world(pl.replace(THREE_AGENTS, noise=(0.0, 0.1, 0.3))), stack),
+    ]
+
+
+def full_width_receive(scene, r, incoming, coder):
+    """``Scene.receive`` on every channel of the decoded grids, from the
+    oracles of reconstruction, smoothing, the posterior and IoU."""
+    cfg = scene.world.cfg
+    fused = scene.feats[r]
+    for s, msg in incoming:
+        grid = oracle.received_grid(ec.decode(msg, scene.codes(coder)), scene.stack.codebook)
+        grid = np.where(msg.conf_mask[..., None], oracle.smooth(grid), grid)
+        fused = np.maximum(fused, grid * pl._trust(cfg, s, r))
+    post = oracle.posterior_from_features(fused, cfg, cfg.agent_noise(r))
+    per_class, mean = oracle.score_iou(post.argmax(axis=2), scene.world.gt, cfg.n_classes)
+    return per_class, mean, pl._mean_entropy_nats(post)
+
+
+THRESHOLDS = st.sampled_from([-float("inf"), -1.0, 0.0, 0.3, 0.6, 0.9, float("inf")])
+
+
+class TestReceiveOnEvidence:
+    """A receiver smooths, weights and fuses only the K evidence channels
+    its posterior reads, while smoothing's empty-cell test reads all 2K."""
+
+    def test_cell_zero_only_on_the_evidence_stays_unfilled(self):
+        cfg = sw.WorldConfig(h=3, w=4, n_classes=2, fovs=(("full",),) * 2, density=0.0,
+                             rect_min=1, rect_max=1)
+        # base rows: evidence for class 0; a neighbour histogram alone; nothing
+        base = np.array([[1.0, 0.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        ones = np.ones(3)
+        cb = vq.LayeredCodebook(vq.Codebook(base, ones, ones),
+                                vq.Codebook(np.zeros((3, 4)), ones, ones))
+        idx = vq.IndexGrid(np.array([[0, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 0]]),
+                           np.zeros((3, 4), dtype=np.int64))
+        every = np.ones((3, 4), dtype=bool)
+        codes = (ec.fixed_code(3), ec.fixed_code(3))
+        msg = ec.encode(idx, (every, every), codes, abstract=False)
+        scene = types.SimpleNamespace(world=types.SimpleNamespace(cfg=cfg), idx=[idx, idx],
+                                      stack=types.SimpleNamespace(codebook=cb))
+        got = pl.received_grid(scene, msg, 0, 1)
+        # (1, 1) carries a histogram, so it is not empty; (1, 2) is, and gets
+        # half the mean of its 8 nonzero neighbours, 7 of which say class 0
+        assert got.shape == (3, 4, 2)
+        assert got[1, 1].tolist() == [0.0, 0.0]
+        assert got[1, 2].tolist() == [0.5 * 7 / 8, 0.0]
+        want = oracle.smooth(oracle.received_grid(idx, cb))[..., :2]
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scores_match_the_full_width_oracle(self, receive_scenes, data):
+        scene = data.draw(st.sampled_from(receive_scenes))
+        coder, selector = data.draw(st.sampled_from(pl.CODERS)), data.draw(
+            st.sampled_from(pl.SELECTORS))
+        tau_c = data.draw(THRESHOLDS | st.floats(0.0, 1.0))
+        tau_mi = data.draw(THRESHOLDS | st.floats(-1.0, 2.0))
+        agents = range(scene.world.cfg.n_agents)
+        r = data.draw(st.sampled_from(agents))
+        senders = data.draw(st.lists(st.sampled_from([s for s in agents if s != r]),
+                                     min_size=1, unique=True))
+        incoming = [(s, pl.encode_message(scene, coder, tau_c, tau_mi, selector, s, r))
+                    for s in sorted(senders)]
+        per_class, mean, entropy = scene.receive(r, incoming)
+        want_per_class, want_mean, want_entropy = full_width_receive(scene, r, incoming, coder)
+        assert per_class.tobytes() == want_per_class.tobytes()
+        assert (mean, entropy) == (want_mean, want_entropy)
 
 
 class TestSweep:

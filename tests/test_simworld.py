@@ -411,6 +411,68 @@ def soft_features(seed, shape, k):
     return np.where(rng.uniform(size=feat.shape) < 0.3, odd, feat)
 
 
+def fov_shapes(h, w):
+    """One field-of-view shape of each kind on an h x w grid."""
+    rect = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)).flatmap(
+        lambda rc: st.tuples(
+            st.just("rect"), st.just(rc[0]), st.just(rc[1]),
+            st.integers(rc[0] + 1, h), st.integers(rc[1] + 1, w),
+        )
+    )
+    angles = st.floats(-360.0, 720.0)
+    sector = st.tuples(
+        st.just("sector"), st.integers(0, h - 1), st.integers(0, w - 1),
+        st.floats(0.5, 12.0), angles, angles,
+    )
+    return st.just("full") | rect | sector
+
+
+@st.composite
+def generated_worlds(draw):
+    """Worlds with grid sides down to 1, rect_min == rect_max, 2 to 6
+    classes, density 0, 2 to 5 agents and every field-of-view kind."""
+    h, w, n = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    rect_max = draw(st.integers(1, min(h, w)))
+    rect_min = draw(st.integers(1, rect_max) | st.just(rect_max))
+    fills_grid = rect_min == h == w == rect_max
+    return WorldConfig(
+        h=h, w=w, n_classes=draw(st.integers(2, 6)), n_agents=n,
+        fovs=tuple(draw(st.lists(fov_shapes(h, w), min_size=1, max_size=2).map(tuple))
+                   for _ in range(n)),
+        noise=draw(FLIPS | st.tuples(*[FLIPS] * n)),
+        density=0.0 if fills_grid else draw(st.just(0.0) | st.floats(0.0, 0.95)),
+        rect_min=rect_min, rect_max=rect_max, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestGenerateOracle:
+    """``generate`` against the loop that drew each rectangle's integers in
+    scalar calls and wrote every rectangle through ``np.ix_``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=generated_worlds())
+    # most rectangles of 3 to 4 cells on a 4 x 5 grid wrap round an edge
+    @example(cfg=WorldConfig(h=4, w=5, density=0.9, rect_min=3, rect_max=4, seed=3,
+                             noise=0.2, fovs=(("full",), (("rect", 1, 1, 3, 4),))))
+    # one rectangle size, two classes, grid sides of 1
+    @example(cfg=WorldConfig(h=1, w=9, n_classes=2, density=0.5, rect_min=1, rect_max=1,
+                             fovs=(("full",), (("sector", 0, 4, 3.0, 0, 180),))))
+    @example(cfg=WorldConfig(h=7, w=1, n_classes=2, density=0.5, rect_min=1, rect_max=1,
+                             noise=(0.0, 0.3), fovs=(("full",),) * 2))
+    @example(cfg=WorldConfig(h=1, w=1, density=0.0, rect_min=1, rect_max=1))
+    # five agents, every field-of-view kind
+    @example(cfg=WorldConfig(
+        h=9, w=11, n_classes=5, n_agents=5, density=0.6, rect_min=2, rect_max=5, seed=8,
+        noise=(0.0, 0.1, 0.2, 0.3, 0.4),
+        fovs=(("full",), (("rect", 0, 0, 9, 6),), (("sector", 4, 5, 4.0, 300, 60),),
+              (("rect", 2, 2, 5, 5), ("sector", 0, 0, 6.0, 0, 90)), ("full",)),
+    ))
+    def test_matches_the_rectangle_loop(self, cfg):
+        got, want = generate(cfg), oracle.generate(cfg)
+        for a, b in zip(got, want):
+            assert_same_bytes(a, b)
+
+
 class TestScoreIoU:
     @settings(max_examples=300, deadline=None)
     @given(shape=GRID_SHAPES, k=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
