@@ -24,8 +24,8 @@ source, y_extractor = make_separable_source(
 )
 
 print("source: X_s = (Y, N), |X_s| = 4, X_r independent")
-print(f"H(X_s)        = {entropy(source, 'X_s').value:.4f} bits")
-print(f"I(Y;X_s|X_r)  = {conditional_mi(source, 'Y', 'X_s', ['X_r']).value:.4f} bits")
+print(f"H(X_s)        = {entropy(source, 'X_s'):.4f} bits")
+print(f"I(Y;X_s|X_r)  = {conditional_mi(source, 'Y', 'X_s', ['X_r']):.4f} bits")
 print(f"bound at d=0  = {theoretical_bound(source, 0.0):.4f} bits")
 print()
 

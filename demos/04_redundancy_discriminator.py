@@ -35,11 +35,8 @@ for name, flip_prob in (("identical", 0.0), ("noisy copy", 0.3), ("independent",
     d = init_discriminator(8, hidden=32, seed=1)
     d, _ = train(d, batch, steps=500, lr=0.5)
     plug = mutual_information(
-        plugin_from_samples(list(zip(s_sym, r_sym)), [("S", 4), ("R", 4)]),
-        "S",
-        "R",
-        "nats",
-    ).value
+        plugin_from_samples(list(zip(s_sym, r_sym)), [("S", 4), ("R", 4)]), "S", "R", "nats"
+    )
     print(
         f"{name:<24} {plug:>11.4f} {mi_score(d, batch):>8.4f} "
         f"{mi_lower_bound(d, batch):>9.4f}"

@@ -29,20 +29,16 @@ from .infotheory import JointTable, _entropies_nats, conditional_entropy, margin
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 REGRESSION_KEYS = ("loc", "size", "ori")
-LOSS_FAMILIES = ("cross_entropy", "l1_gaussian", "l1_laplace", "centerpoint")
 
 
 @dataclass(frozen=True)
 class RiskParams:
-    """Loss family plus the weights of the composite detection risk."""
+    """The weights of the composite detection risk."""
 
-    loss_family: str = "cross_entropy"
     lambdas: tuple[float, float, float] = (1.0, 1.0, 1.0)  # loc, size, ori weights
     n_obj_mean: float = 0.0
 
     def __post_init__(self):
-        if self.loss_family not in LOSS_FAMILIES:
-            raise ValueError(f"unknown loss family {self.loss_family!r}")
         if len(self.lambdas) != 3 or any(
             not math.isfinite(l) or l < 0 for l in self.lambdas
         ):
@@ -65,8 +61,8 @@ class CellPosterior:
         pmf = np.asarray(self.class_pmf, dtype=np.float64)
         if not (np.all(pmf >= 0) and abs(float(pmf.sum()) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("class_pmf must be a pmf (nonnegative, sum 1 within 1e-9)")
-        if any(v < 0 for v in self.reg_sigma.values()):
-            raise ValueError("reg_sigma entries must be nonnegative")
+        for sigma in self.reg_sigma.values():
+            _check_sigma(sigma)
         object.__setattr__(self, "class_pmf", pmf)
 
     def class_entropy_nats(self) -> float:
@@ -75,7 +71,7 @@ class CellPosterior:
 
 def bayes_risk_ce(posterior_table: JointTable, target: str, given: list[str]) -> float:
     """Cross-entropy Bayes risk: the conditional entropy H(target | given) in nats."""
-    return conditional_entropy(posterior_table, target, list(given), "nats").value
+    return conditional_entropy(posterior_table, target, list(given), "nats")
 
 
 def _check_sigma(sigma: float) -> None:
@@ -120,8 +116,6 @@ def bayes_risk_centerpoint(cells: list[CellPosterior], params: RiskParams) -> fl
     one sigma per key (the mean across cells) scaled by the expected object
     count, so a homogeneous map reduces to the single-sigma closed form.
     """
-    if params.loss_family != "centerpoint":
-        raise ValueError("params.loss_family must be 'centerpoint'")
     total = sum(c.class_entropy_nats() for c in cells)
     if params.n_obj_mean > 0 and cells:
         reg = 0.0
@@ -138,7 +132,7 @@ def bayes_risk_centerpoint(cells: list[CellPosterior], params: RiskParams) -> fl
 
 
 def pragmatic_distortion(
-    table_with_z: JointTable, task: str, params: RiskParams | None = None
+    table_with_z: JointTable, task: str, params: RiskParams = RiskParams()
 ) -> float:
     """Increase in Bayes risk from predicting with the message Z instead of
     the raw source X_s, conditioned on the receiver's own X_r.  Nats.
@@ -151,17 +145,15 @@ def pragmatic_distortion(
     if task not in ("segmentation", "detection"):
         raise ValueError(f"unknown task {task!r}")
     d = (
-        conditional_entropy(table_with_z, "Y", ["Z", "X_r"], "nats").value
-        - conditional_entropy(table_with_z, "Y", ["X_s", "X_r"], "nats").value
+        conditional_entropy(table_with_z, "Y", ["Z", "X_r"], "nats")
+        - conditional_entropy(table_with_z, "Y", ["X_s", "X_r"], "nats")
     )
     if task == "detection":
-        if params is None:
-            params = RiskParams(loss_family="centerpoint")
         # libm's exp per value: numpy's vector exp can differ in the last bit
         exp = np.vectorize(math.exp, otypes=[float])
         for key in REGRESSION_KEYS:
-            h_z = conditional_entropy(table_with_z, key, ["Z", "X_r"], "nats").value
-            h_x = conditional_entropy(table_with_z, key, ["X_s", "X_r"], "nats").value
+            h_z = conditional_entropy(table_with_z, key, ["Z", "X_r"], "nats")
+            h_x = conditional_entropy(table_with_z, key, ["X_s", "X_r"], "nats")
             d += 0.5 * params.lam(key) * (exp(h_z - 1.0) - exp(h_x - 1.0))
     return d if table_with_z.stacked else float(d)
 

@@ -7,7 +7,8 @@ values computed here.
 
 Conventions:
     * ``0 * log 0 = 0``; pmf entries below 1e-15 are treated as exact zeros.
-    * Quantities carry an explicit unit tag (bits or nats).
+    * Values are floats, or one float per table; the unit is the ``base``
+      argument (bits or nats).
     * A table may be a stack: one leading pmf axis indexes tables over the
       same named axes, and every quantity then holds one value per table,
       equal bit for bit to the value of that table alone.
@@ -28,19 +29,6 @@ _PMF_TOL = 1e-12
 
 class AxisError(KeyError):
     """An operation named an axis the table does not have (or reused one)."""
-
-
-@dataclass(frozen=True)
-class InfoQuantity:
-    """An information quantity with an explicit unit tag; its value is a
-    float, or an array of one value per table for a stacked table."""
-
-    value: float
-    units: str  # "bits" or "nats"
-
-    def __post_init__(self):
-        if self.units not in ("bits", "nats"):
-            raise ValueError(f"unknown units {self.units!r}")
 
 
 @dataclass(frozen=True)
@@ -149,46 +137,46 @@ def _entropy_in(t: JointTable, base: str):
     return h
 
 
-def entropy(t: JointTable, axis: str, base: str = "bits") -> InfoQuantity:
+def entropy(t: JointTable, axis: str, base: str = "bits") -> float | np.ndarray:
     """Shannon entropy H(axis) of one marginal."""
-    return InfoQuantity(_entropy_in(t, base)(axis), base)
+    return _entropy_in(t, base)(axis)
 
 
-def joint_entropy(t: JointTable, names: list[str], base: str = "bits") -> InfoQuantity:
-    return InfoQuantity(_entropy_in(t, base)(*names), base)
+def joint_entropy(t: JointTable, names: list[str], base: str = "bits") -> float | np.ndarray:
+    return _entropy_in(t, base)(*names)
 
 
 def conditional_entropy(
     t: JointTable, target: str, given: list[str], base: str = "bits"
-) -> InfoQuantity:
+) -> float | np.ndarray:
     """H(target | given) = H(target, given) - H(given)."""
     h = _entropy_in(t, base)
     if target in given:
         raise AxisError(f"target {target!r} also appears in given {given}")
-    return InfoQuantity(h(target, *given) - h(*given), base)
+    return h(target, *given) - h(*given)
 
 
-def mutual_information(t: JointTable, a: str, b: str, base: str = "bits") -> InfoQuantity:
+def mutual_information(t: JointTable, a: str, b: str, base: str = "bits") -> float | np.ndarray:
     """I(a; b) = H(a) + H(b) - H(a, b)."""
     h = _entropy_in(t, base)
     if a == b:
         raise AxisError(f"mutual information needs two distinct axes, got {a!r} twice")
-    return InfoQuantity(h(a) + h(b) - h(a, b), base)
+    return h(a) + h(b) - h(a, b)
 
 
 def conditional_mi(
     t: JointTable, a: str, b: str, given: list[str], base: str = "bits"
-) -> InfoQuantity:
+) -> float | np.ndarray:
     """I(a; b | given) = H(a | given) - H(a | b, given)."""
     h = _entropy_in(t, base)
     if a == b or a in given or b in given:
         raise AxisError(f"axes must be distinct: a={a!r} b={b!r} given={given}")
-    return InfoQuantity((h(a, *given) - h(*given)) - (h(a, b, *given) - h(b, *given)), base)
+    return (h(a, *given) - h(*given)) - (h(a, b, *given) - h(b, *given))
 
 
 def interaction_information(
     t: JointTable, a: str, b: str, c: str, base: str = "bits"
-) -> InfoQuantity:
+) -> float | np.ndarray:
     """Three-way shared information I(a; b; c) = I(a; b) - I(a; b | c).
 
     Positive values mean redundancy, negative values synergy (an XOR triple
@@ -198,7 +186,7 @@ def interaction_information(
     if len({a, b, c}) < 3:
         raise AxisError(f"axes must be distinct: a={a!r} b={b!r} c={c!r}")
     i_ab = h(a) + h(b) - h(a, b)
-    return InfoQuantity(i_ab - ((h(a, c) - h(c)) - (h(a, b, c) - h(b, c))), base)
+    return i_ab - ((h(a, c) - h(c)) - (h(a, b, c) - h(b, c)))
 
 
 def plugin_from_samples(

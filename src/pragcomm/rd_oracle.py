@@ -78,7 +78,7 @@ def theoretical_bound(source: JointTable, delta_nats: float | np.ndarray) -> flo
     delta = np.asarray(delta_nats, dtype=np.float64)
     if not np.all(delta >= 0):  # NaN fails too
         raise ValueError("delta must be >= 0")
-    i_bits = conditional_mi(source, "Y", "X_s", ["X_r"], "bits").value
+    i_bits = conditional_mi(source, "Y", "X_s", ["X_r"], "bits")
     if source.stacked:
         if delta.ndim == 0 or len(delta) != len(i_bits):
             raise ValueError(
@@ -153,7 +153,7 @@ def frontier_columns(
     h_z, h_zr, h_yzr, h_yz = (np.concatenate(h, axis=1) for h in zip(*parts))
 
     def column(q):  # one value per table, against that table's encoders
-        return np.reshape(q.value, (-1, 1))
+        return np.reshape(q, (-1, 1))
 
     rate = h_z / LN2  # I(X_s; Z) = H(Z) for a deterministic encoder
     h_xs = column(entropy(source, "X_s", "bits"))
@@ -187,10 +187,10 @@ def pareto_flags(
     both coordinates and better by more than ``eps`` in one.  One sort by the
     first coordinate and prefix minima of the second decide that for every
     point in O(n log n) (Kung, Luccio & Preparata 1975).  Raises ValueError on
-    a non-finite coordinate or a negative ``eps``.
+    a non-finite coordinate or a negative or NaN ``eps``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
-    if eps < 0 or not np.isfinite(pts).all():
+    if not eps >= 0 or not np.isfinite(pts).all():  # NaN fails too
         raise ValueError("pareto points must be finite and eps >= 0")
     a1, a2 = pts[:, 0], pts[:, 1]
     order = np.argsort(a1)
@@ -211,10 +211,10 @@ def check_conditions(
     """(H(Z|Y), I(Z;X_r), rate - bound at the achieved distortion), all bits,
     of the encoder with channel ``kernel[s, z]`` = p(Z = z | X_s = s)."""
     ext = extend_with_channel(source, "X_s", "Z", kernel)
-    rate = mutual_information(ext, "X_s", "Z", "bits").value
+    rate = mutual_information(ext, "X_s", "Z", "bits")
     dist = pragmatic_distortion(ext, "segmentation")
-    h_zy = conditional_entropy(ext, "Z", ["Y"], "bits").value
-    i_zxr = mutual_information(ext, "Z", "X_r", "bits").value
+    h_zy = conditional_entropy(ext, "Z", ["Y"], "bits")
+    i_zxr = mutual_information(ext, "Z", "X_r", "bits")
     gap = rate - theoretical_bound(source, max(dist, 0.0))
     return h_zy, i_zxr, gap
 

@@ -36,10 +36,10 @@ def _point_for_kernel(
     source: JointTable, kernel: np.ndarray, encoder_id: int
 ) -> RDPoint:
     ext = extend_with_channel(source, "X_s", "Z", kernel)
-    rate = mutual_information(ext, "X_s", "Z", "bits").value
+    rate = mutual_information(ext, "X_s", "Z", "bits")
     dist = pragmatic_distortion(ext, "segmentation")
-    h_zy = conditional_entropy(ext, "Z", ["Y"], "bits").value
-    i_zxr = mutual_information(ext, "Z", "X_r", "bits").value
+    h_zy = conditional_entropy(ext, "Z", ["Y"], "bits")
+    i_zxr = mutual_information(ext, "Z", "X_r", "bits")
     return RDPoint(encoder_id, rate, dist, h_zy, i_zxr)
 
 
@@ -63,7 +63,7 @@ def enumerate_frontier(
             f"alphabet too large: need 1 <= |Z|={z_alphabet_size} <= |X_s|={n_source}"
         )
     points = []
-    h_xs = conditional_entropy(source, "X_s", [], "bits").value
+    h_xs = conditional_entropy(source, "X_s", [], "bits")
     for encoder_id, mapping in enumerate(
         itertools.product(range(z_alphabet_size), repeat=n_source)
     ):

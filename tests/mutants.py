@@ -83,6 +83,10 @@ POSTERIOR_ALONE = (
 )
 SECTOR_WRAP = "tests/test_simworld.py::TestGenerate::test_sector_wrapping_through_zero_degrees"
 RECT_LOOP = "tests/test_simworld.py::TestGenerateOracle::test_matches_the_rectangle_loop"
+STACKED_INFO = (
+    "tests/test_infotheory.py::TestStackedTables::test_every_quantity_matches_the_tables_alone"
+)
+UNIT_CONVERSION = "tests/test_infotheory.py::TestEntropy::test_unit_conversion"
 HISTOGRAM_CELL = (
     "tests/test_pipeline.py::TestReceiveOnEvidence::"
     "test_cell_zero_only_on_the_evidence_stays_unfilled"
@@ -130,6 +134,13 @@ MUTANTS = (
         "        yield from results\n",
         "        yield from (results[k] for members in groups.values() for k in members)\n",
         (DRAW_ORDER, VERIFY_PIN),
+    ),
+    Mutant(
+        "entropy_ignores_base",
+        "src/pragcomm/infotheory.py",
+        'unit = LN2 if base == "bits" else 1.0',
+        "unit = 1.0",
+        (STACKED_INFO, UNIT_CONVERSION, VERIFY + "test_passes_and_reports"),
     ),
     Mutant(
         "bound_stack_one_table_broadcast",

@@ -106,11 +106,11 @@ def test_criterion_3_decomposition_identity():
     worst = 0.0
     for _ in range(200):
         t = random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng)
-        lhs = conditional_mi(t, "Y", "X_s", ["X_r"]).value
+        lhs = conditional_mi(t, "Y", "X_s", ["X_r"])
         rhs = (
-            entropy(t, "X_s").value
-            - conditional_entropy(t, "X_s", ["Y"]).value
-            - interaction_information(t, "Y", "X_s", "X_r").value
+            entropy(t, "X_s")
+            - conditional_entropy(t, "X_s", ["Y"])
+            - interaction_information(t, "Y", "X_s", "X_r")
         )
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-10
@@ -150,9 +150,7 @@ def test_criterion_4_bayes_risk_formulas():
                 },
             )
         )
-    params = RiskParams(
-        loss_family="centerpoint", lambdas=(0.7, 1.3, 2.1), n_obj_mean=1.7
-    )
+    params = RiskParams(lambdas=(0.7, 1.3, 2.1), n_obj_mean=1.7)
     expected = sum(c.class_entropy_nats() for c in cells)
     for lam, key in zip(params.lambdas, ("loc", "size", "ori")):
         expected += (
@@ -211,7 +209,7 @@ def test_criterion_6_mi_estimation():
         "S",
         "R",
         "nats",
-    ).value
+    )
     got = mi_score(d, batch)
     rel = abs(got - plug) / plug
     assert rel <= 0.25

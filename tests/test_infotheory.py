@@ -73,15 +73,15 @@ class TestJointTable:
 class TestEntropy:
     def test_uniform_four_symbols(self):
         t = JointTable((("A", 4),), np.full(4, 0.25))
-        assert entropy(t, "A").value == pytest.approx(2.0, abs=1e-12)
+        assert entropy(t, "A") == pytest.approx(2.0, abs=1e-12)
 
     def test_deterministic_is_zero(self):
         t = JointTable((("A", 3),), np.array([0.0, 1.0, 0.0]))
-        assert entropy(t, "A").value == pytest.approx(0.0, abs=1e-12)
+        assert entropy(t, "A") == pytest.approx(0.0, abs=1e-12)
 
     def test_dyadic(self):
         t = JointTable((("A", 4),), np.array([0.5, 0.25, 0.125, 0.125]))
-        assert entropy(t, "A").value == pytest.approx(1.75, abs=1e-12)
+        assert entropy(t, "A") == pytest.approx(1.75, abs=1e-12)
 
     def test_unknown_axis(self):
         t = JointTable((("A", 2),), np.array([0.5, 0.5]))
@@ -92,7 +92,7 @@ class TestEntropy:
         t = JointTable((("A", 3),), np.array([0.2, 0.5, 0.3]))
         b = entropy(t, "A", "bits")
         n = entropy(t, "A", "nats")
-        assert b.value * LN2 == pytest.approx(n.value, abs=1e-12)
+        assert b * LN2 == pytest.approx(n, abs=1e-12)
 
 
 class TestConditionalEntropy:
@@ -105,37 +105,37 @@ class TestConditionalEntropy:
         pmf = np.zeros((2, 2))
         pmf[0, 0] = pmf[1, 1] = 0.5
         t = JointTable((("A", 2), ("B", 2)), pmf)
-        assert conditional_entropy(t, "A", ["B"]).value == pytest.approx(0.0, abs=1e-12)
+        assert conditional_entropy(t, "A", ["B"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_axes(self):
         pa = np.array([0.3, 0.7])
         pb = np.array([0.25, 0.25, 0.5])
         t = JointTable((("A", 2), ("B", 3)), np.outer(pa, pb))
-        assert conditional_entropy(t, "A", ["B"]).value == pytest.approx(
-            entropy(t, "A").value, abs=1e-12
+        assert conditional_entropy(t, "A", ["B"]) == pytest.approx(
+            entropy(t, "A"), abs=1e-12
         )
 
     def test_xor_given_one_input(self):
         # plug-in over the 8-entry joint table
         t = xor_triple()
-        assert conditional_entropy(t, "Y", ["X_s"]).value == pytest.approx(1.0, abs=1e-12)
+        assert conditional_entropy(t, "Y", ["X_s"]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMutualInformation:
     def test_independent_zero(self):
         t = JointTable((("A", 2), ("B", 2)), np.full((2, 2), 0.25))
-        assert mutual_information(t, "A", "B").value == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(t, "A", "B") == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_uniform_four(self):
         pmf = np.zeros((4, 4))
         np.fill_diagonal(pmf, 0.25)
         t = JointTable((("A", 4), ("B", 4)), pmf)
-        assert mutual_information(t, "A", "B").value == pytest.approx(2.0, abs=1e-12)
+        assert mutual_information(t, "A", "B") == pytest.approx(2.0, abs=1e-12)
 
     def test_bsc(self):
         t = bsc_table(0.1)
         expect = 1.0 - h2(0.1)  # ~0.531 bits
-        assert mutual_information(t, "X", "Z").value == pytest.approx(expect, abs=1e-12)
+        assert mutual_information(t, "X", "Z") == pytest.approx(expect, abs=1e-12)
 
 
 class TestConditionalMI:
@@ -146,27 +146,27 @@ class TestConditionalMI:
             for b in range(2):
                 pmf[c, b, c] = 0.25
         t = JointTable((("A", 2), ("B", 2), ("C", 2)), pmf)
-        assert conditional_mi(t, "A", "B", ["C"]).value == pytest.approx(0.0, abs=1e-12)
+        assert conditional_mi(t, "A", "B", ["C"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_xor_triple(self):
         t = xor_triple()
-        assert conditional_mi(t, "Y", "X_s", ["X_r"]).value == pytest.approx(1.0, abs=1e-12)
+        assert conditional_mi(t, "Y", "X_s", ["X_r"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_fully_independent(self):
         t = JointTable((("A", 2), ("B", 2), ("C", 2)), np.full((2, 2, 2), 0.125))
-        assert conditional_mi(t, "A", "B", ["C"]).value == pytest.approx(0.0, abs=1e-12)
+        assert conditional_mi(t, "A", "B", ["C"]) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInteractionInformation:
     def test_independent_axis_zero(self):
         t = JointTable((("A", 2), ("B", 2), ("C", 2)), np.full((2, 2, 2), 0.125))
-        assert interaction_information(t, "A", "B", "C").value == pytest.approx(
+        assert interaction_information(t, "A", "B", "C") == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_xor_is_minus_one(self):
         t = xor_triple()
-        assert interaction_information(t, "Y", "X_s", "X_r").value == pytest.approx(
+        assert interaction_information(t, "Y", "X_s", "X_r") == pytest.approx(
             -1.0, abs=1e-12
         )
 
@@ -174,7 +174,7 @@ class TestInteractionInformation:
         pmf = np.zeros((2, 2, 2))
         pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
         t = JointTable((("A", 2), ("B", 2), ("C", 2)), pmf)
-        assert interaction_information(t, "A", "B", "C").value == pytest.approx(
+        assert interaction_information(t, "A", "B", "C") == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -183,7 +183,7 @@ class TestPluginFromSamples:
     def test_single_repeated_tuple(self):
         t = plugin_from_samples([(1, 0)] * 10, [("A", 2), ("B", 2)])
         assert t.pmf[1, 0] == 1.0
-        assert entropy(t, "A").value == 0.0
+        assert entropy(t, "A") == 0.0
 
     def test_two_equiprobable(self):
         t = plugin_from_samples([(0, 0), (1, 1)], [("A", 2), ("B", 2)])
@@ -214,8 +214,8 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         for _ in range(50):
             t = random_joint([("A", 3), ("B", 4)], rng)
-            lhs = joint_entropy(t, ["A", "B"]).value
-            rhs = entropy(t, "A").value + conditional_entropy(t, "B", ["A"]).value
+            lhs = joint_entropy(t, ["A", "B"])
+            rhs = entropy(t, "A") + conditional_entropy(t, "B", ["A"])
             assert abs(lhs - rhs) < 1e-10
 
     def test_rate_decomposition_identity(self):
@@ -223,11 +223,11 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         for _ in range(200):
             t = random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng)
-            lhs = conditional_mi(t, "Y", "X_s", ["X_r"]).value
+            lhs = conditional_mi(t, "Y", "X_s", ["X_r"])
             rhs = (
-                entropy(t, "X_s").value
-                - conditional_entropy(t, "X_s", ["Y"]).value
-                - interaction_information(t, "Y", "X_s", "X_r").value
+                entropy(t, "X_s")
+                - conditional_entropy(t, "X_s", ["Y"])
+                - interaction_information(t, "Y", "X_s", "X_r")
             )
             assert abs(lhs - rhs) < 1e-10
 
@@ -237,17 +237,17 @@ class TestInvariants:
             t = random_joint([("Y", 3), ("X_s", 4)], rng)
             kernel = rng.dirichlet(np.ones(3), size=4)
             ext = extend_with_channel(t, "X_s", "Z", kernel)
-            i_yz = mutual_information(ext, "Y", "Z").value
-            i_yx = mutual_information(ext, "Y", "X_s").value
+            i_yz = mutual_information(ext, "Y", "Z")
+            i_yx = mutual_information(ext, "Y", "X_s")
             assert i_yz <= i_yx + 1e-10
 
     def test_entropy_nonnegative(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             t = random_joint([("A", 4), ("B", 3)], rng)
-            assert entropy(t, "A").value >= -1e-12
-            assert conditional_entropy(t, "A", ["B"]).value >= -1e-12
-            assert mutual_information(t, "A", "B").value >= -1e-12
+            assert entropy(t, "A") >= -1e-12
+            assert conditional_entropy(t, "A", ["B"]) >= -1e-12
+            assert mutual_information(t, "A", "B") >= -1e-12
 
 
 class TestExtendWithChannel:
@@ -255,8 +255,8 @@ class TestExtendWithChannel:
         t = xor_triple()
         kernel = np.array([[0.0, 1.0], [1.0, 0.0]])  # swap symbols
         ext = extend_with_channel(t, "X_s", "Z", kernel)
-        assert mutual_information(ext, "Z", "X_s").value == pytest.approx(1.0, abs=1e-12)
-        assert conditional_mi(ext, "Z", "X_r", ["X_s"]).value == pytest.approx(
+        assert mutual_information(ext, "Z", "X_s") == pytest.approx(1.0, abs=1e-12)
+        assert conditional_mi(ext, "Z", "X_r", ["X_s"]) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -309,8 +309,8 @@ class TestEntropyKernel:
     def test_point_mass_gives_positive_zero(self):
         t = JointTable((("A", 3), ("B", 2)), np.array([[0, 0], [1.0, 0], [0, 0]]))
         for value in (
-            entropy(t, "A").value,
-            joint_entropy(t, ["A", "B"], "nats").value,
+            entropy(t, "A"),
+            joint_entropy(t, ["A", "B"], "nats"),
             _entropies_nats(np.array([[1.0]]))[0],
         ):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -363,6 +363,7 @@ def assert_per_table(stacked, per_table):
     """A stack's values are, bit for bit, the unstacked tables' floats."""
     assert all(type(v) is float for v in per_table)
     assert isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
+    assert stacked.shape == (len(per_table),)
     assert stacked.tobytes() == np.array(per_table).tobytes()
 
 
@@ -388,21 +389,22 @@ class TestStackedTables:
         a, rest = order[0], order[1:]
         given_ = data.draw(st.lists(st.sampled_from(rest), unique=True) if rest else st.just([]))
         calls = [
-            (entropy, (a, base)),
-            (joint_entropy, (order[: data.draw(st.integers(0, len(order)))], base)),
-            (conditional_entropy, (a, given_, base)),
+            (entropy, (a,)),
+            (joint_entropy, (order[: data.draw(st.integers(0, len(order)))],)),
+            (conditional_entropy, (a, given_)),
         ]
         if rest:
             b, others = rest[0], rest[1:]
             given_b = data.draw(st.lists(st.sampled_from(others), unique=True)
                                 if others else st.just([]))
-            calls += [(mutual_information, (a, b, base)), (conditional_mi, (a, b, given_b, base))]
+            calls += [(mutual_information, (a, b)), (conditional_mi, (a, b, given_b))]
             if others:
-                calls.append((interaction_information, (a, b, others[0], base)))
+                calls.append((interaction_information, (a, b, others[0])))
         for f, args in calls:
-            got = f(t, *args)
-            assert got.units == base
-            assert_per_table(got.value, [f(one, *args).value for one in tables])
+            assert_per_table(f(t, *args, base), [f(one, *args, base) for one in tables])
+            # the unit is the base argument: bits times ln 2 are nats, table by table
+            bits, nats = f(t, *args, "bits"), f(t, *args, "nats")
+            assert np.abs(bits * LN2 - nats).max() <= 1e-12
         kept = marginal(t, [a, *given_])
         assert kept.pmf.tobytes() == np.stack([marginal(one, [a, *given_]).pmf
                                                for one in tables]).tobytes()
@@ -431,7 +433,7 @@ class TestStackedTables:
         pmf = stack_pmfs(rng, n, tuple(sizes), 0.3)
         kernels = rng.dirichlet(np.ones(3), size=(n, sizes[1]))
         ext = extend_with_channel(JointTable(axes, pmf), "X_s", "Z", kernels)
-        params = RiskParams("centerpoint", (0.5, 1.0, 2.0))
+        params = RiskParams((0.5, 1.0, 2.0))
         alone = [
             pragmatic_distortion(extend_with_channel(JointTable(axes, p), "X_s", "Z", k),
                                  task, params)
@@ -467,12 +469,12 @@ class TestStackedTables:
     def test_unstacked_values_stay_float(self):
         t = xor_triple()
         values = [
-            entropy(t, "Y").value,
-            joint_entropy(t, []).value,
-            conditional_entropy(t, "Y", ["X_s"]).value,
-            mutual_information(t, "Y", "X_s").value,
-            conditional_mi(t, "Y", "X_s", ["X_r"]).value,
-            interaction_information(t, "Y", "X_s", "X_r").value,
+            entropy(t, "Y"),
+            joint_entropy(t, []),
+            conditional_entropy(t, "Y", ["X_s"]),
+            mutual_information(t, "Y", "X_s"),
+            conditional_mi(t, "Y", "X_s", ["X_r"]),
+            interaction_information(t, "Y", "X_s", "X_r"),
         ]
         assert all(type(v) is float for v in values)
         assert not t.stacked
