@@ -314,16 +314,28 @@ def cmd_export(results_path: str, out: Path) -> int:
 
 
 def cmd_verify_theory(cfg: RunConfig, out: Path, config_path: str) -> int:
-    lines, all_ok = [], True
-    for name, margin, tol, ok in verify.checks(cfg.verify):
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.3e} tol={tol:.1e}")
-    lines.append("OK" if all_ok else "FAILED")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    """Prints and writes each check's line as the check ends.  A check that
+    raises ends ``report.txt`` with an ``ERROR`` line naming it and
+    ``FAILED``, and its error goes on: no ``frontier.csv`` or manifest."""
+    all_ok, done = True, 0
+    with open(out / "report.txt", "w", buffering=1) as report:  # one line at a time
+
+        def emit(line: str) -> None:
+            print(line)
+            report.write(line + "\n")
+
+        try:
+            for done, (name, margin, tol, ok) in enumerate(verify.checks(cfg.verify), 1):
+                all_ok &= ok
+                emit(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.3e} tol={tol:.1e}")
+        except Exception as exc:
+            message = str(exc) or type(exc).__name__
+            report.write(f"ERROR {verify.CHECK_NAMES[done]}: {message}\nFAILED\n")
+            raise
+        emit("OK" if all_ok else "FAILED")
     rows = verify.frontier_rows(cfg.verify)
     (out / "frontier.csv").write_text(textio.csv_text(verify.FRONTIER_COLUMNS, rows))
     _write_manifest(out, "verify-theory", config_path, cfg.verify.seed)
-    print("\n".join(lines))
     return 0 if all_ok else 1
 
 

@@ -22,10 +22,8 @@ in the dtype of the net's weights: the rows, the normalized side weights and
 every layer buffer are cast to it.  ``init_discriminator`` gives float64,
 the dtype of the finite-difference checks, of scoring and of the saved
 files.  ``pipeline.train_all`` trains a float32 copy: the steps are almost
-all of a training run, and a float32 step on ``configs/small.cfg``'s batch
-(3103 distinct rows) took about 2.5 ms against 3.9-4.4 ms in float64 (2
-cores, OpenBLAS), as both the matrix products and the elementwise passes
-move half the bytes.
+all of a training run, and a float32 step is faster than a float64 one, as
+both the matrix products and the elementwise passes move half the bytes.
 """
 
 from __future__ import annotations

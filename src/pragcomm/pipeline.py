@@ -3,9 +3,13 @@
 One directed message follows the stack: extract features, quantize them,
 gate cells on sender confidence, pre-hand the coarse abstract, score
 redundancy against the receiver's own view, entropy-code what survives,
-then smooth, fuse and decode on the receiver side; its grid is the
-transmitted cells, which a lossless decode reproduces.  A sweep runs rounds
-over threshold grids and seeds and reports rate-accuracy points.
+then smooth on the receiver side; its grid is the transmitted cells, which
+a lossless decode reproduces.  One fuse-and-score stage on the ``Scene``
+max-fuses a receiver's incoming grids into its own view, decodes and
+scores it: for messages (``Scene.receive``) and for the senders' raw
+features (``Scene.raw_receive``, memoized too), which give a round's
+zero-distortion reference and the solo and uncompressed ceilings.  A sweep
+runs rounds over threshold grids and seeds and reports rate-accuracy points.
 
 Coders: ``task_entropy`` (confidence-frequency Huffman), ``occurrence``
 (count-weighted Huffman), ``fixed`` (fixed-length).  Selectors: ``mi``
@@ -223,7 +227,7 @@ class Scene:
     tables once per coder, score redundancy once per ``tau_c`` and threshold
     it per ``tau_mi``.  Messages are encoded per round, but a receiver
     decodes once per distinct set of incoming masks, whatever coder,
-    selector or thresholds produced them.
+    selector or thresholds produced them, and once per set of raw senders.
     """
 
     def __init__(self, world: World, stack: TrainedStack):
@@ -244,31 +248,33 @@ class Scene:
         # transmit it; cells with gate > tau_c are a sender's candidates
         self.gate = np.where(world.obs != sw.UNOBSERVED, self.conf, -np.inf)
 
+    def _stage(self, key: tuple, compute, *args):
+        """The stage ``key``: ``compute(*args)`` on first use, then kept."""
+        if key not in self._stages:
+            self._stages[key] = compute(*args)
+        return self._stages[key]
+
     def codes(self, coder: str) -> tuple[ec.PrefixCode, ec.PrefixCode]:
         """The stack's code tables under ``coder``, with their cached lookups."""
-        key = ("codes", coder)
-        if key not in self._stages:
-            self._stages[key] = build_codes(self.stack.codebook, coder)
-        return self._stages[key]
+        return self._stage(("codes", coder), build_codes, self.stack.codebook, coder)
 
     def redundancy(self, s: int, r: int, tau_c: float) -> np.ndarray:
         """Discriminator score of sender s's abstract against receiver r's view."""
-        key = ("redundancy", tau_c, s, r)
-        if key not in self._stages:
+
+        def score():
             base = self.stack.codebook.base.embeddings[self.idx[s].base_idx]
             abstract = np.where((self.gate[s] > tau_c)[..., None], base, 0.0)
-            disc = self.stack.discriminator
-            self._stages[key] = mie.redundancy_map(disc, abstract, self.feats[r])
-        return self._stages[key]
+            return mie.redundancy_map(self.stack.discriminator, abstract, self.feats[r])
 
-    def raw_reference(self, r: int, senders: tuple) -> float:
-        """Mean posterior entropy of receiver r fusing the senders' raw
-        features: the zero-distortion reference of a round."""
-        key = ("raw", r, senders)
-        if key not in self._stages:
-            post = _raw_receive(self, r, senders)[0]
-            self._stages[key] = _mean_entropy_nats(post)
-        return self._stages[key]
+        return self._stage(("redundancy", tau_c, s, r), score)
+
+    def raw_receive(self, r: int, senders: tuple) -> tuple:
+        """``receive`` of the senders' raw evidence, each weighted by its
+        trust: a round's zero-distortion reference, and with no senders the
+        receiver's own view alone."""
+        cfg = self.world.cfg
+        raw = (self.evidence[s] * _trust(cfg, s, r) for s in senders)
+        return self._stage(("raw", r, senders), self._fuse_and_score, r, raw)
 
     def receive(self, r: int, incoming: list) -> tuple:
         """Receiver r's per-class IoU, mean IoU and mean posterior entropy
@@ -284,12 +290,20 @@ class Scene:
             (s, *(np.packbits(m).tobytes() for m in (msg.conf_mask, *ec.carried(msg))))
             for s, msg in incoming
         ))
-        if key not in self._stages:
-            grids = [received_grid(self, msg, s, r) for s, msg in incoming]
-            post, per_class, mean = _receive(self.world, r, self.evidence[r], grids)
-            per_class.flags.writeable = False  # every later hit returns it
-            self._stages[key] = per_class, mean, _mean_entropy_nats(post)
-        return self._stages[key]
+        grids = (received_grid(self, msg, s, r) for s, msg in incoming)  # drawn on a miss only
+        return self._stage(key, self._fuse_and_score, r, grids)
+
+    def _fuse_and_score(self, r: int, grids) -> tuple:
+        """Receiver r max-fuses the evidence grids into its own, decodes and
+        scores: (per-class IoU, mean IoU, mean posterior entropy)."""
+        cfg = self.world.cfg
+        fused = self.evidence[r]
+        for grid in grids:
+            fused = sw.fuse(fused, grid)
+        post = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r))
+        per_class, mean = sw.score_iou(post.argmax(axis=2), self.world.gt, cfg.n_classes)
+        per_class.flags.writeable = False  # every later hit returns it
+        return per_class, mean, _mean_entropy_nats(post)
 
 
 def encode_message(
@@ -341,24 +355,6 @@ def _around(cells: np.ndarray) -> tuple[slice, slice]:
     return slice(max(rows[0] - 1, 0), rows[-1] + 2), slice(max(cols[0] - 1, 0), cols[-1] + 2)
 
 
-def _receive(world: World, r: int, own: np.ndarray, incoming: list):
-    """Receiver r max-fuses the incoming evidence grids into its own and
-    decodes; returns (posterior, per-class IoU, mean IoU)."""
-    cfg = world.cfg
-    fused = own
-    for grid in incoming:
-        fused = sw.fuse(fused, grid)
-    post = sw.posterior_from_features(fused, cfg, cfg.agent_noise(r))
-    per_class, mean = sw.score_iou(post.argmax(axis=2), world.gt, cfg.n_classes)
-    return post, per_class, mean
-
-
-def _raw_receive(scene: Scene, r: int, senders) -> tuple:
-    """``_receive`` of the senders' raw evidence, each weighted by its trust."""
-    raw = [scene.evidence[s] * _trust(scene.world.cfg, s, r) for s in senders]
-    return _receive(scene.world, r, scene.evidence[r], raw)
-
-
 def run_round(
     scene: Scene,
     tau_c: float,
@@ -369,11 +365,12 @@ def run_round(
 ) -> RoundResult:
     """One full collaboration round over the given directed pairs.
 
-    Defaults to every ordered agent pair; a given list must be nonempty and
-    name two distinct agents per pair.  Each receiver fuses its incoming
-    smoothed messages in sender order (max-fusion makes the order moot) and
-    predicts from the fused posterior; bits are summed over messages and the
-    task scores averaged over receivers.  Rounds on one scene share its stages.
+    Defaults to every ordered agent pair; a given list must be nonempty,
+    name two distinct agents per pair and no pair twice.  Each receiver
+    fuses its incoming smoothed messages in sender order (max-fusion makes
+    the order moot) and predicts from the fused posterior; bits are summed
+    over messages and the task scores averaged over receivers.  Rounds on
+    one scene share its stages.
     """
     cfg = scene.world.cfg
     agents = range(cfg.n_agents)
@@ -386,6 +383,8 @@ def run_round(
             raise ValueError(
                 f"pair {(s, r)} must name two distinct agents in 0..{cfg.n_agents - 1}"
             )
+        if pairs.count((s, r)) > 1:
+            raise ValueError(f"pair {(s, r)} is repeated; a directed pair sends one message")
 
     by_receiver: dict[int, list] = {}
     msgs = []
@@ -400,7 +399,7 @@ def run_round(
         ious.append(mean)
         per_class.append(pc)
         senders = tuple(s for s, _ in incoming)
-        distortions.append(entropy - scene.raw_reference(r, senders))
+        distortions.append(entropy - scene.raw_receive(r, senders)[2])
 
     # np.nanmean without its warning: a class no receiver scored stays NaN
     per_class = np.stack(per_class)
@@ -427,13 +426,13 @@ def run_round(
 def uncompressed_iou(scene: Scene) -> float:
     """Collaboration ceiling: receivers fuse the senders' raw feature grids."""
     agents = range(len(scene.feats))
-    ious = [_raw_receive(scene, r, [s for s in agents if s != r])[2] for r in agents]
+    ious = [scene.raw_receive(r, tuple(s for s in agents if s != r))[1] for r in agents]
     return float(np.mean(ious))
 
 
 def solo_iou(scene: Scene) -> float:
     """No-collaboration floor: each agent predicts from its own view alone."""
-    return float(np.mean([_raw_receive(scene, r, ())[2] for r in range(len(scene.feats))]))
+    return float(np.mean([scene.raw_receive(r, ())[1] for r in range(len(scene.feats))]))
 
 
 def scenes(world_template: sw.WorldConfig, stack: TrainedStack, seeds) -> dict[int, Scene]:

@@ -19,6 +19,15 @@ from . import infotheory as it
 from . import rd_oracle as rd
 
 SOURCE_CHUNK = 256  # random sources held at once, which bounds their memory
+# the checks in the order ``checks`` yields them, so that a run stopped by
+# one that raises can name it
+CHECK_NAMES = (
+    "identity_rate_decomposition", "identity_chain_rule", "unit_conversion",
+    "data_processing_inequality", "bound_soundness", "bound_tightness_conditions",
+    "markov_premise", "bound_monotone_in_delta", "distortion_identity",
+    "distortion_nonnegative", "mc_gaussian_l1", "mc_laplace_l1", "mc_cross_entropy",
+    "first_order_exponential_bound",
+)
 FRONTIER_COLUMNS = ("source", "encoder_id", "rate_bits", "distortion_nats", "h_z_given_y",
                     "mi_z_xr", "bound_bits", "pareto_flag")
 
@@ -69,8 +78,9 @@ def channel_stack(rng: np.random.Generator, axes: list, n_z: int, n: int) -> it.
 
 
 def checks(vc: VerifyConfig):
-    """Yields (name, margin, tolerance, passed) tuples; margins are the
-    worst-case observed values, tolerances the acceptance thresholds.
+    """Yields (name, margin, tolerance, passed) tuples, one per name of
+    CHECK_NAMES in its order; margins are the worst-case observed values,
+    tolerances the acceptance thresholds.
 
     The Laplace and cross-entropy Monte-Carlo checks run on one worker
     thread while this one runs the others: numpy releases the GIL while it

@@ -71,6 +71,10 @@ EQUAL_MASKS = SWEEP + "test_senders_with_equal_masks_decode_apart"
 RECEIVE_ONCE = SWEEP + "test_receive_runs_once_per_distinct_masks[confidence_only]"
 RECEIVE_RING = SWEEP + "test_receive_keys_on_the_confidence_mask"
 FRESH_WORLDS = SWEEP + "test_matches_rounds_on_fresh_worlds[mi-task_entropy]"
+CEILINGS = (
+    "tests/test_pipeline.py::TestCeilings::test_solo_and_uncompressed_equal_the_raw_fusion_oracle"
+)
+CEILINGS_2, CEILINGS_3 = CEILINGS + "[two_agents]", CEILINGS + "[three_agents]"
 CODER = "tests/test_entropy_coder.py::"
 CAPPED = CODER + "TestPrefixCode::test_built_code_is_huffman_capped_at_16_bits"
 GEOMETRIC = CODER + "TestVectorizedCoder::test_geometric_code_capped_at_16_bits"
@@ -140,7 +144,8 @@ MUTANTS = (
         "src/pragcomm/infotheory.py",
         'unit = LN2 if base == "bits" else 1.0',
         "unit = 1.0",
-        (STACKED_INFO, UNIT_CONVERSION, VERIFY + "test_passes_and_reports"),
+        (STACKED_INFO, UNIT_CONVERSION, VERIFY + "test_passes_and_reports",
+         VERIFY + "test_check_that_raises_ends_the_report[bound_soundness]"),
     ),
     Mutant(
         "bound_stack_one_table_broadcast",
@@ -212,6 +217,13 @@ MUTANTS = (
         (RECEIVE_ONCE, RECEIVE_RING),
     ),
     Mutant(
+        "raw_key_without_senders",
+        "src/pragcomm/pipeline.py",
+        '("raw", r, senders)',
+        '("raw", r)',
+        (CEILINGS_2, CEILINGS_3, EQUAL_MASKS),
+    ),
+    Mutant(
         "receive_empty_test_on_k_channels",
         "src/pragcomm/pipeline.py",
         "planes.any_last(full != 0)",
@@ -228,8 +240,8 @@ MUTANTS = (
     Mutant(
         "redundancy_score_constant",
         "src/pragcomm/pipeline.py",
-        "mie.redundancy_map(disc, abstract, self.feats[r])",
-        "mie.redundancy_map(disc, abstract, self.feats[r]) * 0.0",
+        "mie.redundancy_map(self.stack.discriminator, abstract, self.feats[r])",
+        "mie.redundancy_map(self.stack.discriminator, abstract, self.feats[r]) * 0.0",
         (CRITERION_7, SWEEP_PIN),
     ),
     Mutant(

@@ -721,7 +721,9 @@ class TestVerifyTheory:
         report = (out / "report.txt").read_text()
         assert report.strip().endswith("OK")
         assert "FAIL" not in report
-        assert "bound_soundness" in report
+        names = [line.split()[1] for line in report.splitlines()[:-1]]
+        assert names == list(verify.CHECK_NAMES)
+        assert capsys.readouterr().out == report
         frontier = (out / "frontier.csv").read_text().strip().splitlines()
         assert frontier[0].startswith("source,encoder_id,rate_bits")
         assert len(frontier) > 10
@@ -768,7 +770,34 @@ class TestVerifyTheory:
         out = tmp_path / "verify"
         assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: delta must be >= 0"]
-        assert not (out / "report.txt").exists()
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[-2:] == ["ERROR bound_soundness: delta must be >= 0", "FAILED"]
+
+    @pytest.mark.parametrize("module, attr, check", [
+        pytest.param(rd, "frontier_columns", "bound_soundness", id="bound_soundness"),
+        pytest.param(rd, "check_conditions", "bound_tightness_conditions", id="tightness"),
+    ])
+    def test_check_that_raises_ends_the_report(
+        self, module, attr, check, cfg_file, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args):
+            raise RuntimeError("oracle broke")
+
+        monkeypatch.setattr(module, attr, fail)
+        before = threading.active_count()
+        out = tmp_path / "verify"
+        assert main(["verify-theory", "--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: oracle broke"]
+        assert threading.active_count() == before
+        # every check before the one that raised, as it passed
+        ran = verify.CHECK_NAMES[: verify.CHECK_NAMES.index(check)]
+        assert ran
+        lines = [line.split(" margin=")[0] for line in captured.out.splitlines()]
+        assert lines == [f"PASS {name}" for name in ran]
+        report = (out / "report.txt").read_text().splitlines()
+        assert report == [*captured.out.splitlines(), f"ERROR {check}: oracle broke", "FAILED"]
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
 
     @pytest.mark.parametrize("slow", ["mc_l1_laplace", "mc_l1_gaussian"])
     def test_small_config_pinned_whichever_thread_ends_last(self, slow, tmp_path, monkeypatch):
@@ -786,12 +815,13 @@ class TestVerifyTheory:
         assert {name: digests[name] for name in pins("small-verify")} == pins("small-verify")
 
     @pytest.mark.parametrize(
-        "exc, line",
-        [(ValueError("bad draw"), "error: bad draw"), (MemoryError(), "error: out of memory")],
+        "exc, line, reported",
+        [(ValueError("bad draw"), "error: bad draw", "bad draw"),
+         (MemoryError(), "error: out of memory", "MemoryError")],
         ids=["ValueError", "MemoryError"],
     )
     def test_worker_failure_is_one_error_line(
-        self, exc, line, cfg_file, tmp_path, monkeypatch, capsys
+        self, exc, line, reported, cfg_file, tmp_path, monkeypatch, capsys
     ):
         def fail(*args):
             raise exc
@@ -804,7 +834,8 @@ class TestVerifyTheory:
         assert captured.err.splitlines() == [line]
         assert "Traceback" not in captured.out + captured.err
         assert threading.active_count() == before
-        assert not (out / "report.txt").exists()
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[-2:] == [f"ERROR mc_laplace_l1: {reported}", "FAILED"]
 
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
@@ -862,7 +893,7 @@ class TestUsage:
 
     # sweeps run serially, so no command, sweep included, takes --jobs
     @pytest.mark.parametrize("command", ["gen-world", "train", "sweep", "verify-theory"])
-    def test_jobs_only_on_sweep(self, cfg_file, tmp_path, capsys, command):
+    def test_no_command_takes_jobs(self, cfg_file, tmp_path, capsys, command):
         out = tmp_path / "o"
         argv = [command, "--config", str(cfg_file), "--out", str(out), "--jobs", "2"]
         assert main(argv) == 2

@@ -348,7 +348,8 @@ class TestRunRound:
     @pytest.mark.parametrize(
         "pairs, named",
         [([], "pairs must name"), ([(0, 2)], r"\(0, 2\)"), ([(1, 1)], r"\(1, 1\)"),
-         ([(0, 1), (-1, 0)], r"\(-1, 0\)")],
+         ([(0, 1), (-1, 0)], r"\(-1, 0\)"),
+         ([(0, 1), (1, 0), (0, 1)], r"\(0, 1\) is repeated")],
     )
     def test_invalid_pairs_rejected(self, scene, pairs, named):
         with pytest.raises(ValueError, match=named):
@@ -365,6 +366,35 @@ class TestRunRound:
             res = pl.run_round(empty, 0.5, 1.0)
         assert res.per_class_iou[0] == 1.0
         assert np.isnan(res.per_class_iou[1:]).all()
+
+
+def raw_fusion_iou(scene, r, senders):
+    """Receiver r's mean IoU from its own features max-fused with the
+    senders' raw features, each weighted by its trust, decoded and scored
+    by the oracles."""
+    cfg = scene.world.cfg
+    fused = scene.feats[r]
+    for s in senders:
+        fused = np.maximum(fused, scene.feats[s] * pl._trust(cfg, s, r))
+    post = oracle.posterior_from_features(fused, cfg, cfg.agent_noise(r))
+    return oracle.score_iou(post.argmax(axis=2), scene.world.gt, cfg.n_classes)[1]
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("template", [
+        pl.replace(TEMPLATE, seed=43, noise=(0.02, 0.3)),
+        pl.replace(THREE_AGENTS, noise=(0.0, 0.1, 0.3)),
+    ], ids=["two_agents", "three_agents"])
+    def test_solo_and_uncompressed_equal_the_raw_fusion_oracle(self, stack, template):
+        scene = pl.Scene(pl.make_world(template), stack)
+        agents = range(template.n_agents)
+        solo = np.mean([raw_fusion_iou(scene, r, ()) for r in agents])
+        shared = np.mean([raw_fusion_iou(scene, r, [s for s in agents if s != r])
+                          for r in agents])
+        assert solo < shared
+        # the floor first: the ceiling must not reuse the receivers' solo scores
+        assert pl.solo_iou(scene) == solo
+        assert pl.uncompressed_iou(scene) == shared
 
 
 class TestViews:
