@@ -161,7 +161,7 @@ def frontier_columns(
     if over.any():
         k = int(over.any(axis=1).argmax())
         h_xs_k = float(h_xs[k, 0])
-        raise RuntimeError(f"encoder rate {rate[k].max()!r} exceeds H(X_s)={h_xs_k!r}")
+        raise RuntimeError(f"encoder rate {float(rate[k].max())!r} exceeds H(X_s)={h_xs_k!r}")
     dist = h_yzr - h_zr - column(conditional_entropy(source, "Y", ["X_s", "X_r"], "nats"))
     h_zy = (h_yz - column(entropy(source, "Y", "nats"))) / LN2
     i_zxr = (h_z + column(entropy(source, "X_r", "nats")) - h_zr) / LN2

@@ -95,8 +95,8 @@ def checks(vc: VerifyConfig):
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:
-        n = vc.mc_draws
-        laplace = worker.submit(br.mc_l1_laplace, 3.0, n, np.random.default_rng(vc.seed + 2))
+        n, sigma, b = vc.mc_draws, 1.0, 3.0  # the Gaussian and Laplace draws' scales
+        laplace = worker.submit(br.mc_l1_laplace, b, n, np.random.default_rng(vc.seed + 2))
         rng = np.random.default_rng(vc.seed)
 
         t = it.random_joint([("Y", 3), ("X_s", 3), ("X_r", 2)], rng, vc.tables)
@@ -166,11 +166,13 @@ def checks(vc: VerifyConfig):
         yield "distortion_identity", worst, 1e-10, worst <= 1e-10
         yield "distortion_nonnegative", worst_neg, -1e-10, worst_neg >= -1e-10
 
-        est = br.mc_l1_gaussian(1.0, n, np.random.default_rng(vc.seed + 1))
-        rel = abs(est - br.SQRT_2_OVER_PI) / br.SQRT_2_OVER_PI
+        est = br.mc_l1_gaussian(sigma, n, np.random.default_rng(vc.seed + 1))
+        closed = br.bayes_risk_l1_gaussian(sigma)
+        rel = abs(est - closed) / closed
         yield "mc_gaussian_l1", rel, 0.01, rel <= 0.01
 
-        rel = abs(laplace.result() - 3.0) / 3.0
+        closed = br.bayes_risk_l1_laplace(b)
+        rel = abs(laplace.result() - closed) / closed
         yield "mc_laplace_l1", rel, 0.01, rel <= 0.01
 
         closed = br.bayes_risk_ce(ce_table, "Y", ["X"])

@@ -91,10 +91,16 @@ STACKED_INFO = (
     "tests/test_infotheory.py::TestStackedTables::test_every_quantity_matches_the_tables_alone"
 )
 UNIT_CONVERSION = "tests/test_infotheory.py::TestEntropy::test_unit_conversion"
-HISTOGRAM_CELL = (
-    "tests/test_pipeline.py::TestReceiveOnEvidence::"
-    "test_cell_zero_only_on_the_evidence_stays_unfilled"
+FULL_WIDTH_SCORES = (
+    "tests/test_pipeline.py::TestReceiveOnFullGrid::test_scores_match_the_full_width_oracle"
 )
+TRADEOFF_DIGEST = (
+    "tests/test_pipeline.py::TestTradeoffSweepBytes::test_results_csv_digest[confidence_only]"
+)
+DECODE_TABLE = CODER + "TestVectorizedCoder::test_tables_cached_per_code"
+INVALID_WALK = CODER + "TestDecodeErrors::test_invalid_codeword_walk"
+ROUND_TRIP = CODER + "TestEncode::test_lossless_round_trip_many_seeds"
+LAPLACE_RISK = "tests/test_bayes_risk.py::TestLaplaceL1Risk::test_unit_scale_identity"
 
 MUTANTS = (
     Mutant(
@@ -203,6 +209,13 @@ MUTANTS = (
         (CDF_STEP, CDF_STEP_LARGE),
     ),
     Mutant(
+        "laplace_risk_is_its_standard_deviation",
+        "src/pragcomm/bayes_risk.py",
+        "    return float(b)\n",
+        "    return math.sqrt(2.0) * b\n",
+        (LAPLACE_RISK, VERIFY + "test_passes_and_reports", VERIFY_PIN),
+    ),
+    Mutant(
         "receive_key_without_sender",
         "src/pragcomm/pipeline.py",
         "(s, *(np.packbits(m).tobytes() for m in (msg.conf_mask, *ec.carried(msg))))",
@@ -224,11 +237,18 @@ MUTANTS = (
         (CEILINGS_2, CEILINGS_3, EQUAL_MASKS),
     ),
     Mutant(
-        "receive_empty_test_on_k_channels",
+        "receive_smooths_outside_the_candidate_mask",
         "src/pragcomm/pipeline.py",
-        "planes.any_last(full != 0)",
-        "planes.any_last(full[..., :k] != 0)",
-        (HISTOGRAM_CELL,),
+        "sw.smooth(received[box]), where=msg.conf_mask[box][..., None])",
+        "sw.smooth(received[box]))",
+        (FULL_WIDTH_SCORES, TRADEOFF_DIGEST),
+    ),
+    Mutant(
+        "received_grid_without_trust",
+        "src/pragcomm/pipeline.py",
+        "return received * _trust(scene.world.cfg, s, r)",
+        "return received",
+        (FULL_WIDTH_SCORES,),
     ),
     Mutant(
         "scenes_all_on_the_template_world",
@@ -250,6 +270,27 @@ MUTANTS = (
         'capped[np.argsort(lengths, kind="stable")] =',
         'capped[np.argsort(lengths, kind="stable")[::-1]] =',
         (CAPPED, GEOMETRIC),
+    ),
+    Mutant(
+        "window_ignores_the_bit_offset",
+        "src/pragcomm/entropy_coder.py",
+        "words[:, None] << np.arange(8, dtype=np.uint64)",
+        "words[:, None] << np.zeros(8, dtype=np.uint64)",
+        (KERNEL, ROUND_TRIP),
+    ),
+    Mutant(
+        "decode_table_spans_one_short",
+        "src/pragcomm/entropy_coder.py",
+        "(value + 1) << (width - L))",
+        "((value + 1) << (width - L)) - 1)",
+        (DECODE_TABLE, KERNEL, ROUND_TRIP),
+    ),
+    Mutant(
+        "unmatched_window_not_sunk",
+        "src/pragcomm/entropy_coder.py",
+        "    jump[length == 0] = n + 2\n",
+        "",
+        (INVALID_WALK, KERNEL),
     ),
     Mutant(
         "jumps_without_the_tail_sink",

@@ -536,9 +536,9 @@ def full_width_receive(scene, r, incoming, coder):
 THRESHOLDS = st.sampled_from([-float("inf"), -1.0, 0.0, 0.3, 0.6, 0.9, float("inf")])
 
 
-class TestReceiveOnEvidence:
-    """A receiver smooths, weights and fuses only the K evidence channels
-    its posterior reads, while smoothing's empty-cell test reads all 2K."""
+class TestReceiveOnFullGrid:
+    """A receiver smooths, weights and fuses all 2K channels of a received
+    grid, and smoothing's empty-cell test reads every one of them."""
 
     def test_cell_zero_only_on_the_evidence_stays_unfilled(self):
         cfg = sw.WorldConfig(h=3, w=4, n_classes=2, fovs=(("full",),) * 2, density=0.0,
@@ -558,10 +558,10 @@ class TestReceiveOnEvidence:
         got = pl.received_grid(scene, msg, 0, 1)
         # (1, 1) carries a histogram, so it is not empty; (1, 2) is, and gets
         # half the mean of its 8 nonzero neighbours, 7 of which say class 0
-        assert got.shape == (3, 4, 2)
-        assert got[1, 1].tolist() == [0.0, 0.0]
-        assert got[1, 2].tolist() == [0.5 * 7 / 8, 0.0]
-        want = oracle.smooth(oracle.received_grid(idx, cb))[..., :2]
+        assert got.shape == (3, 4, 4)
+        assert got[1, 1].tolist() == base[1].tolist()
+        assert got[1, 2, 0] == 0.5 * 7 / 8
+        want = oracle.smooth(oracle.received_grid(idx, cb))
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)

@@ -408,6 +408,20 @@ class TestFrontierColumns:
             with pytest.raises(ValueError, match="alphabet too large"):
                 frontier_columns(t, z)
 
+    def test_rate_above_the_source_entropy_is_reported_as_plain_numbers(self, monkeypatch):
+        # an H(X_s) of 0 puts every encoder of positive rate above it
+        def entropy_without_xs(t, axis, base="bits"):
+            return 0.0 if axis == "X_s" else entropy(t, axis, base)
+
+        monkeypatch.setattr(rd_oracle, "entropy", entropy_without_xs)
+        t = random_joint([("Y", 2), ("X_s", 3), ("X_r", 2)], np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="exceeds H") as raised:
+            frontier_columns(t, 2)
+        message = str(raised.value)
+        assert "np.float64" not in message
+        rate = float(message.split()[2])  # "encoder rate <rate> exceeds H(X_s)=0.0"
+        assert rate > 0 and message.endswith("H(X_s)=0.0")
+
 
 class TestCheckConditionsMatchesFrontier:
     @settings(max_examples=100, deadline=None)
