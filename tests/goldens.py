@@ -12,8 +12,8 @@ GOLDENS = {
         "08928ff22c6a07542a410d4e7603717fc100583917bc174f6a8100d3bc322d8f",
     # `pragcomm train` on test_cli.FAST_CFG
     "train/codebook.txt": "a69aebc9fe7c230116e75e0b0f30dbcb44ca6fda58559b0f1858aec6a02f0451",
-    "train/discriminator.txt": "8d006a7550c0167aed398baf085d5a0c2d22c9098f7c285289fb7b9ee790cfa4",
-    "train/disc_losses.txt": "96f6d23a177f880fbe6e4cacf84be3f364e7fb2381d146c1ff59a287736c05a9",
+    "train/discriminator.txt": "af89f56d767792fcd5a5e2ddd63b0c4c6ada4490c5c67a256179bf45e6c410b4",
+    "train/disc_losses.txt": "f1ec043cb3c742931371bae537ddc9c574c426c096b049fed941405c81dc8ee0",
     "train/tau_draws.txt": "130f08675cfe7aad68df4d52ceb2125a59bd46633e6583b8d619b7ce94006161",
     # `pragcomm sweep` on test_cli.FAST_CFG
     "sweep/results.csv": "c2e689447c5a9ef20e51c9af9c887881f0ffb53ffb530fd0525a5063e9297ddd",
@@ -32,11 +32,11 @@ GOLDENS = {
     "codebooks/lossless_stack": "45032edcfc2bf17429bd3eea2c1e1595fae71312eb4ec4025a245898e5a007a6",
     "codebooks/tradeoff_stack": "925b111f8fb4688d17031e681f7233ccfc59c8ab403baa757f5047efceb20a3e",
     # conftest's tradeoff_sweeps (criterion 8: 20 seeds, 2000-step stack): results_csv
-    "tradeoff/mi": "89d75f89028e194c223fbf99b8f51b297d990a39960cad952806464ea3fc731e",
+    "tradeoff/mi": "d0a675375de36a3f1a90893f85b69038b2b8c068b6582ceaf68dcb2b713ede3d",
     "tradeoff/baseline": "a4017c65c095deff26e20c58b574eedf712412790ac18f1816961ab4726a2e17",
     "tradeoff/confidence_only": "04bc792f42b011d5e7e2f0a33c7a348c8f49b0fe60bd6e86ec7d3e47b071ce1b",
     # criterion 7's 20 rounds on conftest's lossless_stack: results_csv
-    "lossless/results.csv": "2ce45f3ea13fe8abd08e0009a10fe45c9661620c98bc8b5094851d179bb203c4",
+    "lossless/results.csv": "0d2b9b427d34b84b50145ff187b605ab2117d398a2e3b2961871d9bc2de5dffe",
     # perfbench/workloads.py at seed 11, operation 0: Workload.digests
     "bench/codebook_sha256": "87bfc66d853a95842ea990ab3915d8729bf9400e1a0a3ade121a785e94507457",
     "bench/results_csv_sha256": "eab74743aa285c475e9d22c807c15e18899fd67cb2fc76d71a35f80a394499b0",

@@ -101,6 +101,12 @@ DECODE_TABLE = CODER + "TestVectorizedCoder::test_tables_cached_per_code"
 INVALID_WALK = CODER + "TestDecodeErrors::test_invalid_codeword_walk"
 ROUND_TRIP = CODER + "TestEncode::test_lossless_round_trip_many_seeds"
 LAPLACE_RISK = "tests/test_bayes_risk.py::TestLaplaceL1Risk::test_unit_scale_identity"
+MIE = "tests/test_mi_estimator.py::"
+DISC_ORACLE = MIE + "TestInPlaceStep::test_train_equals_allocating_oracle"
+DEDUP = MIE + "TestWeightedBatch::test_dedup_matches_expanded"
+FINITE_DIFFS = MIE + "TestGradients::test_analytic_matches_finite_differences"
+WEIGHTED_FINITE_DIFFS = MIE + "TestWeightedBatch::test_weighted_gradients_match_finite_differences"
+MERGED = MIE + "TestMergedRows::"
 
 MUTANTS = (
     Mutant(
@@ -263,6 +269,34 @@ MUTANTS = (
         "mie.redundancy_map(self.stack.discriminator, abstract, self.feats[r])",
         "mie.redundancy_map(self.stack.discriminator, abstract, self.feats[r]) * 0.0",
         (CRITERION_7, SWEEP_PIN),
+    ),
+    Mutant(
+        "merged_side_weights_assigned_not_summed",
+        "src/pragcomm/mi_estimator.py",
+        "    merged = np.bincount(inverse, weights, n)\n",
+        "    merged = np.zeros(n)\n    merged[inverse] = weights\n",
+        (DEDUP, MERGED + "test_a_shared_row_runs_once"),
+    ),
+    Mutant(
+        "side_weights_normalized_before_merging",
+        "src/pragcomm/mi_estimator.py",
+        "np.bincount(inverse, weights, n)",
+        "np.bincount(inverse, weights / weights.sum(), n)",
+        (DISC_ORACLE,),
+    ),
+    Mutant(
+        "dscore_without_the_marginal_term",
+        "src/pragcomm/mi_estimator.py",
+        "dscore = pm * _sigmoid(t) - pj * _sigmoid(-t)",
+        "dscore = -pj * _sigmoid(-t)",
+        (FINITE_DIFFS, WEIGHTED_FINITE_DIFFS),
+    ),
+    Mutant(
+        "step_on_the_stacked_sides_unmerged",
+        "src/pragcomm/mi_estimator.py",
+        "    rows, inverse, _ = vq.unique_rows(rows)\n",
+        "    inverse = np.arange(len(rows))\n",
+        (MERGED + "test_a_shared_row_runs_once",),
     ),
     Mutant(
         "capped_lengths_handed_out_in_reverse",

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -142,6 +143,16 @@ def same_weights(d1, d2) -> bool:
     )
 
 
+def pair_rows(rng, n_j, n_m, width, n_atoms):
+    """Joint and marginal rows: each drawn afresh when ``n_atoms`` is None,
+    else each picked from ``n_atoms`` shared rows, so rows repeat within a
+    side and recur across the sides."""
+    if n_atoms is None:
+        return rng.normal(size=(n_j, width)), rng.normal(size=(n_m, width))
+    atoms = rng.normal(size=(n_atoms, width))
+    return atoms[rng.integers(n_atoms, size=n_j)], atoms[rng.integers(n_atoms, size=n_m)]
+
+
 class TestInPlaceStep:
     """The in-place step against the allocating one it replaced."""
 
@@ -157,9 +168,10 @@ class TestInPlaceStep:
         weighted=st.booleans(),
         steps=st.integers(1, 6),
         dtype=st.sampled_from([np.float32, np.float64]),
+        n_atoms=st.one_of(st.none(), st.integers(1, 12)),
     )
     def test_train_equals_allocating_oracle(
-        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps, dtype
+        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps, dtype, n_atoms
     ):
         rng = np.random.default_rng(seed)
         weights = (
@@ -167,7 +179,7 @@ class TestInPlaceStep:
             if weighted
             else (None, None)
         )
-        batch = PairBatch(rng.normal(size=(n_j, 2 * c)), rng.normal(size=(n_m, 2 * c)), *weights)
+        batch = PairBatch(*pair_rows(rng, n_j, n_m, 2 * c, n_atoms), *weights)
         d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
         d = d.astype(dtype)
         got_d, got_losses = train(d, batch, steps, lr)
@@ -213,6 +225,62 @@ class TestInPlaceStep:
         with pytest.raises(RuntimeError, match="non-finite"):
             train(d, batch, steps=5, lr=1e300)
         assert snapshot() == before
+
+
+class TestMergedRows:
+    """A step runs on the distinct rows of both sides; its loss and
+    gradients are the stacked sides' ones up to rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_j=st.integers(1, 40),
+        n_m=st.integers(1, 40),
+        c=st.integers(1, 3),
+        n_hidden=st.integers(1, 2),
+        hidden=st.integers(1, 8),
+        weights=st.sampled_from(["unit", "count", "real"]),
+        n_atoms=st.one_of(st.none(), st.integers(1, 12)),
+    )
+    def test_matches_stacked_sides(
+        self, seed, n_j, n_m, c, n_hidden, hidden, weights, n_atoms
+    ):
+        rng = np.random.default_rng(seed)
+        draw = {
+            "unit": lambda n: None,
+            "count": lambda n: rng.integers(1, 6, size=n),
+            "real": lambda n: rng.uniform(0.1, 5.0, size=n),
+        }[weights]
+        joint, marginal = pair_rows(rng, n_j, n_m, 2 * c, n_atoms)
+        batch = PairBatch(joint, marginal, draw(n_j), draw(n_m))
+        d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
+        loss, grads = loss_and_grads(d, batch)
+        want_loss, want_grads = oracle.stacked_loss_and_grads(d, batch)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        g, want = flat(grads), flat(want_grads)
+        # floored at 1 for gradients that cancel to zero in exact arithmetic
+        assert np.linalg.norm(g - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+    def test_a_shared_row_runs_once(self):
+        rows = np.eye(4)
+        batch = PairBatch(rows[[0, 1, 1]], rows[[1, 2, 2, 3]])
+        merged, pj, pm, _, _ = _workspace(init_discriminator(4, seed=0), batch)
+        np.testing.assert_array_equal(merged, rows[::-1])
+        np.testing.assert_array_equal(pj, [0, 0, 2 / 3, 1 / 3])
+        np.testing.assert_array_equal(pm, [1 / 4, 1 / 2, 1 / 4, 0])
+
+    @pytest.mark.parametrize(
+        "joint, marginal",
+        [
+            (np.zeros(3), np.zeros((3, 2))),
+            (np.zeros((3, 2)), np.zeros(3)),
+            (np.zeros((3, 2)), np.zeros((3, 3))),
+            (np.zeros((3, 2, 1)), np.zeros((3, 2, 1))),
+        ],
+    )
+    def test_rows_of_other_shapes_rejected(self, joint, marginal):
+        with pytest.raises(ValueError, match=re.escape(f"{joint.shape} and {marginal.shape}")):
+            PairBatch(joint, marginal)
 
 
 class TestMIQuantities:
