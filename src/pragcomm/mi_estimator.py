@@ -17,12 +17,12 @@ Two scalar summaries are exposed:
   itself and is the value compared against the exact plug-in oracle.
 
 Everything is plain numpy with explicit full-batch gradient descent so the
-gradients can be checked against finite differences.  A step runs on the
-distinct rows of both sides at once: a row that is both a joint and a
-marginal sample goes through the net once and carries a weight for each
-side, zero for a side that lacks it.  The loss and its gradient are the
-same sums as over the two stacked sides; on ``configs/small.cfg``'s batch
-2160 merged rows replace 1405 joint plus 1698 marginal ones.  Every pass
+gradients can be checked against finite differences.  A batch holds one
+row per sample.  A step merges both sides into their distinct rows, the
+only place rows are deduplicated, and each row carries its share of each
+side's samples, zero for a side that lacks it: the same loss and gradient
+as the means over the two stacked sides.  ``configs/small.cfg``'s batch
+holds 5490 samples per side, merged into 2160 rows per step.  Every pass
 computes in the dtype of the net's weights: the rows, the normalized side
 weights and every layer buffer are cast to it.  ``init_discriminator``
 gives float64, the dtype of the finite-difference checks, of scoring and
@@ -61,18 +61,11 @@ class Discriminator:
 
 @dataclass
 class PairBatch:
-    """Co-located pairs (joint samples) plus recombined pairs (marginals).
-
-    Each row carries a weight: the number of samples it stands for (ones by
-    default).  Every average over a side is weighted, so a batch with
-    repeated rows and its distinct rows weighted by their counts give the
-    same loss, gradients and scores.
-    """
+    """Co-located pairs (joint samples) plus recombined pairs (marginals),
+    one row per sample."""
 
     joint_pairs: np.ndarray  # (n_j, 2c)
     marginal_pairs: np.ndarray  # (n_m, 2c)
-    joint_weights: np.ndarray | None = None  # (n_j,) positive, default ones
-    marginal_weights: np.ndarray | None = None  # (n_m,) positive, default ones
 
     def __post_init__(self):
         self.joint_pairs = np.asarray(self.joint_pairs, dtype=np.float64)
@@ -82,45 +75,19 @@ class PairBatch:
             raise ValueError(f"joint and marginal pairs must be 2-D, one width: got {j} and {m}")
         if len(self.joint_pairs) == 0 or len(self.marginal_pairs) == 0:
             raise ValueError("both joint and marginal pairs must be nonempty")
-        self.joint_weights = _check_weights(
-            self.joint_weights, len(self.joint_pairs), "joint"
-        )
-        self.marginal_weights = _check_weights(
-            self.marginal_weights, len(self.marginal_pairs), "marginal"
-        )
-
-
-def _check_weights(weights, n: int, side: str) -> np.ndarray:
-    if weights is None:
-        return np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"{side}_weights must have shape ({n},), got {weights.shape}")
-    # a NaN fails the comparison; an infinite entry or sum fails isfinite
-    with np.errstate(over="ignore"):
-        total = weights.sum()
-    if not (np.all(weights > 0) and np.isfinite(total)):
-        raise ValueError(f"{side}_weights must be finite and positive")
-    return weights
 
 
 def make_batch(
     s: np.ndarray, r: np.ndarray, rng: np.random.Generator
 ) -> PairBatch:
-    """Joint pairs by position, marginal pairs by shuffling r within the batch.
-
-    Each side is stored as its distinct rows weighted by their counts, which
-    leaves every weighted average unchanged; the only random draw is the one
-    permutation of r.
-    """
+    """Joint pairs by position, marginal pairs by shuffling r within the
+    batch; the only random draw is the one permutation of r."""
     s = np.asarray(s, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if s.shape != r.shape:
         raise ValueError("s and r must align")
     perm = rng.permutation(len(r))
-    joint, _, joint_w = vq.unique_rows(np.concatenate([s, r], axis=1))
-    marginal, _, marginal_w = vq.unique_rows(np.concatenate([s, r[perm]], axis=1))
-    return PairBatch(joint, marginal, joint_w, marginal_w)
+    return PairBatch(np.concatenate([s, r], axis=1), np.concatenate([s, r[perm]], axis=1))
 
 
 def init_discriminator(
@@ -195,31 +162,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side_weights(inverse: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """One side's weights summed onto the merged rows, then normalized to
-    sum to one; zero on a row the side does not hold."""
-    merged = np.bincount(inverse, weights, n)
-    return merged / merged.sum()
+def _side_weights(inverse: np.ndarray, n: int) -> np.ndarray:
+    """Each merged row's share of one side's samples; zero on a row the
+    side does not hold."""
+    return np.bincount(inverse, minlength=n) / len(inverse)
 
 
 def _workspace(d: Discriminator, batch: PairBatch):
     """What every step on ``batch`` reuses: the distinct rows of both sides,
     each side's weights on them, an output buffer per layer and a ReLU mask
     buffer per hidden layer.  All but the masks are in the net's dtype; the
-    side weights are summed and normalized in float64 first.
+    side weights are counted and normalized in float64 first.
     """
     rows = np.concatenate([batch.joint_pairs, batch.marginal_pairs], dtype=d.dtype)
-    rows, inverse, _ = vq.unique_rows(rows)
+    rows, inverse = vq.unique_rows(rows)
     n_j = len(batch.joint_pairs)
-    pj = _side_weights(inverse[:n_j], batch.joint_weights, len(rows)).astype(d.dtype)
-    pm = _side_weights(inverse[n_j:], batch.marginal_weights, len(rows)).astype(d.dtype)
+    pj = _side_weights(inverse[:n_j], len(rows)).astype(d.dtype)
+    pm = _side_weights(inverse[n_j:], len(rows)).astype(d.dtype)
     out = [np.empty((len(rows), w.shape[0]), d.dtype) for w, _ in d.weights]
     masks = [np.empty(z.shape, dtype=bool) for z in out[:-1]]
     return rows, pj, pm, out, masks
 
 
 def _loss_terms(d: Discriminator, work):
-    """Weighted loss, its gradient w.r.t. each score, and the layer inputs."""
+    """The loss, its gradient w.r.t. each score, and the layer inputs."""
     rows, pj, pm, out, _ = work
     t, acts = _forward(d, rows, out)
     loss = float(pj @ _softplus(-t) + pm @ _softplus(t))
@@ -231,9 +197,9 @@ def loss_and_grads(d: Discriminator, batch: PairBatch, _work=None):
     """Binary discrimination loss and its parameter gradients.
 
     loss = -sum_j p_j log sigmoid(T_j) - sum_m p_m log(1 - sigmoid(T_m)),
-    where p are each side's weights normalized to sum to one (plain means
-    for unit weights); at T = 0 everywhere this equals 2 ln 2.  Both sums
-    run over the distinct rows of both sides, each side's weight zero where
+    where p is a row's share of its side's samples, so each sum is a plain
+    mean over that side; at T = 0 everywhere this equals 2 ln 2.  Both sums
+    run over the distinct rows of both sides, each side's share zero where
     it lacks the row, so one backward pass over those rows gives the
     gradients, which are fresh arrays even when ``_work`` (``train``'s
     workspace) is reused.
@@ -289,14 +255,13 @@ def mi_lower_bound(d: Discriminator, batch: PairBatch) -> float:
 
 
 def mi_score(d: Discriminator, batch: PairBatch) -> float:
-    """Weighted mean raw score over joint pairs, in nats.
+    """Mean raw score over joint pairs, in nats.
 
     The optimal scorer is the pointwise log-density ratio when joint and
     marginal batches are weighted equally, so this average estimates the
     mutual information directly.
     """
-    w = batch.joint_weights
-    return float(w @ score(d, batch.joint_pairs) / w.sum())
+    return float(score(d, batch.joint_pairs).mean())
 
 
 def redundancy_map(

@@ -72,13 +72,13 @@ class IndexGrid:
     res_idx: np.ndarray  # (h, w) ints
 
 
-def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order, the inverse and the counts.
+def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and the inverse.
 
-    Equals ``np.unique(x, axis=0, return_inverse=True, return_counts=True)``
-    for a 2-D array, but sorts once with ``np.lexsort`` and compares
-    neighbours instead of sorting the rows as structured records.  Values
-    compare as numbers, so -0.0 and 0.0 are one value.
+    Equals ``np.unique(x, axis=0, return_inverse=True)`` for a 2-D array,
+    but sorts once with ``np.lexsort`` and compares neighbours instead of
+    sorting the rows as structured records.  Values compare as numbers, so
+    -0.0 and 0.0 are one value.
     """
     x = np.asarray(x)
     order = np.lexsort(x.T[::-1])
@@ -87,8 +87,7 @@ def unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first[1:] = planes.any_last(ordered[1:] != ordered[:-1])
     inverse = np.empty(len(x), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    return ordered[starts], inverse, np.diff(starts, append=len(x))
+    return ordered[first], inverse
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -130,7 +129,7 @@ def kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    uniq, inv, _ = unique_rows(points)
+    uniq, inv = unique_rows(points)
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -223,7 +222,7 @@ def quantize(grid: np.ndarray, cb: LayeredCodebook) -> IndexGrid:
     h, w, c = grid.shape
     if c != cb.base.dim:
         raise ValueError(f"grid channels {c} != codebook dimension {cb.base.dim}")
-    uniq, inv, _ = unique_rows(grid.reshape(h * w, c))
+    uniq, inv = unique_rows(grid.reshape(h * w, c))
     base_uniq = _nearest(uniq, cb.base.embeddings)
     res_uniq = _nearest(uniq - cb.base.embeddings[base_uniq], cb.res.embeddings)
     return IndexGrid(base_uniq[inv].reshape(h, w), res_uniq[inv].reshape(h, w))

@@ -3,14 +3,14 @@
 Kept as test oracles.  ``pragcomm.mi_estimator.train`` must give the same
 losses and weights, compared with ``==``, as ``train`` below.  Every layer
 allocates fresh pre-activation, activation and delta arrays, and every
-step merges the joint and marginal rows again with ``np.unique`` and sums
-each side's weights onto the merged rows with ``np.add.at``.
+step merges the joint and marginal samples again with ``np.unique`` and
+counts each side's samples on the merged rows with ``np.add.at``.
 ``stacked_loss_and_grads`` is the step before the merge: both sides stacked
-as they come, each with its own normalized weights.  Its loss and gradients
+as they come, each a plain mean over its samples.  Its loss and gradients
 equal the merged ones in exact arithmetic.  Both compute in the dtype of
-the net's weights, as the package does: the rows and the normalized side
-weights are cast to it.  They share the ``Discriminator`` and ``PairBatch``
-types and the softplus and sigmoid helpers with the package.
+the net's weights, as the package does: the rows and the side weights are
+cast to it.  They share the ``Discriminator`` and ``PairBatch`` types and
+the softplus and sigmoid helpers with the package.
 """
 
 from __future__ import annotations
@@ -45,20 +45,17 @@ def _backward(d: Discriminator, cache, dscore: np.ndarray):
 
 
 def merged_rows(batch: PairBatch, dtype):
-    """The distinct rows of both sides in the net's dtype, and each side's
-    weights summed onto them and normalized, zero where the side lacks a row."""
+    """The distinct rows of both sides in the net's dtype, and each row's
+    share of each side's samples, zero where the side lacks the row."""
     stacked = np.concatenate([batch.joint_pairs, batch.marginal_pairs]).astype(dtype)
     rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     n_j = len(batch.joint_pairs)
     sides = []
-    for idx, weights in (
-        (inverse[:n_j], batch.joint_weights),
-        (inverse[n_j:], batch.marginal_weights),
-    ):
+    for idx in (inverse[:n_j], inverse[n_j:]):
         p = np.zeros(len(rows))
-        np.add.at(p, idx, weights)
-        sides.append((p / p.sum()).astype(dtype))
+        np.add.at(p, idx, 1.0)
+        sides.append((p / len(idx)).astype(dtype))
     return rows, *sides
 
 
@@ -74,8 +71,8 @@ def stacked_loss_and_grads(d: Discriminator, batch: PairBatch):
     n_j = len(batch.joint_pairs)
     t, cache = _forward(d, np.concatenate([batch.joint_pairs, batch.marginal_pairs]))
     tj, tm = t[:n_j], t[n_j:]
-    pj = (batch.joint_weights / batch.joint_weights.sum()).astype(tj.dtype)
-    pm = (batch.marginal_weights / batch.marginal_weights.sum()).astype(tj.dtype)
+    pj = np.full(n_j, 1 / n_j, dtype=t.dtype)
+    pm = np.full(len(tm), 1 / len(tm), dtype=t.dtype)
     loss = float(pj @ _softplus(-tj) + pm @ _softplus(tm))
     dscore = np.concatenate([-pj * _sigmoid(-tj), pm * _sigmoid(tm)])
     return loss, _backward(d, cache, dscore)

@@ -103,9 +103,9 @@ ROUND_TRIP = CODER + "TestEncode::test_lossless_round_trip_many_seeds"
 LAPLACE_RISK = "tests/test_bayes_risk.py::TestLaplaceL1Risk::test_unit_scale_identity"
 MIE = "tests/test_mi_estimator.py::"
 DISC_ORACLE = MIE + "TestInPlaceStep::test_train_equals_allocating_oracle"
-DEDUP = MIE + "TestWeightedBatch::test_dedup_matches_expanded"
+KEEPS_SAMPLES = MIE + "TestMergedRows::test_make_batch_keeps_every_sample"
 FINITE_DIFFS = MIE + "TestGradients::test_analytic_matches_finite_differences"
-WEIGHTED_FINITE_DIFFS = MIE + "TestWeightedBatch::test_weighted_gradients_match_finite_differences"
+REPEATED_FINITE_DIFFS = MIE + "TestGradients::test_repeated_rows_match_finite_differences"
 MERGED = MIE + "TestMergedRows::"
 
 MUTANTS = (
@@ -273,15 +273,15 @@ MUTANTS = (
     Mutant(
         "merged_side_weights_assigned_not_summed",
         "src/pragcomm/mi_estimator.py",
-        "    merged = np.bincount(inverse, weights, n)\n",
-        "    merged = np.zeros(n)\n    merged[inverse] = weights\n",
-        (DEDUP, MERGED + "test_a_shared_row_runs_once"),
+        "    return np.bincount(inverse, minlength=n) / len(inverse)\n",
+        "    merged = np.zeros(n)\n    merged[inverse] = 1\n    return merged / len(inverse)\n",
+        (KEEPS_SAMPLES, MERGED + "test_a_shared_row_runs_once"),
     ),
     Mutant(
-        "side_weights_normalized_before_merging",
+        "side_weights_over_the_merged_row_count",
         "src/pragcomm/mi_estimator.py",
-        "np.bincount(inverse, weights, n)",
-        "np.bincount(inverse, weights / weights.sum(), n)",
+        "np.bincount(inverse, minlength=n) / len(inverse)",
+        "np.bincount(inverse, minlength=n) / n",
         (DISC_ORACLE,),
     ),
     Mutant(
@@ -289,12 +289,12 @@ MUTANTS = (
         "src/pragcomm/mi_estimator.py",
         "dscore = pm * _sigmoid(t) - pj * _sigmoid(-t)",
         "dscore = -pj * _sigmoid(-t)",
-        (FINITE_DIFFS, WEIGHTED_FINITE_DIFFS),
+        (FINITE_DIFFS, REPEATED_FINITE_DIFFS),
     ),
     Mutant(
         "step_on_the_stacked_sides_unmerged",
         "src/pragcomm/mi_estimator.py",
-        "    rows, inverse, _ = vq.unique_rows(rows)\n",
+        "    rows, inverse = vq.unique_rows(rows)\n",
         "    inverse = np.arange(len(rows))\n",
         (MERGED + "test_a_shared_row_runs_once",),
     ),

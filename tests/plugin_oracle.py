@@ -1,11 +1,11 @@
 """The exact plug-in target of a discriminator's pair batch.
 
 The discriminator's optimal score is the pointwise log-density ratio
-log p(s, r) / (p(s) p(r)), and its weighted mean over the joint side is
-the mutual information.  On a batch both are exact to compute, because
-the joint side is a finite set of rows with counts: p(s, r) is a row's
-share of the weight, and p(s) and p(r) sum those shares over the rows
-that share the abstract half or the receiver half.
+log p(s, r) / (p(s) p(r)), and its mean over the joint side is the mutual
+information.  On a batch both are exact to compute, because the joint
+side is a finite set of samples: p(s, r) is the share of the samples
+equal to a row, and p(s) and p(r) are the shares of the samples with its
+abstract half or its receiver half.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ def _group_sums(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
 def plugin_target(batch: PairBatch) -> tuple[float, np.ndarray]:
     """Plug-in I(S; R) in nats and the PMI of each joint row.
 
-    S is the first half of a joint row and R the second.  Repeated joint
-    rows are merged, so a batch and its distinct rows weighted by their
-    counts give the same figures.
+    S is the first half of a joint row and R the second; every sample has
+    the same share.
     """
     rows = batch.joint_pairs
     c = rows.shape[1] // 2
-    p = batch.joint_weights / batch.joint_weights.sum()
+    p = np.full(len(rows), 1 / len(rows))
     p_sr, p_s, p_r = (_group_sums(x, p) for x in (rows, rows[:, :c], rows[:, c:]))
     pmi = np.log(p_sr) - np.log(p_s) - np.log(p_r)
     return float(p @ pmi), pmi

@@ -236,6 +236,30 @@ class TestTrainConfigValidation:
         assert not (out / "codebook.txt").exists()
 
 
+class TestSweepConfigValidation:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "seeds = 1,1,2",
+            "seeds = 2,1,2",
+            "tau_c = 0.3,0.3",
+            "tau_mi = 0.0,-0.0",
+            "tau_mi = inf,1,inf",
+        ],
+    )
+    def test_repeated_entry_is_usage_error(self, line, tmp_path, capsys):
+        # a repeat ran its rounds twice and counted them twice in summary.csv
+        path = tmp_path / "bad.cfg"
+        path.write_text(fast_cfg_with("sweep", line))
+        out = tmp_path / "swept"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        key = line.split()[0]
+        assert (code, len(err)) == (2, 1)
+        assert err[0].startswith(f"error: invalid [sweep] config: {key} must not repeat a value")
+        assert not (out / "results.csv").exists()
+
+
 class TestCodebookSizes:
     @pytest.mark.parametrize(
         "lines, message",
@@ -302,6 +326,11 @@ def float_lists(elements):
     return st.lists(elements, min_size=1, max_size=5).map(tuple)
 
 
+def distinct_lists(elements):
+    """Lists with no two equal entries, as a [sweep] grid or seed list must be."""
+    return st.lists(elements, min_size=1, max_size=5, unique=True).map(tuple)
+
+
 # (section, key) -> (RunConfig attribute, field, valid values).  Valid values
 # keep the other defaults valid too.
 VALID = {
@@ -328,9 +357,9 @@ VALID = {
     ("train", "worlds"): ("train", "n_train_worlds", COUNTS),
     ("train", "seed"): ("train", "train_seed", SEEDS),
     ("train", "tau_c_choices"): ("train", "tau_c_choices", float_lists(FINITE)),
-    ("sweep", "tau_c"): ("sweep", "tau_c_grid", float_lists(st.floats(allow_nan=False))),
-    ("sweep", "tau_mi"): ("sweep", "tau_mi_grid", float_lists(st.floats(allow_nan=False))),
-    ("sweep", "seeds"): ("sweep", "seeds", st.lists(SEEDS, min_size=1, max_size=5).map(tuple)),
+    ("sweep", "tau_c"): ("sweep", "tau_c_grid", distinct_lists(st.floats(allow_nan=False))),
+    ("sweep", "tau_mi"): ("sweep", "tau_mi_grid", distinct_lists(st.floats(allow_nan=False))),
+    ("sweep", "seeds"): ("sweep", "seeds", distinct_lists(SEEDS)),
     ("sweep", "coder"): ("sweep", "coder", st.sampled_from(CODERS)),
     ("sweep", "selector"): ("sweep", "selector", st.sampled_from(SELECTORS)),
     ("verify", "sources"): ("verify", "sources", st.integers(1, cli.MAX_SOURCES)),

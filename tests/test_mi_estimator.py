@@ -135,12 +135,23 @@ class TestGradients:
         batch = PairBatch(rng.normal(size=(12, 4)), rng.normal(size=(10, 4)))
         assert_finite_differences(d, batch)
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(1, 6))
+    def test_repeated_rows_match_finite_differences(self, seed, n_atoms):
+        rng = np.random.default_rng(seed)
+        d = init_discriminator(4, hidden=3, n_hidden=1, seed=seed % 1000)
+        assert_finite_differences(d, PairBatch(*pair_rows(rng, 7, 5, 4, n_atoms)))
+
 
 def same_weights(d1, d2) -> bool:
     return len(d1.weights) == len(d2.weights) and all(
         np.array_equal(w1, w2) and np.array_equal(b1, b2)
         for (w1, b1), (w2, b2) in zip(d1.weights, d2.weights)
     )
+
+
+def flat(grads):
+    return np.concatenate([g.ravel() for pair in grads for g in pair])
 
 
 def pair_rows(rng, n_j, n_m, width, n_atoms):
@@ -165,21 +176,15 @@ class TestInPlaceStep:
         n_hidden=st.integers(1, 3),
         hidden=st.integers(1, 12),
         lr=st.floats(0.01, 2.0),
-        weighted=st.booleans(),
         steps=st.integers(1, 6),
         dtype=st.sampled_from([np.float32, np.float64]),
         n_atoms=st.one_of(st.none(), st.integers(1, 12)),
     )
     def test_train_equals_allocating_oracle(
-        self, seed, n_j, n_m, c, n_hidden, hidden, lr, weighted, steps, dtype, n_atoms
+        self, seed, n_j, n_m, c, n_hidden, hidden, lr, steps, dtype, n_atoms
     ):
         rng = np.random.default_rng(seed)
-        weights = (
-            (rng.uniform(0.1, 5.0, size=n_j), rng.uniform(0.1, 5.0, size=n_m))
-            if weighted
-            else (None, None)
-        )
-        batch = PairBatch(*pair_rows(rng, n_j, n_m, 2 * c, n_atoms), *weights)
+        batch = PairBatch(*pair_rows(rng, n_j, n_m, 2 * c, n_atoms))
         d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
         d = d.astype(dtype)
         got_d, got_losses = train(d, batch, steps, lr)
@@ -203,18 +208,12 @@ class TestInPlaceStep:
 
     def test_train_leaves_inputs_unchanged(self):
         rng = np.random.default_rng(15)
-        batch = PairBatch(
-            rng.normal(size=(30, 6)),
-            rng.normal(size=(20, 6)),
-            rng.uniform(0.5, 3.0, size=30),
-            rng.uniform(0.5, 3.0, size=20),
-        )
+        batch = PairBatch(rng.normal(size=(30, 6)), rng.normal(size=(20, 6)))
         d = init_discriminator(6, hidden=10, seed=15)
 
         def snapshot():
             arrays = [a for pair in d.weights for a in pair]
             arrays += [batch.joint_pairs, batch.marginal_pairs]
-            arrays += [batch.joint_weights, batch.marginal_weights]
             return [a.tobytes() for a in arrays]
 
         before = snapshot()
@@ -239,20 +238,11 @@ class TestMergedRows:
         c=st.integers(1, 3),
         n_hidden=st.integers(1, 2),
         hidden=st.integers(1, 8),
-        weights=st.sampled_from(["unit", "count", "real"]),
         n_atoms=st.one_of(st.none(), st.integers(1, 12)),
     )
-    def test_matches_stacked_sides(
-        self, seed, n_j, n_m, c, n_hidden, hidden, weights, n_atoms
-    ):
+    def test_matches_stacked_sides(self, seed, n_j, n_m, c, n_hidden, hidden, n_atoms):
         rng = np.random.default_rng(seed)
-        draw = {
-            "unit": lambda n: None,
-            "count": lambda n: rng.integers(1, 6, size=n),
-            "real": lambda n: rng.uniform(0.1, 5.0, size=n),
-        }[weights]
-        joint, marginal = pair_rows(rng, n_j, n_m, 2 * c, n_atoms)
-        batch = PairBatch(joint, marginal, draw(n_j), draw(n_m))
+        batch = PairBatch(*pair_rows(rng, n_j, n_m, 2 * c, n_atoms))
         d = init_discriminator(2 * c, hidden=hidden, n_hidden=n_hidden, seed=seed % 1000)
         loss, grads = loss_and_grads(d, batch)
         want_loss, want_grads = oracle.stacked_loss_and_grads(d, batch)
@@ -260,6 +250,27 @@ class TestMergedRows:
         g, want = flat(grads), flat(want_grads)
         # floored at 1 for gradients that cancel to zero in exact arithmetic
         assert np.linalg.norm(g - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 60),
+        n_distinct=st.integers(1, 5),
+        c=st.integers(1, 3),
+        hidden=st.integers(1, 6),
+    )
+    def test_make_batch_keeps_every_sample(self, seed, n_rows, n_distinct, c, hidden):
+        s, r = pair_rows(np.random.default_rng(seed), n_rows, n_rows, c, n_distinct)
+        rng_batch, rng_perm = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        batch = make_batch(s, r, rng_batch)
+        perm = rng_perm.permutation(n_rows)
+        assert rng_batch.bit_generator.state == rng_perm.bit_generator.state
+        np.testing.assert_array_equal(batch.joint_pairs, np.concatenate([s, r], axis=1))
+        np.testing.assert_array_equal(batch.marginal_pairs, np.concatenate([s, r[perm]], axis=1))
+
+        d = init_discriminator(2 * c, hidden=hidden, seed=seed % 1000)
+        want_loss, _ = oracle.stacked_loss_and_grads(d, batch)
+        assert mi_lower_bound(d, batch) == pytest.approx(TWO_LN2 - want_loss, rel=1e-12, abs=1e-12)
 
     def test_a_shared_row_runs_once(self):
         rows = np.eye(4)
@@ -347,7 +358,7 @@ class TestMIQuantities:
 
 class TestPluginTarget:
     """``tests/plugin_oracle.py`` reads the exact plug-in I(S; R) and PMI
-    off a batch's distinct joint rows and counts."""
+    off a batch's joint samples."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -370,14 +381,6 @@ class TestPluginTarget:
         p = table.pmf
         want = np.log(p[a, b]) - np.log(p.sum(1)[a]) - np.log(p.sum(0)[b])
         np.testing.assert_allclose(pmi, want, rtol=0, atol=1e-12)
-
-    def test_repeated_rows_give_the_counted_target(self):
-        s = one_hot([0, 0, 1, 1, 1], 2)
-        r = one_hot([0, 1, 1, 1, 1], 2)
-        expanded = PairBatch(np.concatenate([s, r], axis=1), np.zeros((1, 4)))
-        counted = make_batch(s, r, np.random.default_rng(0))
-        assert len(counted.joint_pairs) == 3
-        assert plugin_target(expanded)[0] == pytest.approx(plugin_target(counted)[0], abs=1e-15)
 
 
 class TestRedundancyMap:
@@ -486,95 +489,3 @@ class TestCheckpoint:
         textio.save_arrays(str(path), arrays)
         with pytest.raises(ValueError, match="discriminator.txt"):
             load_discriminator(str(path))
-
-
-# --- count-weighted batches ---------------------------------------------------
-
-
-def expanded_batch(s, r, rng):
-    """make_batch as it was before deduplication: one unit-weight row per sample."""
-    perm = rng.permutation(len(r))
-    return PairBatch(
-        np.concatenate([s, r], axis=1), np.concatenate([s, r[perm]], axis=1)
-    )
-
-
-def repeated_rows(seed, n_rows, n_distinct, c):
-    """s and r drawn from a few distinct rows, so both batch sides repeat."""
-    rng = np.random.default_rng(seed)
-    s_atoms = rng.normal(size=(n_distinct, c))
-    r_atoms = rng.normal(size=(n_distinct, c))
-    s = s_atoms[rng.integers(n_distinct, size=n_rows)]
-    r = r_atoms[rng.integers(n_distinct, size=n_rows)]
-    return s, r
-
-
-def flat(grads):
-    return np.concatenate([g.ravel() for pair in grads for g in pair])
-
-
-class TestWeightedBatch:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_rows=st.integers(1, 60),
-        n_distinct=st.integers(1, 5),
-        c=st.integers(1, 3),
-        hidden=st.integers(1, 6),
-    )
-    def test_dedup_matches_expanded(self, seed, n_rows, n_distinct, c, hidden):
-        s, r = repeated_rows(seed, n_rows, n_distinct, c)
-        rng_new = np.random.default_rng(seed + 1)
-        rng_old = np.random.default_rng(seed + 1)
-        new = make_batch(s, r, rng_new)
-        old = expanded_batch(s, r, rng_old)
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        assert len(new.joint_pairs) == len(np.unique(old.joint_pairs, axis=0))
-        assert new.joint_weights.sum() == new.marginal_weights.sum() == n_rows
-
-        d = init_discriminator(2 * c, hidden=hidden, seed=seed % 1000)
-        loss_new, grads_new = loss_and_grads(d, new)
-        loss_old, grads_old = loss_and_grads(d, old)
-        assert loss_new == pytest.approx(loss_old, rel=1e-12)
-        g_new, g_old = flat(grads_new), flat(grads_old)
-        # relative to the gradient norm, floored at 1 for gradients that
-        # cancel to zero in exact arithmetic
-        scale = max(np.linalg.norm(g_old), 1.0)
-        assert np.linalg.norm(g_new - g_old) <= 1e-12 * scale
-        for f in (mi_score, mi_lower_bound):
-            assert f(d, new) == pytest.approx(f(d, old), rel=1e-12, abs=1e-12)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_weighted_gradients_match_finite_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        d = init_discriminator(4, hidden=3, n_hidden=1, seed=seed % 1000)
-        batch = PairBatch(
-            rng.normal(size=(7, 4)),
-            rng.normal(size=(5, 4)),
-            rng.uniform(0.1, 5.0, size=7),
-            rng.uniform(0.1, 5.0, size=5),
-        )
-        assert_finite_differences(d, batch)
-
-    def test_default_weights_are_ones(self):
-        batch = PairBatch(np.zeros((3, 2)), np.zeros((2, 2)))
-        np.testing.assert_array_equal(batch.joint_weights, np.ones(3))
-        np.testing.assert_array_equal(batch.marginal_weights, np.ones(2))
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [1.0, np.nan, 1.0],
-            [1.0, np.inf, 1.0],
-            [1.0, 0.0, 1.0],
-            [1.0, -2.0, 1.0],
-            [1e308, 1e308, 1e308],
-            [1.0, 1.0],
-            [[1.0, 1.0, 1.0]],
-        ],
-    )
-    @pytest.mark.parametrize("side", ["joint_weights", "marginal_weights"])
-    def test_bad_weights_rejected(self, weights, side):
-        with pytest.raises(ValueError, match=side):
-            PairBatch(np.zeros((3, 2)), np.zeros((3, 2)), **{side: weights})

@@ -191,8 +191,7 @@ def outcome(build, views, choices, seed):
 
 
 def batch_bits(batch: mie.PairBatch) -> list:
-    arrays = (batch.joint_pairs, batch.marginal_pairs, batch.joint_weights,
-              batch.marginal_weights)
+    arrays = (batch.joint_pairs, batch.marginal_pairs)
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 

@@ -241,22 +241,21 @@ class TestUniqueRows:
     def test_matches_numpy_unique(self, rows):
         x = np.array(rows)
         got = unique_rows(x)
-        want = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+        want = np.unique(x, axis=0, return_inverse=True)
+        assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)  # -0.0 equals 0.0 here
 
     def test_signed_zeros_are_one_row(self):
-        rows, inverse, counts = unique_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        rows, inverse = unique_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
         assert rows.shape == (1, 2)
         np.testing.assert_array_equal(inverse, [0, 0])
-        np.testing.assert_array_equal(counts, [2])
 
     def test_single_row(self):
-        rows, inverse, counts = unique_rows(np.array([[3.0, -2.0, 0.5]]))
+        rows, inverse = unique_rows(np.array([[3.0, -2.0, 0.5]]))
         np.testing.assert_array_equal(rows, [[3.0, -2.0, 0.5]])
         np.testing.assert_array_equal(inverse, [0])
-        np.testing.assert_array_equal(counts, [1])
 
 
 class TestTrainCodebooks:
