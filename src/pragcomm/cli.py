@@ -367,8 +367,8 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "export":
+            out.mkdir(parents=True, exist_ok=True)
             return cmd_export(args.results, out)
         cfg = parse_config(args.config)
         if args.seed is not None:
@@ -378,6 +378,8 @@ def main(argv=None) -> int:
                 train=replace(cfg.train, train_seed=args.seed + 9000),
                 sweep=replace(cfg.sweep, seeds=(args.seed,)),
             )
+        # only an accepted config gets an output directory
+        out.mkdir(parents=True, exist_ok=True)
         return commands[args.command](cfg, out, args.config)
     except (ValueError, RuntimeError, OSError) as exc:  # CodingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 A small base codebook captures coarse content per cell; a larger residual
 codebook encodes what the base layer missed.  Training is plain Lloyd
-k-means with k-means++ seeding so every run is reproducible and can be
-checked against a naive reference implementation.  Training also tallies,
+k-means with k-means++ seeding over the distinct training rows, each
+weighted by its count, so every run is reproducible and can be checked
+against a naive reference implementation.  Training also tallies,
 per embedding, the task confidence and the count of the rows it quantizes.
 
 The per-row kernels (squared distances, the duplicate-row test) work on
@@ -107,68 +108,77 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return _sq_dists(points, centroids).argmin(axis=1)
 
 
+def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability ``weights[i] / weights.sum()``, from one uniform."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def kmeans(
-    points: np.ndarray, k: int, iters: int, rng: np.random.Generator
+    rows: np.ndarray, counts: np.ndarray, k: int, iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd k-means with k-means++ seeding.
+    """Lloyd k-means with k-means++ seeding over rows weighted by their counts.
 
-    Empty clusters are re-seeded, in ascending cluster order, from the point
-    farthest from its assigned centroid.  Returns (centroids, assignment,
-    per-iteration SSE history); the assignment is to the returned centroids.
+    The fit sees only the multiset of rows: equal rows (-0.0 and 0.0 are
+    equal) merge and add their counts, and the distinct rows are taken in
+    lexicographic order.  Seeding draws the first centroid with probability
+    proportional to count and each further one to count x D^2.  Each Lloyd
+    mean is a count-weighted sum, and the SSE sums count x squared distance.
+    Empty clusters are re-seeded, in ascending cluster order, from the row
+    farthest from its assigned centroid, with the clusters before them
+    already moved and those after them not yet.  Returns (centroids, each
+    input row's assignment, per-iteration SSE history); the assignment is
+    to the returned centroids.
 
-    Each step does only the work whose result can change.  Distances are
-    kept per distinct point, one column per centroid, and a step recomputes
-    only the columns of the centroids that moved.  The means come from one
-    stable sort of the assignment: each cluster's points are a contiguous
-    slice in index order, the rows a mask would select.  Seeding draws from
-    every point, and means and SSE sum over every point, so all three
-    results equal those of the every-point, every-centroid search bit for
-    bit.
+    Distances are kept per distinct row, one column per centroid, and a
+    step recomputes only the columns of the centroids that moved.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or np.shape(counts) != rows.shape[:1] or not np.all(np.greater(counts, 0)):
+        raise ValueError("need an (n, d) matrix of rows and one positive count per row")
+    n = np.sum(counts)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    uniq, inv = unique_rows(points)
+    uniq, inv = unique_rows(rows)
+    uniq += 0.0  # a merged zero is 0.0, whichever sign came first
+    w = np.bincount(inv, counts)
+    m, d = uniq.shape
 
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((uniq - centroids[0]) ** 2).sum(axis=1)  # per distinct point
+    centroids = np.empty((k, d))
+    dist = np.empty((m, k))  # seeding fills it one column per centroid
+    centroids[0] = uniq[_draw(w, rng)]
+    dist[:, :1] = _sq_dists(uniq, centroids[:1])
+    d2 = dist[:, 0].copy()
     for i in range(1, k):
-        d2_points = d2[inv]
-        total = d2_points.sum()
-        if total <= 0:
-            centroids[i] = points[rng.integers(n)]
-        else:
-            centroids[i] = points[rng.choice(n, p=d2_points / total)]
-        d2 = np.minimum(d2, ((uniq - centroids[i]) ** 2).sum(axis=1))
+        p = w * d2
+        centroids[i] = uniq[_draw(p if p.any() else w, rng)]
+        dist[:, i : i + 1] = _sq_dists(uniq, centroids[i : i + 1])
+        np.minimum(d2, dist[:, i], out=d2)
 
-    dist = _sq_dists(uniq, centroids)
-    assign = dist.argmin(axis=1)[inv]
+    assign = dist.argmin(axis=1)
+    weighted = np.ascontiguousarray(uniq.T) * w  # count x row, one plane per channel
     history = []
     for _ in range(iters):
         old = centroids.copy()
-        # a stable sort is unique, and on small integers numpy radix-sorts
-        order = np.argsort(assign.astype(np.min_scalar_type(k)), kind="stable")
-        ordered = points[order]
-        bounds = np.searchsorted(assign[order], np.arange(k + 1))
-        for c in range(k):
-            lo, hi = bounds[c], bounds[c + 1]
-            if hi > lo:
-                centroids[c] = ordered[lo:hi].mean(axis=0)
-            else:
-                far = ((points - centroids[assign]) ** 2).sum(axis=1).argmax()
-                centroids[c] = points[far]
-        moved = (centroids != old).any(axis=1)
-        dist[:, moved] = _sq_dists(uniq, centroids[moved])
-        new_assign = dist.argmin(axis=1)[inv]
-        sse = float(((points - centroids[new_assign]) ** 2).sum())
-        history.append(sse)
+        size = np.bincount(assign, w, k)
+        sums = np.array([np.bincount(assign, plane, k) for plane in weighted])
+        full = size > 0
+        centroids[full] = sums.T[full] / size[full, None]
+        for c in np.flatnonzero(~full):
+            # as in one pass over the clusters: those before c have moved
+            current = np.concatenate([centroids[:c], old[c:]])
+            far = planes.sum_planes(np.square(uniq - current[assign]).T).argmax()
+            centroids[c] = uniq[far]
+        changed = (centroids != old).any(axis=1)
+        dist[:, changed] = _sq_dists(uniq, centroids[changed])
+        new_assign = dist.argmin(axis=1)
+        history.append(float((w * dist[np.arange(m), new_assign]).sum()))
         if np.array_equal(new_assign, assign) and len(history) > 1:
             assign = new_assign
             break
         assign = new_assign
-    return centroids, assign, history
+    return centroids, assign[inv], history
 
 
 def train_codebooks(
@@ -182,12 +192,14 @@ def train_codebooks(
     """Fit base and residual codebooks to a sample of feature vectors.
 
     The base layer is k-means over the features; the residual layer is
-    k-means over what the base layer leaves behind.  Each layer's
-    ``conf_freq`` sums ``conf``, one task confidence per feature row, over
-    the rows each embedding quantizes, in row order; ``occ_freq`` counts
-    those rows.  Also returns each feature row's base and residual index,
-    which are the indices ``quantize`` gives that row: both search the
-    final embeddings with the same per-row distances.
+    k-means over what the base layer leaves behind.  Both fits run on the
+    distinct feature rows weighted by their counts, so they equal fits on
+    every row.  Each layer's ``conf_freq`` sums ``conf``, one task
+    confidence per feature row, over the rows each embedding quantizes, in
+    row order; ``occ_freq`` counts those rows.  Also returns each feature
+    row's base and residual index, which are the indices ``quantize`` gives
+    that row: both search the final embeddings with the same per-row
+    distances.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -198,10 +210,12 @@ def train_codebooks(
         raise ValueError(
             f"need n_base <= n_res <= #features, got {n_base}, {n_res}, {features.shape[0]}"
         )
+    rows, inv = unique_rows(features)
+    counts = np.bincount(inv)
     rng = np.random.default_rng(seed)
-    base_emb, base_idx, _ = kmeans(features, n_base, iters, rng)
-    residuals = features - base_emb[base_idx]
-    res_emb, res_idx, _ = kmeans(residuals, n_res, iters, rng)
+    base_emb, base_row, _ = kmeans(rows, counts, n_base, iters, rng)
+    res_emb, res_row, _ = kmeans(rows - base_emb[base_row], counts, n_res, iters, rng)
+    base_idx, res_idx = base_row[inv], res_row[inv]
     books = (
         Codebook(e, np.bincount(i, conf, len(e)), np.bincount(i, minlength=len(e)))
         for e, i in ((base_emb, base_idx), (res_emb, res_idx))

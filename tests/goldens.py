@@ -11,17 +11,17 @@ GOLDENS = {
     "gen-world/obs_3_agent1.txt":
         "08928ff22c6a07542a410d4e7603717fc100583917bc174f6a8100d3bc322d8f",
     # `pragcomm train` on test_cli.FAST_CFG
-    "train/codebook.txt": "a69aebc9fe7c230116e75e0b0f30dbcb44ca6fda58559b0f1858aec6a02f0451",
-    "train/discriminator.txt": "af89f56d767792fcd5a5e2ddd63b0c4c6ada4490c5c67a256179bf45e6c410b4",
-    "train/disc_losses.txt": "f1ec043cb3c742931371bae537ddc9c574c426c096b049fed941405c81dc8ee0",
+    "train/codebook.txt": "2d8aad050d3d1633602f40f111c0a77afc95ad716e34212041966ba98c5ad5f4",
+    "train/discriminator.txt": "09cf0617a1ecc8bc553b95179fbb10260c6ba5c813aaadc80612747226a9337b",
+    "train/disc_losses.txt": "9df41573e8fb07c6a6ee62234a797717a9f0f35a5a37e9d9af1b607afe28c65c",
     "train/tau_draws.txt": "130f08675cfe7aad68df4d52ceb2125a59bd46633e6583b8d619b7ce94006161",
     # `pragcomm sweep` on test_cli.FAST_CFG
-    "sweep/results.csv": "c2e689447c5a9ef20e51c9af9c887881f0ffb53ffb530fd0525a5063e9297ddd",
-    "sweep/summary.csv": "27f5a64e22dcf7ea7bc0b9b78f7dea6baabc2f2dae8c43631ff379f10a328ac9",
-    "sweep/sample_message.bin": "7aefff5243c12e77741fcd1dd013803779c897ccfbd2277c404857bbc28d758c",
+    "sweep/results.csv": "2c8e781bd6f4d29be09c6dc6338455459695fb6b6b106e8a86e374f4768b5853",
+    "sweep/summary.csv": "1e488224852aa189b03a2b90dfea7c8ef9e8dc4918eb2ccf82f1f6b33388a2b1",
+    "sweep/sample_message.bin": "69166ac056b03b7ca3c4a24f02bd879f1f0bfab8a61db673afc32a3a1dc18353",
     # `pragcomm export` of that sweep's results.csv
     "export/curve_task_entropy_mi.csv":
-        "cf578db5146945fddb5682e38fda94abf62b8fb1eba8a484f7e61185774b4d34",
+        "b13387e166c896f0e8b0278b1b32e6e70b7da97f0a54c4b074d317b4aead1084",
     # `pragcomm verify-theory` on test_cli.FAST_CFG
     "verify/report.txt": "e63330080833da604094789c8e4f0430dd78590cb4cb795ee475df3e6e50cae4",
     "verify/frontier.csv": "c8670b889bd7e4305a457f73895759d1a891171393e0158a6af2921a754aa6c1",
@@ -29,18 +29,18 @@ GOLDENS = {
     "small-verify/report.txt": "beebbd587bfabf01cbf580a660c3e5406808b43e3196175d3ac1372c08b7bc19",
     "small-verify/frontier.csv": "88029e94e5702db54af010685f9ae70f2716a3b5005d31ec387c6699f535d88a",
     # conftest's session stacks: each codebook.txt
-    "codebooks/lossless_stack": "45032edcfc2bf17429bd3eea2c1e1595fae71312eb4ec4025a245898e5a007a6",
-    "codebooks/tradeoff_stack": "925b111f8fb4688d17031e681f7233ccfc59c8ab403baa757f5047efceb20a3e",
+    "codebooks/lossless_stack": "b29d67ef56a470800c2c6afc37d4c2c3ce57ae2772dc2b13d4c96044ae3c4d51",
+    "codebooks/tradeoff_stack": "ad1e6e95175f253a68b1bbd42c930d956ebc7cedc3f1e39ccfc0427b0020dd14",
     # conftest's tradeoff_sweeps (criterion 8: 20 seeds, 2000-step stack): results_csv
-    "tradeoff/mi": "d0a675375de36a3f1a90893f85b69038b2b8c068b6582ceaf68dcb2b713ede3d",
+    "tradeoff/mi": "d36bc8b89710057a1a9f8e01390a5e4e6132c4aa0de97363186a1e72cbb78bd6",
     "tradeoff/baseline": "a4017c65c095deff26e20c58b574eedf712412790ac18f1816961ab4726a2e17",
-    "tradeoff/confidence_only": "04bc792f42b011d5e7e2f0a33c7a348c8f49b0fe60bd6e86ec7d3e47b071ce1b",
+    "tradeoff/confidence_only": "c26e0bbb6d54686e95818eadb7bda0ad5c654573ef38b656ff453ce89ad07eda",
     # criterion 7's 20 rounds on conftest's lossless_stack: results_csv
-    "lossless/results.csv": "0d2b9b427d34b84b50145ff187b605ab2117d398a2e3b2961871d9bc2de5dffe",
+    "lossless/results.csv": "9bba85211b2c278c67f1a0de5697635fa987fe81e7e09e3936ea5d62c6193005",
     # perfbench/workloads.py at seed 11, operation 0: Workload.digests
-    "bench/codebook_sha256": "87bfc66d853a95842ea990ab3915d8729bf9400e1a0a3ade121a785e94507457",
-    "bench/results_csv_sha256": "eab74743aa285c475e9d22c807c15e18899fd67cb2fc76d71a35f80a394499b0",
-    "bench/wire_blobs_sha256": "b50e3b9d8ca81c2450879914844bfd2703048172c411382568f7ba710bf38671",
+    "bench/codebook_sha256": "eb7cea0535edfa13341df3deb155956704e100bc36e5f99041716e826ffd90b3",
+    "bench/results_csv_sha256": "8b41d96d916dad8752b6f086bad764b086fcfd29c2f4e83e397410fead28cd8b",
+    "bench/wire_blobs_sha256": "154ac428c9f7022b8400556c8c14571711001304574b995d57965d4abdf8bb73",
 }
 
 

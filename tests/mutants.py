@@ -82,6 +82,11 @@ KERNEL = CODER + "TestVectorizedCoder::test_kernel_matches_the_per_length_oracle
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_lossless_regime"
 SUM_PLANES = "tests/test_planes.py::TestSumPlanes::test_matches_sum_over_the_last_axis"
 SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_its_own_call"
+KMEANS_ORACLE = "tests/test_vq.py::TestKmeansOracle::test_same_centroids_assignment_and_history"
+KMEANS_NAIVE = "tests/test_vq.py::TestKmeans::test_sse_matches_naive_reference"
+KMEANS_EVERY_POINT = (
+    "tests/test_vq.py::TestKmeans::test_duplicate_rows_match_every_point_search[4-0]"
+)
 POSTERIOR_ALONE = (
     "tests/test_simworld.py::TestPosteriorOracle::test_each_cell_equals_its_own_decode"
 )
@@ -342,6 +347,20 @@ MUTANTS = (
         "    return total\n",
         "    return x.sum(axis=0)\n",
         (SUM_PLANES, SQ_DISTS_ALONE, POSTERIOR_ALONE),
+    ),
+    Mutant(
+        "kmeans_mean_ignores_counts",
+        "src/pragcomm/vq.py",
+        "weighted = np.ascontiguousarray(uniq.T) * w",
+        "weighted = np.ascontiguousarray(uniq.T)",
+        (KMEANS_ORACLE, KMEANS_NAIVE, KMEANS_EVERY_POINT),
+    ),
+    Mutant(
+        "kmeans_seeding_ignores_counts",
+        "src/pragcomm/vq.py",
+        "        p = w * d2\n",
+        "        p = d2\n",
+        (KMEANS_ORACLE, KMEANS_NAIVE),
     ),
     Mutant(
         "sector_wrap_intersects",

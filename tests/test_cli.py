@@ -257,7 +257,15 @@ class TestSweepConfigValidation:
         key = line.split()[0]
         assert (code, len(err)) == (2, 1)
         assert err[0].startswith(f"error: invalid [sweep] config: {key} must not repeat a value")
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-world", "train", "sweep", "verify-theory"])
+    def test_rejected_config_makes_no_out_directory(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(fast_cfg_with("sweep", "seeds = 1,1"))
+        out = tmp_path / "nested" / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not (tmp_path / "nested").exists()
 
 
 class TestCodebookSizes:

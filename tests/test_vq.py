@@ -25,94 +25,76 @@ from pragcomm.vq import (
 )
 
 
-def naive_lloyd(points, k, iters, rng):
-    """Independent reference: identical seeding procedure, two-loop updates."""
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.array([np.sum((p - centroids[0]) ** 2) for p in points])
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[i] = points[rng.integers(n)]
-        else:
-            centroids[i] = points[rng.choice(n, p=d2 / total)]
-        for j, p in enumerate(points):
-            d2[j] = min(d2[j], np.sum((p - centroids[i]) ** 2))
+def naive_lloyd(points, counts, k, iters, rng):
+    """Independent reference for kmeans: the weighted-rows algorithm in plain
+    loops over Python floats, with no distance cache.
 
-    def assign_all():
-        out = np.empty(n, dtype=int)
-        for j, p in enumerate(points):
-            best, best_d = 0, np.inf
-            for c in range(k):
-                d = np.sum((p - centroids[c]) ** 2)
-                if d < best_d:
-                    best, best_d = c, d
-            out[j] = best
-        return out
+    Equal points merge into one row that adds their counts, and the rows go
+    in lexicographic order.  Every sum runs in the order kmeans adds it:
+    distances over channels in index order, means and cluster sizes over the
+    rows in order, and the SSE terms go to numpy's sum as one array.  Empty
+    clusters reseed inside the one pass over the clusters, so the clusters
+    before them have already moved.
+    """
+    tally = {}
+    for point, count in zip(np.asarray(points, dtype=float).tolist(), counts):
+        key = tuple(x + 0.0 for x in point)  # -0.0 and 0.0 are one value
+        tally[key] = tally.get(key, 0) + count
+    rows = sorted(tally)
+    w = [float(tally[r]) for r in rows]
 
-    assign = assign_all()
-    prev = None
-    for _ in range(iters):
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                dists = np.array(
-                    [np.sum((points[j] - centroids[assign[j]]) ** 2) for j in range(n)]
-                )
-                centroids[c] = points[dists.argmax()]
-        new_assign = assign_all()
-        if prev is not None and np.array_equal(new_assign, assign):
-            assign = new_assign
-            break
-        prev = assign
-        assign = new_assign
-    sse = sum(np.sum((points[j] - centroids[assign[j]]) ** 2) for j in range(n))
-    return centroids, assign, sse
+    def sq_dist(a, b):
+        total = 0.0
+        for x, y in zip(a, b):
+            total += (x - y) * (x - y)
+        return total
 
+    def draw(weights):
+        cdf, total = [], 0.0
+        for x in weights:
+            total += x
+            cdf.append(total)
+        u = rng.random()
+        return next(i for i, c in enumerate(cdf) if c / total > u)
 
-def kmeans_every_point(points, k, iters, rng):
-    """kmeans as it was before the distinct-row search: every point is
-    assigned on its own.  The distinct-row version must match it bit for bit."""
+    def nearest(row):
+        best, best_d = 0, np.inf
+        for c, centroid in enumerate(centroids):
+            d = sq_dist(row, centroid)
+            if d < best_d:
+                best, best_d = c, d
+        return best
 
-    def nearest(pts, centroids):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1)
-
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[i] = points[rng.integers(n)]
-        else:
-            centroids[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
-
-    assign = nearest(points, centroids)
+    centroids = [rows[draw(w)]]
+    d2 = [sq_dist(r, centroids[0]) for r in rows]
+    for _ in range(1, k):
+        p = [wi * di for wi, di in zip(w, d2)]
+        centroids.append(rows[draw(p if any(p) else w)])
+        d2 = [min(di, sq_dist(r, centroids[-1])) for di, r in zip(d2, rows)]
+    assign = [nearest(r) for r in rows]
     history = []
     for _ in range(iters):
+        size, sums = [0.0] * k, [[0.0] * len(rows[0]) for _ in range(k)]
+        for row, wi, a in zip(rows, w, assign):
+            size[a] += wi
+            for j, x in enumerate(row):
+                sums[a][j] += x * wi
         for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            if size[c] > 0:
+                centroids[c] = tuple(s / size[c] for s in sums[c])
             else:
-                far = ((points - centroids[assign]) ** 2).sum(axis=1).argmax()
-                centroids[c] = points[far]
-        new_assign = nearest(points, centroids)
-        sse = float(((points - centroids[new_assign]) ** 2).sum())
-        history.append(sse)
-        if np.array_equal(new_assign, assign) and len(history) > 1:
-            assign = new_assign
-            break
+                far = [sq_dist(r, centroids[a]) for r, a in zip(rows, assign)]
+                centroids[c] = rows[far.index(max(far))]
+        new_assign = [nearest(r) for r in rows]
+        terms = [wi * sq_dist(r, centroids[a]) for r, wi, a in zip(rows, w, new_assign)]
+        history.append(float(np.sum(terms)))
+        converged = new_assign == assign and len(history) > 1
         assign = new_assign
-    return centroids, assign, history
+        if converged:
+            break
+    row_of = {r: a for r, a in zip(rows, assign)}
+    point_assign = [row_of[tuple(x + 0.0 for x in p)] for p in np.asarray(points).tolist()]
+    return np.array(centroids), np.array(point_assign, dtype=np.intp), history
 
 
 def blobs(seed=0, n=120, d=3, k=4):
@@ -127,23 +109,53 @@ def base_only(idx):
     return IndexGrid(idx.base_idx, np.full_like(idx.res_idx, -1))
 
 
+def every_point_lloyd(points, centroids, iters):
+    """Lloyd over every point from the given centroids: numpy's mean over
+    each cluster's points, ties to the lowest centroid, and an empty cluster
+    reseeded inside the one pass over the clusters from the point farthest
+    from its centroid (of equally far points, the lexicographically first)."""
+    points, centroids = np.asarray(points, dtype=np.float64), np.array(centroids)
+    assign = oracle.sq_dists(points, centroids).argmin(axis=1)
+    history = []
+    for _ in range(iters):
+        for c in range(len(centroids)):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                far = oracle._sum_last((points - centroids[assign]) ** 2)
+                ties = np.flatnonzero(far == far.max())
+                centroids[c] = points[min(ties, key=lambda j: tuple(points[j]))]
+        dist = oracle.sq_dists(points, centroids)
+        new_assign = dist.argmin(axis=1)
+        history.append(float(dist.min(axis=1).sum()))
+        converged = np.array_equal(new_assign, assign) and len(history) > 1
+        assign = new_assign
+        if converged:
+            break
+    return centroids, assign, history
+
+
 class TestKmeans:
     def test_sse_matches_naive_reference(self):
         pts = blobs(seed=7)
-        c1, a1, hist = kmeans(pts, 4, 15, np.random.default_rng(42))
-        c2, a2, sse2 = naive_lloyd(pts, 4, 15, np.random.default_rng(42))
-        assert hist[-1] == pytest.approx(sse2, abs=1e-9)
-        np.testing.assert_allclose(c1, c2, atol=1e-9)
+        counts = np.random.default_rng(7).integers(1, 5, len(pts))
+        # six clusters on four blobs: where the blobs split depends on the seeding
+        got = kmeans(pts, counts, 6, 15, np.random.default_rng(42))
+        want = naive_lloyd(pts, counts, 6, 15, np.random.default_rng(42))
+        assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
+        for a, b in zip(got[:2], want[:2]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     def test_objective_nonincreasing(self):
         pts = blobs(seed=9, n=200)
-        _, _, hist = kmeans(pts, 5, 20, np.random.default_rng(1))
+        _, _, hist = kmeans(pts, np.ones(200), 5, 20, np.random.default_rng(1))
         assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_k_equals_distinct_points(self):
         base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         pts = np.repeat(base, 10, axis=0)
-        cents, assign, hist = kmeans(pts, 3, 10, np.random.default_rng(3))
+        cents, assign, hist = kmeans(pts, np.ones(30), 3, 10, np.random.default_rng(3))
         got = sorted(map(tuple, cents))
         want = sorted(map(tuple, base))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -151,47 +163,66 @@ class TestKmeans:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), 5, 5, np.random.default_rng(0))
+            kmeans(np.zeros((3, 2)), np.ones(3), 5, 5, np.random.default_rng(0))
+        # k may exceed the distinct rows, not the total count
+        centroids, _, _ = kmeans(np.zeros((1, 2)), [5], 5, 5, np.random.default_rng(0))
+        assert centroids.shape == (5, 2) and not centroids.any()
+
+    @pytest.mark.parametrize("counts", [[1], [1, 1, 1], [[1], [1]], [1, 0], [2, -1]])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="one positive count per row"):
+            kmeans(np.zeros((2, 2)), counts, 1, 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [1, 4, 12, 30])
     def test_duplicate_rows_match_every_point_search(self, seed, k):
+        # On small integers every count x row and every cluster sum is exact
+        # in float64, so a weighted mean and numpy's mean over the cluster's
+        # points round the same sum once.  k = 30 exceeds the 20 atoms, so
+        # clusters go empty and reseed.
         rng = np.random.default_rng(seed)
-        atoms = np.vstack(
-            [rng.integers(0, 2, size=(12, 3)).astype(float), rng.normal(size=(20, 3))]
-        )
+        atoms = rng.integers(-3, 4, size=(20, 3)).astype(float)
         pts = atoms[rng.integers(len(atoms), size=300)]
-        got = kmeans(pts, k, 25, np.random.default_rng(seed))
-        want = kmeans_every_point(pts, k, 25, np.random.default_rng(seed))
-        for a, b in zip(got[:2], want[:2]):
-            np.testing.assert_array_equal(a, b)
-        assert got[2] == want[2]
+        rows, inverse = unique_rows(pts)
+        counts = np.bincount(inverse)
+        start, _, _ = kmeans(rows, counts, k, 0, np.random.default_rng(seed))
+        centroids, assign, history = kmeans(rows, counts, k, 25, np.random.default_rng(seed))
+        want = every_point_lloyd(pts, start, 25)
+        assert centroids.tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(assign[inverse], want[1])
+        # an SSE sums rounded distances, per row times its count or per point
+        assert history == pytest.approx(want[2], rel=1e-12)
 
 
 @st.composite
 def kmeans_cases(draw):
-    """(points, k, iters, seed) with heavy duplicates: every row is one of a
-    few atoms, so k up to n leaves clusters empty and forces reseeding."""
-    # at d = 1 a mean sums one contiguous column, pairwise; half the cases
-    d = draw(st.just(1) | st.integers(2, 9))
+    """(points, counts, k, iters, seed) with heavy duplicates: every row is
+    one of a few atoms, so k up to n leaves clusters empty and forces
+    reseeding."""
+    d = draw(st.integers(1, 9))
     value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5.4, 0.1]) | st.floats(
         -10, 10, allow_nan=False, allow_subnormal=False
     )
     atoms = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=8))
     rows = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=60))
     points = np.array(atoms)[rows]
+    n = len(points)
+    counts = np.array(draw(
+        st.just([1] * n) | st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    ))
     # small k gives clusters of many rows, where a mean's summation order shows
-    k = draw(st.integers(1, min(3, len(points))) | st.integers(1, len(points)))
-    return points, k, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, min(3, n)) | st.integers(1, n))
+    return points, counts, k, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestKmeansOracle:
-    """kmeans against the every-point, every-centroid Lloyd it replaced."""
+    """kmeans against ``naive_lloyd``, the same weighted-rows algorithm in
+    plain loops, and the property that a fit sees only the multiset of rows."""
 
     @staticmethod
-    def assert_same_bits(points, k, iters, seed):
-        got = kmeans(points, k, iters, np.random.default_rng(seed))
-        want = kmeans_every_point(points, k, iters, np.random.default_rng(seed))
+    def assert_same_bits(points, counts, k, iters, seed):
+        got = kmeans(points, counts, k, iters, np.random.default_rng(seed))
+        want = naive_lloyd(points, counts, k, iters, np.random.default_rng(seed))
         for a, b in zip(got[:2], want[:2]):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
@@ -204,23 +235,38 @@ class TestKmeansOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_dimensional_means(self, seed):
-        # a (m, 1) mean sums its column pairwise, not in row order
-        pts = np.random.default_rng(seed).normal(size=(200, 1))
-        self.assert_same_bits(pts, 3, 25, seed)
+        # 200 distinct 1-D rows, weighted 1 to 3
+        rng = np.random.default_rng(seed)
+        self.assert_same_bits(rng.normal(size=(200, 1)), rng.integers(1, 4, 200), 3, 25, seed)
 
     def test_two_empty_clusters_reseed_in_ascending_order(self):
-        # Two atoms, k = 4.  The mean of three copies of 5.4 is not 5.4, so a
-        # centroid reseeded onto a 5.4 point takes those points over.  In the
-        # second step clusters 1 and 3 are empty and cluster 2, between them,
-        # holds the 5.4s.  Cluster 1 reseeds while centroid 2 is still exactly
-        # 5.4: every distance is 0 and point 0 wins.  Cluster 3 reseeds after
-        # centroid 2 has moved off 5.4, and point 1 wins.
+        # Two rows, k = 4.  The three 5.4s sum to 3 x 5.4, and that over 3 is
+        # not 5.4, so a centroid reseeded onto 5.4 takes those rows over.  In
+        # the second step clusters 0 and 3 are empty and cluster 2, between
+        # them, holds the 5.4s.  Cluster 0 reseeds while centroid 2 is still
+        # exactly 5.4: every distance is 0 and the first row, 0.0, wins.
+        # Cluster 3 reseeds after centroid 2 has moved off 5.4, and 5.4 wins.
         pts = np.array([[0.0], [5.4], [0.0], [0.0], [5.4], [0.0], [5.4]])
-        centroids, assign, _ = self.assert_same_bits(pts, 4, 2, 0)
-        drift = np.full((3, 1), 5.4).mean(axis=0)[0]
+        centroids, assign, _ = self.assert_same_bits(pts, np.ones(7), 4, 2, 0)
+        drift = 3 * 5.4 / 3
         assert drift != 5.4
         np.testing.assert_array_equal(centroids[:, 0], [0.0, 0.0, drift, 5.4])
         np.testing.assert_array_equal(assign, [0, 3, 0, 0, 3, 0, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kmeans_cases(), order=st.integers(0, 2**32 - 1))
+    def test_shuffled_rows_give_the_same_fit(self, case, order):
+        points, counts, k, iters, seed = case
+        want = kmeans(points, counts, k, iters, np.random.default_rng(seed))
+        perm = np.random.default_rng(order).permutation(len(points))
+        shuffled = kmeans(points[perm], counts[perm], k, iters, np.random.default_rng(seed))
+        # one unit-count row per copy is the same multiset
+        every = np.repeat(np.arange(len(points)), counts)
+        spread = kmeans(points[every], np.ones(len(every)), k, iters, np.random.default_rng(seed))
+        for got, index in ((shuffled, perm), (spread, every)):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
+            np.testing.assert_array_equal(got[1], want[1][index])
 
 
 class TestUniqueRows:
@@ -292,6 +338,23 @@ class TestTrainCodebooks:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want.ravel())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fits_equal_kmeans_on_every_cell(self, seed):
+        # both layers fit the deduplicated cells; the same draws over every
+        # cell, one count each, give the same bits
+        rng = np.random.default_rng(seed)
+        atoms = np.vstack([rng.integers(0, 2, (6, 3)).astype(float), rng.normal(size=(10, 3))])
+        feats = atoms[rng.integers(len(atoms), size=120)]
+        cb, base_idx, res_idx = train_codebooks(
+            feats, np.ones(len(feats)), n_base=3, n_res=9, iters=15, seed=seed
+        )
+        draws, ones = np.random.default_rng(seed), np.ones(len(feats))
+        base = kmeans(feats, ones, 3, 15, draws)
+        res = kmeans(feats - base[0][base[1]], ones, 9, 15, draws)
+        for book, idx, (emb, assign, _) in ((cb.base, base_idx, base), (cb.res, res_idx, res)):
+            assert book.embeddings.tobytes() == emb.tobytes()
+            np.testing.assert_array_equal(idx, assign)
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             train_codebooks(np.zeros((4, 2)), np.ones(4), n_base=3, n_res=2)
@@ -356,18 +419,18 @@ class TestQuantize:
         np.testing.assert_allclose(recon1, recon2, atol=1e-12)
 
     def test_reconstruction_error_bounded_by_residual_radius(self):
-        # radius measured on the training sample, errors on fresh draws from
-        # the same blob distribution
-        feats, cb = self.trained(seed=17)
-        idx_train = quantize(feats.reshape(-1, 1, 4), cb)
-        resid = feats - cb.base.embeddings[idx_train.base_idx.ravel()]
-        radius = np.linalg.norm(
-            resid - cb.res.embeddings[idx_train.res_idx.ravel()], axis=1
-        ).max()
+        # Given its base index, a fresh cell's residual index is the one of
+        # least error; of equal errors, the lowest index.  The errors are
+        # summed over channels in index order, as quantize sums them.
+        _, cb = self.trained(seed=17)
         fresh = blobs(seed=17, n=120, d=4, k=6)  # same generator, same seed family
-        recon = reconstruct(quantize(fresh.reshape(10, 12, 4), cb), cb)
-        errs = np.linalg.norm(recon.reshape(-1, 4) - fresh, axis=1)
-        assert errs.max() <= radius + 1e-9
+        idx = quantize(fresh.reshape(10, 12, 4), cb)
+        resid = fresh - cb.base.embeddings[idx.base_idx.ravel()]
+        diffs = resid[:, None, :] - cb.res.embeddings[None, :, :]
+        errs = sum(diffs[..., c] * diffs[..., c] for c in range(4))
+        np.testing.assert_array_equal(idx.res_idx.ravel(), errs.argmin(axis=1))
+        recon = reconstruct(idx, cb).reshape(-1, 4)
+        assert np.all(np.linalg.norm(recon - fresh, axis=1) <= np.sqrt(errs.min(axis=1)) + 1e-9)
 
 
 @st.composite
