@@ -116,33 +116,32 @@ def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def kmeans(
-    rows: np.ndarray, counts: np.ndarray, k: int, iters: int, rng: np.random.Generator
+    points: np.ndarray, k: int, iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd k-means with k-means++ seeding over rows weighted by their counts.
+    """Lloyd k-means with k-means++ seeding over the distinct points, each
+    weighted by its count.
 
-    The fit sees only the multiset of rows: equal rows (-0.0 and 0.0 are
-    equal) merge and add their counts, and the distinct rows are taken in
-    lexicographic order.  Seeding draws the first centroid with probability
-    proportional to count and each further one to count x D^2.  Each Lloyd
-    mean is a count-weighted sum, and the SSE sums count x squared distance.
-    Empty clusters are re-seeded, in ascending cluster order, from the row
+    The fit sees only the multiset of points: equal points (-0.0 and 0.0
+    are equal) merge into one row, and the rows are taken in lexicographic
+    order.  Seeding draws the first centroid with probability proportional
+    to count and each further one to count x D^2.  Each Lloyd mean is a
+    count-weighted sum, and the SSE sums count x squared distance.  Empty
+    clusters are re-seeded, in ascending cluster order, from the row
     farthest from its assigned centroid, with the clusters before them
     already moved and those after them not yet.  Returns (centroids, each
-    input row's assignment, per-iteration SSE history); the assignment is
-    to the returned centroids.
+    point's assignment, per-iteration SSE history); the assignment is to
+    the returned centroids.
 
     Distances are kept per distinct row, one column per centroid, and a
     step recomputes only the columns of the centroids that moved.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or np.shape(counts) != rows.shape[:1] or not np.all(np.greater(counts, 0)):
-        raise ValueError("need an (n, d) matrix of rows and one positive count per row")
-    n = np.sum(counts)
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    uniq, inv = unique_rows(rows)
+    uniq, inv = unique_rows(points)
     uniq += 0.0  # a merged zero is 0.0, whichever sign came first
-    w = np.bincount(inv, counts)
+    w = np.bincount(inv).astype(np.float64)
     m, d = uniq.shape
 
     centroids = np.empty((k, d))
@@ -192,14 +191,12 @@ def train_codebooks(
     """Fit base and residual codebooks to a sample of feature vectors.
 
     The base layer is k-means over the features; the residual layer is
-    k-means over what the base layer leaves behind.  Both fits run on the
-    distinct feature rows weighted by their counts, so they equal fits on
-    every row.  Each layer's ``conf_freq`` sums ``conf``, one task
-    confidence per feature row, over the rows each embedding quantizes, in
-    row order; ``occ_freq`` counts those rows.  Also returns each feature
-    row's base and residual index, which are the indices ``quantize`` gives
-    that row: both search the final embeddings with the same per-row
-    distances.
+    k-means over what the base layer leaves behind.  Each layer's
+    ``conf_freq`` sums ``conf``, one task confidence per feature row, over
+    the rows each embedding quantizes, in row order; ``occ_freq`` counts
+    those rows.  Also returns each feature row's base and residual index,
+    which are the indices ``quantize`` gives that row: both search the
+    final embeddings with the same per-row distances.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -210,12 +207,10 @@ def train_codebooks(
         raise ValueError(
             f"need n_base <= n_res <= #features, got {n_base}, {n_res}, {features.shape[0]}"
         )
-    rows, inv = unique_rows(features)
-    counts = np.bincount(inv)
     rng = np.random.default_rng(seed)
-    base_emb, base_row, _ = kmeans(rows, counts, n_base, iters, rng)
-    res_emb, res_row, _ = kmeans(rows - base_emb[base_row], counts, n_res, iters, rng)
-    base_idx, res_idx = base_row[inv], res_row[inv]
+    base_emb, base_idx, _ = kmeans(features, n_base, iters, rng)
+    residuals = features - base_emb[base_idx]
+    res_emb, res_idx, _ = kmeans(residuals, n_res, iters, rng)
     books = (
         Codebook(e, np.bincount(i, conf, len(e)), np.bincount(i, minlength=len(e)))
         for e, i in ((base_emb, base_idx), (res_emb, res_idx))

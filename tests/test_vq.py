@@ -25,21 +25,21 @@ from pragcomm.vq import (
 )
 
 
-def naive_lloyd(points, counts, k, iters, rng):
+def naive_lloyd(points, k, iters, rng):
     """Independent reference for kmeans: the weighted-rows algorithm in plain
     loops over Python floats, with no distance cache.
 
-    Equal points merge into one row that adds their counts, and the rows go
-    in lexicographic order.  Every sum runs in the order kmeans adds it:
+    Equal points merge into one row weighted by their count, and the rows
+    go in lexicographic order.  Every sum runs in the order kmeans adds it:
     distances over channels in index order, means and cluster sizes over the
     rows in order, and the SSE terms go to numpy's sum as one array.  Empty
     clusters reseed inside the one pass over the clusters, so the clusters
     before them have already moved.
     """
     tally = {}
-    for point, count in zip(np.asarray(points, dtype=float).tolist(), counts):
+    for point in np.asarray(points, dtype=float).tolist():
         key = tuple(x + 0.0 for x in point)  # -0.0 and 0.0 are one value
-        tally[key] = tally.get(key, 0) + count
+        tally[key] = tally.get(key, 0) + 1
     rows = sorted(tally)
     w = [float(tally[r]) for r in rows]
 
@@ -139,23 +139,23 @@ def every_point_lloyd(points, centroids, iters):
 class TestKmeans:
     def test_sse_matches_naive_reference(self):
         pts = blobs(seed=7)
-        counts = np.random.default_rng(7).integers(1, 5, len(pts))
+        pts = np.repeat(pts, np.random.default_rng(7).integers(1, 5, len(pts)), axis=0)
         # six clusters on four blobs: where the blobs split depends on the seeding
-        got = kmeans(pts, counts, 6, 15, np.random.default_rng(42))
-        want = naive_lloyd(pts, counts, 6, 15, np.random.default_rng(42))
+        got = kmeans(pts, 6, 15, np.random.default_rng(42))
+        want = naive_lloyd(pts, 6, 15, np.random.default_rng(42))
         assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
         for a, b in zip(got[:2], want[:2]):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     def test_objective_nonincreasing(self):
         pts = blobs(seed=9, n=200)
-        _, _, hist = kmeans(pts, np.ones(200), 5, 20, np.random.default_rng(1))
+        _, _, hist = kmeans(pts, 5, 20, np.random.default_rng(1))
         assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_k_equals_distinct_points(self):
         base = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         pts = np.repeat(base, 10, axis=0)
-        cents, assign, hist = kmeans(pts, np.ones(30), 3, 10, np.random.default_rng(3))
+        cents, assign, hist = kmeans(pts, 3, 10, np.random.default_rng(3))
         got = sorted(map(tuple, cents))
         want = sorted(map(tuple, base))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -163,15 +163,10 @@ class TestKmeans:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), np.ones(3), 5, 5, np.random.default_rng(0))
-        # k may exceed the distinct rows, not the total count
-        centroids, _, _ = kmeans(np.zeros((1, 2)), [5], 5, 5, np.random.default_rng(0))
+            kmeans(np.zeros((3, 2)), 5, 5, np.random.default_rng(0))
+        # k may exceed the distinct points, not the number of points
+        centroids, _, _ = kmeans(np.zeros((5, 2)), 5, 5, np.random.default_rng(0))
         assert centroids.shape == (5, 2) and not centroids.any()
-
-    @pytest.mark.parametrize("counts", [[1], [1, 1, 1], [[1], [1]], [1, 0], [2, -1]])
-    def test_bad_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="one positive count per row"):
-            kmeans(np.zeros((2, 2)), counts, 1, 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [1, 4, 12, 30])
@@ -183,22 +178,19 @@ class TestKmeans:
         rng = np.random.default_rng(seed)
         atoms = rng.integers(-3, 4, size=(20, 3)).astype(float)
         pts = atoms[rng.integers(len(atoms), size=300)]
-        rows, inverse = unique_rows(pts)
-        counts = np.bincount(inverse)
-        start, _, _ = kmeans(rows, counts, k, 0, np.random.default_rng(seed))
-        centroids, assign, history = kmeans(rows, counts, k, 25, np.random.default_rng(seed))
+        start, _, _ = kmeans(pts, k, 0, np.random.default_rng(seed))
+        centroids, assign, history = kmeans(pts, k, 25, np.random.default_rng(seed))
         want = every_point_lloyd(pts, start, 25)
         assert centroids.tobytes() == want[0].tobytes()
-        np.testing.assert_array_equal(assign[inverse], want[1])
+        np.testing.assert_array_equal(assign, want[1])
         # an SSE sums rounded distances, per row times its count or per point
         assert history == pytest.approx(want[2], rel=1e-12)
 
 
 @st.composite
 def kmeans_cases(draw):
-    """(points, counts, k, iters, seed) with heavy duplicates: every row is
-    one of a few atoms, so k up to n leaves clusters empty and forces
-    reseeding."""
+    """(points, k, iters, seed) with heavy duplicates: every point is one of
+    a few atoms, so k up to n leaves clusters empty and forces reseeding."""
     d = draw(st.integers(1, 9))
     value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5.4, 0.1]) | st.floats(
         -10, 10, allow_nan=False, allow_subnormal=False
@@ -207,22 +199,19 @@ def kmeans_cases(draw):
     rows = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=60))
     points = np.array(atoms)[rows]
     n = len(points)
-    counts = np.array(draw(
-        st.just([1] * n) | st.lists(st.integers(1, 4), min_size=n, max_size=n)
-    ))
     # small k gives clusters of many rows, where a mean's summation order shows
     k = draw(st.integers(1, min(3, n)) | st.integers(1, n))
-    return points, counts, k, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
+    return points, k, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestKmeansOracle:
     """kmeans against ``naive_lloyd``, the same weighted-rows algorithm in
-    plain loops, and the property that a fit sees only the multiset of rows."""
+    plain loops, and the property that a fit sees only the multiset of points."""
 
     @staticmethod
-    def assert_same_bits(points, counts, k, iters, seed):
-        got = kmeans(points, counts, k, iters, np.random.default_rng(seed))
-        want = naive_lloyd(points, counts, k, iters, np.random.default_rng(seed))
+    def assert_same_bits(points, k, iters, seed):
+        got = kmeans(points, k, iters, np.random.default_rng(seed))
+        want = naive_lloyd(points, k, iters, np.random.default_rng(seed))
         for a, b in zip(got[:2], want[:2]):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
@@ -235,9 +224,10 @@ class TestKmeansOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_dimensional_means(self, seed):
-        # 200 distinct 1-D rows, weighted 1 to 3
+        # 200 distinct 1-D rows, each 1 to 3 times
         rng = np.random.default_rng(seed)
-        self.assert_same_bits(rng.normal(size=(200, 1)), rng.integers(1, 4, 200), 3, 25, seed)
+        pts = np.repeat(rng.normal(size=(200, 1)), rng.integers(1, 4, 200), axis=0)
+        self.assert_same_bits(pts, 3, 25, seed)
 
     def test_two_empty_clusters_reseed_in_ascending_order(self):
         # Two rows, k = 4.  The three 5.4s sum to 3 x 5.4, and that over 3 is
@@ -247,7 +237,7 @@ class TestKmeansOracle:
         # exactly 5.4: every distance is 0 and the first row, 0.0, wins.
         # Cluster 3 reseeds after centroid 2 has moved off 5.4, and 5.4 wins.
         pts = np.array([[0.0], [5.4], [0.0], [0.0], [5.4], [0.0], [5.4]])
-        centroids, assign, _ = self.assert_same_bits(pts, np.ones(7), 4, 2, 0)
+        centroids, assign, _ = self.assert_same_bits(pts, 4, 2, 0)
         drift = 3 * 5.4 / 3
         assert drift != 5.4
         np.testing.assert_array_equal(centroids[:, 0], [0.0, 0.0, drift, 5.4])
@@ -255,18 +245,14 @@ class TestKmeansOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(case=kmeans_cases(), order=st.integers(0, 2**32 - 1))
-    def test_shuffled_rows_give_the_same_fit(self, case, order):
-        points, counts, k, iters, seed = case
-        want = kmeans(points, counts, k, iters, np.random.default_rng(seed))
+    def test_shuffled_points_give_the_same_fit(self, case, order):
+        points, k, iters, seed = case
+        want = kmeans(points, k, iters, np.random.default_rng(seed))
         perm = np.random.default_rng(order).permutation(len(points))
-        shuffled = kmeans(points[perm], counts[perm], k, iters, np.random.default_rng(seed))
-        # one unit-count row per copy is the same multiset
-        every = np.repeat(np.arange(len(points)), counts)
-        spread = kmeans(points[every], np.ones(len(every)), k, iters, np.random.default_rng(seed))
-        for got, index in ((shuffled, perm), (spread, every)):
-            assert got[0].tobytes() == want[0].tobytes()
-            assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
-            np.testing.assert_array_equal(got[1], want[1][index])
+        got = kmeans(points[perm], k, iters, np.random.default_rng(seed))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [h.hex() for h in got[2]] == [h.hex() for h in want[2]]
+        np.testing.assert_array_equal(got[1], want[1][perm])
 
 
 class TestUniqueRows:
@@ -337,23 +323,6 @@ class TestTrainCodebooks:
         for got, want in ((base_idx, idx.base_idx), (res_idx, idx.res_idx)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want.ravel())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fits_equal_kmeans_on_every_cell(self, seed):
-        # both layers fit the deduplicated cells; the same draws over every
-        # cell, one count each, give the same bits
-        rng = np.random.default_rng(seed)
-        atoms = np.vstack([rng.integers(0, 2, (6, 3)).astype(float), rng.normal(size=(10, 3))])
-        feats = atoms[rng.integers(len(atoms), size=120)]
-        cb, base_idx, res_idx = train_codebooks(
-            feats, np.ones(len(feats)), n_base=3, n_res=9, iters=15, seed=seed
-        )
-        draws, ones = np.random.default_rng(seed), np.ones(len(feats))
-        base = kmeans(feats, ones, 3, 15, draws)
-        res = kmeans(feats - base[0][base[1]], ones, 9, 15, draws)
-        for book, idx, (emb, assign, _) in ((cb.base, base_idx, base), (cb.res, res_idx, res)):
-            assert book.embeddings.tobytes() == emb.tobytes()
-            np.testing.assert_array_equal(idx, assign)
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
