@@ -1,5 +1,13 @@
 """Every pinned output byte of the suite, as one sha256 per ``<producer>/<output>``;
-``python -m pytest -q -k "pinned or digest"`` runs every test that reads one."""
+``python -m pytest -q -k "pinned or digest"`` runs every test that reads one.
+
+The pins were made on an Intel Xeon with AVX-512 and 2 cores: scipy-openblas
+0.3.31 (``DYNAMIC_ARCH``, choosing its SkylakeX kernel) with 2 threads, and
+numpy 2.4.6 dispatching its X86_V3, X86_V4, AVX512_ICL and AVX512_SPR loops.
+Some pins read bits of the discriminator's matrix products, which depend on
+the BLAS kernel and thread count; ``python tests/machines.py`` reruns the
+pinned tests and the criteria under settings that stand in for other
+machines, and the README lists what holds under each."""
 
 from hashlib import sha256
 

@@ -81,7 +81,10 @@ GEOMETRIC = CODER + "TestVectorizedCoder::test_geometric_code_capped_at_16_bits"
 KERNEL = CODER + "TestVectorizedCoder::test_kernel_matches_the_per_length_oracle"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_lossless_regime"
 SUM_PLANES = "tests/test_planes.py::TestSumPlanes::test_matches_sum_over_the_last_axis"
-SQ_DISTS_ALONE = "tests/test_vq.py::TestSqDistsOracle::test_each_entry_equals_its_own_call"
+SQ_DISTS = "tests/test_vq.py::TestSqDistsOracle::"
+SQ_DISTS_ORACLE = SQ_DISTS + "test_same_distances"
+NEAREST_BLOCKS = SQ_DISTS + "test_nearest_is_the_argmin_of_every_block"
+QUANTIZE_AT_SCALE = "tests/test_vq.py::TestNearestAtScale::test_quantize_matches_the_per_cell_search"
 KMEANS_ORACLE = "tests/test_vq.py::TestKmeansOracle::test_same_centroids_assignment_and_history"
 KMEANS_NAIVE = "tests/test_vq.py::TestKmeans::test_sse_matches_naive_reference"
 KMEANS_EVERY_POINT = (
@@ -110,7 +113,7 @@ MIE = "tests/test_mi_estimator.py::"
 DISC_ORACLE = MIE + "TestInPlaceStep::test_train_equals_allocating_oracle"
 KEEPS_SAMPLES = MIE + "TestMergedRows::test_make_batch_keeps_every_sample"
 FINITE_DIFFS = MIE + "TestGradients::test_analytic_matches_finite_differences"
-REPEATED_FINITE_DIFFS = MIE + "TestGradients::test_repeated_rows_match_finite_differences"
+REPEATED_FORWARD_MODE = MIE + "TestGradients::test_repeated_rows_match_forward_mode"
 MERGED = MIE + "TestMergedRows::"
 
 MUTANTS = (
@@ -294,7 +297,7 @@ MUTANTS = (
         "src/pragcomm/mi_estimator.py",
         "dscore = pm * _sigmoid(t) - pj * _sigmoid(-t)",
         "dscore = -pj * _sigmoid(-t)",
-        (FINITE_DIFFS, REPEATED_FINITE_DIFFS),
+        (FINITE_DIFFS, REPEATED_FORWARD_MODE),
     ),
     Mutant(
         "step_on_the_stacked_sides_unmerged",
@@ -346,7 +349,7 @@ MUTANTS = (
         "        total += plane\n"
         "    return total\n",
         "    return x.sum(axis=0)\n",
-        (SUM_PLANES, SQ_DISTS_ALONE, POSTERIOR_ALONE),
+        (SUM_PLANES, POSTERIOR_ALONE),
     ),
     Mutant(
         "kmeans_mean_ignores_counts",
@@ -361,6 +364,20 @@ MUTANTS = (
         "        p = w * d2\n",
         "        p = d2\n",
         (KMEANS_ORACLE, KMEANS_NAIVE),
+    ),
+    Mutant(
+        "nearest_drops_the_last_partial_block",
+        "src/pragcomm/vq.py",
+        "    for start in range(0, len(points), step):\n",
+        "    for start in range(0, len(points) - step + 1, step):\n",
+        (NEAREST_BLOCKS, QUANTIZE_AT_SCALE),
+    ),
+    Mutant(
+        "sq_dists_planes_from_the_last_channel",
+        "src/pragcomm/vq.py",
+        "    pts, cts = points.T, centroids.T\n",
+        "    pts, cts = points.T[::-1], centroids.T[::-1]\n",
+        (SQ_DISTS_ORACLE,),
     ),
     Mutant(
         "sector_wrap_intersects",

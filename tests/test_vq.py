@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,39 +432,95 @@ def quantize_cases(draw):
     return grid.reshape(*shape, c), cb
 
 
+@st.composite
+def distance_cases(draw):
+    """(points, centroids, block) with the row count at or next to a block
+    edge of ``_nearest`` once ``vq._BLOCK_CELLS`` is ``block``: 1, B - 1, B,
+    B + 1 or 2B + 3 rows for B rows per block, up to 65 centroids.  Half the
+    cases are integers and half-integers, so many distances tie; the rest
+    have magnitudes far apart, so any order but index order rounds differently."""
+    k, d = draw(st.integers(1, 65)), draw(st.integers(1, 20))
+    block = draw(st.integers(1, 200))
+    rows = max(1, block // k)
+    n = draw(st.sampled_from([m for m in (1, rows - 1, rows, rows + 1, 2 * rows + 3) if m]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points, centroids = (rng.integers(-2, 3, (m, d)) * 0.5 for m in (n, k))
+    else:
+        points, centroids = (
+            rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 6, (m, d)) for m in (n, k)
+        )
+    points[rng.uniform(size=points.shape) < 0.2] = -0.0
+    centroids[rng.uniform(size=centroids.shape) < 0.2] = -0.0
+    return points, centroids, block
+
+
 class TestSqDistsOracle:
     """The per-channel planes against the sum over each row's last axis.
-    An argmin hides most last-bit changes, so the distances are compared."""
+    An argmin hides most last-bit changes, so the distances are compared;
+    ``_nearest`` is compared per row across its blocks."""
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 30), k=st.integers(1, 20), d=st.integers(1, 20),
-           seed=st.integers(0, 2**32 - 1))
-    def test_same_distances(self, n, k, d, seed):
-        points, centroids = self.draw(n, k, d, seed)
+    @given(case=distance_cases())
+    def test_same_distances(self, case):
+        points, centroids, _ = case
         got, want = vq._sq_dists(points, centroids), oracle.sq_dists(points, centroids)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 30), k=st.integers(1, 20), d=st.integers(1, 20),
-           seed=st.integers(0, 2**32 - 1))
-    def test_each_entry_equals_its_own_call(self, n, k, d, seed):
+    @given(case=distance_cases())
+    def test_each_entry_equals_its_own_call(self, case):
         # Scene quantizes all agents' cells in one call, so an entry must
         # not depend on the rows and centroids searched with it
-        points, centroids = self.draw(n, k, d, seed)
+        points, centroids, _ = case
         got = vq._sq_dists(points, centroids)
         alone = [[vq._sq_dists(p[None], c[None])[0, 0] for c in centroids] for p in points]
         assert got.tobytes() == np.array(alone).tobytes()
 
-    @staticmethod
-    def draw(n, k, d, seed):
-        # from 8 channels on, numpy's .sum adds a row pairwise; magnitudes
-        # far apart make any order but index order round differently
-        rng = np.random.default_rng(seed)
-        points, centroids = (
-            rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 6, (m, d)) for m in (n, k)
-        )
-        points[rng.uniform(size=points.shape) < 0.2] = -0.0
-        return points, centroids
+    @settings(max_examples=300, deadline=None)
+    @given(case=distance_cases())
+    def test_nearest_is_the_argmin_of_every_block(self, case):
+        points, centroids, block = case
+        with mock.patch.object(vq, "_BLOCK_CELLS", block):
+            got = vq._nearest(points, centroids)
+        want = oracle.sq_dists(points, centroids).argmin(axis=1)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def normal_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d))
+
+
+class TestNearestAtScale:
+    """8192 distinct rows against 64 centroids in 8 channels, where one
+    (channels, rows, centroids) temporary peaked at 37.7 MB."""
+
+    N, K, D = 8192, 64, 8
+
+    def test_peak_memory_is_a_few_blocks(self):
+        points, centroids = normal_rows(self.N, self.D, 1), normal_rows(self.K, self.D, 2)
+        assert len(unique_rows(points)[0]) == self.N
+        tracemalloc.start()
+        try:
+            vq._nearest(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured: 0.33 MB, against 37.7 MB for the 3-D temporary.  The
+        # bound is two (rows, centroids) tables; that temporary is eight.
+        assert peak < 2 * self.N * self.K * 8
+
+    def test_quantize_matches_the_per_cell_search(self):
+        # 10 base rows leave a partial last block (819 rows a block)
+        grid = normal_rows(self.N, self.D, 3).reshape(64, 128, self.D)
+        cb = LayeredCodebook(*(
+            Codebook(normal_rows(k, self.D, 4 + k), np.zeros(k), np.zeros(k))
+            for k in (10, self.K)
+        ))
+        got, (want, _) = quantize(grid, cb), oracle.quantize(grid, cb)
+        for a, b in ((got.base_idx, want.base_idx), (got.res_idx, want.res_idx)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestQuantizeOracle:
